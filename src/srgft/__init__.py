@@ -5,7 +5,7 @@ from .errors import (DomainError, PreconditionError, QuaternionParseError,
                      SingularityError)
 from .quat import (ImaginaryUnit, Quaternion, format_quaternion,
                    parse_quaternion)
-from .series import (EvalDomain, SliceSeries, StarQuotient,
+from .series import (EvalDomain, ExactForm, SliceSeries, StarQuotient,
                      compose_slice_preserving, integrate_radial, mobius,
                      mobius_quotient, odd_part, quotient_transform,
                      regular_conjugate, slice_derivative, star_mul,
@@ -20,7 +20,7 @@ from .checks import CheckReport, SUITES, SuiteConfig, run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckReport", "ClassVerdict", "DomainError", "EvalDomain",
+    "CheckReport", "ClassVerdict", "DomainError", "EvalDomain", "ExactForm",
     "FunctionUnderTest", "ImaginaryUnit", "PreconditionError", "Quaternion",
     "QuaternionParseError", "SUITES", "SamplingGrid", "SingularityError",
     "SliceSeries", "StarQuotient", "SuiteConfig", "compose_slice_preserving",

@@ -22,21 +22,19 @@ from typing import Callable, Optional
 from .classes import (DEFAULT_GRID, FunctionLike, FunctionUnderTest,
                       SamplingGrid, as_function, bloch_eval, bloch_series,
                       caratheodory_extremal, caratheodory_extremal_quotient,
-                      caratheodory_mixture_evaluator, caratheodory_mixture_parts,
-                      convex_reference, convex_reference_quotient,
-                      generate_caratheodory,
-                      generate_starlike_small_coeff, is_caratheodory,
-                      is_slice_preserving, is_starlike,
+                      caratheodory_mixture_form, convex_reference,
+                      convex_reference_quotient, generate_caratheodory,
+                      generate_close_to_convex, generate_starlike_small_coeff,
+                      is_caratheodory, is_slice_preserving, is_starlike,
                       koebe, koebe_quotient, odd_reference,
                       odd_reference_quotient, random_float_unit,
-                      rogosinski_extremal, rogosinski_extremal_quotient)
+                      rogosinski_extremal, rogosinski_extremal_form)
 from .errors import DomainError, PreconditionError
 from .quat import (ONE, I, J, K, Quaternion, format_quaternion,
                    quaternion_to_json)
-from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, SliceSeries,
-                     StarQuotient, full_star_mul, integrate_radial, mobius,
-                     mobius_quotient, regular_conjugate,
-                     slice_derivative, star_mul, symmetrize)
+from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, ExactForm,
+                     SliceSeries, StarQuotient, integrate_radial, mobius,
+                     mobius_quotient, slice_derivative, symmetrize)
 
 EQUALITY_BAND = 1e-9
 POINT_TOL = 1e-9
@@ -679,71 +677,45 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
 
 
 def koebe_function(u: Quaternion, degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
-    quot = koebe_quotient(u)
-    dquot = quot.derivative()
     return FunctionUnderTest(
         f"koebe({format_quaternion(u)})", koebe(u, degree),
-        value_fn=quot.eval, derivative_fn=dquot.eval,
+        ExactForm((koebe_quotient(u),)),
         certificates=("starlike", "close-to-convex"))
 
 
 def caratheodory_extremal_function(u: Quaternion,
                                    degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
-    quot = caratheodory_extremal_quotient(u)
-    dquot = quot.derivative()
     return FunctionUnderTest(
         f"caratheodory-extremal({format_quaternion(u)})",
         caratheodory_extremal(u, degree),
-        value_fn=quot.eval, derivative_fn=dquot.eval,
+        ExactForm((caratheodory_extremal_quotient(u),)),
         certificates=("caratheodory",))
 
 
 def convex_function(degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
-    quot = convex_reference_quotient()
-    dquot = quot.derivative()
     return FunctionUnderTest(
         "convex-reference", convex_reference(degree),
-        value_fn=quot.eval, derivative_fn=dquot.eval,
+        ExactForm((convex_reference_quotient(),)),
         certificates=("starlike", "close-to-convex", "derivative-starlike",
                       "slice-preserving"))
 
 
 def odd_reference_function(degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
-    quot = odd_reference_quotient()
-    dquot = quot.derivative()
     return FunctionUnderTest(
         "odd-reference", odd_reference(degree),
-        value_fn=quot.eval, derivative_fn=dquot.eval,
+        ExactForm((odd_reference_quotient(),)),
         certificates=("starlike", "slice-preserving"))
 
 
-def bloch_function(degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
-    one = SliceSeries.one()
-    zero = Quaternion(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-    dquot = StarQuotient(one, SliceSeries.from_coeffs([ONE, zero, -ONE]))
-    return FunctionUnderTest(
-        "strip-reference", bloch_series(degree),
-        value_fn=bloch_eval, derivative_fn=dquot.eval,
-        certificates=("slice-preserving",))
-
-
-def mobius_function(a: Quaternion, degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
+def mobius_function(a: Quaternion, degree: int = DEFAULT_DEGREE,
+                    u: Optional[Quaternion] = None) -> FunctionUnderTest:
+    """The Moebius transform of parameter a, times the constant u on the right."""
+    fid, series = f"mobius({format_quaternion(a)})", mobius(a, degree)
     quot = mobius_quotient(a)
-    dquot = quot.derivative()
-    return FunctionUnderTest(
-        f"mobius({format_quaternion(a)})", mobius(a, degree),
-        value_fn=quot.eval, derivative_fn=dquot.eval)
-
-
-def mobius_times_unit_function(a: Quaternion, u: Quaternion,
-                               degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
-    quot = mobius_quotient(a)
-    dquot = quot.derivative()
-    return FunctionUnderTest(
-        f"mobius({format_quaternion(a)})*{format_quaternion(u)}",
-        mobius(a, degree).times(u),
-        value_fn=lambda q: quot.eval(q) * u,
-        derivative_fn=lambda q: dquot.eval(q) * u)
+    if u is not None:
+        fid += f"*{format_quaternion(u)}"
+        series, quot = series.times(u), StarQuotient(quot.num.times(u), quot.den)
+    return FunctionUnderTest(fid, series, ExactForm((quot,)))
 
 
 def identity_function(degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
@@ -767,20 +739,9 @@ def constant_function(c: Quaternion, degree: int = 0) -> FunctionUnderTest:
 
 def rogosinski_function(b: Quaternion, p: Quaternion,
                         degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
-    quot, _ = rogosinski_extremal_quotient(b, p)
-    dquot_core = quot.derivative()
-
-    def value(q: Quaternion) -> Quaternion:
-        return q * quot.eval(q)
-
-    def derivative(q: Quaternion) -> Quaternion:
-        # product rule on q * core(q); q is central
-        return quot.eval(q) + q * dquot_core.eval(q)
-
     return FunctionUnderTest(
         f"rogosinski(b={format_quaternion(b)},p={format_quaternion(p)})",
-        rogosinski_extremal(b, p, degree),
-        value_fn=value, derivative_fn=derivative)
+        rogosinski_extremal(b, p, degree), rogosinski_extremal_form(b, p))
 
 
 # ---------------------------------------------------------------------------
@@ -796,56 +757,28 @@ def starlike_member(seed: int, degree: int = DEFAULT_DEGREE) -> FunctionUnderTes
 
 def caratheodory_member(seed: int, degree: int = DEFAULT_DEGREE,
                         k: int = 3) -> FunctionUnderTest:
-    lambdas, units = caratheodory_mixture_parts(seed, k)
-    series = generate_caratheodory(seed, degree, k)
-    return FunctionUnderTest(f"caratheodory-member(seed={seed})", series,
-                             value_fn=caratheodory_mixture_evaluator(lambdas, units),
+    return FunctionUnderTest(f"caratheodory-member(seed={seed})",
+                             generate_caratheodory(seed, degree, k),
+                             caratheodory_mixture_form(seed, k),
                              certificates=("caratheodory",))
-
-
-def _close_to_convex_derivative(h: SliceSeries, lambdas, units) -> Callable:
-    """Pointwise-exact f' = q^-1 (h star p) for the mixture p.
-
-    Each summand h star (1-qu)^(-star) star (1+qu) collapses to
-    S_u(q)^(-1) (h star (1 - q conj(u)) star (1 + q u))(q) because the
-    real symmetrization S_u is central.
-    """
-    parts = []
-    for lam, u in zip(lambdas, units):
-        one = ONE
-        lin = SliceSeries.from_coeffs([one, -u])
-        numerator = full_star_mul(
-            full_star_mul(h, regular_conjugate(lin)),
-            SliceSeries.from_coeffs([one, u])).to_float()
-        sym = symmetrize(lin.pad_to(2)).to_float()
-        parts.append((float(lam), sym, numerator))
-
-    def derivative(q: Quaternion) -> Quaternion:
-        acc = Quaternion(0.0, 0.0, 0.0, 0.0)
-        for lam, sym, numerator in parts:
-            acc = acc + (sym.eval(q).inverse() * numerator.eval(q)) * lam
-        return q.inverse() * acc
-
-    return derivative
 
 
 def close_to_convex_member(seed: int, degree: int = DEFAULT_DEGREE,
                            k: int = 3) -> FunctionUnderTest:
-    h = generate_starlike_small_coeff(1000003 * seed + 1, degree)
-    lambdas, units = caratheodory_mixture_parts(1000003 * seed + 2, k)
-    p = generate_caratheodory(1000003 * seed + 2, degree, k)
-    series = integrate_radial(star_mul(h, p).shift(-1))
-    parts: list = []  # built lazily; coefficient checks never differentiate
+    """f' = q^-1 h star p for a certified starlike h and Caratheodory mixture p.
 
-    def derivative(q: Quaternion) -> Quaternion:
-        if not parts:
-            parts.append(_close_to_convex_derivative(h, lambdas, units))
-        return parts[0](q)
-
+    Each term h star (1-qu)^(-star) star (1+qu) of f' keeps float copies
+    of its polynomials: exact evaluation of the degree-50 numerators
+    would cost about 150 times as much per point.
+    """
+    h = starlike_member(1000003 * seed + 1, degree)
+    p = caratheodory_member(1000003 * seed + 2, degree, k)
+    derivative = ExactForm(tuple(StarQuotient(t.num, t.den, left=h.series)
+                                 for t in p.form.terms),
+                           p.form.weights, shift=-1, float_terms=True)
     return FunctionUnderTest(
-        f"close-to-convex-member(seed={seed})", series,
-        derivative_fn=derivative,
-        certificates=("close-to-convex",))
+        f"close-to-convex-member(seed={seed})", generate_close_to_convex(h, p),
+        derivative_form=derivative, certificates=("close-to-convex",))
 
 
 def convex_member(seed: int, degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
@@ -978,7 +911,7 @@ def _suite_schwarz(cfg: SuiteConfig) -> list[Task]:
                                        cfg.grid, cfg.tol))
     a = Quaternion(0, Fraction(1, 2), 0, 0)
     tasks.append(lambda: check_schwarz_pick_coefficient(
-        mobius_times_unit_function(a, J, cfg.degree), cfg.grid, cfg.tol))
+        mobius_function(a, cfg.degree, J), cfg.grid, cfg.tol))
     tasks.append(lambda: check_schwarz_pick_coefficient(
         constant_function(half), cfg.grid, cfg.tol))
     tasks.append(lambda: check_schwarz_pick_coefficient(
@@ -1100,17 +1033,11 @@ SUITES: dict[str, Callable[[SuiteConfig], list[Task]]] = {
 }
 
 
-def run_suites(names: list[str], cfg: SuiteConfig, jobs: int = 1) -> list[CheckReport]:
-    """Execute suites in declaration order; reports keep task order even
-    when dispatched to a thread pool."""
+def run_suites(names: list[str], cfg: SuiteConfig) -> list[CheckReport]:
+    """Build every named suite's tasks, then run them in declaration order."""
     tasks: list[Task] = []
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
         tasks.extend(SUITES[name](cfg))
-    if jobs <= 1:
-        return [task() for task in tasks]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [fut.result() for fut in futures]
+    return [task() for task in tasks]

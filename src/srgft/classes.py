@@ -21,17 +21,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from random import Random
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import DomainError, PreconditionError
 from .quat import (ONE, ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K,
                    exact_sqrt, quaternion_to_json)
-from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, SliceSeries,
-                     StarQuotient, full_star_mul, integrate_radial,
+from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, ExactForm,
+                     SliceSeries, StarQuotient, full_star_mul, integrate_radial,
                      slice_derivative, star_mul)
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
@@ -142,33 +142,39 @@ def _coeff_witness(n: int, c: Quaternion) -> dict:
 class FunctionUnderTest:
     """A function handed to predicates and theorem checks.
 
-    Carries the coefficient window plus, when available, closed-form
-    point evaluators that are exact near the boundary of the ball (the
-    truncated window of an infinite extremal is useless at radius 0.99).
-    ``certificates`` lists class names established by construction, so
-    checks need not re-screen them.
+    Carries the coefficient window plus, when available, an exact point
+    form of f that stays accurate near the boundary of the ball (the
+    truncated window of an infinite extremal is useless at radius 0.99),
+    or only one of f' (``derivative_form``).  Without a form, points are
+    evaluated on a float copy of the window.  ``certificates`` lists
+    class names established by construction, so checks need not
+    re-screen them.
     """
 
     fid: str
     series: SliceSeries
-    value_fn: Optional[Callable[[Quaternion], Quaternion]] = None
-    derivative_fn: Optional[Callable[[Quaternion], Quaternion]] = None
+    form: Optional[ExactForm] = None
+    derivative_form: Optional[ExactForm] = None
     certificates: tuple[str, ...] = ()
-    _float_series: Optional[SliceSeries] = field(default=None, repr=False)
-    _float_derivative: Optional[SliceSeries] = field(default=None, repr=False)
+
+    @cached_property
+    def _float_series(self) -> SliceSeries:
+        return self.series.to_float()
+
+    @cached_property
+    def _float_derivative(self) -> SliceSeries:
+        return slice_derivative(self._float_series)
 
     def value(self, q: Quaternion) -> Quaternion:
-        if self.value_fn is not None:
-            return self.value_fn(q)
-        if self._float_series is None:
-            self._float_series = self.series.to_float()
+        if self.form is not None:
+            return self.form.value(q)
         return self._float_series.eval(q)
 
     def derivative_value(self, q: Quaternion) -> Quaternion:
-        if self.derivative_fn is not None:
-            return self.derivative_fn(q)
-        if self._float_derivative is None:
-            self._float_derivative = slice_derivative(self.series.to_float())
+        if self.derivative_form is not None:
+            return self.derivative_form.value(q)
+        if self.form is not None:
+            return self.form.derivative(q)
         return self._float_derivative.eval(q)
 
     def coeff(self, n: int) -> Quaternion:
@@ -332,14 +338,6 @@ def random_float_unit(rng: Random) -> Quaternion:
             return Quaternion(*[c / n for c in comps])
 
 
-def random_imaginary_unit(rng: Random) -> ImaginaryUnit:
-    while True:
-        x, y, z = rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)
-        n = math.sqrt(x * x + y * y + z * z)
-        if n > 1e-6:
-            return ImaginaryUnit(x / n, y / n, z / n)
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -428,19 +426,11 @@ def generate_caratheodory(seed: int, degree: int = DEFAULT_DEGREE,
     return acc if exact else acc.to_float()
 
 
-def caratheodory_mixture_evaluator(lambdas: list[Fraction],
-                                   units: list[Quaternion]) -> Callable[[Quaternion], Quaternion]:
-    """Pointwise-exact evaluator of the convex combination of extremals."""
-    quotients = [caratheodory_extremal_quotient(u) for u in units]
-    weights = [float(lam) for lam in lambdas]
-
-    def evaluate(q: Quaternion) -> Quaternion:
-        acc = Quaternion(0.0, 0.0, 0.0, 0.0)
-        for w, quot in zip(weights, quotients):
-            acc = acc + quot.eval(q) * w
-        return acc
-
-    return evaluate
+def caratheodory_mixture_form(seed: int, k: int = 3) -> ExactForm:
+    """Exact point form of the mixture that generate_caratheodory expands."""
+    lambdas, units = caratheodory_mixture_parts(seed, k)
+    return ExactForm(tuple(caratheodory_extremal_quotient(u) for u in units),
+                     tuple(lambdas))
 
 
 def generate_close_to_convex(h: FunctionLike, p: FunctionLike,
@@ -536,13 +526,13 @@ def rogosinski_extremal(b: Quaternion, p: Quaternion,
     return SliceSeries.from_coeffs(coeffs, valuation=1)
 
 
-def rogosinski_extremal_quotient(b: Quaternion, p: Quaternion) -> tuple[StarQuotient, Quaternion]:
-    """Quotient core C with f(q) = q * C(q); returned as (C, b) for checks."""
+def rogosinski_extremal_form(b: Quaternion, p: Quaternion) -> ExactForm:
+    """f(q) = q C(q) with the quotient core C = (1 - q |b| p)^(-*) star (|b| - q p) b/|b|."""
     beta, u_b, p = _rogosinski_parts(b, p)
     one = ONE if u_b.is_exact else ONE.to_float()
     num = SliceSeries.from_coeffs([u_b * beta, (-p) * u_b])
     den = SliceSeries.from_coeffs([one, (-p) * beta])
-    return StarQuotient(num, den), u_b * beta
+    return ExactForm((StarQuotient(num, den),), shift=1)
 
 
 def _rogosinski_parts(b: Quaternion, p: Quaternion):

@@ -28,16 +28,15 @@ import sys
 from dataclasses import dataclass
 
 from .classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
-                      certify_small_coeff, generate_caratheodory,
-                      generate_starlike_small_coeff, is_caratheodory,
-                      is_close_to_convex, is_starlike, koebe, koebe_quotient,
-                      caratheodory_mixture_evaluator, caratheodory_mixture_parts,
-                      rogosinski_extremal, rogosinski_extremal_quotient)
+                      caratheodory_mixture_form, certify_small_coeff,
+                      generate_caratheodory, generate_starlike_small_coeff,
+                      is_caratheodory, is_close_to_convex, is_starlike, koebe,
+                      koebe_quotient, rogosinski_extremal,
+                      rogosinski_extremal_form)
 from .checks import SUITES, SuiteConfig, close_to_convex_member, run_suites
 from .errors import DomainError, PreconditionError, QuaternionParseError
-from .quat import (ImaginaryUnit, Quaternion, format_quaternion,
-                   parse_quaternion)
-from .series import (DEFAULT_DEGREE, SliceSeries, StarQuotient,
+from .quat import ImaginaryUnit, format_quaternion, parse_quaternion
+from .series import (DEFAULT_DEGREE, ExactForm, SliceSeries, StarQuotient,
                      slice_derivative)
 
 SEED_ENV = "SRGFT_SEED"
@@ -53,7 +52,6 @@ class RunConfig:
     mode: str = "exact"
     grid: SamplingGrid = DEFAULT_GRID
     random_count: int = 5
-    jobs: int = 1
     out: str | None = None
 
     def validate(self) -> None:
@@ -63,8 +61,8 @@ class RunConfig:
             raise DomainError("tolerance must be positive")
         if self.mode not in ("exact", "float"):
             raise DomainError("mode must be exact or float")
-        if self.jobs < 1:
-            raise DomainError("jobs must be at least 1")
+        if self.random_count < 0:
+            raise DomainError("random count must not be negative")
 
 
 def _resolve_seed(value) -> int:
@@ -97,8 +95,7 @@ def _config_from_args(args) -> RunConfig:
         seed=_resolve_seed(args.seed),
         mode=args.mode,
         grid=_build_grid(args),
-        random_count=getattr(args, "random", None) or 5,
-        jobs=getattr(args, "jobs", None) or 1,
+        random_count=getattr(args, "random", 5),
         out=args.out,
     )
     cfg.validate()
@@ -136,7 +133,7 @@ def cmd_check(args) -> int:
         return USAGE_EXIT
     suite_cfg = SuiteConfig(degree=cfg.degree, tol=cfg.tolerance, seed=cfg.seed,
                             random_count=cfg.random_count, grid=cfg.grid)
-    reports = run_suites(names, suite_cfg, jobs=cfg.jobs)
+    reports = run_suites(names, suite_cfg)
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2)
     _emit(payload + "\n", cfg.out)
     failed = [r for r in reports if not r.passed]
@@ -153,11 +150,12 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _quotient_block(quot: StarQuotient, shift: int = 0) -> dict:
+def _quotient_block(form: ExactForm) -> dict:
+    (quot,) = form.terms
     return {
         "num": quot.num.to_json_dict(),
         "den": quot.den.to_json_dict(),
-        "shift": shift,
+        "shift": form.shift,
     }
 
 
@@ -173,9 +171,8 @@ def _gen_payload(args, cfg: RunConfig) -> dict:
     if args.family == "caratheodory":
         k = args.k or 3
         series = generate_caratheodory(cfg.seed, cfg.degree, k, exact=exact)
-        lambdas, units = caratheodory_mixture_parts(cfg.seed, k)
         fut = FunctionUnderTest("caratheodory", series,
-                                value_fn=caratheodory_mixture_evaluator(lambdas, units))
+                                caratheodory_mixture_form(cfg.seed, k))
         verdict = is_caratheodory(fut, cfg.grid)
         return {"series": series.to_json_dict(), "quotient": None,
                 "verdict": verdict.to_json_dict()}
@@ -184,12 +181,10 @@ def _gen_payload(args, cfg: RunConfig) -> dict:
         if cfg.mode == "float":
             u = u.to_float()
         series = koebe(u, cfg.degree)
-        quot = koebe_quotient(u)
-        fut = FunctionUnderTest("koebe", series, value_fn=quot.eval,
-                                derivative_fn=quot.derivative().eval)
-        verdict = is_starlike(fut, cfg.grid)
+        form = ExactForm((koebe_quotient(u),))
+        verdict = is_starlike(FunctionUnderTest("koebe", series, form), cfg.grid)
         return {"series": series.to_json_dict(),
-                "quotient": _quotient_block(quot),
+                "quotient": _quotient_block(form),
                 "verdict": verdict.to_json_dict()}
     if args.family == "rogosinski":
         b = parse_quaternion(args.b or "1/2i")
@@ -197,16 +192,14 @@ def _gen_payload(args, cfg: RunConfig) -> dict:
         if cfg.mode == "float":
             b, p = b.to_float(), p.to_float()
         series = rogosinski_extremal(b, p, cfg.degree)
-        quot, _ = rogosinski_extremal_quotient(b, p)
-        fut = FunctionUnderTest("rogosinski", series,
-                                value_fn=lambda q: q * quot.eval(q))
-        worst = max(abs(fut.value(q)) for q in cfg.grid.points)
+        form = rogosinski_extremal_form(b, p)
+        worst = max(abs(form.value(q)) for q in cfg.grid.points)
         verdict = {
             "class": "ball-self-map", "member": worst < 1.0,
             "certificate": "sampled", "margin": 1.0 - worst, "witness": None,
         }
         return {"series": series.to_json_dict(),
-                "quotient": _quotient_block(quot, shift=1),
+                "quotient": _quotient_block(form),
                 "verdict": verdict}
     if args.family == "class-c":
         fut = close_to_convex_member(cfg.seed, cfg.degree)
@@ -234,50 +227,29 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_series_file(path: str) -> tuple[SliceSeries, StarQuotient | None, int]:
+def _load_series_file(path: str) -> tuple[SliceSeries, ExactForm | None]:
     with open(path) as handle:
         data = json.load(handle)
-    if "series" in data:
-        series = SliceSeries.from_json_dict(data["series"])
-        quot_data = data.get("quotient")
-    else:
-        series = SliceSeries.from_json_dict(data)
-        quot_data = None
-    quot = None
-    shift = 0
-    if quot_data:
-        quot = StarQuotient(SliceSeries.from_json_dict(quot_data["num"]),
-                            SliceSeries.from_json_dict(quot_data["den"]))
-        shift = int(quot_data.get("shift", 0))
-    return series, quot, shift
-
-
-def _eval_with_quotient(quot: StarQuotient, shift: int,
-                        q: Quaternion) -> tuple[Quaternion, Quaternion]:
-    core = quot.eval(q)
-    value = (q ** shift) * core if shift else core
-    dcore = quot.derivative().eval(q)
-    if shift == 0:
-        derivative = dcore
-    else:
-        # (q^s C)' = s q^(s-1) C + q^s C'; powers of q are central
-        derivative = (q ** (shift - 1)) * core * shift + (q ** shift) * dcore
-    return value, derivative
+    if "series" not in data:
+        return SliceSeries.from_json_dict(data), None
+    block = data.get("quotient")
+    form = None
+    if block:
+        quot = StarQuotient(SliceSeries.from_json_dict(block["num"]),
+                            SliceSeries.from_json_dict(block["den"]))
+        form = ExactForm((quot,), shift=int(block.get("shift", 0)))
+    return SliceSeries.from_json_dict(data["series"]), form
 
 
 def cmd_eval(args) -> int:
     try:
-        series, quot, shift = _load_series_file(args.series_file)
+        series, form = _load_series_file(args.series_file)
         q = parse_quaternion(args.at)
         value = series.eval(q)  # also validates that q is inside the ball
-        derivative = slice_derivative(series).eval(q)
-        if quot is not None:
-            try:
-                value, derivative = _eval_with_quotient(quot, shift, q)
-            except DomainError:
-                # keep the exact value; no commuting quotient derivative
-                core = quot.eval(q)
-                value = (q ** shift) * core if shift else core
+        if form is None:
+            derivative = slice_derivative(series).eval(q)
+        else:
+            value, derivative = form.value_and_derivative(q)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return FAILURE_EXIT
@@ -309,23 +281,19 @@ def _parse_unit(token: str) -> ImaginaryUnit:
 
 def cmd_slice_image(args) -> int:
     try:
-        series, quot, shift = _load_series_file(args.series_file)
+        series, form = _load_series_file(args.series_file)
         unit = _parse_unit(args.unit)
     except (OSError, ValueError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return FAILURE_EXIT
     radii = [0.98 * (i + 1) / 24 for i in range(24)]
     angles = [2.0 * math.pi * j / 48 for j in range(48)]
-    sf = series.to_float()
+    evaluate = series.to_float().eval if form is None else form.value
     rows = []
     for r in radii:
         for theta in angles:
             q = unit.circle_point(theta, r)
-            if quot is not None:
-                core = quot.eval(q)
-                value = (q ** shift) * core if shift else core
-            else:
-                value = sf.eval(q)
+            value = evaluate(q)
             re_in = r * math.cos(theta)
             im_in = r * math.sin(theta)
             im_out = (float(value.x) * float(unit.x) + float(value.y) * float(unit.y)
@@ -375,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"suite name or 'all'; known: {', '.join(SUITES)}")
     p_check.add_argument("--random", type=int, default=5,
                          help="number of generated members per suite (default 5)")
-    p_check.add_argument("--jobs", type=int, default=1,
-                         help="worker threads for check dispatch")
     _add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 

@@ -52,6 +52,11 @@ def _zero_like(mode_exact: bool) -> Quaternion:
     return _exact_zero() if mode_exact else Quaternion(0.0, 0.0, 0.0, 0.0)
 
 
+def _central_power(q: Quaternion, n: int) -> Quaternion:
+    """q^n for any integer n; powers of q commute with q and each other."""
+    return q ** n if n >= 0 else q.inverse() ** -n
+
+
 @dataclass(frozen=True)
 class SliceSeries:
     """Window of a left power series: coefficients a_v .. a_N, inclusive."""
@@ -201,10 +206,6 @@ class SliceSeries:
         """Right-multiply every coefficient: f(q) c."""
         return SliceSeries(self.valuation, tuple(a * c for a in self.coeffs))
 
-    def left_times(self, c: Quaternion) -> "SliceSeries":
-        """Left-multiply every coefficient: same as (constant c) star f."""
-        return SliceSeries(self.valuation, tuple(c * a for a in self.coeffs))
-
     def scale(self, s) -> "SliceSeries":
         return SliceSeries(self.valuation, tuple(a * s for a in self.coeffs))
 
@@ -225,12 +226,7 @@ class SliceSeries:
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = q * acc + c
-        v = self.valuation
-        if v > 0:
-            acc = (q ** v) * acc
-        elif v < 0:
-            acc = (q.inverse() ** (-v)) * acc
-        return acc
+        return _central_power(q, self.valuation) * acc if self.valuation else acc
 
     def _eval_float(self, q: Quaternion) -> Quaternion:
         qw, qx, qy, qz = q.w, q.x, q.y, q.z
@@ -245,12 +241,7 @@ class SliceSeries:
             nz = qw * az + qx * ay - qy * ax + qz * aw + c.z
             aw, ax, ay, az = nw, nx, ny, nz
         acc = Quaternion(aw, ax, ay, az)
-        v = self.valuation
-        if v > 0:
-            acc = (q ** v) * acc
-        elif v < 0:
-            acc = (q.inverse() ** (-v)) * acc
-        return acc
+        return _central_power(q, self.valuation) * acc if self.valuation else acc
 
     # -- serialization -----------------------------------------------------
 
@@ -319,15 +310,6 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
                 continue
             out[i + j] = out[i + j] + a * b
     return SliceSeries(v, tuple(out))
-
-
-def star_pow(f: SliceSeries, k: int) -> SliceSeries:
-    if k < 0:
-        raise DomainError("negative star powers go through star_reciprocal")
-    result = SliceSeries.one(exact=f.is_exact)
-    for _ in range(k):
-        result = star_mul(result, f)
-    return result
 
 
 def full_star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
@@ -538,16 +520,19 @@ def mobius_quotient(a: Quaternion) -> "StarQuotient":
 
 
 class StarQuotient:
-    """Pointwise-exact evaluator for den^(-*) star num with polynomial parts.
+    """Pointwise-exact evaluator for left star den^(-*) star num with
+    polynomial parts (``left`` defaults to 1).
 
     Writing the reciprocal as (den^s)^(-1) den^c, the value at q is
 
-        value(q) = den^s(q)^(-1) (den^c star num)(q)
+        value(q) = den^s(q)^(-1) (left star den^c star num)(q)
 
     because den^s has real coefficients and collapses pointwise.  Both
-    den^s and den^c star num are polynomials, so there is no truncation
-    error; this is how the built-in extremal functions are evaluated near
-    the boundary of the ball.
+    den^s and left star den^c star num are polynomials, so there is no
+    truncation error; this is how the built-in extremal functions are
+    evaluated near the boundary of the ball.  The two polynomials are
+    formed on first evaluation, from den and num with their trailing
+    zeros trimmed.
 
     Evaluation always runs in exact rational arithmetic (binary floats
     embed exactly), because the expanded symmetrized denominator can be
@@ -561,20 +546,30 @@ class StarQuotient:
     #: legitimately reach ~1e-16 at radius 0.99 inside the ball
     ZERO_GUARD = EvalDomain(1e-250)
 
-    def __init__(self, num: SliceSeries, den: SliceSeries):
+    def __init__(self, num: SliceSeries, den: SliceSeries,
+                 left: SliceSeries | None = None):
         if den.is_zero():
             raise DomainError("quotient denominator is identically zero")
         self.num = num
         self.den = den
+        self.left = left
 
     @cached_property
     def _den_sym(self) -> SliceSeries:
-        d = self.den.to_exact()
+        d = self.den.to_exact().trim()
         return symmetrize(d.pad_to(2 * d.degree - d.valuation))
 
     @cached_property
     def _den_conj_num(self) -> SliceSeries:
-        return full_star_mul(regular_conjugate(self.den.to_exact()), self.num.to_exact())
+        out = full_star_mul(regular_conjugate(self.den.to_exact().trim()),
+                            self.num.to_exact().trim())
+        if self.left is not None:
+            out = full_star_mul(self.left.to_exact().trim(), out)
+        return out
+
+    @cached_property
+    def _float_parts(self) -> tuple[SliceSeries, SliceSeries]:
+        return self._den_sym.to_float(), self._den_conj_num.to_float()
 
     def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:
         domain = domain or self.ZERO_GUARD
@@ -585,11 +580,21 @@ class StarQuotient:
         value = s.inverse() * self._den_conj_num.eval(qe)
         return value if q.is_exact else value.to_float()
 
+    def eval_float(self, q: Quaternion) -> Quaternion:
+        """The same formula by float Horner on float copies of the two
+        polynomials: about 150 times faster than :meth:`eval` for a
+        degree-50 numerator, with no singular guard and none of its
+        accuracy near the boundary of the ball."""
+        sym, num = self._float_parts
+        return sym.eval(q).inverse() * num.eval(q)
+
     def to_series(self, degree: int = DEFAULT_DEGREE) -> SliceSeries:
         v = self.den.valuation
         rec = star_reciprocal(self.den.pad_to(degree + 2 * abs(v) + 2))
-        num = self.num.pad_to(degree + abs(v) + 2)
-        return star_mul(rec, num).truncate(degree)
+        out = star_mul(rec, self.num.pad_to(degree + abs(v) + 2))
+        if self.left is not None:
+            out = star_mul(self.left.pad_to(out.degree - min(out.valuation, 0)), out)
+        return out.truncate(degree)
 
     def derivative(self) -> "StarQuotient":
         """Quotient rule, valid when the denominator coefficients commute.
@@ -598,14 +603,75 @@ class StarQuotient:
         den' star den^(-*) = den^(-*) star den', giving
 
             (den^(-*) star num)' = (den star den)^(-*) star (den star num' - den' star num).
+
+        Exact coefficients must commute exactly; float ones up to rounding.
+        A left factor is first moved into the numerator over the real
+        denominator den^s, whose coefficients always commute.
         """
+        if self.left is not None:
+            return StarQuotient(self._den_conj_num, self._den_sym).derivative()
         cs = [c for c in self.den.coeffs if not c.is_zero()]
         for i in range(len(cs)):
             for j in range(i + 1, len(cs)):
                 d = cs[i] * cs[j] - cs[j] * cs[i]
-                if float(d.norm_sq()) > 1e-18 * (1.0 + float(cs[i].norm_sq()) * float(cs[j].norm_sq())):
+                tol = 0.0 if d.is_exact else \
+                    1e-18 * (1.0 + float(cs[i].norm_sq()) * float(cs[j].norm_sq()))
+                if d.norm_sq() > tol:
                     raise DomainError("derivative needs pairwise-commuting denominator coefficients")
         new_num = full_star_mul(self.den, slice_derivative(self.num)) - \
             full_star_mul(slice_derivative(self.den), self.num)
         new_den = full_star_mul(self.den, self.den)
         return StarQuotient(new_num, new_den)
+
+
+@dataclass(frozen=True)
+class ExactForm:
+    """The point form f(q) = q^s Sigma_k w_k R_k(q) of a function under test.
+
+    Every R_k is a :class:`StarQuotient`, so one form covers the checked
+    functions whose truncated windows are too coarse near the boundary:
+    a plain quotient (Koebe, Moebius), q times a quotient (Rogosinski,
+    s = 1), a convex combination of quotients (a Caratheodory mixture)
+    and the derivative of a close-to-convex member (s = -1).
+
+    At a float point each term is rounded once, then weighted and summed
+    in term order; at an exact point the whole value stays exact.  Powers
+    of q are central, so q^s multiplies the summed core.  ``float_terms``
+    evaluates the terms with :meth:`StarQuotient.eval_float` instead.
+    """
+
+    terms: tuple[StarQuotient, ...]
+    weights: tuple[Fraction, ...] = (Fraction(1),)
+    shift: int = 0
+    float_terms: bool = False
+
+    @cached_property
+    def _derivatives(self) -> tuple[StarQuotient, ...]:
+        return tuple(t.derivative() for t in self.terms)
+
+    def _core(self, quotients: tuple[StarQuotient, ...], q: Quaternion) -> Quaternion:
+        exact = q.is_exact and not self.float_terms
+        acc = _zero_like(exact)
+        for w, quot in zip(self.weights, quotients):
+            value = quot.eval_float(q) if self.float_terms else quot.eval(q)
+            acc = acc + value * (w if exact else float(w))
+        return acc
+
+    def value(self, q: Quaternion) -> Quaternion:
+        core = self._core(self.terms, q)
+        return _central_power(q, self.shift) * core if self.shift else core
+
+    def derivative(self, q: Quaternion) -> Quaternion:
+        if self.shift:
+            return self.value_and_derivative(q)[1]
+        return self._core(self._derivatives, q)
+
+    def value_and_derivative(self, q: Quaternion) -> tuple[Quaternion, Quaternion]:
+        core = self._core(self.terms, q)
+        dcore = self._core(self._derivatives, q)
+        s = self.shift
+        if not s:
+            return core, dcore
+        # (q^s C)' = s q^(s-1) C + q^s C'; powers of q are central
+        power = _central_power(q, s)
+        return power * core, _central_power(q, s - 1) * core * s + power * dcore

@@ -4,6 +4,7 @@ Each test prints one summary line; `pytest -v` therefore shows one
 pass/fail line per criterion.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -29,6 +30,7 @@ from srgft.series import (SliceSeries, mobius_quotient, regular_conjugate,
                           quotient_transform)
 
 GRID = DEFAULT_GRID
+REPORT_SHA256 = "f4e0f06f3efc0d6204624862f8afc1a2dceff2028086471bad4e15fc7230eb67"
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -249,6 +251,7 @@ def test_criterion_10_determinism(tmp_path):
     assert main(flags + ["--out", str(out1)]) == 0
     assert main(flags + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == REPORT_SHA256
     reports = json.loads(out1.read_text())
     assert all(r["passed"] for r in reports)
     _report(10, f"two full-suite runs byte-identical ({len(reports)} reports)")

@@ -8,7 +8,7 @@ import pytest
 
 from srgft.classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
                            caratheodory_extremal, caratheodory_extremal_quotient,
-                           caratheodory_mixture_evaluator,
+                           caratheodory_mixture_form,
                            caratheodory_mixture_parts, certify_small_coeff,
                            generate_caratheodory,
                            generate_close_to_convex,
@@ -16,11 +16,11 @@ from srgft.classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
                            is_close_to_convex, is_one_slice,
                            is_slice_preserving, is_starlike, koebe,
                            koebe_quotient, random_exact_unit,
-                           rogosinski_extremal, rogosinski_extremal_quotient,
+                           rogosinski_extremal, rogosinski_extremal_form,
                            small_coeff_margin)
 from srgft.errors import DomainError, PreconditionError
 from srgft.quat import I, J, K, ONE, Quaternion
-from srgft.series import SliceSeries, odd_part, slice_derivative
+from srgft.series import ExactForm, SliceSeries, odd_part, slice_derivative
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -68,7 +68,7 @@ class TestCaratheodoryPredicate:
     def test_extremal_member(self):
         quot = caratheodory_extremal_quotient(I)
         fut = FunctionUnderTest("extremal", caratheodory_extremal(I, 24),
-                                value_fn=quot.eval)
+                                ExactForm((quot,)))
         v = is_caratheodory(fut)
         assert v.member
         # sharp lower bound (1-r)/(1+r) at the largest radius
@@ -165,11 +165,24 @@ class TestGenerators:
             assert p.coeff(n).norm_sq() == 4
             power = power * I
 
+    def test_mixture_form_weights_in_order(self):
+        lams, units = caratheodory_mixture_parts(9, 3)
+        form = caratheodory_mixture_form(9, 3)
+        quotients = [caratheodory_extremal_quotient(u) for u in units]
+        q = exact(F(1, 4), F(-1, 3), 0, F(1, 6))
+        assert form.value(q) == sum((quot.eval(q) * lam for quot, lam in zip(quotients, lams)),
+                                    exact(0))
+        qf = q.to_float()
+        acc = Quaternion(0.0, 0.0, 0.0, 0.0)
+        for quot, lam in zip(quotients, lams):
+            acc = acc + quot.eval(qf) * float(lam)
+        assert form.value(qf) == acc
+
     def test_caratheodory_mixture_member(self):
         lams, units = caratheodory_mixture_parts(9, 3)
         assert sum(lams) == 1
         p = generate_caratheodory(9, 24, 3)
-        fut = FunctionUnderTest("p", p, value_fn=caratheodory_mixture_evaluator(lams, units))
+        fut = FunctionUnderTest("p", p, caratheodory_mixture_form(9, 3))
         assert is_caratheodory(fut).member
         # averaging conjugate extremals gives real coefficients
         u = random_exact_unit(Random(1))
@@ -185,12 +198,11 @@ class TestGenerators:
         # h = Koebe, p = its own radial quotient: reproduces Koebe
         u = I
         quot_k = koebe_quotient(u)
-        h = FunctionUnderTest("koebe", koebe(u, 16), value_fn=quot_k.eval,
-                              derivative_fn=quot_k.derivative().eval,
+        h = FunctionUnderTest("koebe", koebe(u, 16), ExactForm((quot_k,)),
                               certificates=("starlike",))
         quot_p = caratheodory_extremal_quotient(u)
         p = FunctionUnderTest("extremal", caratheodory_extremal(u, 16),
-                              value_fn=quot_p.eval, certificates=("caratheodory",))
+                              ExactForm((quot_p,)), certificates=("caratheodory",))
         f = generate_close_to_convex(h, p)
         expected = koebe(u, 16)
         for n in range(1, 16):
@@ -198,9 +210,8 @@ class TestGenerators:
 
     def test_close_to_convex_coefficient_identity(self):
         h = generate_starlike_small_coeff(5, 20)
-        lams, units = caratheodory_mixture_parts(6, 2)
         p = generate_caratheodory(6, 20, 2)
-        fut_p = FunctionUnderTest("p", p, value_fn=caratheodory_mixture_evaluator(lams, units))
+        fut_p = FunctionUnderTest("p", p, caratheodory_mixture_form(6, 2))
         f = generate_close_to_convex(h, fut_p)
         for n in range(2, 20):
             acc = p.coeff(n - 1)
@@ -257,11 +268,21 @@ class TestRogosinskiExtremal:
             f = rogosinski_extremal(b, p, 10)
             assert f.coeff(1) == b
 
+    def test_shift_one_form_is_exact(self):
+        form = rogosinski_extremal_form(exact(0, F(1, 2)), exact(0, 0, F(3, 5), F(4, 5)))
+        (core,) = form.terms
+        dcore = core.derivative()
+        for q in (exact(F(1, 3), F(1, 4)), exact(0, 0, F(-1, 2)),
+                  exact(F(-1, 5), F(1, 5), F(1, 5), F(1, 5))):
+            value, derivative = form.value_and_derivative(q)
+            assert value == form.value(q) == q * core.eval(q)
+            assert derivative == form.derivative(q) == core.eval(q) + q * dcore.eval(q)
+
     def test_self_map_on_grid(self):
         b = exact(0, F(1, 2))
-        quot, _ = rogosinski_extremal_quotient(b, ONE)
+        form = rogosinski_extremal_form(b, ONE)
         for q in DEFAULT_GRID.points[::5]:
-            assert abs(q * quot.eval(q)) < 1.0
+            assert abs(form.value(q)) < 1.0
 
     def test_zero_derivative_rejected(self):
         with pytest.raises(DomainError):

@@ -49,12 +49,14 @@ class TestCheckCommand:
         assert run(flags + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_flag_same_output(self, tmp_path):
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        flags = ["check", "--suite", "growth", "--seed", "9", "--random", "1", *FAST]
-        assert run(flags + ["--out", str(out1)]) == 0
-        assert run(flags + ["--jobs", "4", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_random_zero_runs_only_fixed_functions(self, tmp_path):
+        out = tmp_path / "r.json"
+        flags = ["check", "--suite", "hayman", "--random", "0", *FAST]
+        assert run(flags + ["--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())) == 2
+
+    def test_negative_random_usage_error(self, capsys):
+        assert run(["check", "--suite", "hayman", "--random", "-1", *FAST]) == 2
 
     def test_grid_units_flag(self, tmp_path):
         out = tmp_path / "r.json"

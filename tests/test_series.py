@@ -401,6 +401,54 @@ class TestStarQuotient:
         with pytest.raises(DomainError):
             quot.derivative()
 
+    def test_exact_commuting_check_has_no_tolerance(self):
+        # the commutator 2k/10^10 hides under the float tolerance
+        t = F(1, 10 ** 5)
+        den = series([ONE, exact(0, t), exact(0, 0, t)])
+        with pytest.raises(DomainError):
+            StarQuotient(SliceSeries.one(), den).derivative()
+        StarQuotient(SliceSeries.one(), den.to_float()).derivative()
+
+    @given(st.integers(0, 9999), st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_trailing_zeros_leave_values_unchanged(self, seed, pad_num, pad_den):
+        rng = Random(seed)
+        num = rand_series(rng, 3)
+        # |den - 1| < 1 on the points below, so den^s never vanishes there
+        den = SliceSeries.from_coeffs([ONE, *rand_series(rng, 1, scale=1).coeffs])
+        plain = StarQuotient(num, den)
+        padded_num = StarQuotient(num.pad_to(num.degree + pad_num), den)
+        padded_den = StarQuotient(num, den.pad_to(den.degree + pad_den))
+        q = Quaternion(*(F(rng.randint(-4, 4), 10) for _ in range(4)))
+        for point in (q, q.to_float()):
+            value = plain.eval(point)
+            assert padded_num.eval(point) == value
+            assert padded_den.eval(point) == value
+
+    def test_left_factor(self):
+        rng = Random(5)
+        left = rand_series(rng, 4, valuation=1)
+        num = rand_series(rng, 2)
+        u = exact(0, F(3, 10), F(4, 10), 0)
+        quot = StarQuotient(num, series([ONE, -u]), left=left)
+        # a real denominator commutes with the left factor
+        real_den = series([1, F(-1, 2)])
+        moved = StarQuotient(full_star_mul(left, num), real_den)
+        with_left = StarQuotient(num, real_den, left=left)
+        q = exact(F(1, 5), F(-1, 10), F(3, 10), F(1, 10))
+        assert with_left.eval(q) == moved.eval(q)
+        assert with_left.derivative().eval(q) == moved.derivative().eval(q)
+        assert with_left.to_series(12) == moved.to_series(12)
+        # any denominator: the window and the float path agree with eval
+        window = quot.to_series(60)
+        assert window == star_mul(left.pad_to(60),
+                                  StarQuotient(num, series([ONE, -u])).to_series(60)).truncate(60)
+        derivative_window = slice_derivative(window).to_float()
+        for point in (Quaternion(0.2, 0.1, 0.0, -0.1), Quaternion(0.0, 0.0, 0.3, 0.0)):
+            assert abs(quot.eval(point) - window.to_float().eval(point)) < 1e-12
+            assert abs(quot.eval_float(point) - quot.eval(point)) < 1e-12
+            assert abs(quot.derivative().eval(point) - derivative_window.eval(point)) < 1e-12
+
     def test_float_inputs_round_to_exact(self):
         quot = StarQuotient(SliceSeries.identity(),
                             full_star_mul(series([1, -1]), series([1, -1])))
