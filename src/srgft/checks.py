@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import Callable, Optional
 
@@ -624,7 +625,7 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
     above 10 percent skipped the report is inconclusive.
     """
     quotient = StarQuotient(g, f)
-    fs = symmetrize(f.pad_to(2 * f.degree - f.valuation)).to_float()
+    fs = symmetrize(f.pad_to(2 * f.degree - f.valuation)).to_float().trim()
     ff, gf = f.to_float(), g.to_float()
     min_re_point = math.inf
     min_re_star = math.inf
@@ -763,6 +764,11 @@ def caratheodory_member(seed: int, degree: int = DEFAULT_DEGREE,
                              certificates=("caratheodory",))
 
 
+def close_to_convex_reference(seed: int, degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
+    """The certified starlike h of ``close_to_convex_member(seed, degree)``."""
+    return starlike_member(1000003 * seed + 1, degree)
+
+
 def close_to_convex_member(seed: int, degree: int = DEFAULT_DEGREE,
                            k: int = 3) -> FunctionUnderTest:
     """f' = q^-1 h star p for a certified starlike h and Caratheodory mixture p.
@@ -771,7 +777,7 @@ def close_to_convex_member(seed: int, degree: int = DEFAULT_DEGREE,
     of its polynomials: exact evaluation of the degree-50 numerators
     would cost about 150 times as much per point.
     """
-    h = starlike_member(1000003 * seed + 1, degree)
+    h = close_to_convex_reference(seed, degree)
     p = caratheodory_member(1000003 * seed + 2, degree, k)
     derivative = ExactForm(tuple(StarQuotient(t.num, t.den, left=h.series)
                                  for t in p.form.terms),
@@ -838,6 +844,14 @@ class SuiteConfig:
     random_count: int = 5
     grid: SamplingGrid = DEFAULT_GRID
 
+    def __post_init__(self):
+        if self.degree < 8:
+            raise DomainError("degree must be at least 8")
+        if not self.tol > 0:
+            raise DomainError("tolerance must be positive")
+        if self.random_count < 0:
+            raise DomainError("random count must not be negative")
+
     def member_seed(self, i: int) -> int:
         return self.seed * 1000 + i
 
@@ -850,73 +864,62 @@ def _diagonal_float_unit() -> Quaternion:
 Task = Callable[[], CheckReport]
 
 
+def _members(cfg: SuiteConfig, make: Callable[[int, int], FunctionUnderTest],
+             count: Optional[int] = None) -> list[FunctionUnderTest]:
+    """make(seed, cfg.degree) for the first ``count`` member seeds
+    (default ``cfg.random_count``)."""
+    count = cfg.random_count if count is None else count
+    return [make(cfg.member_seed(i), cfg.degree) for i in range(count)]
+
+
 def _suite_bieberbach(cfg: SuiteConfig) -> list[Task]:
-    tasks: list[Task] = []
-    for u in (ONE, I, _diagonal_float_unit()):
-        fut = koebe_function(u, cfg.degree)
-        tasks.append(lambda fut=fut: check_bieberbach(fut, cfg.grid))
-    for i in range(cfg.random_count):
-        fut = close_to_convex_member(cfg.member_seed(i), cfg.degree)
-        tasks.append(lambda fut=fut: check_bieberbach(fut, cfg.grid))
-    return tasks
+    futs = [koebe_function(u, cfg.degree) for u in (ONE, I, _diagonal_float_unit())]
+    futs += _members(cfg, close_to_convex_member)
+    return [partial(check_bieberbach, fut, cfg.grid) for fut in futs]
 
 
 def _suite_fekete_szego(cfg: SuiteConfig) -> list[Task]:
     lambdas = sample_lambdas(cfg.seed, max(25, cfg.random_count * 5))
-    tasks: list[Task] = []
-    for u in (ONE, I):
-        fut = koebe_function(u, cfg.degree)
-        tasks.append(lambda fut=fut: check_fekete_szego(fut, lambdas, cfg.grid))
-    return tasks
+    return [partial(check_fekete_szego, koebe_function(u, cfg.degree), lambdas, cfg.grid)
+            for u in (ONE, I)]
 
 
 def _suite_caratheodory(cfg: SuiteConfig) -> list[Task]:
-    tasks: list[Task] = []
-    extremal = caratheodory_extremal_function(I, cfg.degree)
-    tasks.append(lambda: check_caratheodory_bounds(extremal, cfg.grid, cfg.tol))
-    tasks.append(lambda: check_sharper_caratheodory(extremal, cfg.grid))
-    for i in range(cfg.random_count):
-        fut = caratheodory_member(cfg.member_seed(i), cfg.degree)
-        tasks.append(lambda fut=fut: check_caratheodory_bounds(fut, cfg.grid, cfg.tol))
-        tasks.append(lambda fut=fut: check_sharper_caratheodory(fut, cfg.grid))
-    return tasks
+    futs = [caratheodory_extremal_function(I, cfg.degree)]
+    futs += _members(cfg, caratheodory_member)
+    return [task for fut in futs
+            for task in (partial(check_caratheodory_bounds, fut, cfg.grid, cfg.tol),
+                         partial(check_sharper_caratheodory, fut, cfg.grid))]
 
 
 def _suite_growth(cfg: SuiteConfig) -> list[Task]:
-    tasks: list[Task] = []
     kb = koebe_function(ONE, cfg.degree)
-    tasks.append(lambda: check_growth_distortion(kb, cfg.grid, cfg.tol))
-    tasks.append(lambda: check_monotone_modulus(kb, 0.0, cfg.grid))
-    tasks.append(lambda: check_growth_distortion(identity_function(cfg.degree), cfg.grid, cfg.tol))
-    tasks.append(lambda: check_growth_order_m(convex_function(cfg.degree), 1, cfg.grid,
-                                              "distortion", cfg.tol))
-    tasks.append(lambda: check_growth_order_m(odd_reference_function(cfg.degree), 2,
-                                              cfg.grid, "growth", cfg.tol))
-    for i in range(cfg.random_count):
-        fut = starlike_member(cfg.member_seed(i), cfg.degree)
-        tasks.append(lambda fut=fut: check_growth_distortion(fut, cfg.grid, cfg.tol))
-        tasks.append(lambda fut=fut: check_monotone_modulus(fut, 0.0, cfg.grid))
+    tasks: list[Task] = [
+        partial(check_growth_distortion, kb, cfg.grid, cfg.tol),
+        partial(check_monotone_modulus, kb, 0.0, cfg.grid),
+        partial(check_growth_distortion, identity_function(cfg.degree), cfg.grid, cfg.tol),
+        partial(check_growth_order_m, convex_function(cfg.degree), 1, cfg.grid,
+                "distortion", cfg.tol),
+        partial(check_growth_order_m, odd_reference_function(cfg.degree), 2, cfg.grid,
+                "growth", cfg.tol),
+    ]
+    for fut in _members(cfg, starlike_member):
+        tasks += [partial(check_growth_distortion, fut, cfg.grid, cfg.tol),
+                  partial(check_monotone_modulus, fut, 0.0, cfg.grid)]
     return tasks
 
 
 def _suite_schwarz(cfg: SuiteConfig) -> list[Task]:
-    tasks: list[Task] = []
-    tasks.append(lambda: check_schwarz(monomial_function(K, 2, cfg.degree), 2,
-                                       cfg.grid, cfg.tol))
     half = Quaternion.from_real(Fraction(1, 2))
-    tasks.append(lambda: check_schwarz(monomial_function(half, 2, cfg.degree), 2,
-                                       cfg.grid, cfg.tol))
-    b = Quaternion(0, Fraction(1, 2), 0, 0)
-    tasks.append(lambda: check_schwarz(rogosinski_function(b, ONE, cfg.degree), 1,
-                                       cfg.grid, cfg.tol))
-    a = Quaternion(0, Fraction(1, 2), 0, 0)
-    tasks.append(lambda: check_schwarz_pick_coefficient(
-        mobius_function(a, cfg.degree, J), cfg.grid, cfg.tol))
-    tasks.append(lambda: check_schwarz_pick_coefficient(
-        constant_function(half), cfg.grid, cfg.tol))
-    tasks.append(lambda: check_schwarz_pick_coefficient(
-        monomial_function(half, 1, cfg.degree), cfg.grid, cfg.tol))
-    return tasks
+    half_i = Quaternion(0, Fraction(1, 2), 0, 0)
+    vanishing = [(monomial_function(K, 2, cfg.degree), 2),
+                 (monomial_function(half, 2, cfg.degree), 2),
+                 (rogosinski_function(half_i, ONE, cfg.degree), 1)]
+    self_maps = [mobius_function(half_i, cfg.degree, J), constant_function(half),
+                 monomial_function(half, 1, cfg.degree)]
+    return ([partial(check_schwarz, fut, m, cfg.grid, cfg.tol) for fut, m in vanishing]
+            + [partial(check_schwarz_pick_coefficient, fut, cfg.grid, cfg.tol)
+               for fut in self_maps])
 
 
 def _suite_counterexample(cfg: SuiteConfig) -> list[Task]:
@@ -924,96 +927,66 @@ def _suite_counterexample(cfg: SuiteConfig) -> list[Task]:
 
 
 def _suite_rogosinski(cfg: SuiteConfig) -> list[Task]:
-    tasks: list[Task] = []
     b = Quaternion(0, Fraction(1, 2), 0, 0)
     q0s = [Quaternion.from_real(Fraction(1, 2)), Quaternion(0, 0, Fraction(1, 2), 0)]
-    for p in (ONE, -ONE, I):
-        fut = rogosinski_function(b, p, cfg.degree)
-        for q0 in q0s:
-            tasks.append(lambda fut=fut, q0=q0: check_rogosinski(fut, q0, cfg.grid, cfg.tol))
+    futs = [rogosinski_function(b, p, cfg.degree) for p in (ONE, -ONE, I)]
+    cases = [(fut, q0) for fut in futs for q0 in q0s]
     rng = Random(cfg.seed)
-    for i in range(cfg.random_count):
+    for _ in range(cfg.random_count):
         bb = random_float_unit(rng) * rng.uniform(0.1, 0.8)
         q0 = random_float_unit(rng) * rng.uniform(0.1, 0.9)
-        fut = monomial_function(bb, 1, cfg.degree)
-        tasks.append(lambda fut=fut, q0=q0: check_rogosinski(fut, q0, cfg.grid, cfg.tol))
-    return tasks
+        cases.append((monomial_function(bb, 1, cfg.degree), q0))
+    return [partial(check_rogosinski, fut, q0, cfg.grid, cfg.tol) for fut, q0 in cases]
 
 
 def _suite_bohr(cfg: SuiteConfig) -> list[Task]:
     half = Quaternion.from_real(Fraction(1, 2))
     a = Quaternion(0, Fraction(1, 2), 0, 0)
-    return [
-        lambda: check_bohr(identity_function(cfg.degree), cfg.grid, cfg.tol),
-        lambda: check_bohr(constant_function(half), cfg.grid, cfg.tol),
-        lambda: check_bohr(mobius_function(a, cfg.degree), cfg.grid, cfg.tol),
-    ]
+    futs = [identity_function(cfg.degree), constant_function(half),
+            mobius_function(a, cfg.degree)]
+    return [partial(check_bohr, fut, cfg.grid, cfg.tol) for fut in futs]
 
 
 def _suite_hayman(cfg: SuiteConfig) -> list[Task]:
-    tasks: list[Task] = [
-        lambda: check_hayman(koebe_function(ONE, cfg.degree), cfg.grid),
-        lambda: check_hayman(identity_function(cfg.degree), cfg.grid),
-    ]
-    for i in range(cfg.random_count):
-        fut = starlike_member(cfg.member_seed(i), cfg.degree)
-        tasks.append(lambda fut=fut: check_hayman(fut, cfg.grid))
-    return tasks
+    futs = [koebe_function(ONE, cfg.degree), identity_function(cfg.degree)]
+    futs += _members(cfg, starlike_member)
+    return [partial(check_hayman, fut, cfg.grid) for fut in futs]
 
 
 def _suite_koebe(cfg: SuiteConfig) -> list[Task]:
-    tasks: list[Task] = [
-        lambda: check_koebe_quarter(koebe_function(ONE, cfg.degree), cfg.grid,
-                                    check_omitted_slit=True),
-        lambda: check_koebe_quarter(identity_function(cfg.degree), cfg.grid),
-    ]
-    for i in range(cfg.random_count):
-        fut = starlike_member(cfg.member_seed(i), cfg.degree)
-        tasks.append(lambda fut=fut: check_koebe_quarter(fut, cfg.grid))
-    return tasks
+    kb = koebe_function(ONE, cfg.degree)
+    futs = [identity_function(cfg.degree)] + _members(cfg, starlike_member)
+    return ([partial(check_koebe_quarter, kb, cfg.grid, check_omitted_slit=True)]
+            + [partial(check_koebe_quarter, fut, cfg.grid) for fut in futs])
 
 
 def _suite_convex(cfg: SuiteConfig) -> list[Task]:
-    tasks: list[Task] = [
-        lambda: check_convex_coefficients(convex_function(cfg.degree), cfg.grid),
-        lambda: check_convex_coefficients(identity_function(cfg.degree), cfg.grid),
-        lambda: check_convex_covering_examples(cfg.grid, cfg.tol, cfg.degree),
-    ]
-    for i in range(cfg.random_count):
-        fut = convex_member(cfg.member_seed(i), cfg.degree)
-        tasks.append(lambda fut=fut: check_convex_coefficients(fut, cfg.grid))
-    return tasks
+    futs = [convex_function(cfg.degree), identity_function(cfg.degree)]
+    members = _members(cfg, convex_member)
+    return ([partial(check_convex_coefficients, fut, cfg.grid) for fut in futs]
+            + [partial(check_convex_covering_examples, cfg.grid, cfg.tol, cfg.degree)]
+            + [partial(check_convex_coefficients, fut, cfg.grid) for fut in members])
 
 
 def _suite_subordination(cfg: SuiteConfig) -> list[Task]:
-    zero = Quaternion(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
     w_square = SliceSeries.from_coeffs([ONE], valuation=2).pad_to(cfg.degree)
     w_half = SliceSeries.from_coeffs([Quaternion.from_real(Fraction(1, 2))],
                                      valuation=1).pad_to(cfg.degree)
     w_id = SliceSeries.identity(cfg.degree)
     kb = koebe_function(ONE, cfg.degree)
-    tasks: list[Task] = [
-        lambda: check_subordination_growth(kb, w_square, cfg.grid, cfg.tol),
-        lambda: check_subordination_growth(kb, w_half, cfg.grid, cfg.tol),
-    ]
-    for i in range(min(cfg.random_count, 3)):
-        fut = close_to_convex_member(cfg.member_seed(i), cfg.degree)
-        tasks.append(lambda fut=fut: check_subordination_growth(fut, w_id, cfg.grid, cfg.tol))
-    return tasks
+    cases = [(kb, w_square), (kb, w_half)]
+    cases += [(fut, w_id) for fut in
+              _members(cfg, close_to_convex_member, min(cfg.random_count, 3))]
+    return [partial(check_subordination_growth, fut, w, cfg.grid, cfg.tol) for fut, w in cases]
 
 
 def _suite_quotient(cfg: SuiteConfig) -> list[Task]:
-    tasks: list[Task] = []
-    one = SliceSeries.one(cfg.degree)
-    g0 = SliceSeries.from_coeffs([ONE, Quaternion.from_real(Fraction(1, 2))])
-    tasks.append(lambda: check_quotient_equivalences(one, g0, cfg.grid, tol=cfg.tol))
-    lin_minus = SliceSeries.from_coeffs([ONE, -I])
-    lin_plus = SliceSeries.from_coeffs([ONE, I])
-    tasks.append(lambda: check_quotient_equivalences(lin_minus, lin_plus, cfg.grid, tol=cfg.tol))
-    for i in range(cfg.random_count):
-        f, g = quotient_pair(cfg.member_seed(i))
-        tasks.append(lambda f=f, g=g: check_quotient_equivalences(f, g, cfg.grid, tol=cfg.tol))
-    return tasks
+    pairs = [(SliceSeries.one(cfg.degree),
+              SliceSeries.from_coeffs([ONE, Quaternion.from_real(Fraction(1, 2))])),
+             (SliceSeries.from_coeffs([ONE, -I]), SliceSeries.from_coeffs([ONE, I]))]
+    pairs += [quotient_pair(cfg.member_seed(i)) for i in range(cfg.random_count)]
+    return [partial(check_quotient_equivalences, f, g, cfg.grid, tol=cfg.tol)
+            for f, g in pairs]
 
 
 SUITES: dict[str, Callable[[SuiteConfig], list[Task]]] = {

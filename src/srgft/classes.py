@@ -159,7 +159,7 @@ class FunctionUnderTest:
 
     @cached_property
     def _float_series(self) -> SliceSeries:
-        return self.series.to_float()
+        return self.series.to_float().trim()
 
     @cached_property
     def _float_derivative(self) -> SliceSeries:
@@ -343,8 +343,7 @@ def random_float_unit(rng: Random) -> Quaternion:
 # ---------------------------------------------------------------------------
 
 
-def generate_starlike_small_coeff(seed: int, degree: int = DEFAULT_DEGREE,
-                                  exact: bool = True) -> SliceSeries:
+def generate_starlike_small_coeff(seed: int, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """f = q + Sigma q^n a_n with Sigma n |a_n| < 1, hence starlike.
 
     Each a_n is a rational-modulus multiple of a rational unit direction,
@@ -363,8 +362,7 @@ def generate_starlike_small_coeff(seed: int, degree: int = DEFAULT_DEGREE,
             continue
         u = random_exact_unit(rng)
         coeffs.append(u * Fraction(weight, scale * n))
-    f = SliceSeries.from_coeffs(coeffs, valuation=1)
-    return f if exact else f.to_float()
+    return SliceSeries.from_coeffs(coeffs, valuation=1)
 
 
 def small_coeff_margin(f: SliceSeries) -> Fraction:
@@ -417,13 +415,13 @@ def caratheodory_mixture_parts(seed: int, k: int = 3) -> tuple[list[Fraction], l
 
 
 def generate_caratheodory(seed: int, degree: int = DEFAULT_DEGREE,
-                          k: int = 3, exact: bool = True) -> SliceSeries:
+                          k: int = 3) -> SliceSeries:
     """Convex combination of extremal members: in the class by convexity."""
     lambdas, units = caratheodory_mixture_parts(seed, k)
     acc = SliceSeries.zero(degree)
     for lam, u in zip(lambdas, units):
         acc = acc + caratheodory_extremal(u, degree).scale(lam)
-    return acc if exact else acc.to_float()
+    return acc
 
 
 def caratheodory_mixture_form(seed: int, k: int = 3) -> ExactForm:

@@ -25,15 +25,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
-from .classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
-                      caratheodory_mixture_form, certify_small_coeff,
-                      generate_caratheodory, generate_starlike_small_coeff,
-                      is_caratheodory, is_close_to_convex, is_starlike, koebe,
-                      koebe_quotient, rogosinski_extremal,
-                      rogosinski_extremal_form)
-from .checks import SUITES, SuiteConfig, close_to_convex_member, run_suites
+from .checks import (SUITES, SuiteConfig, caratheodory_member,
+                     close_to_convex_member, close_to_convex_reference,
+                     koebe_function, rogosinski_function, run_suites,
+                     starlike_member)
+from .classes import (ClassVerdict, FunctionUnderTest, SamplingGrid,
+                      certify_small_coeff, is_caratheodory, is_close_to_convex,
+                      is_starlike)
 from .errors import DomainError, PreconditionError, QuaternionParseError
 from .quat import ImaginaryUnit, format_quaternion, parse_quaternion
 from .series import (DEFAULT_DEGREE, ExactForm, SliceSeries, StarQuotient,
@@ -44,62 +43,26 @@ USAGE_EXIT = 2
 FAILURE_EXIT = 1
 
 
-@dataclass
-class RunConfig:
-    degree: int = DEFAULT_DEGREE
-    tolerance: float = 1e-9
-    seed: int = 7
-    mode: str = "exact"
-    grid: SamplingGrid = DEFAULT_GRID
-    random_count: int = 5
-    out: str | None = None
-
-    def validate(self) -> None:
-        if self.degree < 8:
-            raise DomainError("degree must be at least 8")
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
-        if self.mode not in ("exact", "float"):
-            raise DomainError("mode must be exact or float")
-        if self.random_count < 0:
-            raise DomainError("random count must not be negative")
-
-
-def _resolve_seed(value) -> int:
+def _resolve_seed(value: int | None) -> int:
     if value is not None:
-        return int(value)
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return int(env)
-    return 7
+        return value
+    return int(os.environ.get(SEED_ENV, 7))
 
 
 def _build_grid(args) -> SamplingGrid:
-    radii = None
-    if args.grid_radii:
-        radii = tuple(float(tok) for tok in args.grid_radii.split(","))
     kwargs = {}
-    if radii:
-        kwargs["radii"] = radii
+    if args.grid_radii:
+        kwargs["radii"] = tuple(float(tok) for tok in args.grid_radii.split(","))
     if args.grid_units:
-        kwargs["unit_count"] = int(args.grid_units)
+        kwargs["unit_count"] = args.grid_units
     if args.grid_angles:
-        kwargs["angle_count"] = int(args.grid_angles)
+        kwargs["angle_count"] = args.grid_angles
     return SamplingGrid.default(**kwargs)
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        degree=args.degree,
-        tolerance=args.tol,
-        seed=_resolve_seed(args.seed),
-        mode=args.mode,
-        grid=_build_grid(args),
-        random_count=getattr(args, "random", 5),
-        out=args.out,
-    )
-    cfg.validate()
-    return cfg
+def _config_from_args(args, **settings) -> SuiteConfig:
+    return SuiteConfig(degree=args.degree, seed=_resolve_seed(args.seed),
+                       grid=_build_grid(args), **settings)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -119,7 +82,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_check(args) -> int:
     try:
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(args, tol=args.tol, random_count=args.random)
     except (DomainError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_EXIT
@@ -131,11 +94,9 @@ def cmd_check(args) -> int:
         sys.stderr.write(f"unknown suite {args.suite!r}; known: "
                          f"{', '.join(['all'] + list(SUITES))}\n")
         return USAGE_EXIT
-    suite_cfg = SuiteConfig(degree=cfg.degree, tol=cfg.tolerance, seed=cfg.seed,
-                            random_count=cfg.random_count, grid=cfg.grid)
-    reports = run_suites(names, suite_cfg)
+    reports = run_suites(names, cfg)
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2)
-    _emit(payload + "\n", cfg.out)
+    _emit(payload + "\n", args.out)
     failed = [r for r in reports if not r.passed]
     if failed:
         for r in failed:
@@ -150,75 +111,58 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _quotient_block(form: ExactForm) -> dict:
-    (quot,) = form.terms
-    return {
-        "num": quot.num.to_json_dict(),
-        "den": quot.den.to_json_dict(),
-        "shift": form.shift,
-    }
-
-
-def _gen_payload(args, cfg: RunConfig) -> dict:
-    exact = cfg.mode == "exact"
+def _gen_member(args, cfg: SuiteConfig) -> tuple[FunctionUnderTest, ClassVerdict]:
+    """The requested family member and its class verdict."""
     if args.family == "sstar":
-        series = generate_starlike_small_coeff(cfg.seed, cfg.degree, exact=True)
-        verdict = certify_small_coeff(series)
-        if not exact:
-            series = series.to_float()
-        return {"series": series.to_json_dict(), "quotient": None,
-                "verdict": verdict.to_json_dict()}
+        fut = starlike_member(cfg.seed, cfg.degree)
+        return fut, certify_small_coeff(fut.series)
     if args.family == "caratheodory":
-        k = args.k or 3
-        series = generate_caratheodory(cfg.seed, cfg.degree, k, exact=exact)
-        fut = FunctionUnderTest("caratheodory", series,
-                                caratheodory_mixture_form(cfg.seed, k))
-        verdict = is_caratheodory(fut, cfg.grid)
-        return {"series": series.to_json_dict(), "quotient": None,
-                "verdict": verdict.to_json_dict()}
+        fut = caratheodory_member(cfg.seed, cfg.degree, args.k or 3)
+        return fut, is_caratheodory(fut, cfg.grid)
     if args.family == "koebe":
         u = parse_quaternion(args.u or "1")
-        if cfg.mode == "float":
-            u = u.to_float()
-        series = koebe(u, cfg.degree)
-        form = ExactForm((koebe_quotient(u),))
-        verdict = is_starlike(FunctionUnderTest("koebe", series, form), cfg.grid)
-        return {"series": series.to_json_dict(),
-                "quotient": _quotient_block(form),
-                "verdict": verdict.to_json_dict()}
+        fut = koebe_function(u if args.mode == "exact" else u.to_float(), cfg.degree)
+        return fut, is_starlike(fut, cfg.grid)
     if args.family == "rogosinski":
         b = parse_quaternion(args.b or "1/2i")
         p = parse_quaternion(args.p or "1")
-        if cfg.mode == "float":
+        if args.mode == "float":
             b, p = b.to_float(), p.to_float()
-        series = rogosinski_extremal(b, p, cfg.degree)
-        form = rogosinski_extremal_form(b, p)
-        worst = max(abs(form.value(q)) for q in cfg.grid.points)
-        verdict = {
-            "class": "ball-self-map", "member": worst < 1.0,
-            "certificate": "sampled", "margin": 1.0 - worst, "witness": None,
-        }
-        return {"series": series.to_json_dict(),
-                "quotient": _quotient_block(form),
-                "verdict": verdict}
+        fut = rogosinski_function(b, p, cfg.degree)
+        worst = max(abs(fut.value(q)) for q in cfg.grid.points)
+        return fut, ClassVerdict("ball-self-map", worst < 1.0, "sampled", 1.0 - worst)
     if args.family == "class-c":
         fut = close_to_convex_member(cfg.seed, cfg.degree)
-        h = generate_starlike_small_coeff(1000003 * cfg.seed + 1, cfg.degree)
-        verdict = is_close_to_convex(fut, h, cfg.grid)
-        series = fut.series if exact else fut.series.to_float()
-        return {"series": series.to_json_dict(), "quotient": None,
-                "verdict": verdict.to_json_dict()}
+        h = close_to_convex_reference(cfg.seed, cfg.degree)
+        return fut, is_close_to_convex(fut, h, cfg.grid)
     raise DomainError(f"unknown family {args.family!r}")
+
+
+# A file carries one quotient and a shift.  A Caratheodory mixture's form
+# is a weighted sum and a class-c member only has one of f', so those
+# files (like sstar ones) carry the window alone.
+_FAMILIES_WITH_QUOTIENT = ("koebe", "rogosinski")
+
+
+def _gen_payload(args, cfg: SuiteConfig) -> dict:
+    fut, verdict = _gen_member(args, cfg)
+    series = fut.series if args.mode == "exact" else fut.series.to_float()
+    quotient = None
+    if args.family in _FAMILIES_WITH_QUOTIENT:
+        (quot,) = fut.form.terms
+        quotient = {"num": quot.num.to_json_dict(), "den": quot.den.to_json_dict(),
+                    "shift": fut.form.shift}
+    return {"series": series.to_json_dict(), "quotient": quotient,
+            "verdict": verdict.to_json_dict()}
 
 
 def cmd_gen(args) -> int:
     try:
-        cfg = _config_from_args(args)
-        payload = _gen_payload(args, cfg)
+        payload = _gen_payload(args, _config_from_args(args))
     except (QuaternionParseError, DomainError, PreconditionError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_EXIT
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -245,9 +189,10 @@ def cmd_eval(args) -> int:
     try:
         series, form = _load_series_file(args.series_file)
         q = parse_quaternion(args.at)
-        value = series.eval(q)  # also validates that q is inside the ball
+        if float(q.norm_sq()) >= 1.0:
+            raise DomainError("evaluation point must lie in the open unit ball")
         if form is None:
-            derivative = slice_derivative(series).eval(q)
+            value, derivative = series.eval(q), slice_derivative(series).eval(q)
         else:
             value, derivative = form.value_and_derivative(q)
     except (OSError, ValueError) as exc:
@@ -312,13 +257,10 @@ def cmd_slice_image(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The settings ``check`` and ``gen`` both read."""
     parser.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
                         help="series truncation degree (default 48, minimum 8)")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="pointwise tolerance (default 1e-9)")
-    parser.add_argument("--mode", choices=("exact", "float"), default="exact",
-                        help="scalar mode for generated material")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (fallback: ${SEED_ENV}, then 7)")
     parser.add_argument("--out", type=str, default=None,
@@ -343,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"suite name or 'all'; known: {', '.join(SUITES)}")
     p_check.add_argument("--random", type=int, default=5,
                          help="number of generated members per suite (default 5)")
-    _add_common(p_check)
+    p_check.add_argument("--tol", type=float, default=1e-9,
+                         help="pointwise tolerance (default 1e-9)")
+    _add_run_flags(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("gen", help="generate a certified class member")
@@ -353,21 +297,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--b", type=str, default=None, help="derivative-at-0 literal")
     p_gen.add_argument("--p", type=str, default=None, help="free parameter literal")
     p_gen.add_argument("--k", type=int, default=None, help="mixture size")
-    _add_common(p_gen)
+    p_gen.add_argument("--mode", choices=("exact", "float"), default="exact",
+                       help="scalar mode of the written series")
+    _add_run_flags(p_gen)
     p_gen.set_defaults(func=cmd_gen)
 
     p_eval = sub.add_parser("eval", help="evaluate a series file at a point")
     p_eval.add_argument("series_file", type=str)
     p_eval.add_argument("--at", type=str, required=True,
                         help="quaternion literal inside the unit ball")
-    _add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_img = sub.add_parser("slice-image", help="sample one slice into a CSV cloud")
     p_img.add_argument("series_file", type=str)
     p_img.add_argument("--unit", type=str, default="i",
                        help="slice axis: i, j, k or a purely imaginary literal")
-    _add_common(p_img)
+    p_img.add_argument("--out", type=str, default=None,
+                       help="CSV path (default: slice_image.csv)")
     p_img.set_defaults(func=cmd_slice_image)
     return parser
 

@@ -100,17 +100,13 @@ class SliceSeries:
         return cls(0, (z,) * (max(degree, 0) + 1))
 
     @classmethod
-    def one(cls, degree: int = 0, exact: bool = True) -> "SliceSeries":
-        unit = ONE if exact else ONE.to_float()
-        z = _zero_like(exact)
-        return cls(0, (unit,) + (z,) * max(degree, 0))
+    def one(cls, degree: int = 0) -> "SliceSeries":
+        return cls(0, (ONE,) + (_exact_zero(),) * max(degree, 0))
 
     @classmethod
-    def identity(cls, degree: int = 1, exact: bool = True) -> "SliceSeries":
+    def identity(cls, degree: int = 1) -> "SliceSeries":
         """The series q, padded with known zeros up to ``degree``."""
-        unit = ONE if exact else ONE.to_float()
-        z = _zero_like(exact)
-        return cls(1, (unit,) + (z,) * max(degree - 1, 0))
+        return cls(1, (ONE,) + (_exact_zero(),) * max(degree - 1, 0))
 
     @classmethod
     def constant(cls, c: Quaternion, degree: int = 0) -> "SliceSeries":

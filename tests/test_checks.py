@@ -25,7 +25,7 @@ from srgft.checks import (SuiteConfig, SUITES, caratheodory_extremal_function,
                           rogosinski_function, run_suites, sample_lambdas,
                           starlike_member, caratheodory_member)
 from srgft.classes import DEFAULT_GRID, SamplingGrid
-from srgft.errors import PreconditionError
+from srgft.errors import DomainError, PreconditionError
 from srgft.quat import I, J, K, ONE, Quaternion
 from srgft.series import EvalDomain, SliceSeries, slice_derivative
 
@@ -395,6 +395,11 @@ class TestSuitesAndReports:
         cfg = SuiteConfig(degree=16, seed=3, random_count=1, grid=SMALL_GRID)
         reports = run_suites(list(SUITES), cfg)
         assert reports and all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("setting", [{"degree": 7}, {"tol": 0}, {"random_count": -1}])
+    def test_config_rejects_out_of_range_settings(self, setting):
+        with pytest.raises(DomainError):
+            SuiteConfig(**setting)
 
     def test_report_json_contract(self):
         report = check_bieberbach(koebe_function(ONE, 8))

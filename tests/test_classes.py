@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srgft.classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
                            caratheodory_extremal, caratheodory_extremal_quotient,
@@ -57,6 +59,26 @@ class TestGrid:
             SamplingGrid.default(radii=(0.5, 0.2))
         with pytest.raises(DomainError):
             SamplingGrid.default(radii=(1.2,))
+
+
+class TestFunctionUnderTest:
+    @given(st.integers(0, 9999), st.integers(1, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_zero_padding_leaves_window_values_unchanged(self, seed, pad):
+        rng = Random(seed)
+        coeffs = [exact(*(F(rng.randint(-9, 9), 40) for _ in range(4)))
+                  for _ in range(rng.randint(0, 6))]
+        window = series([ONE] + coeffs, valuation=rng.randint(0, 1))
+        padded = window.pad_to(window.degree + pad)
+        plain = FunctionUnderTest("plain", window)
+        fut = FunctionUnderTest("padded", padded)
+        # the untrimmed float Horner over the padded window is the reference
+        ref = padded.to_float()
+        ref_derivative = slice_derivative(ref)
+        for q in DEFAULT_GRID.points[::7]:
+            assert fut.value(q) == plain.value(q) == ref.eval(q)
+            assert fut.derivative_value(q) == plain.derivative_value(q) \
+                == ref_derivative.eval(q)
 
 
 class TestCaratheodoryPredicate:

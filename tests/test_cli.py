@@ -2,8 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
+import pytest
+
+import srgft
 from srgft.cli import main
 from srgft.quat import Quaternion, parse_quaternion
 from srgft.series import SliceSeries, mobius, mobius_quotient
@@ -19,7 +25,7 @@ class TestCheckCommand:
     def test_counterexample_suite_exact(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = run(["check", "--suite", "schwarz-pick-counterexample",
-                    "--mode", "exact", "--out", str(out)])
+                    "--out", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
         assert data[0]["passed"] is True
@@ -161,6 +167,12 @@ class TestEvalCommand:
     def test_missing_file_exit_one(self, capsys):
         assert run(["eval", "/nonexistent.json", "--at", "0"]) == 1
 
+    def test_form_file_outside_ball_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "koebe.json"
+        assert run(["gen", "koebe", "--u", "1", "--degree", "12", "--out", str(path)]) == 0
+        assert run(["eval", str(path), "--at", "3/5+4/5i"]) == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestSliceImageCommand:
     def _rows(self, path):
@@ -211,3 +223,23 @@ class TestSliceImageCommand:
         path = tmp_path / "id.json"
         path.write_text(json.dumps(SliceSeries.identity(4).to_json_dict()))
         assert run(["slice-image", str(path), "--unit", "1+i"]) == 1
+
+
+class TestFlags:
+    def test_flags_a_subcommand_does_not_read_are_refused(self, tmp_path, capsys):
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps(SliceSeries.identity(4).to_json_dict()))
+        for argv in (["eval", str(path), "--at", "1/2", "--degree", "12"],
+                     ["check", "--mode", "exact"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+
+
+def test_package_imports_only_the_standard_library():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srgft.__file__)))
+    code = ("import sys, srgft, srgft.cli, srgft.checks\n"
+            "print(sorted({'numpy', 'mpmath', 'sympy', 'hypothesis'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
