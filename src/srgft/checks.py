@@ -28,14 +28,16 @@ from .classes import (DEFAULT_GRID, FunctionLike, FunctionUnderTest,
                       generate_close_to_convex, generate_starlike_small_coeff,
                       is_caratheodory, is_slice_preserving, is_starlike,
                       koebe, koebe_quotient, odd_reference,
-                      odd_reference_quotient, random_float_unit,
-                      rogosinski_extremal, rogosinski_extremal_form)
+                      odd_reference_quotient, random_exact_unit,
+                      random_float_unit, rogosinski_extremal,
+                      rogosinski_extremal_form)
 from .errors import DomainError, PreconditionError
-from .quat import (ONE, I, J, K, Quaternion, format_quaternion,
+from .quat import (ONE, ZERO, I, J, K, Quaternion, format_quaternion,
                    quaternion_to_json)
 from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, ExactForm,
-                     SliceSeries, StarQuotient, integrate_radial, mobius,
-                     mobius_quotient, slice_derivative, symmetrize)
+                     SliceSeries, StarQuotient, compose_slice_preserving,
+                     integrate_radial, mobius, mobius_quotient,
+                     slice_derivative, symmetrize)
 
 EQUALITY_BAND = 1e-9
 POINT_TOL = 1e-9
@@ -134,6 +136,11 @@ def _require_class(fut: FunctionUnderTest, class_name: str,
             f"{fut.fid} failed the {class_name} screen: {verdict.witness}")
 
 
+def _is_derivative_starlike(fut: FunctionUnderTest, grid: SamplingGrid):
+    """The starlike screen of q f'(q)."""
+    return is_starlike(slice_derivative(fut.series).shift(1), grid)
+
+
 # ---------------------------------------------------------------------------
 # coefficient checks
 # ---------------------------------------------------------------------------
@@ -157,11 +164,7 @@ def check_convex_coefficients(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID
                               tol: float = COEFF_TOL) -> CheckReport:
     """|a_n| <= 1 for all n when q f'(q) is starlike."""
     fut = as_function(f)
-    if not fut.certifies("derivative-starlike"):
-        qfp = slice_derivative(fut.series).shift(1)
-        verdict = is_starlike(qfp, grid)
-        if not verdict.member:
-            raise PreconditionError(f"q f' of {fut.fid} failed the starlike screen")
+    _require_class(fut, "derivative-starlike", grid, _is_derivative_starlike)
     col = _Collector(tol)
     for n, a in fut.series.terms():
         if n < 2:
@@ -185,7 +188,7 @@ def check_fekete_szego(f: FunctionLike, lambdas: list[Quaternion],
     col = _Collector(tol)
     for lam in lambdas:
         lhs = abs(a3 - lam * (a2 * a2))
-        four_lam = lam * 4 - Quaternion.from_real(3 if lam.is_exact else 3.0)
+        four_lam = lam * 4 - Quaternion.from_real(3)
         rhs = max(1.0, abs(four_lam))
         col.check(rhs - lhs, {"lambda": quaternion_to_json(lam), "lhs": lhs, "rhs": rhs},
                   equality_scale=rhs)
@@ -199,8 +202,7 @@ def check_sharper_caratheodory(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRI
     fut = as_function(p)
     _require_class(fut, "caratheodory", grid, is_caratheodory)
     a1, a2 = fut.series.coeff(1), fut.series.coeff(2)
-    half = Fraction(1, 2) if a1.is_exact else 0.5
-    lhs = abs(a2 - (a1 * a1) * half)
+    lhs = abs(a2 - (a1 * a1) * Fraction(1, 2))
     rhs = 2.0 - float(a1.norm_sq()) / 2.0
     col = _Collector(tol)
     col.check(rhs - lhs, _coeff_entry(2, lhs, rhs), equality_scale=2.0)
@@ -278,10 +280,7 @@ def check_growth_order_m(f: FunctionLike, m: int,
     if variant == "growth":
         _require_class(fut, "starlike", grid, is_starlike)
     elif variant == "distortion":
-        if not fut.certifies("derivative-starlike"):
-            verdict = is_starlike(slice_derivative(fut.series).shift(1), grid)
-            if not verdict.member:
-                raise PreconditionError("q f' failed the starlike screen")
+        _require_class(fut, "derivative-starlike", grid, _is_derivative_starlike)
     else:
         raise DomainError(f"unknown variant {variant!r}")
     col = _Collector(tol)
@@ -305,14 +304,10 @@ def check_growth_order_m(f: FunctionLike, m: int,
 
 
 def _screen_self_map(fut: FunctionUnderTest, grid: SamplingGrid,
-                     strict: bool = True, slack: float = 0.0) -> float:
-    worst = 0.0
-    for q in grid.points:
-        mod = abs(fut.value(q))
-        worst = max(worst, mod)
-    if strict and worst >= 1.0 + slack:
+                     slack: float = 0.0) -> None:
+    worst = max(abs(fut.value(q)) for q in grid.points)
+    if worst >= 1.0 + slack:
         raise PreconditionError(f"{fut.fid} is not a self-map on the grid: max |f| = {worst}")
-    return worst
 
 
 def check_schwarz(f: FunctionLike, m: int, grid: SamplingGrid = DEFAULT_GRID,
@@ -341,8 +336,8 @@ def check_schwarz_pick_coefficient(f: FunctionLike, grid: SamplingGrid = DEFAULT
     fut = as_function(f)
     _screen_self_map(fut, grid, slack=tol)
     s = fut.series
-    a0 = s.coeff(0) if s.valuation <= 0 else Quaternion(0, 0, 0, 0)
-    a1 = s.coeff(1) if s.valuation <= 1 <= s.degree else Quaternion(0, 0, 0, 0)
+    a0 = s.coeff(0) if s.valuation <= 0 else ZERO
+    a1 = s.coeff(1) if s.valuation <= 1 <= s.degree else ZERO
     lhs = abs(a1)
     rhs = 1.0 - float(a0.norm_sq())
     col = _Collector(tol)
@@ -587,8 +582,6 @@ def check_subordination_growth(f: FunctionLike, w: SliceSeries,
                                grid: SamplingGrid = DEFAULT_GRID,
                                tol: float = POINT_TOL) -> CheckReport:
     """Composition g = f(w(q)) obeys the upper growth and distortion bands."""
-    from .series import compose_slice_preserving
-
     fut = as_function(f)
     if not (fut.certifies("close-to-convex") or fut.certifies("starlike")):
         raise PreconditionError("outer function must be certified close-to-convex")
@@ -728,8 +721,7 @@ def identity_function(degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
 
 def monomial_function(c: Quaternion, n: int,
                       degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
-    zero = Quaternion(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-    series = SliceSeries.from_coeffs([c] + [zero] * max(degree - n, 0), valuation=n)
+    series = SliceSeries.from_coeffs([c] + [ZERO] * max(degree - n, 0), valuation=n)
     return FunctionUnderTest(f"{format_quaternion(c)}q^{n}", series)
 
 
@@ -797,8 +789,6 @@ def convex_member(seed: int, degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
 
 def sample_lambdas(seed: int, count: int) -> list[Quaternion]:
     """Real rationals plus quaternionic scalars with |lambda| <= 4."""
-    from .classes import random_exact_unit
-
     fixed = [Quaternion.from_real(Fraction(v)) for v in
              (0, 1, 2, -1, Fraction(3, 4), Fraction(7, 4), Fraction(-1, 2), 4)]
     rng = Random(seed)
@@ -814,8 +804,6 @@ def sample_lambdas(seed: int, count: int) -> list[Quaternion]:
 
 def quotient_pair(seed: int, degree: int = 4) -> tuple[SliceSeries, SliceSeries]:
     """Polynomial pair with |f^s| bounded away from 0 and a clear verdict."""
-    from .classes import random_exact_unit
-
     rng = Random(seed)
     f_coeffs = [ONE]
     for n in range(1, degree + 1):

@@ -28,7 +28,7 @@ from random import Random
 from typing import Optional, Union
 
 from .errors import DomainError, PreconditionError
-from .quat import (ONE, ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K,
+from .quat import (ONE, ZERO, ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K,
                    exact_sqrt, quaternion_to_json)
 from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, ExactForm,
                      SliceSeries, StarQuotient, full_star_mul, integrate_radial,
@@ -73,7 +73,9 @@ class SamplingGrid:
     @classmethod
     def default(cls, radii=DEFAULT_RADII, unit_count: int = 3,
                 angle_count: int = DEFAULT_ANGLE_COUNT) -> "SamplingGrid":
-        units = [UNIT_I, UNIT_J, UNIT_K][:max(unit_count, 1)]
+        if unit_count < 1:
+            raise DomainError("grid needs at least one slice axis")
+        units = [UNIT_I, UNIT_J, UNIT_K][:unit_count]
         if unit_count > 3:
             units += _extra_units(unit_count - 3)
         angles = tuple(2.0 * math.pi * m / angle_count for m in range(angle_count))
@@ -352,13 +354,12 @@ def generate_starlike_small_coeff(seed: int, degree: int = DEFAULT_DEGREE) -> Sl
     if degree < 2:
         raise DomainError("need degree >= 2")
     rng = Random(seed)
-    zero = Quaternion(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
     coeffs = [ONE]
     scale = 512 * (degree - 1)
     for n in range(2, degree + 1):
         weight = rng.randrange(256)
         if weight == 0:
-            coeffs.append(zero)
+            coeffs.append(ZERO)
             continue
         u = random_exact_unit(rng)
         coeffs.append(u * Fraction(weight, scale * n))
@@ -389,7 +390,7 @@ def certify_small_coeff(f: SliceSeries) -> ClassVerdict:
 def caratheodory_extremal(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """1 + 2 Sigma q^n u^n, the maximal-coefficient member for |u| = 1."""
     _require_unit(u)
-    coeffs = [ONE if u.is_exact else ONE.to_float()]
+    coeffs = [ONE]
     power = u
     for _ in range(1, degree + 1):
         coeffs.append(power * 2)
@@ -398,9 +399,8 @@ def caratheodory_extremal(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceS
 
 
 def caratheodory_extremal_quotient(u: Quaternion) -> StarQuotient:
-    one = ONE if u.is_exact else ONE.to_float()
-    return StarQuotient(SliceSeries.from_coeffs([one, u]),
-                        SliceSeries.from_coeffs([one, -u]))
+    return StarQuotient(SliceSeries.from_coeffs([ONE, u]),
+                        SliceSeries.from_coeffs([ONE, -u]))
 
 
 def caratheodory_mixture_parts(seed: int, k: int = 3) -> tuple[list[Fraction], list[Quaternion]]:
@@ -452,7 +452,7 @@ def koebe(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     growth and distortion bounds."""
     _require_unit(u)
     coeffs = []
-    power = ONE if u.is_exact else ONE.to_float()
+    power = ONE
     for n in range(1, degree + 1):
         coeffs.append(power * n)
         power = power * u
@@ -460,8 +460,7 @@ def koebe(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
 
 
 def koebe_quotient(u: Quaternion) -> StarQuotient:
-    one = ONE if u.is_exact else ONE.to_float()
-    lin = SliceSeries.from_coeffs([one, -u])
+    lin = SliceSeries.from_coeffs([ONE, -u])
     return StarQuotient(SliceSeries.identity(), full_star_mul(lin, lin))
 
 
@@ -477,21 +476,18 @@ def convex_reference_quotient() -> StarQuotient:
 
 def odd_reference(degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """q (1 - q^2)^(-star) = q + q^3 + q^5 + ...; gap-2 starlike example."""
-    zero = Quaternion(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-    coeffs = [ONE if n % 2 == 1 else zero for n in range(1, degree + 1)]
+    coeffs = [ONE if n % 2 == 1 else ZERO for n in range(1, degree + 1)]
     return SliceSeries.from_coeffs(coeffs, valuation=1)
 
 
 def odd_reference_quotient() -> StarQuotient:
-    zero = Quaternion(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
     return StarQuotient(SliceSeries.identity(),
-                        SliceSeries.from_coeffs([ONE, zero, -ONE]))
+                        SliceSeries.from_coeffs([ONE, ZERO, -ONE]))
 
 
 def bloch_series(degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """Sigma q^(2n+1) / (2n+1); image is the strip |Im| < pi/4."""
-    zero = Quaternion(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-    coeffs = [Quaternion.from_real(Fraction(1, n)) if n % 2 == 1 else zero
+    coeffs = [Quaternion.from_real(Fraction(1, n)) if n % 2 == 1 else ZERO
               for n in range(1, degree + 1)]
     return SliceSeries.from_coeffs(coeffs, valuation=1)
 
@@ -517,7 +513,7 @@ def rogosinski_extremal(b: Quaternion, p: Quaternion,
     # a_(n+1) = (|b| p)^(n-1) p (|b|^2 - 1) u_b for n >= 1
     factor = p * (beta * beta - 1)
     coeffs = [u_b * beta]
-    power = ONE if u_b.is_exact else ONE.to_float()
+    power = ONE
     for _ in range(2, degree + 1):
         coeffs.append(power * factor * u_b)
         power = power * bp
@@ -527,9 +523,8 @@ def rogosinski_extremal(b: Quaternion, p: Quaternion,
 def rogosinski_extremal_form(b: Quaternion, p: Quaternion) -> ExactForm:
     """f(q) = q C(q) with the quotient core C = (1 - q |b| p)^(-*) star (|b| - q p) b/|b|."""
     beta, u_b, p = _rogosinski_parts(b, p)
-    one = ONE if u_b.is_exact else ONE.to_float()
     num = SliceSeries.from_coeffs([u_b * beta, (-p) * u_b])
-    den = SliceSeries.from_coeffs([one, (-p) * beta])
+    den = SliceSeries.from_coeffs([ONE, (-p) * beta])
     return ExactForm((StarQuotient(num, den),), shift=1)
 
 
@@ -544,9 +539,7 @@ def _rogosinski_parts(b: Quaternion, p: Quaternion):
     if b.is_exact:
         root = exact_sqrt(nsq)
         if root is not None:
-            beta = root
-            u_b = b * (Fraction(1) / beta)
-            return beta, u_b, (p if p.is_exact else p.to_float())
+            return root, b * (1 / root), p
     bf = b.to_float()
     beta = abs(bf)
     return beta, bf * (1.0 / beta), p.to_float()

@@ -30,11 +30,12 @@ from .checks import (SUITES, SuiteConfig, caratheodory_member,
                      close_to_convex_member, close_to_convex_reference,
                      koebe_function, rogosinski_function, run_suites,
                      starlike_member)
-from .classes import (ClassVerdict, FunctionUnderTest, SamplingGrid,
-                      certify_small_coeff, is_caratheodory, is_close_to_convex,
-                      is_starlike)
+from .classes import (DEFAULT_ANGLE_COUNT, DEFAULT_RADII, ClassVerdict,
+                      FunctionUnderTest, SamplingGrid, certify_small_coeff,
+                      is_caratheodory, is_close_to_convex, is_starlike)
 from .errors import DomainError, PreconditionError, QuaternionParseError
-from .quat import ImaginaryUnit, format_quaternion, parse_quaternion
+from .quat import (UNIT_I, UNIT_J, UNIT_K, ImaginaryUnit, format_quaternion,
+                   parse_quaternion)
 from .series import (DEFAULT_DEGREE, ExactForm, SliceSeries, StarQuotient,
                      slice_derivative)
 
@@ -43,26 +44,14 @@ USAGE_EXIT = 2
 FAILURE_EXIT = 1
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get(SEED_ENV, 7))
-
-
-def _build_grid(args) -> SamplingGrid:
-    kwargs = {}
-    if args.grid_radii:
-        kwargs["radii"] = tuple(float(tok) for tok in args.grid_radii.split(","))
-    if args.grid_units:
-        kwargs["unit_count"] = args.grid_units
-    if args.grid_angles:
-        kwargs["angle_count"] = args.grid_angles
-    return SamplingGrid.default(**kwargs)
+def radii(text: str) -> tuple[float, ...]:
+    """argparse type of ``--grid-radii``: comma-separated floats."""
+    return tuple(float(tok) for tok in text.split(","))
 
 
 def _config_from_args(args, **settings) -> SuiteConfig:
-    return SuiteConfig(degree=args.degree, seed=_resolve_seed(args.seed),
-                       grid=_build_grid(args), **settings)
+    grid = SamplingGrid.default(args.grid_radii, args.grid_units, args.grid_angles)
+    return SuiteConfig(degree=args.degree, seed=args.seed, grid=grid, **settings)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -83,7 +72,7 @@ def _emit(text: str, path: str | None) -> None:
 def cmd_check(args) -> int:
     try:
         cfg = _config_from_args(args, tol=args.tol, random_count=args.random)
-    except (DomainError, ValueError) as exc:
+    except DomainError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_EXIT
     if args.suite == "all":
@@ -117,15 +106,14 @@ def _gen_member(args, cfg: SuiteConfig) -> tuple[FunctionUnderTest, ClassVerdict
         fut = starlike_member(cfg.seed, cfg.degree)
         return fut, certify_small_coeff(fut.series)
     if args.family == "caratheodory":
-        fut = caratheodory_member(cfg.seed, cfg.degree, args.k or 3)
+        fut = caratheodory_member(cfg.seed, cfg.degree, args.k)
         return fut, is_caratheodory(fut, cfg.grid)
     if args.family == "koebe":
-        u = parse_quaternion(args.u or "1")
+        u = parse_quaternion(args.u)
         fut = koebe_function(u if args.mode == "exact" else u.to_float(), cfg.degree)
         return fut, is_starlike(fut, cfg.grid)
     if args.family == "rogosinski":
-        b = parse_quaternion(args.b or "1/2i")
-        p = parse_quaternion(args.p or "1")
+        b, p = parse_quaternion(args.b), parse_quaternion(args.p)
         if args.mode == "float":
             b, p = b.to_float(), p.to_float()
         fut = rogosinski_function(b, p, cfg.degree)
@@ -208,11 +196,7 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_NAMED_UNITS = {
-    "i": ImaginaryUnit(1, 0, 0),
-    "j": ImaginaryUnit(0, 1, 0),
-    "k": ImaginaryUnit(0, 0, 1),
-}
+_NAMED_UNITS = {"i": UNIT_I, "j": UNIT_J, "k": UNIT_K}
 
 
 def _parse_unit(token: str) -> ImaginaryUnit:
@@ -244,8 +228,7 @@ def cmd_slice_image(args) -> int:
             im_out = (float(value.x) * float(unit.x) + float(value.y) * float(unit.y)
                       + float(value.z) * float(unit.z))
             rows.append((re_in, im_in, float(value.w), im_out))
-    out = args.out or "slice_image.csv"
-    with open(out, "w", newline="") as handle:
+    with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["re_in", "i_in", "re_out", "i_out"])
         writer.writerows(rows)
@@ -260,17 +243,17 @@ def cmd_slice_image(args) -> int:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """The settings ``check`` and ``gen`` both read."""
     parser.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
-                        help="series truncation degree (default 48, minimum 8)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (fallback: ${SEED_ENV}, then 7)")
+                        help="series truncation degree, at least 8 (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "7"),
+                        help=f"RNG seed (default ${SEED_ENV}, else 7)")
     parser.add_argument("--out", type=str, default=None,
                         help="output path (default: stdout)")
-    parser.add_argument("--grid-radii", type=str, default=None,
-                        help="comma-separated grid radii in (0,1)")
-    parser.add_argument("--grid-units", type=int, default=None,
-                        help="number of slice axes (default 3: i, j, k)")
-    parser.add_argument("--grid-angles", type=int, default=None,
-                        help="angles per circle (default 8)")
+    parser.add_argument("--grid-radii", type=radii, default=DEFAULT_RADII,
+                        help="comma-separated grid radii in (0,1) (default %(default)s)")
+    parser.add_argument("--grid-units", type=int, default=3,
+                        help="number of slice axes, i, j, k first (default %(default)s)")
+    parser.add_argument("--grid-angles", type=int, default=DEFAULT_ANGLE_COUNT,
+                        help="angles per circle (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,21 +267,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--suite", type=str, default="all",
                          help=f"suite name or 'all'; known: {', '.join(SUITES)}")
     p_check.add_argument("--random", type=int, default=5,
-                         help="number of generated members per suite (default 5)")
+                         help="number of generated members per suite (default %(default)s)")
     p_check.add_argument("--tol", type=float, default=1e-9,
-                         help="pointwise tolerance (default 1e-9)")
+                         help="pointwise tolerance (default %(default)s)")
     _add_run_flags(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("gen", help="generate a certified class member")
     p_gen.add_argument("family",
                        choices=("sstar", "caratheodory", "koebe", "rogosinski", "class-c"))
-    p_gen.add_argument("--u", type=str, default=None, help="unit direction literal")
-    p_gen.add_argument("--b", type=str, default=None, help="derivative-at-0 literal")
-    p_gen.add_argument("--p", type=str, default=None, help="free parameter literal")
-    p_gen.add_argument("--k", type=int, default=None, help="mixture size")
+    p_gen.add_argument("--u", type=str, default="1",
+                       help="koebe: unit direction literal (default %(default)s)")
+    p_gen.add_argument("--b", type=str, default="1/2i",
+                       help="rogosinski: derivative-at-0 literal (default %(default)s)")
+    p_gen.add_argument("--p", type=str, default="1",
+                       help="rogosinski: free parameter literal (default %(default)s)")
+    p_gen.add_argument("--k", type=int, default=3,
+                       help="caratheodory: mixture size (default %(default)s)")
     p_gen.add_argument("--mode", choices=("exact", "float"), default="exact",
-                       help="scalar mode of the written series")
+                       help="scalar mode of the written series (default %(default)s)")
     _add_run_flags(p_gen)
     p_gen.set_defaults(func=cmd_gen)
 
@@ -311,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_img = sub.add_parser("slice-image", help="sample one slice into a CSV cloud")
     p_img.add_argument("series_file", type=str)
     p_img.add_argument("--unit", type=str, default="i",
-                       help="slice axis: i, j, k or a purely imaginary literal")
-    p_img.add_argument("--out", type=str, default=None,
-                       help="CSV path (default: slice_image.csv)")
+                       help="slice axis: i, j, k or a purely imaginary literal "
+                            "(default %(default)s)")
+    p_img.add_argument("--out", type=str, default="slice_image.csv",
+                       help="CSV path (default %(default)s)")
     p_img.set_defaults(func=cmd_slice_image)
     return parser
 

@@ -4,7 +4,9 @@ A quaternion is stored as four components (w, x, y, z) along the basis
 1, i, j, k with the Hamilton rules i^2 = j^2 = k^2 = ijk = -1.  Components
 are either all `fractions.Fraction` (exact mode) or all `float` (float
 mode); a value never mixes the two.  Mixed-mode *operations* promote the
-result to float, mirroring Python's own numeric tower.
+result to float, mirroring Python's own numeric tower, so library code
+writes its constants exactly (``ZERO``, ``ONE``, ``0``, ``Fraction(1, 2)``)
+and a float operand alone decides the mode of the result.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ class Quaternion:
                       _coerce(self.y), _coerce(self.z))
         if any(isinstance(c, float) for c in (w, x, y, z)):
             w, x, y, z = float(w), float(x), float(y), float(z)
-            for c in (w, x, y, z):
-                if not math.isfinite(c):
-                    raise DomainError("non-finite float component")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -88,16 +87,14 @@ class Quaternion:
 
     @classmethod
     def from_real(cls, s) -> "Quaternion":
-        zero = 0.0 if isinstance(s, float) else Fraction(0)
-        return cls(s, zero, zero, zero)
+        return cls(s, 0, 0, 0)
 
     @property
     def re(self) -> Scalar:
         return self.w
 
     def imag(self) -> "Quaternion":
-        zero = 0.0 if not self.is_exact else Fraction(0)
-        return Quaternion(zero, self.x, self.y, self.z)
+        return Quaternion(0, self.x, self.y, self.z)
 
     def is_zero(self) -> bool:
         return self.w == 0 and self.x == 0 and self.y == 0 and self.z == 0
@@ -162,11 +159,7 @@ class Quaternion:
         n = self.norm_sq()
         if n == 0:
             raise DomainError("zero quaternion has no inverse")
-        if self.is_exact:
-            inv = Fraction(1) / n
-        else:
-            inv = 1.0 / n
-        return self.conjugate() * inv
+        return self.conjugate() * (1 / n)
 
     def decompose(self) -> tuple[Scalar, Scalar, "ImaginaryUnit"]:
         """Split q = x + y I with y = |Im q| >= 0.
@@ -229,8 +222,7 @@ class ImaginaryUnit:
         return cls(float(x) / n, float(y) / n, float(z) / n)
 
     def as_quaternion(self) -> Quaternion:
-        zero = Fraction(0) if isinstance(self.x, Fraction) else 0.0
-        return Quaternion(zero, self.x, self.y, self.z)
+        return Quaternion(0, self.x, self.y, self.z)
 
     def __neg__(self) -> "ImaginaryUnit":
         return ImaginaryUnit(-self.x, -self.y, -self.z)
@@ -282,7 +274,6 @@ def parse_quaternion(text: str) -> Quaternion:
     if not stripped:
         raise QuaternionParseError("empty literal", 0)
     components: dict[str, Scalar] = {}
-    saw_float = False
     pos = 0
     first = True
     while pos < len(stripped):
@@ -294,11 +285,7 @@ def parse_quaternion(text: str) -> Quaternion:
             raise QuaternionParseError("expected a coefficient or basis letter", pos)
         if not first and sign == "":
             raise QuaternionParseError("missing sign between terms", pos)
-        if coeff is None:
-            value: Scalar = Fraction(1)
-        else:
-            value = _parse_coefficient(coeff, pos)
-            saw_float = saw_float or isinstance(value, float)
+        value = Fraction(1) if coeff is None else _parse_coefficient(coeff, pos)
         if sign == "-":
             value = -value
         key = basis or "1"
@@ -307,12 +294,8 @@ def parse_quaternion(text: str) -> Quaternion:
         components[key] = value
         pos = m.end()
         first = False
-    zero: Scalar = 0.0 if saw_float else Fraction(0)
-    q = Quaternion(components.get("1", zero), components.get("i", zero),
-                   components.get("j", zero), components.get("k", zero))
-    if saw_float:
-        return q.to_float()
-    return q
+    return Quaternion(components.get("1", 0), components.get("i", 0),
+                      components.get("j", 0), components.get("k", 0))
 
 
 def _format_scalar(value: Scalar) -> str:

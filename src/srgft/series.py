@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .errors import DomainError, SingularityError
-from .quat import ONE, Quaternion, Scalar, quaternion_from_json, quaternion_to_json
+from .quat import ONE, ZERO, Quaternion, Scalar, quaternion_from_json, quaternion_to_json
 
 DEFAULT_DEGREE = 48
 DEFAULT_SINGULAR_THRESHOLD = 1e-8
@@ -44,12 +44,8 @@ class EvalDomain:
 DEFAULT_DOMAIN = EvalDomain()
 
 
-def _exact_zero() -> Quaternion:
-    return Quaternion(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-
-
 def _zero_like(mode_exact: bool) -> Quaternion:
-    return _exact_zero() if mode_exact else Quaternion(0.0, 0.0, 0.0, 0.0)
+    return ZERO if mode_exact else Quaternion(0.0, 0.0, 0.0, 0.0)
 
 
 def _central_power(q: Quaternion, n: int) -> Quaternion:
@@ -101,16 +97,16 @@ class SliceSeries:
 
     @classmethod
     def one(cls, degree: int = 0) -> "SliceSeries":
-        return cls(0, (ONE,) + (_exact_zero(),) * max(degree, 0))
+        return cls(0, (ONE,) + (ZERO,) * max(degree, 0))
 
     @classmethod
     def identity(cls, degree: int = 1) -> "SliceSeries":
         """The series q, padded with known zeros up to ``degree``."""
-        return cls(1, (ONE,) + (_exact_zero(),) * max(degree - 1, 0))
+        return cls(1, (ONE,) + (ZERO,) * max(degree - 1, 0))
 
     @classmethod
     def constant(cls, c: Quaternion, degree: int = 0) -> "SliceSeries":
-        return cls(0, (c,) + (_zero_like(c.is_exact),) * max(degree, 0))
+        return cls(0, (c,) + (ZERO,) * max(degree, 0))
 
     # -- shape ------------------------------------------------------------
 
@@ -153,8 +149,7 @@ class SliceSeries:
         """
         if degree <= self.degree:
             return self
-        z = _zero_like(self.is_exact)
-        return SliceSeries(self.valuation, self.coeffs + (z,) * (degree - self.degree))
+        return SliceSeries(self.valuation, self.coeffs + (ZERO,) * (degree - self.degree))
 
     def trim(self) -> "SliceSeries":
         """Drop trailing zero coefficients (values are unchanged)."""
@@ -184,13 +179,8 @@ class SliceSeries:
     def __add__(self, other: "SliceSeries") -> "SliceSeries":
         v = min(self.valuation, other.valuation)
         degree = min(self.degree, other.degree)
-        exact = self.is_exact and other.is_exact
-        out = []
-        for n in range(v, degree + 1):
-            a = self.coeff(n) if n <= self.degree else _zero_like(exact)
-            b = other.coeff(n) if n <= other.degree else _zero_like(exact)
-            out.append(a + b)
-        return SliceSeries(v, tuple(out))
+        return SliceSeries(v, tuple(self.coeff(n) + other.coeff(n)
+                                    for n in range(v, degree + 1)))
 
     def __sub__(self, other: "SliceSeries") -> "SliceSeries":
         return self + (-other)
@@ -330,15 +320,13 @@ def symmetrize(f: SliceSeries) -> SliceSeries:
     scalar modes; in exact mode this agrees with star_mul(f, f^c)
     coefficient by coefficient.
     """
-    exact = f.is_exact
     if f.is_zero():
-        return SliceSeries.zero(max(f.degree + f.valuation, 0), exact)
+        return SliceSeries.zero(max(f.degree + f.valuation, 0), f.is_exact)
     cs = f.coeffs
     length = len(cs)  # valid window: t in [0, N - v]
-    zero_s: Scalar = Fraction(0) if exact else 0.0
     out = []
     for t in range(length):
-        acc = zero_s
+        acc = 0
         half = t // 2
         for i in range(half + 1):
             j = t - i
@@ -351,13 +339,12 @@ def symmetrize(f: SliceSeries) -> SliceSeries:
     return SliceSeries(2 * f.valuation, tuple(out))
 
 
-def _invert_real_series(values: list[Scalar], exact: bool) -> list[Scalar]:
+def _invert_real_series(values: list[Scalar]) -> list[Scalar]:
     """Reciprocal of a scalar power series with s_0 != 0, to the same order."""
-    s0 = values[0]
-    inv0 = Fraction(1) / s0 if exact else 1.0 / s0
+    inv0 = 1 / values[0]
     out = [inv0]
     for n in range(1, len(values)):
-        acc: Scalar = Fraction(0) if exact else 0.0
+        acc = 0
         for k in range(1, min(n, len(values) - 1) + 1):
             acc = acc + values[k] * out[n - k]
         out.append(-inv0 * acc)
@@ -375,7 +362,7 @@ def star_reciprocal(f: SliceSeries) -> SliceSeries:
     fs = symmetrize(f)
     # strip the central q^(2v); the unit part starts with |a_v|^2 > 0
     unit_scalars = [c.w for c in fs.coeffs]
-    inverted = _invert_real_series(unit_scalars, fs.is_exact)
+    inverted = _invert_real_series(unit_scalars)
     inv_sym = SliceSeries(-2 * f.valuation,
                           tuple(Quaternion.from_real(s) for s in inverted))
     return star_mul(inv_sym, regular_conjugate(f))
@@ -425,15 +412,13 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
         raise DomainError("cannot substitute into a Laurent window")
     exact = f.is_exact and w.is_exact
     degree = min(f.degree, w.degree)
-    zero_s: Scalar = Fraction(0) if exact else 0.0
-    w_scal: list[Scalar] = [zero_s] * (degree + 1)
+    w_scal: list[Scalar] = [0] * (degree + 1)
     for n, c in w.terms():
         if 0 <= n <= degree:
             w_scal[n] = c.w
-    out = [_zero_like(exact) for _ in range(degree + 1)]
+    out = [_zero_like(exact)] * (degree + 1)
     # power[d] = coefficient of q^d in w(q)^n, rebuilt per n
-    power: list[Scalar] = [zero_s] * (degree + 1)
-    power[0] = Fraction(1) if exact else 1.0
+    power: list[Scalar] = [1] + [0] * degree
     for n in range(0, degree + 1):
         if f.valuation <= n <= f.degree:
             a = f.coeff(n)
@@ -443,7 +428,7 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
                         out[d] = out[d] + a * power[d]
         if n == degree:
             break
-        nxt: list[Scalar] = [zero_s] * (degree + 1)
+        nxt: list[Scalar] = [0] * (degree + 1)
         for d1 in range(degree + 1):
             p = power[d1]
             if p == 0:
@@ -460,12 +445,8 @@ def integrate_radial(g: SliceSeries) -> SliceSeries:
     """Primitive with f(0) = 0: coefficient g_n / (n+1) lands at power n+1."""
     if g.valuation < 0:
         raise DomainError("cannot integrate a Laurent window term q^-1")
-    exact = g.is_exact
-    out = []
-    for n, c in g.terms():
-        factor = Fraction(1, n + 1) if exact else 1.0 / (n + 1)
-        out.append(c * factor)
-    return SliceSeries(g.valuation + 1, tuple(out))
+    return SliceSeries(g.valuation + 1,
+                       tuple(c * Fraction(1, n + 1) for n, c in g.terms()))
 
 
 def odd_part(f: SliceSeries) -> SliceSeries:
@@ -478,7 +459,7 @@ def odd_part(f: SliceSeries) -> SliceSeries:
 def geometric(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """Sigma q^n u^n, the star reciprocal of 1 - q u."""
     coeffs = []
-    acc = ONE if u.is_exact else ONE.to_float()
+    acc = ONE
     for _ in range(degree + 1):
         coeffs.append(acc)
         acc = acc * u
@@ -498,7 +479,7 @@ def mobius(a: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     t = 1 - nsq
     abar = a.conjugate()
     coeffs = [a]
-    power = ONE if a.is_exact else ONE.to_float()
+    power = ONE
     for _ in range(1, degree + 1):
         coeffs.append(power * (-t))
         power = power * abar
@@ -510,9 +491,8 @@ def mobius_quotient(a: Quaternion) -> "StarQuotient":
     nsq = a.norm_sq()
     if float(nsq) > 1.0 + 1e-12:
         raise DomainError("moebius parameter must lie in the closed unit ball")
-    one = ONE if a.is_exact else ONE.to_float()
-    return StarQuotient(SliceSeries.from_coeffs([a, -one]),
-                        SliceSeries.from_coeffs([one, -a.conjugate()]))
+    return StarQuotient(SliceSeries.from_coeffs([a, -ONE]),
+                        SliceSeries.from_coeffs([ONE, -a.conjugate()]))
 
 
 class StarQuotient:
@@ -646,11 +626,10 @@ class ExactForm:
         return tuple(t.derivative() for t in self.terms)
 
     def _core(self, quotients: tuple[StarQuotient, ...], q: Quaternion) -> Quaternion:
-        exact = q.is_exact and not self.float_terms
-        acc = _zero_like(exact)
+        acc = ZERO
         for w, quot in zip(self.weights, quotients):
             value = quot.eval_float(q) if self.float_terms else quot.eval(q)
-            acc = acc + value * (w if exact else float(w))
+            acc = acc + value * w
         return acc
 
     def value(self, q: Quaternion) -> Quaternion:

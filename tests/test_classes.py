@@ -54,6 +54,10 @@ class TestGrid:
         g = SamplingGrid.default(unit_count=6)
         assert len(g.units) == 6
 
+    def test_no_axis_rejected(self):
+        with pytest.raises(DomainError):
+            SamplingGrid.default(unit_count=0)
+
     def test_invalid_radii(self):
         with pytest.raises(DomainError):
             SamplingGrid.default(radii=(0.5, 0.2))

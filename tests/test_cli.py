@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import srgft
+from srgft.classes import DEFAULT_ANGLE_COUNT
 from srgft.cli import main
 from srgft.quat import Quaternion, parse_quaternion
 from srgft.series import SliceSeries, mobius, mobius_quotient
@@ -19,6 +20,14 @@ FAST = ["--degree", "12", "--grid-radii", "0.2,0.5,0.8", "--grid-angles", "4"]
 
 def run(args):
     return main(args)
+
+
+def exit_code(args):
+    """The exit status, whether main returns it or argparse raises it."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestCheckCommand:
@@ -80,6 +89,13 @@ class TestCheckCommand:
         assert run(flags + ["--out", str(out1)]) == 0
         assert run(flags + ["--seed", "123", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_malformed_seed_env_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SRGFT_SEED", "abc")
+        assert exit_code(["check", "--suite", "bohr", *FAST]) == 2
+        assert exit_code(["gen", "sstar", "--degree", "12"]) == 2
+        out = tmp_path / "s.json"
+        assert run(["gen", "sstar", "--seed", "3", "--degree", "12", "--out", str(out)]) == 0
 
 
 class TestGenCommand:
@@ -234,6 +250,22 @@ class TestFlags:
             with pytest.raises(SystemExit) as exc:
                 run(argv)
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "caratheodory", "--k", "0", "--degree", "12"],
+        ["gen", "sstar", "--grid-radii", "abc"],
+        ["check", "--grid-angles", "0"],
+        ["check", "--grid-units", "0"],
+        ["check", "--grid-units", "-1"],
+    ])
+    def test_zero_or_malformed_setting_is_a_usage_error(self, argv, capsys):
+        assert exit_code(argv) == 2
+
+    def test_help_prints_the_defaults(self, capsys):
+        assert exit_code(["check", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"angles per circle (default {DEFAULT_ANGLE_COUNT})" in text
+        assert "number of slice axes, i, j, k first (default 3)" in text
 
 
 def test_package_imports_only_the_standard_library():

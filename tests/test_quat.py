@@ -230,3 +230,23 @@ class TestNonFinite:
         q = Quaternion(F(1, 2), 0.5, F(0), F(0))
         assert not q.is_exact
         assert q.w == 0.5
+
+
+def _kinds(q: Quaternion) -> set:
+    return {type(v) for v in (q.w, q.x, q.y, q.z)}
+
+
+class TestScalarMode:
+    """Exactly written constants take the mode of the operand."""
+
+    @pytest.mark.parametrize("q, kind", [
+        (Quaternion(F(1, 2), F(-1, 3), 0, F(2)), F),
+        (Quaternion(0.5, -0.25, 0.0, 2.0), float),
+    ], ids=["exact", "float"])
+    def test_constructors_keep_the_operand_mode(self, q, kind):
+        for value in (Quaternion.from_real(q.w), q.imag(), q.inverse()):
+            assert _kinds(value) == {kind}
+
+    @pytest.mark.parametrize("text, kind", [("0.5i", float), ("1/2i", F)])
+    def test_parsed_literal_has_one_mode(self, text, kind):
+        assert _kinds(parse_quaternion(text)) == {kind}

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srgft.classes import DEFAULT_GRID, random_exact_unit
+from srgft.classes import (DEFAULT_GRID, caratheodory_extremal,
+                           caratheodory_extremal_quotient, koebe,
+                           koebe_quotient, random_exact_unit,
+                           rogosinski_extremal, rogosinski_extremal_form)
 from srgft.errors import DomainError, SingularityError
 from srgft.quat import I, J, K, ONE, Quaternion
 from srgft.series import (SliceSeries, StarQuotient,
@@ -517,3 +520,67 @@ class TestSampledLaws:
                     rhs = lam_plus * float(f.eval(qi_plus).norm_sq()) + \
                         lam_minus * float(f.eval(qi_minus).norm_sq())
                     assert abs(lhs - rhs) < 1e-9
+
+
+def _component_types(s: SliceSeries) -> set:
+    return {type(v) for c in s.coeffs for v in (c.w, c.x, c.y, c.z)}
+
+
+def _bits(s: SliceSeries) -> tuple:
+    """Valuation and the exact bit pattern of every float component."""
+    return s.valuation, [tuple(v.hex() for v in (c.w, c.x, c.y, c.z)) for c in s.coeffs]
+
+
+def _windows_from(u: Quaternion) -> list[SliceSeries]:
+    """Every window built from the unit u (the Koebe quotient's numerator
+    is the exact q in both modes, so only its denominator is listed)."""
+    half = u * F(1, 2)
+    lin = SliceSeries.from_coeffs([ONE, -u])
+    (rogo,) = rogosinski_extremal_form(half, u).terms
+    quotients = (caratheodory_extremal_quotient(u), mobius_quotient(half), rogo)
+    return ([koebe(u, 8), koebe_quotient(u).den, caratheodory_extremal(u, 8),
+             geometric(half, 8), mobius(half, 8), rogosinski_extremal(half, u, 8),
+             integrate_radial(koebe(u, 8)), symmetrize(koebe(u, 8)),
+             star_reciprocal(lin.pad_to(8))]
+            + [part for quot in quotients for part in (quot.num, quot.den)])
+
+
+class TestScalarMode:
+    """Constants are written exactly; the operands alone decide the mode."""
+
+    @pytest.mark.parametrize("u, kind", [
+        (Quaternion(0, F(3, 5), F(4, 5), 0), F),
+        (Quaternion(0.0, 0.6, 0.8, 0.0), float),
+    ], ids=["exact", "float"])
+    def test_every_component_keeps_the_operand_mode(self, u, kind):
+        for window in _windows_from(u):
+            assert _component_types(window) == {kind}
+
+    float_quats = st.builds(Quaternion, *[st.floats(-4, 4, allow_nan=False)] * 4)
+
+    @given(st.lists(float_quats, min_size=1, max_size=8), st.integers(0, 3))
+    @settings(max_examples=80)
+    def test_integrate_matches_float_constants_bit_for_bit(self, coeffs, valuation):
+        g = SliceSeries.from_coeffs(coeffs, valuation)
+        want = SliceSeries(g.valuation + 1, tuple(
+            Quaternion(c.w * (1.0 / (n + 1)), c.x * (1.0 / (n + 1)),
+                       c.y * (1.0 / (n + 1)), c.z * (1.0 / (n + 1)))
+            for n, c in g.terms()))
+        assert _bits(integrate_radial(g)) == _bits(want)
+
+    @given(st.lists(float_quats, min_size=1, max_size=8), st.integers(-2, 3))
+    @settings(max_examples=80)
+    def test_symmetrize_matches_float_constants_bit_for_bit(self, coeffs, valuation):
+        f = SliceSeries.from_coeffs(coeffs, valuation)
+        if f.is_zero():
+            return
+        cs = f.coeffs
+        out = []
+        for t in range(len(cs)):
+            acc = 0.0
+            for i in range(t // 2 + 1):
+                a, b = cs[i], cs[t - i]
+                dot = a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
+                acc = acc + (dot if i == t - i else 2.0 * dot)
+            out.append(Quaternion(acc, 0.0, 0.0, 0.0))
+        assert _bits(symmetrize(f)) == _bits(SliceSeries(2 * f.valuation, tuple(out)))
