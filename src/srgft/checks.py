@@ -765,15 +765,14 @@ def close_to_convex_member(seed: int, degree: int = DEFAULT_DEGREE,
                            k: int = 3) -> FunctionUnderTest:
     """f' = q^-1 h star p for a certified starlike h and Caratheodory mixture p.
 
-    Each term h star (1-qu)^(-star) star (1+qu) of f' keeps float copies
-    of its polynomials: exact evaluation of the degree-50 numerators
-    would cost about 150 times as much per point.
+    f' keeps the exact form q^-1 sum_k w_k h star (1-qu_k)^(-star) star
+    (1+qu_k), one left-factor quotient per term of p.
     """
     h = close_to_convex_reference(seed, degree)
     p = caratheodory_member(1000003 * seed + 2, degree, k)
     derivative = ExactForm(tuple(StarQuotient(t.num, t.den, left=h.series)
                                  for t in p.form.terms),
-                           p.form.weights, shift=-1, float_terms=True)
+                           p.form.weights, shift=-1)
     return FunctionUnderTest(
         f"close-to-convex-member(seed={seed})", generate_close_to_convex(h, p),
         derivative_form=derivative, certificates=("close-to-convex",))

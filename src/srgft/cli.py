@@ -177,7 +177,7 @@ def cmd_eval(args) -> int:
     try:
         series, form = _load_series_file(args.series_file)
         q = parse_quaternion(args.at)
-        if float(q.norm_sq()) >= 1.0:
+        if q.norm_sq() >= 1:
             raise DomainError("evaluation point must lie in the open unit ball")
         if form is None:
             value, derivative = series.eval(q), slice_derivative(series).eval(q)

@@ -59,7 +59,10 @@ class Quaternion:
         w, x, y, z = (_coerce(self.w), _coerce(self.x),
                       _coerce(self.y), _coerce(self.z))
         if any(isinstance(c, float) for c in (w, x, y, z)):
-            w, x, y, z = float(w), float(x), float(y), float(z)
+            try:
+                w, x, y, z = float(w), float(x), float(y), float(z)
+            except OverflowError:
+                raise DomainError("rational component too large for a float") from None
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)

@@ -14,6 +14,7 @@ shifting the valuation is sound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -51,6 +52,26 @@ def _zero_like(mode_exact: bool) -> Quaternion:
 def _central_power(q: Quaternion, n: int) -> Quaternion:
     """q^n for any integer n; powers of q commute with q and each other."""
     return q ** n if n >= 0 else q.inverse() ** -n
+
+
+def _integer_point(q: Quaternion) -> tuple[int, int, int, int, int]:
+    """(L, W, V1, V2, V3) with q = (W + V1 i + V2 j + V3 k) / L, all integers.
+
+    A float component is a dyadic rational, so no point needs ``to_exact``.
+    """
+    ratios = [c.as_integer_ratio() for c in (q.w, q.x, q.y, q.z)]
+    scale = math.lcm(*(d for _, d in ratios))
+    w, x, y, z = (n * (scale // d) for n, d in ratios)
+    return scale, w, x, y, z
+
+
+def _integer_coeffs(f: SliceSeries, low: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, c): the exact window f is q^low sum_n q^n c_n / D with integer
+    4-tuples c_n, listed from the highest power down to q^low."""
+    comps = [(c.w, c.x, c.y, c.z) for c in reversed(f.coeffs)]
+    den = math.lcm(*(x.denominator for cs in comps for x in cs))
+    ints = tuple(tuple(x.numerator * (den // x.denominator) for x in cs) for cs in comps)
+    return den, ints + ((0, 0, 0, 0),) * (f.valuation - low)
 
 
 @dataclass(frozen=True)
@@ -508,14 +529,23 @@ class StarQuotient:
     truncation error; this is how the built-in extremal functions are
     evaluated near the boundary of the ball.  The two polynomials are
     formed on first evaluation, from den and num with their trailing
-    zeros trimmed.
+    zeros trimmed, and kept as integer coefficients over one common
+    denominator each.
 
-    Evaluation always runs in exact rational arithmetic (binary floats
-    embed exactly), because the expanded symmetrized denominator can be
-    as small as (1-|q|)^8 near the boundary and float Horner would cancel
-    catastrophically there.  The default guard therefore only fences off
-    genuine zeros; pass a stricter :class:`EvalDomain` to refuse a wider
-    neighbourhood of the singular set.
+    Evaluation runs on integers only.  The point is scaled by the lcm L
+    of its component denominators (a binary float is a dyadic rational),
+    so W = L Re q and V = L Im q are integers, and by the representation
+    formula every power (W + V)^n is P_n + V Q_n with integers P_n, Q_n
+    that depend on W and |V|^2 alone.  Horner therefore keeps each
+    polynomial as X + V Y and runs on (W, |V|^2): no square root, no
+    rational arithmetic, and one division per component at the end.  An
+    exact point gives an exact value; at a float point each component is
+    the correctly rounded value of the exact one.  Exactness matters
+    because the symmetrized denominator can be as small as (1-|q|)^8
+    near the boundary, where float Horner would cancel catastrophically.
+    The default guard therefore only fences off genuine zeros; pass a
+    stricter :class:`EvalDomain` to refuse a wider neighbourhood of the
+    singular set.
     """
 
     #: anti-zero guard: den^s vanishing only on the boundary sphere can
@@ -544,25 +574,66 @@ class StarQuotient:
         return out
 
     @cached_property
-    def _float_parts(self) -> tuple[SliceSeries, SliceSeries]:
-        return self._den_sym.to_float(), self._den_conj_num.to_float()
+    def _integer_parts(self):
+        """(v, D_s, s, D_n, n): den^s = q^v s(q) / D_s and the numerator
+        polynomial = q^v n(q) / D_n, with integer coefficients listed from
+        the highest power down.  v is the lower of the two valuations; the
+        other polynomial takes the difference as zero coefficients."""
+        sym, num = self._den_sym, self._den_conj_num
+        low = min(sym.valuation, num.valuation)
+        sym_den, sym_ints = _integer_coeffs(sym, low)
+        num_den, num_ints = _integer_coeffs(num, low)
+        return low, sym_den, tuple(c[0] for c in sym_ints), num_den, num_ints
 
     def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:
         domain = domain or self.ZERO_GUARD
-        qe = q.to_exact()
-        s = self._den_sym.eval(qe)
-        if abs(s) < domain.singular_threshold:
+        low, sym_den, sym, num_den, num = self._integer_parts
+        scale, w, v1, v2, v3 = _integer_point(q)
+        n2 = v1 * v1 + v2 * v2 + v3 * v3
+        r2 = w * w + n2  # L^2 |q|^2
+        if r2 / (scale * scale) >= 1.0:
+            raise DomainError("evaluation point must lie in the open unit ball")
+        if low < 0 and not r2:
+            raise SingularityError("negative-valuation series is singular at 0")
+        # den^s: L^m s(q) = x + V y, and the guard reads |den^s(q)|^2 exactly
+        x, y, power = sym[0], 0, 1
+        for c in sym[1:]:
+            power *= scale
+            x, y = w * x - n2 * y + power * c, x + w * y
+        norm = x * x + n2 * y * y
+        top, bottom = norm, (power * sym_den) ** 2
+        if low > 0:
+            top, bottom = top * r2 ** low, bottom * scale ** (2 * low)
+        elif low < 0:
+            top, bottom = top * scale ** (-2 * low), bottom * r2 ** -low
+        if math.sqrt(top / bottom) < domain.singular_threshold:
             raise SingularityError("quotient evaluated too close to a symmetrization zero")
-        value = s.inverse() * self._den_conj_num.eval(qe)
-        return value if q.is_exact else value.to_float()
-
-    def eval_float(self, q: Quaternion) -> Quaternion:
-        """The same formula by float Horner on float copies of the two
-        polynomials: about 150 times faster than :meth:`eval` for a
-        degree-50 numerator, with no singular guard and none of its
-        accuracy near the boundary of the ball."""
-        sym, num = self._float_parts
-        return sym.eval(q).inverse() * num.eval(q)
+        # numerator: L^k n(q) = A + V B, componentwise
+        a0, a1, a2, a3 = num[0]
+        b0 = b1 = b2 = b3 = 0
+        npower = 1
+        for c0, c1, c2, c3 in num[1:]:
+            npower *= scale
+            a0, b0 = w * a0 - n2 * b0 + npower * c0, a0 + w * b0
+            a1, b1 = w * a1 - n2 * b1 + npower * c1, a1 + w * b1
+            a2, b2 = w * a2 - n2 * b2 + npower * c2, a2 + w * b2
+            a3, b3 = w * a3 - n2 * b3 + npower * c3, a3 + w * b3
+        # (x - V y)(A + V B) = E + V F with E = x A + |V|^2 y B, F = x B - y A
+        e0, e1, e2, e3 = (x * a0 + n2 * y * b0, x * a1 + n2 * y * b1,
+                          x * a2 + n2 * y * b2, x * a3 + n2 * y * b3)
+        f0, f1, f2, f3 = x * b0 - y * a0, x * b1 - y * a1, x * b2 - y * a2, x * b3 - y * a3
+        comps = (e0 - v1 * f1 - v2 * f2 - v3 * f3,
+                 e1 + v1 * f0 + v2 * f3 - v3 * f2,
+                 e2 + v2 * f0 - v1 * f3 + v3 * f1,
+                 e3 + v3 * f0 + v1 * f2 - v2 * f1)
+        # value = L^m D_s / (norm L^k D_n) * comps; both L powers are powers of L
+        if power >= npower:
+            factor, divisor = power // npower * sym_den, norm * num_den
+        else:
+            factor, divisor = sym_den, norm * (npower // power) * num_den
+        if q.is_exact:
+            return Quaternion(*(Fraction(c * factor, divisor) for c in comps))
+        return Quaternion(*(c * factor / divisor for c in comps))
 
     def to_series(self, degree: int = DEFAULT_DEGREE) -> SliceSeries:
         v = self.den.valuation
@@ -610,26 +681,25 @@ class ExactForm:
     s = 1), a convex combination of quotients (a Caratheodory mixture)
     and the derivative of a close-to-convex member (s = -1).
 
-    At a float point each term is rounded once, then weighted and summed
-    in term order; at an exact point the whole value stays exact.  Powers
-    of q are central, so q^s multiplies the summed core.  ``float_terms``
-    evaluates the terms with :meth:`StarQuotient.eval_float` instead.
+    At a float point each term is evaluated exactly and rounded once,
+    then weighted and summed in term order; at an exact point the whole
+    value stays exact.  Powers of q are central, so q^s multiplies the
+    summed core.
     """
 
     terms: tuple[StarQuotient, ...]
     weights: tuple[Fraction, ...] = (Fraction(1),)
     shift: int = 0
-    float_terms: bool = False
 
     @cached_property
     def _derivatives(self) -> tuple[StarQuotient, ...]:
         return tuple(t.derivative() for t in self.terms)
 
     def _core(self, quotients: tuple[StarQuotient, ...], q: Quaternion) -> Quaternion:
-        acc = ZERO
-        for w, quot in zip(self.weights, quotients):
-            value = quot.eval_float(q) if self.float_terms else quot.eval(q)
-            acc = acc + value * w
+        values = (quot.eval(q) * w for w, quot in zip(self.weights, quotients))
+        acc = next(values)
+        for value in values:
+            acc = acc + value
         return acc
 
     def value(self, q: Quaternion) -> Quaternion:

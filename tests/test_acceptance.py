@@ -11,6 +11,8 @@ import time
 from fractions import Fraction as F
 from random import Random
 
+import pytest
+
 from srgft.checks import (check_bieberbach,
                           check_caratheodory_bounds, check_growth_distortion,
                           check_hayman, check_koebe_quarter,
@@ -31,6 +33,11 @@ from srgft.series import (SliceSeries, mobius_quotient, regular_conjugate,
 
 GRID = DEFAULT_GRID
 REPORT_SHA256 = "f4e0f06f3efc0d6204624862f8afc1a2dceff2028086471bad4e15fc7230eb67"
+# the same report at two more seeds, which draw other generated members
+REPORT_SHA256_BY_SEED = {
+    1: "cba99c69079f3fe80ecc291085154011be1eba78c14cc9dbef046f53c0f3663b",
+    3: "5d5780abe3d23f1640ccac2f3ba394ee9ca58170c7d35fffffaf70bca46e3084",
+}
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -255,3 +262,10 @@ def test_criterion_10_determinism(tmp_path):
     reports = json.loads(out1.read_text())
     assert all(r["passed"] for r in reports)
     _report(10, f"two full-suite runs byte-identical ({len(reports)} reports)")
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_SHA256_BY_SEED))
+def test_report_digest_at_other_seeds(seed, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["check", "--suite", "all", "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256_BY_SEED[seed]

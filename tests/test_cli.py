@@ -190,6 +190,18 @@ class TestEvalCommand:
         assert capsys.readouterr().out == ""
 
 
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400 + "+0.5i", "1" + "0" * 400])
+    def test_point_too_large_for_a_float_exit_one(self, literal, tmp_path, capsys):
+        path = tmp_path / "koebe.json"
+        assert run(["gen", "koebe", "--u", "1", "--degree", "12", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["eval", str(path), "--at", literal]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
 class TestSliceImageCommand:
     def _rows(self, path):
         with open(path) as handle:

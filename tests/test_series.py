@@ -1,5 +1,6 @@
 """Series calculus: operation examples, formal identities, sampled laws."""
 
+import functools
 import math
 from fractions import Fraction as F
 from random import Random
@@ -8,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quotient_reference import reference_eval
+from srgft.checks import close_to_convex_member
 from srgft.classes import (DEFAULT_GRID, caratheodory_extremal,
-                           caratheodory_extremal_quotient, koebe,
+                           caratheodory_extremal_quotient,
+                           caratheodory_mixture_form, koebe,
                            koebe_quotient, random_exact_unit,
                            rogosinski_extremal, rogosinski_extremal_form)
 from srgft.errors import DomainError, SingularityError
-from srgft.quat import I, J, K, ONE, Quaternion
-from srgft.series import (SliceSeries, StarQuotient,
+from srgft.quat import I, J, K, ONE, ZERO, Quaternion
+from srgft.series import (EvalDomain, ExactForm, SliceSeries, StarQuotient,
                           compose_slice_preserving, full_star_mul, geometric,
                           integrate_radial, mobius, mobius_quotient, odd_part,
                           quotient_transform, regular_conjugate,
@@ -449,7 +453,7 @@ class TestStarQuotient:
         derivative_window = slice_derivative(window).to_float()
         for point in (Quaternion(0.2, 0.1, 0.0, -0.1), Quaternion(0.0, 0.0, 0.3, 0.0)):
             assert abs(quot.eval(point) - window.to_float().eval(point)) < 1e-12
-            assert abs(quot.eval_float(point) - quot.eval(point)) < 1e-12
+            assert quot.eval(point) == reference_eval(quot, point)
             assert abs(quot.derivative().eval(point) - derivative_window.eval(point)) < 1e-12
 
     def test_float_inputs_round_to_exact(self):
@@ -458,6 +462,148 @@ class TestStarQuotient:
         value = quot.eval(Quaternion(0.99, 0.0, 0.0, 0.0))
         assert not value.is_exact
         assert abs(value.w - 0.99 / 0.01 ** 2) < 1e-9 * 9900
+
+
+def _quotient(kind: str, seed: int) -> StarQuotient:
+    """A quotient of the given kind, with exact parameters drawn from seed."""
+    rng = Random(seed)
+    u, w = random_exact_unit(rng), random_exact_unit(rng)
+    if kind == "koebe":
+        return koebe_quotient(u)
+    if kind == "mobius":
+        return mobius_quotient(u * F(rng.randint(0, 9), 10))
+    if kind == "caratheodory":
+        return caratheodory_extremal_quotient(u)
+    if kind == "rogosinski":
+        (quot,) = rogosinski_extremal_form(u * F(5, 8), w * F(3, 4)).terms
+        return quot
+    # |den / q^v - 1| < 1 in the ball, so den^s vanishes there only at 0
+    den = SliceSeries.from_coeffs([ONE, *rand_series(rng, 1, scale=1).coeffs],
+                                  rng.randint(0, 2) if kind == "den-valuation" else 0)
+    if kind == "left":
+        return StarQuotient(rand_series(rng, 2), den, left=rand_series(rng, 4, valuation=1))
+    return StarQuotient(rand_series(rng, 3, valuation=rng.randint(0, 2)), den)
+
+
+QUOTIENT_KINDS = ("koebe", "mobius", "caratheodory", "rogosinski", "random",
+                  "den-valuation", "left")
+
+
+@st.composite
+def quotients(draw):
+    quot = _quotient(draw(st.sampled_from(QUOTIENT_KINDS)), draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        try:
+            quot = quot.derivative()
+        except DomainError:  # a denominator whose coefficients do not commute
+            pass
+    return quot
+
+
+ball_rationals = st.fractions(F(-9, 20), F(9, 20), max_denominator=60)
+ball_floats = st.floats(-0.45, 0.45)
+
+
+@st.composite
+def points(draw):
+    """Rational, dyadic, real, zero and near-boundary points of the ball."""
+    kind = draw(st.sampled_from(("rational", "dyadic", "real", "zero", "near-one")))
+    if kind == "rational":
+        return Quaternion(*draw(st.tuples(*[ball_rationals] * 4)))
+    if kind == "dyadic":
+        return Quaternion(*draw(st.tuples(*[ball_floats] * 4)))
+    if kind == "real":
+        return Quaternion.from_real(draw(st.one_of(ball_rationals, ball_floats)))
+    if kind == "zero":
+        return draw(st.sampled_from((ZERO, ZERO.to_float())))
+    # |q|^2 = (1 - 1/n)^2: den^s can be as small as (1 - |q|)^4 here
+    u = random_exact_unit(Random(draw(st.integers(0, 10 ** 6))))
+    q = u * (1 - F(1, draw(st.integers(2, 10 ** 6))))
+    return q.to_float() if draw(st.booleans()) else q
+
+
+def _outcome(evaluate, q):
+    """Each component's repr (type, value, sign of zero) or the error type."""
+    try:
+        value = evaluate(q)
+    except DomainError as exc:
+        return type(exc)
+    return tuple(repr(c) for c in (value.w, value.x, value.y, value.z))
+
+
+class TestIntegerEval:
+    @given(quotients(), points())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_reference(self, quot, q):
+        assert _outcome(quot.eval, q) == _outcome(lambda p: reference_eval(quot, p), q)
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_den_vanishing_at_zero_is_singular_there(self, seed, v):
+        rng = Random(seed)
+        den = SliceSeries.from_coeffs([ONE, random_exact_unit(rng)], v)
+        quot = StarQuotient(rand_series(rng, 2), den)
+        for zero in (ZERO, ZERO.to_float()):
+            for evaluate in (quot.eval, lambda p: reference_eval(quot, p)):
+                with pytest.raises(SingularityError):
+                    evaluate(zero)
+
+    def test_stricter_domain_refuses_the_same_points(self):
+        quot = koebe_quotient(ONE)
+        strict = EvalDomain(1e-3)
+        # |den^s| = |1 - q|^4: 6.25e-6 at 0.95, 1/4 at (1 + i)/2
+        points = (Quaternion(0.95, 0.0, 0.0, 0.0), Quaternion(F(1, 2), F(1, 2), 0, 0))
+        outcomes = [_outcome(lambda p: quot.eval(p, strict), q) for q in points]
+        assert outcomes == [_outcome(lambda p: reference_eval(quot, p, strict), q)
+                            for q in points]
+        assert outcomes[0] is SingularityError
+        assert outcomes[1] == tuple(repr(F(c)) for c in (-1, 1, 0, 0))  # koebe = -1 + i
+
+    def test_boundary_and_outside_are_refused(self):
+        quot = koebe_quotient(ONE)
+        for q in (exact(1), exact(F(3, 5), F(4, 5)), Quaternion(0.6, 0.8, 0.0, 0.0)):
+            with pytest.raises(DomainError):
+                quot.eval(q)
+
+
+# rational points of the unit 2-sphere, up to signs and order
+_AXES = ((1, 0, 0, 1), (3, 4, 0, 5), (1, 2, 2, 3), (2, 3, 6, 7), (1, 4, 8, 9), (4, 4, 7, 9))
+
+
+@st.composite
+def imaginary_units(draw):
+    a, b, c, n = draw(st.sampled_from(_AXES))
+    comps = list(draw(st.permutations((a, b, c))))
+    signs = draw(st.tuples(*[st.sampled_from((-1, 1))] * 3))
+    return Quaternion(0, *(F(s * v, n) for s, v in zip(signs, comps)))
+
+
+@functools.cache
+def _exact_forms() -> tuple[ExactForm, ...]:
+    """Every built-in kind of ExactForm, built once."""
+    rng = Random(3)
+    u, w = random_exact_unit(rng), random_exact_unit(rng)
+    return (ExactForm((koebe_quotient(u),)),
+            ExactForm((mobius_quotient(u * F(1, 2)),)),
+            caratheodory_mixture_form(5),
+            rogosinski_extremal_form(u * F(5, 8), w * F(3, 4)),
+            close_to_convex_member(2).derivative_form)
+
+
+class TestRepresentationFormula:
+    @given(st.integers(0, 4), imaginary_units(), imaginary_units(),
+           st.fractions(F(-3, 5), F(3, 5), max_denominator=12),
+           st.fractions(F(1, 12), F(3, 5), max_denominator=12))
+    @settings(max_examples=60, deadline=None)
+    def test_one_slice_determines_every_slice(self, index, i_unit, j_unit, x, y):
+        """f(x+yJ) = 1/2 (1-JI) f(x+yI) + 1/2 (1+JI) f(x-yI), exactly."""
+        f = _exact_forms()[index].value
+        ji = j_unit * i_unit
+        lhs = f(ONE * x + j_unit * y)
+        rhs = ((ONE - ji) * f(ONE * x + i_unit * y) +
+               (ONE + ji) * f(ONE * x - i_unit * y)) * F(1, 2)
+        assert lhs.is_exact
+        assert lhs == rhs
 
 
 class TestSampledLaws:
