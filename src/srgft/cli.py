@@ -162,14 +162,16 @@ def cmd_gen(args) -> int:
 def _load_series_file(path: str) -> tuple[SliceSeries, ExactForm | None]:
     with open(path) as handle:
         data = json.load(handle)
-    if "series" not in data:
+    if not isinstance(data, dict) or "series" not in data:
         return SliceSeries.from_json_dict(data), None
     block = data.get("quotient")
     form = None
-    if block:
-        quot = StarQuotient(SliceSeries.from_json_dict(block["num"]),
-                            SliceSeries.from_json_dict(block["den"]))
-        form = ExactForm((quot,), shift=int(block.get("shift", 0)))
+    if block is not None:
+        if not isinstance(block, dict) or type(block.get("shift", 0)) is not int:
+            raise ValueError('"quotient" must be an object with an integer "shift"')
+        quot = StarQuotient(SliceSeries.from_json_dict(block.get("num")),
+                            SliceSeries.from_json_dict(block.get("den")))
+        form = ExactForm((quot,), shift=block.get("shift", 0))
     return SliceSeries.from_json_dict(data["series"]), form
 
 
@@ -177,8 +179,6 @@ def cmd_eval(args) -> int:
     try:
         series, form = _load_series_file(args.series_file)
         q = parse_quaternion(args.at)
-        if q.norm_sq() >= 1:
-            raise DomainError("evaluation point must lie in the open unit ball")
         if form is None:
             value, derivative = series.eval(q), slice_derivative(series).eval(q)
         else:

@@ -338,7 +338,10 @@ def quaternion_from_json(data) -> Quaternion:
     comps = []
     for c in data:
         if isinstance(c, str):
-            comps.append(Fraction(c))
+            try:
+                comps.append(Fraction(c))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in quaternion array: {c!r}") from None
         elif isinstance(c, (int, float)):
             comps.append(float(c))
         else:

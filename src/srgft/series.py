@@ -54,15 +54,15 @@ def _central_power(q: Quaternion, n: int) -> Quaternion:
     return q ** n if n >= 0 else q.inverse() ** -n
 
 
-def _integer_point(q: Quaternion) -> tuple[int, int, int, int, int]:
-    """(L, W, V1, V2, V3) with q = (W + V1 i + V2 j + V3 k) / L, all integers.
+def _integer_point(q: Quaternion) -> tuple[int, int, int, int, int, int]:
+    """(L, W, V1, V2, V3, |V|^2), all integers, with q = (W + V1 i + V2 j + V3 k) / L.
 
     A float component is a dyadic rational, so no point needs ``to_exact``.
     """
     ratios = [c.as_integer_ratio() for c in (q.w, q.x, q.y, q.z)]
     scale = math.lcm(*(d for _, d in ratios))
     w, x, y, z = (n * (scale // d) for n, d in ratios)
-    return scale, w, x, y, z
+    return scale, w, x, y, z, x * x + y * y + z * z
 
 
 def _integer_coeffs(f: SliceSeries, low: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -72,6 +72,47 @@ def _integer_coeffs(f: SliceSeries, low: int) -> tuple[int, tuple[tuple[int, ...
     den = math.lcm(*(x.denominator for cs in comps for x in cs))
     ints = tuple(tuple(x.numerator * (den // x.denominator) for x in cs) for cs in comps)
     return den, ints + ((0, 0, 0, 0),) * (f.valuation - low)
+
+
+def _horner_xv(coeffs: tuple[tuple[int, ...], ...], scale: int, w: int, n2: int):
+    """(L^k, A, B) with sum_n (W + V)^n L^(k-n) c_n = A + V B, for integer
+    4-tuples c listed from c_k down and n2 = |V|^2.  Every (W + V)^n is
+    P_n + V Q_n with integers P_n, Q_n that depend on W and |V|^2 alone."""
+    a0, a1, a2, a3 = coeffs[0]
+    b0 = b1 = b2 = b3 = 0
+    power = 1
+    for c0, c1, c2, c3 in coeffs[1:]:
+        power *= scale
+        a0, b0 = w * a0 - n2 * b0 + power * c0, a0 + w * b0
+        a1, b1 = w * a1 - n2 * b1 + power * c1, a1 + w * b1
+        a2, b2 = w * a2 - n2 * b2 + power * c2, a2 + w * b2
+        a3, b3 = w * a3 - n2 * b3 + power * c3, a3 + w * b3
+    return power, (a0, a1, a2, a3), (b0, b1, b2, b3)
+
+
+def _plus_v_times(e: tuple[int, ...], f: tuple[int, ...], v1: int, v2: int, v3: int):
+    """The components of E + V F for V = v1 i + v2 j + v3 k."""
+    e0, e1, e2, e3 = e
+    f0, f1, f2, f3 = f
+    return (e0 - v1 * f1 - v2 * f2 - v3 * f3,
+            e1 + v1 * f0 + v2 * f3 - v3 * f2,
+            e2 + v2 * f0 - v1 * f3 + v3 * f1,
+            e3 + v3 * f0 + v1 * f2 - v2 * f1)
+
+
+def _eval_float(cs: tuple[Quaternion, ...], q: Quaternion) -> Quaternion:
+    """Float Horner of sum_n q^n c_n over float coefficients c_0, c_1, ..."""
+    qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    last = cs[-1]
+    aw, ax, ay, az = last.w, last.x, last.y, last.z
+    for i in range(len(cs) - 2, -1, -1):
+        c = cs[i]
+        nw = qw * aw - qx * ax - qy * ay - qz * az + c.w
+        nx = qw * ax + qx * aw + qy * az - qz * ay + c.x
+        ny = qw * ay - qx * az + qy * aw + qz * ax + c.y
+        nz = qw * az + qx * ay - qy * ax + qz * aw + c.z
+        aw, ax, ay, az = nw, nx, ny, nz
+    return Quaternion(aw, ax, ay, az)
 
 
 @dataclass(frozen=True)
@@ -222,32 +263,24 @@ class SliceSeries:
         """Value at q inside the unit ball, by left-nested Horner.
 
         The nesting q^v (a_v + q (a_{v+1} + ...)) is exact because powers
-        of q commute with q itself.
+        of q commute with q itself.  An exact window at an exact point runs
+        the integer Horner :func:`_horner_xv` and stays exact; any float
+        operand runs float Horner with both operands in float, which is bit
+        for bit what promoting each mixed operation gives.
         """
-        if float(q.norm_sq()) >= 1.0:
+        if q.norm_sq() >= 1:
             raise DomainError("evaluation point must lie in the open unit ball")
         if self.valuation < 0 and q.is_zero():
             raise SingularityError("negative-valuation series is singular at 0")
-        if not self.is_exact and not q.is_exact:
-            return self._eval_float(q)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = q * acc + c
-        return _central_power(q, self.valuation) * acc if self.valuation else acc
-
-    def _eval_float(self, q: Quaternion) -> Quaternion:
-        qw, qx, qy, qz = q.w, q.x, q.y, q.z
-        cs = self.coeffs
-        last = cs[-1]
-        aw, ax, ay, az = last.w, last.x, last.y, last.z
-        for i in range(len(cs) - 2, -1, -1):
-            c = cs[i]
-            nw = qw * aw - qx * ax - qy * ay - qz * az + c.w
-            nx = qw * ax + qx * aw + qy * az - qz * ay + c.x
-            ny = qw * ay - qx * az + qy * aw + qz * ax + c.y
-            nz = qw * az + qx * ay - qy * ax + qz * aw + c.z
-            aw, ax, ay, az = nw, nx, ny, nz
-        acc = Quaternion(aw, ax, ay, az)
+        if self.is_exact and q.is_exact:
+            scale, w, v1, v2, v3, n2 = _integer_point(q)
+            den, coeffs = _integer_coeffs(self, self.valuation)
+            power, a, b = _horner_xv(coeffs, scale, w, n2)
+            acc = Quaternion(*(Fraction(c, power * den) for c in _plus_v_times(a, b, v1, v2, v3)))
+        else:
+            # converted one by one: to_float() would renormalize an underflowed a_v
+            cs = tuple(c.to_float() for c in self.coeffs) if self.is_exact else self.coeffs
+            acc = _eval_float(cs, q.to_float())
         return _central_power(q, self.valuation) * acc if self.valuation else acc
 
     # -- serialization -----------------------------------------------------
@@ -262,14 +295,17 @@ class SliceSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SliceSeries":
+        if not isinstance(data, dict) or type(data.get("valuation")) is not int \
+                or not isinstance(data.get("coeffs"), list):
+            raise ValueError('a series needs an integer "valuation" and a "coeffs" array')
         coeffs = tuple(quaternion_from_json(c) for c in data["coeffs"])
         mode = data.get("mode")
         if mode == "float":
             coeffs = tuple(c.to_float() for c in coeffs)
         elif mode == "exact" and any(not c.is_exact for c in coeffs):
             raise ValueError("exact-mode series carries float coefficients")
-        s = cls(int(data["valuation"]), coeffs)
-        if "degree" in data and int(data["degree"]) != s.degree:
+        s = cls(data["valuation"], coeffs)
+        if data.get("degree", s.degree) != s.degree:
             raise ValueError("degree field inconsistent with coefficient count")
         return s
 
@@ -390,12 +426,8 @@ def star_reciprocal(f: SliceSeries) -> SliceSeries:
 
 
 @lru_cache(maxsize=128)
-def _transform_parts(f: SliceSeries, as_float: bool) -> tuple[SliceSeries, SliceSeries]:
-    fc = regular_conjugate(f)
-    fs = symmetrize(f.pad_to(2 * f.degree - f.valuation))
-    if as_float:
-        return fc.to_float(), fs.to_float()
-    return fc, fs
+def _transform_parts(f: SliceSeries) -> tuple[SliceSeries, SliceSeries]:
+    return regular_conjugate(f), symmetrize(f.pad_to(2 * f.degree - f.valuation))
 
 
 def quotient_transform(f: SliceSeries, q: Quaternion,
@@ -407,7 +439,7 @@ def quotient_transform(f: SliceSeries, q: Quaternion,
     The window is treated as a polynomial, so the guard sees the full
     symmetrization rather than a truncation that could miss a zero.
     """
-    fc, fs = _transform_parts(f.trim(), not q.is_exact)
+    fc, fs = _transform_parts(f.trim())
     s = fs.eval(q)
     if abs(s) < domain.singular_threshold:
         raise SingularityError("point too close to the symmetrization zero set")
@@ -533,19 +565,16 @@ class StarQuotient:
     denominator each.
 
     Evaluation runs on integers only.  The point is scaled by the lcm L
-    of its component denominators (a binary float is a dyadic rational),
-    so W = L Re q and V = L Im q are integers, and by the representation
-    formula every power (W + V)^n is P_n + V Q_n with integers P_n, Q_n
-    that depend on W and |V|^2 alone.  Horner therefore keeps each
-    polynomial as X + V Y and runs on (W, |V|^2): no square root, no
-    rational arithmetic, and one division per component at the end.  An
-    exact point gives an exact value; at a float point each component is
-    the correctly rounded value of the exact one.  Exactness matters
-    because the symmetrized denominator can be as small as (1-|q|)^8
-    near the boundary, where float Horner would cancel catastrophically.
-    The default guard therefore only fences off genuine zeros; pass a
-    stricter :class:`EvalDomain` to refuse a wider neighbourhood of the
-    singular set.
+    of its component denominators (a binary float is a dyadic rational)
+    to (W + V) / L; the numerator runs through :func:`_horner_xv` and the
+    real den^s through the same recurrence on scalars, and each component
+    is divided once at the end.  An exact point gives an exact value; at
+    a float point each component is the correctly rounded value of the
+    exact one.  Exactness matters because the symmetrized denominator can
+    be as small as (1-|q|)^8 near the boundary, where float Horner would
+    cancel catastrophically.  The default guard therefore only fences off
+    genuine zeros; pass a stricter :class:`EvalDomain` to refuse a wider
+    neighbourhood of the singular set.
     """
 
     #: anti-zero guard: den^s vanishing only on the boundary sphere can
@@ -588,10 +617,9 @@ class StarQuotient:
     def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:
         domain = domain or self.ZERO_GUARD
         low, sym_den, sym, num_den, num = self._integer_parts
-        scale, w, v1, v2, v3 = _integer_point(q)
-        n2 = v1 * v1 + v2 * v2 + v3 * v3
+        scale, w, v1, v2, v3, n2 = _integer_point(q)
         r2 = w * w + n2  # L^2 |q|^2
-        if r2 / (scale * scale) >= 1.0:
+        if r2 >= scale * scale:
             raise DomainError("evaluation point must lie in the open unit ball")
         if low < 0 and not r2:
             raise SingularityError("negative-valuation series is singular at 0")
@@ -609,23 +637,12 @@ class StarQuotient:
         if math.sqrt(top / bottom) < domain.singular_threshold:
             raise SingularityError("quotient evaluated too close to a symmetrization zero")
         # numerator: L^k n(q) = A + V B, componentwise
-        a0, a1, a2, a3 = num[0]
-        b0 = b1 = b2 = b3 = 0
-        npower = 1
-        for c0, c1, c2, c3 in num[1:]:
-            npower *= scale
-            a0, b0 = w * a0 - n2 * b0 + npower * c0, a0 + w * b0
-            a1, b1 = w * a1 - n2 * b1 + npower * c1, a1 + w * b1
-            a2, b2 = w * a2 - n2 * b2 + npower * c2, a2 + w * b2
-            a3, b3 = w * a3 - n2 * b3 + npower * c3, a3 + w * b3
+        npower, (a0, a1, a2, a3), (b0, b1, b2, b3) = _horner_xv(num, scale, w, n2)
         # (x - V y)(A + V B) = E + V F with E = x A + |V|^2 y B, F = x B - y A
-        e0, e1, e2, e3 = (x * a0 + n2 * y * b0, x * a1 + n2 * y * b1,
-                          x * a2 + n2 * y * b2, x * a3 + n2 * y * b3)
-        f0, f1, f2, f3 = x * b0 - y * a0, x * b1 - y * a1, x * b2 - y * a2, x * b3 - y * a3
-        comps = (e0 - v1 * f1 - v2 * f2 - v3 * f3,
-                 e1 + v1 * f0 + v2 * f3 - v3 * f2,
-                 e2 + v2 * f0 - v1 * f3 + v3 * f1,
-                 e3 + v3 * f0 + v1 * f2 - v2 * f1)
+        comps = _plus_v_times((x * a0 + n2 * y * b0, x * a1 + n2 * y * b1,
+                               x * a2 + n2 * y * b2, x * a3 + n2 * y * b3),
+                              (x * b0 - y * a0, x * b1 - y * a1,
+                               x * b2 - y * a2, x * b3 - y * a3), v1, v2, v3)
         # value = L^m D_s / (norm L^k D_n) * comps; both L powers are powers of L
         if power >= npower:
             factor, divisor = power // npower * sym_den, norm * num_den

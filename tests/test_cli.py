@@ -201,6 +201,44 @@ class TestEvalCommand:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("family", ["sstar", "koebe"])
+    def test_unit_ball_test_is_exact(self, family, tmp_path, capsys):
+        path = tmp_path / f"{family}.json"
+        assert run(["gen", family, "--degree", "12", "--out", str(path)]) == 0
+        capsys.readouterr()
+        # |q|^2 = 1 - 2e-19 + 1e-38 rounds to 1.0 as a float
+        assert run(["eval", str(path), "--at", "9999999999999999999/10000000000000000000"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        for literal in ("1", "3/5+4/5i"):
+            assert run(["eval", str(path), "--at", literal]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
+
+MALFORMED_FILES = {
+    "empty-object": {},
+    "array": [1, 2],
+    "array-naming-series": ["series"],
+    "quotient-without-den": {
+        "series": SliceSeries.identity(4).to_json_dict(),
+        "quotient": {"num": SliceSeries.identity(1).to_json_dict(), "shift": 0},
+    },
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FILES)
+@pytest.mark.parametrize("command", ["eval", "slice-image"])
+def test_malformed_series_file_is_an_error_not_a_traceback(name, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_FILES[name]))
+    flags = ["--at", "1/2"] if command == "eval" else ["--out", str(tmp_path / "cloud.csv")]
+    assert run([command, str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
 
 class TestSliceImageCommand:
     def _rows(self, path):

@@ -6,10 +6,10 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quotient_reference import reference_eval
+from quotient_reference import reference_eval, reference_series_eval
 from srgft.checks import close_to_convex_member
 from srgft.classes import (DEFAULT_GRID, caratheodory_extremal,
                            caratheodory_extremal_quotient,
@@ -77,6 +77,17 @@ class TestWindow:
     def test_json_mode_mismatch_rejected(self):
         data = series([1, 2]).to_json_dict()
         data["coeffs"][0] = [1.0, 0.0, 0.0, 0.0]  # float inside "exact"
+        with pytest.raises(ValueError):
+            SliceSeries.from_json_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        None, [1, 2], {}, {"coeffs": [["1", "0", "0", "0"]]},
+        {"valuation": "0", "coeffs": [["1", "0", "0", "0"]]},
+        {"valuation": 0, "coeffs": 5},
+        {"valuation": 0, "coeffs": [["1/0", "0", "0", "0"]]},
+        {"valuation": 0, "coeffs": [["1", "0", "0", "0"]], "degree": None},
+    ])
+    def test_json_missing_or_ill_typed_field_rejected(self, data):
         with pytest.raises(ValueError):
             SliceSeries.from_json_dict(data)
 
@@ -564,6 +575,95 @@ class TestIntegerEval:
         for q in (exact(1), exact(F(3, 5), F(4, 5)), Quaternion(0.6, 0.8, 0.0, 0.0)):
             with pytest.raises(DomainError):
                 quot.eval(q)
+
+
+# a nonzero coefficient that rounds to 0.0 as a float
+TINY = Quaternion(F(1, 10 ** 400), 0, 0, 0)
+
+
+@st.composite
+def exact_windows(draw):
+    """Exact windows of valuation -3..3 and degree 0..48 above it, with
+    interior zero coefficients and a leading one that may underflow."""
+    rng = Random(draw(st.integers(0, 10 ** 6)))
+    zeros = draw(st.sampled_from((0.0, 0.3, 0.7)))
+    den = draw(st.sampled_from((1, 8, 12, 105)))
+    lead = draw(st.sampled_from((ONE, ONE, TINY)))
+    coeffs = [lead if i == 0 else
+              ZERO if rng.random() < zeros else
+              Quaternion(*(F(rng.randint(-9, 9), den) for _ in range(4)))
+              for i in range(draw(st.integers(1, 49)))]
+    return SliceSeries.from_coeffs(coeffs, draw(st.integers(-3, 3)))
+
+
+@st.composite
+def exact_ball_points(draw, zero=True):
+    """Zero, real, dyadic, rational and |q| = 1 - 1/n exact points."""
+    kind = draw(st.sampled_from(("zero", "real", "dyadic", "rational", "near-one")
+                                if zero else ("real", "dyadic", "rational", "near-one")))
+    if kind == "zero":
+        return ZERO
+    if kind == "real":
+        return Quaternion.from_real(draw(ball_rationals))
+    if kind == "dyadic":
+        return Quaternion(*(F(draw(st.integers(-2 ** 20, 2 ** 20)), 2 ** 22) for _ in range(4)))
+    if kind == "rational":
+        return Quaternion(*draw(st.tuples(*[ball_rationals] * 4)))
+    u = random_exact_unit(Random(draw(st.integers(0, 10 ** 6))))
+    return u * (1 - F(1, draw(st.integers(2, 10 ** 6))))
+
+
+def _float_with_signed_zeros(q: Quaternion, signs) -> Quaternion:
+    """q in float mode, its zero components given the signs drawn."""
+    return Quaternion(*(float(c) or math.copysign(0.0, s)
+                        for c, s in zip((q.w, q.x, q.y, q.z), signs)))
+
+
+zero_signs = st.tuples(*[st.sampled_from((1.0, -1.0))] * 4)
+
+
+class TestSeriesEval:
+    @given(exact_windows(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_matches_the_fraction_horner(self, f, data):
+        q = data.draw(exact_ball_points(zero=f.valuation >= 0))
+        assume(f.valuation >= 0 or not q.is_zero())
+        # the reprs compare the Fraction type of every component too
+        assert _outcome(f.eval, q) == _outcome(lambda p: reference_series_eval(f, p), q)
+
+    @given(exact_windows(), exact_ball_points(zero=False), zero_signs, zero_signs,
+           st.sampled_from(("float-window", "float-point", "both-float")))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_modes_match_the_promoted_horner_bit_for_bit(self, f, q, window_signs,
+                                                               point_signs, pairing):
+        if pairing != "float-point":
+            f = SliceSeries(f.valuation, tuple(_float_with_signed_zeros(c, window_signs)
+                                               for c in f.coeffs))
+        if pairing != "float-window":
+            q = _float_with_signed_zeros(q, point_signs)
+        assume(f.valuation >= 0 or not q.is_zero())
+        # to_float: a one-coefficient window at v = 0 is its coefficient,
+        # which the reference leaves in the window's mode
+        assert _outcome(f.eval, q) == \
+            _outcome(lambda p: reference_series_eval(f, p).to_float(), q)
+
+    @given(exact_windows(), zero_signs)
+    @settings(max_examples=30, deadline=None)
+    def test_laurent_window_is_singular_at_zero(self, f, signs):
+        assume(f.coeffs[0] != TINY)  # its float window would start higher
+        f = f.shift(-1 - max(f.valuation, 0))
+        for window in (f, f.to_float()):
+            for zero in (ZERO, _float_with_signed_zeros(ZERO, signs)):
+                with pytest.raises(SingularityError):
+                    window.eval(zero)
+
+    @pytest.mark.parametrize("q", [exact(F(9999999999999999999, 10 ** 19)),
+                                   exact(F(3, 5), F(4, 5) - F(1, 10 ** 20))])
+    def test_unit_ball_test_is_exact(self, q):
+        assert float(q.norm_sq()) == 1.0 and q.norm_sq() < 1
+        f = series([1, 2, 3], valuation=1)
+        assert f.eval(q) == reference_series_eval(f, q)
+        assert koebe_quotient(ONE).eval(q) == reference_eval(koebe_quotient(ONE), q)
 
 
 # rational points of the unit 2-sphere, up to signs and order
