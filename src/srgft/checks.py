@@ -399,7 +399,7 @@ def check_rogosinski(f: FunctionLike, q0: Quaternion,
     fut = as_function(f)
     if fut.series.valuation < 1:
         raise PreconditionError("function must vanish at 0")
-    if float(q0.norm_sq()) >= 1.0:
+    if q0.norm_sq() >= 1:
         raise PreconditionError("evaluation point must lie inside the ball")
     _screen_self_map(fut, grid, slack=POINT_TOL)
     b = fut.series.coeff(1).to_float()
@@ -408,7 +408,8 @@ def check_rogosinski(f: FunctionLike, q0: Quaternion,
     scale = (1.0 - float(q0f.norm_sq())) / (1.0 - q0b_sq)
     center = (q0f * b) * scale
     radius = float(q0f.norm_sq()) * (1.0 - float(b.norm_sq())) / (1.0 - q0b_sq)
-    value = fut.value(q0f)
+    # at q0 itself: an exact q0 inside the ball can round onto the sphere
+    value = fut.value(q0).to_float()
     distance = abs(value - center)
     col = _Collector(tol)
     col.check(radius - distance,

@@ -32,7 +32,7 @@ from .quat import (ONE, ZERO, ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K,
                    exact_sqrt, quaternion_to_json)
 from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, ExactForm,
                      SliceSeries, StarQuotient, full_star_mul, integrate_radial,
-                     slice_derivative, star_mul)
+                     outside_closed_ball, slice_derivative, star_mul)
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 DEFAULT_ANGLE_COUNT = 8
@@ -531,10 +531,10 @@ def rogosinski_extremal_form(b: Quaternion, p: Quaternion) -> ExactForm:
 def _rogosinski_parts(b: Quaternion, p: Quaternion):
     if b.is_zero():
         raise DomainError("derivative parameter must be nonzero for this family")
-    if float(p.norm_sq()) > 1.0 + 1e-12:
+    if outside_closed_ball(p):
         raise DomainError("free parameter must lie in the closed unit ball")
     nsq = b.norm_sq()
-    if float(nsq) >= 1.0:
+    if nsq >= 1:
         raise DomainError("derivative parameter must lie inside the unit ball")
     if b.is_exact:
         root = exact_sqrt(nsq)

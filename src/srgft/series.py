@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError, SingularityError
@@ -63,15 +64,6 @@ def _integer_point(q: Quaternion) -> tuple[int, int, int, int, int, int]:
     scale = math.lcm(*(d for _, d in ratios))
     w, x, y, z = (n * (scale // d) for n, d in ratios)
     return scale, w, x, y, z, x * x + y * y + z * z
-
-
-def _integer_coeffs(f: SliceSeries, low: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, c): the exact window f is q^low sum_n q^n c_n / D with integer
-    4-tuples c_n, listed from the highest power down to q^low."""
-    comps = [(c.w, c.x, c.y, c.z) for c in reversed(f.coeffs)]
-    den = math.lcm(*(x.denominator for cs in comps for x in cs))
-    ints = tuple(tuple(x.numerator * (den // x.denominator) for x in cs) for cs in comps)
-    return den, ints + ((0, 0, 0, 0),) * (f.valuation - low)
 
 
 def _horner_xv(coeffs: tuple[tuple[int, ...], ...], scale: int, w: int, n2: int):
@@ -183,6 +175,16 @@ class SliceSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        """(D, c): the exact window is sum_n q^(v+n) c_n / D with the least
+        common denominator D and integer 4-tuples c_n, listed from q^v up.
+        Built on first use and kept in the instance ``__dict__``."""
+        comps = [(c.w, c.x, c.y, c.z) for c in self.coeffs]
+        den = math.lcm(*(x.denominator for cs in comps for x in cs))
+        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in cs)
+                          for cs in comps)
+
     def coeff(self, n: int) -> Quaternion:
         """Coefficient of q^n.  Raises above the truncation degree."""
         if n > self.degree:
@@ -264,24 +266,28 @@ class SliceSeries:
 
         The nesting q^v (a_v + q (a_{v+1} + ...)) is exact because powers
         of q commute with q itself.  An exact window at an exact point runs
-        the integer Horner :func:`_horner_xv` and stays exact; any float
-        operand runs float Horner with both operands in float, which is bit
-        for bit what promoting each mixed operation gives.
+        the integer Horner :func:`_horner_xv` on its cached integer form and
+        stays exact; a positive v joins that Horner as v zero rows.  Any
+        float operand runs float Horner with both operands in float, which
+        is bit for bit what promoting each mixed operation gives.
         """
         if q.norm_sq() >= 1:
             raise DomainError("evaluation point must lie in the open unit ball")
         if self.valuation < 0 and q.is_zero():
             raise SingularityError("negative-valuation series is singular at 0")
         if self.is_exact and q.is_exact:
+            low = min(self.valuation, 0)
             scale, w, v1, v2, v3, n2 = _integer_point(q)
-            den, coeffs = _integer_coeffs(self, self.valuation)
-            power, a, b = _horner_xv(coeffs, scale, w, n2)
+            den, rows = self._integer_form
+            power, a, b = _horner_xv(rows[::-1] + ((0, 0, 0, 0),) * (self.valuation - low),
+                                     scale, w, n2)
             acc = Quaternion(*(Fraction(c, power * den) for c in _plus_v_times(a, b, v1, v2, v3)))
         else:
+            low = self.valuation
             # converted one by one: to_float() would renormalize an underflowed a_v
             cs = tuple(c.to_float() for c in self.coeffs) if self.is_exact else self.coeffs
             acc = _eval_float(cs, q.to_float())
-        return _central_power(q, self.valuation) * acc if self.valuation else acc
+        return _central_power(q, low) * acc if low else acc
 
     # -- serialization -----------------------------------------------------
 
@@ -315,6 +321,13 @@ class SliceSeries:
 # ---------------------------------------------------------------------------
 
 
+def _exact_series(valuation: int, den: int, rows) -> SliceSeries:
+    """The exact window sum_n q^(valuation+n) r_n / den of integer rows r_n."""
+    return SliceSeries(valuation, tuple(
+        Quaternion(Fraction(r0, den), Fraction(r1, den), Fraction(r2, den), Fraction(r3, den))
+        for r0, r1, r2, r3 in rows))
+
+
 def slice_derivative(f: SliceSeries) -> SliceSeries:
     """Term rule: q^n a_n maps to q^(n-1) (n a_n); window shrinks by one.
 
@@ -332,7 +345,10 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
 
     The result window is the largest one fully determined by the two
     operand windows: valuation v_f + v_g, degree
-    min(N_f + v_g, N_g + v_f).
+    min(N_f + v_g, N_g + v_f).  Exact windows convolve their integer
+    forms over D_f D_g: each component of c_n is one integer dot product
+    of a_0 .. a_n with b_n .. b_0 under a sign pattern of the quaternion
+    product.  A float operand runs the quaternion loop.
     """
     exact = f.is_exact and g.is_exact
     v = f.valuation + g.valuation
@@ -340,6 +356,18 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     if f.is_zero() or g.is_zero():
         return SliceSeries.zero(max(degree, 0), exact)
     length = degree - v + 1
+    if exact:
+        f_den, f_rows = f._integer_form
+        g_den, g_rows = g._integer_form
+        flat = [x for row in f_rows[:length] for x in row]
+        rev = g_rows[length - 1::-1]
+        signed = ([x for b0, b1, b2, b3 in rev for x in (b0, -b1, -b2, -b3)],
+                  [x for b0, b1, b2, b3 in rev for x in (b1, b0, b3, -b2)],
+                  [x for b0, b1, b2, b3 in rev for x in (b2, -b3, b0, b1)],
+                  [x for b0, b1, b2, b3 in rev for x in (b3, b2, -b1, b0)])
+        end = 4 * length
+        return _exact_series(v, f_den * g_den, (
+            [sum(map(mul, flat, b[end - 4 * n - 4:])) for b in signed] for n in range(length)))
     zero = _zero_like(exact)
     out = [zero] * length
     fa, ga = f.coeffs, g.coeffs
@@ -373,22 +401,36 @@ def regular_conjugate(f: SliceSeries) -> SliceSeries:
 def symmetrize(f: SliceSeries) -> SliceSeries:
     """f star f^c.  Coefficients are real by the pairing a_k conj(a_m) + a_m conj(a_k).
 
-    Computed through the paired-real formula so reality is exact in both
-    scalar modes; in exact mode this agrees with star_mul(f, f^c)
-    coefficient by coefficient.
+    Computed through real dot products so reality is exact in both scalar
+    modes; in exact mode this agrees with star_mul(f, f^c) coefficient by
+    coefficient.  An exact window takes the dot product of its integer
+    rows c_0 .. c_t with c_t .. c_0 over D^2; a float window pairs the
+    terms, doubling each off-diagonal dot.
     """
     if f.is_zero():
         return SliceSeries.zero(max(f.degree + f.valuation, 0), f.is_exact)
     cs = f.coeffs
     length = len(cs)  # valid window: t in [0, N - v]
+    if f.is_exact:
+        den, rows = f._integer_form
+        flat = [x for row in rows for x in row]
+        rev = [x for row in reversed(rows) for x in row]
+        out = []
+        for t in range(length):
+            # the pairs i < t - i: rows 0, 1, .. against rows t, t - 1, ..
+            start = 4 * (length - 1 - t)
+            acc = 2 * sum(map(mul, flat, rev[start:start + 4 * ((t + 1) // 2)]))
+            if not t % 2:
+                middle = rows[t // 2]
+                acc += sum(map(mul, middle, middle))
+            out.append(Quaternion.from_real(Fraction(acc, den * den)))
+        return SliceSeries(2 * f.valuation, tuple(out))
     out = []
     for t in range(length):
         acc = 0
         half = t // 2
         for i in range(half + 1):
             j = t - i
-            if j >= length:
-                continue
             a, b = cs[i], cs[j]
             dot = a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
             acc = acc + (dot if i == j else 2 * dot)
@@ -396,8 +438,8 @@ def symmetrize(f: SliceSeries) -> SliceSeries:
     return SliceSeries(2 * f.valuation, tuple(out))
 
 
-def _invert_real_series(values: list[Scalar]) -> list[Scalar]:
-    """Reciprocal of a scalar power series with s_0 != 0, to the same order."""
+def _invert_real_series(values: list[float]) -> list[float]:
+    """Reciprocal of a float power series with s_0 != 0, to the same order."""
     inv0 = 1 / values[0]
     out = [inv0]
     for n in range(1, len(values)):
@@ -408,20 +450,43 @@ def _invert_real_series(values: list[Scalar]) -> list[Scalar]:
     return out
 
 
+def _invert_integer_series(s: list[int]) -> tuple[int, list[int]]:
+    """(E, u): 1 / sum_n q^n s_n = sum_n q^n u_n / E to the same order, for
+    integers s_n with s_0 > 0.  Each new term is reduced before it joins
+    the common denominator E, which keeps the integers as small as the
+    reduced fractions."""
+    s0, tail = s[0], s[1:]
+    den, out = s0, [1]
+    for _ in range(1, len(s)):
+        num, d = -sum(map(mul, tail, reversed(out))), s0 * den
+        g = math.gcd(num, d)
+        num, d = num // g, d // g
+        grow = d // math.gcd(den, d)
+        if grow != 1:
+            out = [u * grow for u in out]
+            den *= grow
+        out.append(num * (den // d))
+    return den, out
+
+
 def star_reciprocal(f: SliceSeries) -> SliceSeries:
     """Regular reciprocal: invert the real symmetrization, then star f^c.
 
     The input's valuation flips sign, so reciprocals of series vanishing
-    at 0 come back as Laurent windows.
+    at 0 come back as Laurent windows.  An exact window inverts the
+    integer form of its symmetrization.
     """
     if f.is_zero():
         raise DomainError("the zero series has no regular reciprocal")
     fs = symmetrize(f)
     # strip the central q^(2v); the unit part starts with |a_v|^2 > 0
-    unit_scalars = [c.w for c in fs.coeffs]
-    inverted = _invert_real_series(unit_scalars)
-    inv_sym = SliceSeries(-2 * f.valuation,
-                          tuple(Quaternion.from_real(s) for s in inverted))
+    if f.is_exact:
+        den, rows = fs._integer_form
+        inv_den, inverted = _invert_integer_series([row[0] for row in rows])
+        scalars = [Fraction(den * u, inv_den) for u in inverted]
+    else:
+        scalars = _invert_real_series([c.w for c in fs.coeffs])
+    inv_sym = SliceSeries(-2 * f.valuation, tuple(Quaternion.from_real(s) for s in scalars))
     return star_mul(inv_sym, regular_conjugate(f))
 
 
@@ -454,7 +519,10 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
 
     Legitimate because w's coefficients are real and therefore central:
     powers of w(q) stay slice regular.  The result window is
-    min(N_f, N_w).
+    min(N_f, N_w).  Exact windows run on integers: with w = W / D_w, the
+    powers W^n have integer coefficients (each one a dot product with the
+    reversed W), and sum_n a_n w^n is summed over D_f D_w^N with a_n
+    scaled by D_w^(N-n).  A float operand runs the quaternion loop.
     """
     for _, c in w.terms():
         if not c.is_real():
@@ -465,6 +533,28 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
         raise DomainError("cannot substitute into a Laurent window")
     exact = f.is_exact and w.is_exact
     degree = min(f.degree, w.degree)
+    if exact:
+        f_den, f_rows = f._integer_form
+        w_den, w_rows = w._integer_form
+        w_ints = ([0] * w.valuation + [row[0] for row in w_rows])[:degree + 1]
+        while len(w_ints) > 1 and not w_ints[-1]:
+            w_ints.pop()
+        m = len(w_ints) - 1
+        w_rev = w_ints[::-1]
+        power = [1] + [0] * degree
+        powers = [power]
+        for n in range(1, degree + 1):
+            # W^n lives on q^(n v_w) .. q^(n m); a monomial W has one term
+            padded = [0] * m + power
+            power = [0] * (degree + 1)
+            for d in range(n * w.valuation, min(n * m, degree) + 1):
+                power[d] = sum(map(mul, padded[d:d + m + 1], w_rev))
+            powers.append(power)
+        a_rows = (((0, 0, 0, 0),) * f.valuation + f_rows)[:degree + 1]
+        scaled = [[x * w_den ** (degree - n) for n, x in enumerate(comp)]
+                  for comp in zip(*a_rows)]
+        return _exact_series(0, f_den * w_den ** degree, (
+            [sum(map(mul, comp, col)) for comp in scaled] for col in zip(*powers)))
     w_scal: list[Scalar] = [0] * (degree + 1)
     for n, c in w.terms():
         if 0 <= n <= degree:
@@ -509,6 +599,13 @@ def odd_part(f: SliceSeries) -> SliceSeries:
     return SliceSeries(f.valuation, out)
 
 
+def outside_closed_ball(a: Quaternion) -> bool:
+    """|a| > 1, decided exactly for an exact a and with a 1e-12 allowance
+    on |a|^2 for a float one."""
+    nsq = a.norm_sq()
+    return nsq > 1 if a.is_exact else nsq > 1.0 + 1e-12
+
+
 def geometric(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """Sigma q^n u^n, the star reciprocal of 1 - q u."""
     coeffs = []
@@ -526,10 +623,9 @@ def mobius(a: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
 
     which is the expansion of (1 - q conj(a))^(-*) star (a - q).
     """
-    nsq = a.norm_sq()
-    if float(nsq) > 1.0 + 1e-12:
+    if outside_closed_ball(a):
         raise DomainError("moebius parameter must lie in the closed unit ball")
-    t = 1 - nsq
+    t = 1 - a.norm_sq()
     abar = a.conjugate()
     coeffs = [a]
     power = ONE
@@ -541,8 +637,7 @@ def mobius(a: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
 
 def mobius_quotient(a: Quaternion) -> "StarQuotient":
     """The Moebius transform as an exact quotient of linear polynomials."""
-    nsq = a.norm_sq()
-    if float(nsq) > 1.0 + 1e-12:
+    if outside_closed_ball(a):
         raise DomainError("moebius parameter must lie in the closed unit ball")
     return StarQuotient(SliceSeries.from_coeffs([a, -ONE]),
                         SliceSeries.from_coeffs([ONE, -a.conjugate()]))
@@ -561,8 +656,8 @@ class StarQuotient:
     truncation error; this is how the built-in extremal functions are
     evaluated near the boundary of the ball.  The two polynomials are
     formed on first evaluation, from den and num with their trailing
-    zeros trimmed, and kept as integer coefficients over one common
-    denominator each.
+    zeros trimmed, and read through their integer forms: integer
+    coefficients over one common denominator each.
 
     Evaluation runs on integers only.  The point is scaled by the lcm L
     of its component denominators (a binary float is a dyadic rational)
@@ -610,9 +705,10 @@ class StarQuotient:
         other polynomial takes the difference as zero coefficients."""
         sym, num = self._den_sym, self._den_conj_num
         low = min(sym.valuation, num.valuation)
-        sym_den, sym_ints = _integer_coeffs(sym, low)
-        num_den, num_ints = _integer_coeffs(num, low)
-        return low, sym_den, tuple(c[0] for c in sym_ints), num_den, num_ints
+        sym_den, sym_rows = sym._integer_form
+        num_den, num_rows = num._integer_form
+        return (low, sym_den, tuple(c[0] for c in sym_rows[::-1]) + (0,) * (sym.valuation - low),
+                num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (num.valuation - low))
 
     def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:
         domain = domain or self.ZERO_GUARD

@@ -249,6 +249,18 @@ class TestRogosinski:
         assert report.passed
         assert report.params["boundary_attained"]
 
+    def test_unit_ball_test_is_exact(self):
+        # |q0|^2 < 1 exactly, though it rounds to 1.0: the value is taken at
+        # q0 itself, where the extremal attains the boundary of its ball
+        fut = rogosinski_function(exact(0, F(1, 2)), ONE, 12)
+        q0 = exact(F(9999999999999999999, 10 ** 19))
+        assert float(q0.norm_sq()) == 1.0
+        report = check_rogosinski(fut, q0, SMALL_GRID)
+        assert report.passed
+        assert report.params["boundary_attained"]
+        with pytest.raises(PreconditionError):
+            check_rogosinski(fut, exact(1), SMALL_GRID)
+
     def test_linear_interior(self):
         b = Quaternion(0.0, 0.3, 0.2, 0.0)
         fut = monomial_function(b, 1, 8)

@@ -314,6 +314,16 @@ class TestRogosinskiExtremal:
         with pytest.raises(DomainError):
             rogosinski_extremal(exact(0), ONE, 8)
 
+    def test_ball_tests_are_exact_for_exact_parameters(self):
+        below, above = 1 - F(1, 10 ** 19), 1 + F(1, 10 ** 13)
+        assert rogosinski_extremal(exact(below), ONE, 8).coeff(1) == exact(below)
+        with pytest.raises(DomainError):
+            rogosinski_extremal(exact(1), ONE, 8)
+        with pytest.raises(DomainError):
+            rogosinski_extremal(exact(0, F(1, 2)), exact(above), 8)
+        # a float parameter keeps its 1e-12 allowance
+        rogosinski_extremal(exact(0, F(1, 2)), exact(above).to_float(), 8)
+
 
 class TestOddPartBridge:
     def test_bridge(self):

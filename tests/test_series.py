@@ -10,6 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quotient_reference import reference_eval, reference_series_eval
+from series_reference import (reference_compose_slice_preserving,
+                              reference_star_mul, reference_star_reciprocal,
+                              reference_symmetrize)
 from srgft.checks import close_to_convex_member
 from srgft.classes import (DEFAULT_GRID, caratheodory_extremal,
                            caratheodory_extremal_quotient,
@@ -400,6 +403,14 @@ class TestMobius:
     def test_outside_ball_rejected(self):
         with pytest.raises(DomainError):
             mobius(exact(2))
+
+    def test_closed_ball_test_is_exact_for_an_exact_parameter(self):
+        above = exact(1 + F(1, 10 ** 13))
+        for build in (mobius, mobius_quotient):
+            with pytest.raises(DomainError):
+                build(above)
+            build(exact(1))
+            build(above.to_float())  # a float keeps its 1e-12 allowance
 
 
 class TestStarQuotient:
@@ -830,3 +841,97 @@ class TestScalarMode:
                 acc = acc + (dot if i == t - i else 2.0 * dot)
             out.append(Quaternion(acc, 0.0, 0.0, 0.0))
         assert _bits(symmetrize(f)) == _bits(SliceSeries(2 * f.valuation, tuple(out)))
+
+
+@st.composite
+def kernel_windows(draw, max_length=20, valuations=(-3, 3), real=False):
+    """Exact windows for the series kernels: the zero series one time in
+    eight, else zero, one or two leading zero coefficients (which the
+    window folds into its valuation), a body with interior zeros and
+    mixed denominators, and zero, one or two trailing zeros."""
+    if draw(st.integers(0, 7)) == 0:
+        return SliceSeries.zero(draw(st.integers(0, max_length - 1)))
+    rng = Random(draw(st.integers(0, 10 ** 6)))
+    den = draw(st.sampled_from((1, 6, 8, 105)))
+    zeros = draw(st.sampled_from((0.0, 0.3)))
+
+    def coefficient():
+        if rng.random() < zeros:
+            return ZERO
+        parts = [F(rng.randint(-9, 9), rng.choice((1, den, 3 * den))) for _ in range(4)]
+        return Quaternion.from_real(parts[0] or 1) if real else Quaternion(*parts)
+
+    lead, trail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    body = [coefficient() for _ in range(draw(st.integers(1, max_length - 4)))]
+    return SliceSeries.from_coeffs([ZERO] * lead + body + [ZERO] * trail,
+                                   draw(st.integers(*valuations)))
+
+
+def _same_exact_window(got: SliceSeries, want: SliceSeries) -> None:
+    assert (got.valuation, got.degree) == (want.valuation, want.degree)
+    assert got == want
+    assert _component_types(got) == {F}
+
+
+inner_windows = kernel_windows(valuations=(1, 3), real=True)
+
+
+class TestIntegerKernels:
+    """The integer kernels agree with the Quaternion loops they replace:
+    exact windows coefficient for coefficient, float and mixed windows
+    bit for bit."""
+
+    @given(kernel_windows(), kernel_windows())
+    @settings(max_examples=150, deadline=None)
+    def test_star_mul_matches_the_reference(self, f, g):
+        _same_exact_window(star_mul(f, g), reference_star_mul(f, g))
+
+    @given(kernel_windows())
+    @settings(max_examples=150, deadline=None)
+    def test_symmetrize_matches_the_reference(self, f):
+        _same_exact_window(symmetrize(f), reference_symmetrize(f))
+
+    @given(kernel_windows(max_length=14))
+    @settings(max_examples=80, deadline=None)
+    def test_star_reciprocal_matches_the_reference(self, f):
+        assume(not f.is_zero())
+        _same_exact_window(star_reciprocal(f), reference_star_reciprocal(f))
+
+    @given(kernel_windows(max_length=14, valuations=(0, 3)), inner_windows)
+    @settings(max_examples=80, deadline=None)
+    def test_compose_matches_the_reference(self, f, w):
+        _same_exact_window(compose_slice_preserving(f, w),
+                           reference_compose_slice_preserving(f, w))
+
+    def test_zero_series_operands(self):
+        zero, f = SliceSeries.zero(5), rand_series(Random(5), 7, valuation=-2)
+        _same_exact_window(star_mul(zero, f), reference_star_mul(zero, f))
+        _same_exact_window(symmetrize(zero), reference_symmetrize(zero))
+        _same_exact_window(compose_slice_preserving(f.shift(2), zero),
+                           reference_compose_slice_preserving(f.shift(2), zero))
+
+    @given(kernel_windows(max_length=12), kernel_windows(max_length=12),
+           inner_windows, zero_signs, zero_signs,
+           st.sampled_from(("float-float", "exact-float", "float-exact")))
+    @settings(max_examples=150, deadline=None)
+    def test_float_and_mixed_windows_match_the_reference_bit_for_bit(
+            self, f, g, w, f_signs, g_signs, pairing):
+        if pairing != "exact-float":
+            f = SliceSeries(f.valuation, tuple(_float_with_signed_zeros(c, f_signs)
+                                               for c in f.coeffs))
+        if pairing != "float-exact":
+            g = SliceSeries(g.valuation, tuple(_float_with_signed_zeros(c, g_signs)
+                                               for c in g.coeffs))
+            w = w.to_float()
+        assert _bits(star_mul(f, g)) == _bits(reference_star_mul(f, g))
+        assert _bits(star_mul(g, f)) == _bits(reference_star_mul(g, f))
+        for window in (f, g):
+            if window.is_exact:
+                continue
+            assert _bits(symmetrize(window)) == _bits(reference_symmetrize(window))
+            if not window.is_zero():
+                assert _bits(star_reciprocal(window)) == \
+                    _bits(reference_star_reciprocal(window))
+        if f.valuation >= 0:
+            assert _bits(compose_slice_preserving(f, w)) == \
+                _bits(reference_compose_slice_preserving(f, w))
