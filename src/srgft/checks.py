@@ -628,9 +628,10 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
     skipped: list[dict] = []
     evaluated = 0
     for q in grid.points:
-        if abs(fs.eval(q)) < domain.singular_threshold:
+        sym = abs(fs.eval(q))
+        if sym < domain.singular_threshold:
             if len(skipped) < 16:
-                skipped.append(_point_entry(q, abs(fs.eval(q)), domain.singular_threshold))
+                skipped.append(_point_entry(q, sym, domain.singular_threshold))
             continue
         evaluated += 1
         fv, gv = ff.eval(q), gf.eval(q)

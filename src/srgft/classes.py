@@ -31,8 +31,9 @@ from .errors import DomainError, PreconditionError
 from .quat import (ONE, ZERO, ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K,
                    exact_sqrt, quaternion_to_json)
 from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, ExactForm,
-                     SliceSeries, StarQuotient, full_star_mul, integrate_radial,
-                     outside_closed_ball, slice_derivative, star_mul)
+                     SliceSeries, StarQuotient, full_star_mul, integer_powers,
+                     integrate_radial, outside_closed_ball, rational_quaternion,
+                     slice_derivative, star_mul)
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 DEFAULT_ANGLE_COUNT = 8
@@ -322,13 +323,17 @@ def is_one_slice(f: FunctionLike) -> ClassVerdict:
 
 
 def random_exact_unit(rng: Random) -> Quaternion:
-    """Rational point of the unit 3-sphere: v^2 / |v|^2 for integer v."""
+    """Rational point of the unit 3-sphere: v^2 / |v|^2 for integer v.
+
+    The square of v = v0 + V is v0^2 - |V|^2 + 2 v0 V, taken on integers.
+    """
     while True:
-        v = Quaternion(rng.randint(-2, 2), rng.randint(-2, 2),
-                       rng.randint(-2, 2), rng.randint(-2, 2))
-        if not v.is_zero():
+        v0, v1, v2, v3 = (rng.randint(-2, 2) for _ in range(4))
+        if v0 or v1 or v2 or v3:
             break
-    return (v * v) * Fraction(1, v.norm_sq())
+    return rational_quaternion((v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3, 2 * v0 * v1,
+                                2 * v0 * v2, 2 * v0 * v3),
+                               v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
 
 
 def random_float_unit(rng: Random) -> Quaternion:
@@ -388,8 +393,15 @@ def certify_small_coeff(f: SliceSeries) -> ClassVerdict:
 
 
 def caratheodory_extremal(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
-    """1 + 2 Sigma q^n u^n, the maximal-coefficient member for |u| = 1."""
+    """1 + 2 Sigma q^n u^n, the maximal-coefficient member for |u| = 1.
+
+    An exact u raises its powers on integers (`integer_powers`); a float
+    u multiplies quaternions.
+    """
     _require_unit(u)
+    if u.is_exact:
+        return SliceSeries(0, (ONE,) + tuple(rational_quaternion(row, den, 2)
+                                             for den, row in integer_powers(u, degree, u)))
     coeffs = [ONE]
     power = u
     for _ in range(1, degree + 1):
@@ -416,12 +428,19 @@ def caratheodory_mixture_parts(seed: int, k: int = 3) -> tuple[list[Fraction], l
 
 def generate_caratheodory(seed: int, degree: int = DEFAULT_DEGREE,
                           k: int = 3) -> SliceSeries:
-    """Convex combination of extremal members: in the class by convexity."""
+    """Convex combination of extremal members: in the class by convexity.
+
+    a_0 = sum_k lambda_k = 1, and a_n = sum_k 2 lambda_k u_k^n is summed
+    on integers over one denominator, the powers from `integer_powers`.
+    """
     lambdas, units = caratheodory_mixture_parts(seed, k)
-    acc = SliceSeries.zero(degree)
-    for lam, u in zip(lambdas, units):
-        acc = acc + caratheodory_extremal(u, degree).scale(lam)
-    return acc
+    powers = [integer_powers(u, degree, u * (2 * lam)) for lam, u in zip(lambdas, units)]
+    coeffs = [ONE]
+    for terms in zip(*powers):
+        den = math.lcm(*(d for d, _ in terms))
+        coeffs.append(rational_quaternion(
+            [sum(row[i] * (den // d) for d, row in terms) for i in range(4)], den))
+    return SliceSeries(0, tuple(coeffs))
 
 
 def caratheodory_mixture_form(seed: int, k: int = 3) -> ExactForm:
@@ -451,6 +470,9 @@ def koebe(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """Coefficients a_n = n u^(n-1): the extremal for the coefficient,
     growth and distortion bounds."""
     _require_unit(u)
+    if u.is_exact:
+        return SliceSeries(1, tuple(rational_quaternion(row, den, n) for n, (den, row)
+                                    in enumerate(integer_powers(u, degree), 1)))
     coeffs = []
     power = ONE
     for n in range(1, degree + 1):
@@ -505,13 +527,19 @@ def rogosinski_extremal(b: Quaternion, p: Quaternion,
 
         f(q) = q (1 - q |b| p)^(-star) star (|b| - q p) b/|b|
 
-    Stays exact when |b| is rational; degrades to float otherwise.
-    The family needs b != 0; for b = 0 use the monomials q^2 u instead.
+    Stays exact when |b| is rational; degrades to float otherwise.  In
+    exact mode the powers of |b| p are raised on integers
+    (`integer_powers`).  The family needs b != 0; for b = 0 use the
+    monomials q^2 u instead.
     """
     beta, u_b, p = _rogosinski_parts(b, p)
     bp = p * beta
     # a_(n+1) = (|b| p)^(n-1) p (|b|^2 - 1) u_b for n >= 1
     factor = p * (beta * beta - 1)
+    if u_b.is_exact and p.is_exact:
+        return SliceSeries(1, (u_b * beta,) + tuple(
+            rational_quaternion(row, den)
+            for den, row in integer_powers(bp, degree - 1, factor * u_b)))
     coeffs = [u_b * beta]
     power = ONE
     for _ in range(2, degree + 1):

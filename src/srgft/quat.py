@@ -35,6 +35,14 @@ def _coerce(value) -> Scalar:
     raise TypeError(f"unsupported scalar type: {type(value).__name__}")
 
 
+def float_components(w, x, y, z) -> tuple[float, float, float, float]:
+    """The four components as floats, each converted on its own."""
+    try:
+        return float(w), float(x), float(y), float(z)
+    except OverflowError:
+        raise DomainError("rational component too large for a float") from None
+
+
 def exact_sqrt(value: Fraction) -> Fraction | None:
     """Square root of a nonnegative rational, or None if irrational."""
     if value < 0:
@@ -48,7 +56,14 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
 
 @dataclass(frozen=True)
 class Quaternion:
-    """Immutable quaternion w + x i + y j + z k."""
+    """Immutable quaternion w + x i + y j + z k.
+
+    Construction normalizes the components: ints become `Fraction`s, a
+    float anywhere makes all four floats, and a non-finite float or a
+    rational too large for a float raises `DomainError`.  Components that
+    are already normal (four of type exactly `Fraction`, or four finite
+    values of type exactly `float`) are kept as given, without coercion.
+    """
 
     w: Scalar
     x: Scalar
@@ -56,13 +71,16 @@ class Quaternion:
     z: Scalar
 
     def __post_init__(self):
-        w, x, y, z = (_coerce(self.w), _coerce(self.x),
-                      _coerce(self.y), _coerce(self.z))
+        w, x, y, z = self.w, self.x, self.y, self.z
+        # four Fractions, or four finite floats, are already normal
+        kind = type(w)
+        if kind is type(x) and kind is type(y) and kind is type(z) and (
+                kind is Fraction or kind is float and math.isfinite(w)
+                and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            return
+        w, x, y, z = _coerce(w), _coerce(x), _coerce(y), _coerce(z)
         if any(isinstance(c, float) for c in (w, x, y, z)):
-            try:
-                w, x, y, z = float(w), float(x), float(y), float(z)
-            except OverflowError:
-                raise DomainError("rational component too large for a float") from None
+            w, x, y, z = float_components(w, x, y, z)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -72,12 +90,13 @@ class Quaternion:
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.w, Fraction)
+        # a float component is always of type exactly float
+        return type(self.w) is not float
 
     def to_float(self) -> "Quaternion":
         if not self.is_exact:
             return self
-        return Quaternion(float(self.w), float(self.x), float(self.y), float(self.z))
+        return Quaternion(*float_components(self.w, self.x, self.y, self.z))
 
     def to_exact(self) -> "Quaternion":
         """Exact image of a float quaternion (binary floats are rational)."""
@@ -148,13 +167,14 @@ class Quaternion:
     def __pow__(self, n: int) -> "Quaternion":
         if not isinstance(n, int) or n < 0:
             raise DomainError("quaternion power requires a nonnegative integer")
-        result = ONE if self.is_exact else ONE.to_float()
+        result = ONE if self.is_exact else _FLOAT_ONE
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse(self) -> "Quaternion":
@@ -243,6 +263,7 @@ def inner_product(a: ImaginaryUnit, b: ImaginaryUnit) -> Scalar:
 
 ZERO = Quaternion(0, 0, 0, 0)
 ONE = Quaternion(1, 0, 0, 0)
+_FLOAT_ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
 K = Quaternion(0, 0, 0, 1)

@@ -22,7 +22,8 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError, SingularityError
-from .quat import ONE, ZERO, Quaternion, Scalar, quaternion_from_json, quaternion_to_json
+from .quat import (ONE, ZERO, Quaternion, Scalar, float_components, quaternion_from_json,
+                   quaternion_to_json)
 
 DEFAULT_DEGREE = 48
 DEFAULT_SINGULAR_THRESHOLD = 1e-8
@@ -92,18 +93,18 @@ def _plus_v_times(e: tuple[int, ...], f: tuple[int, ...], v1: int, v2: int, v3: 
             e3 + v3 * f0 + v1 * f2 - v2 * f1)
 
 
-def _eval_float(cs: tuple[Quaternion, ...], q: Quaternion) -> Quaternion:
-    """Float Horner of sum_n q^n c_n over float coefficients c_0, c_1, ..."""
+def _eval_float(rows: tuple[tuple[float, float, float, float], ...],
+                q: Quaternion) -> Quaternion:
+    """Float Horner of sum_n q^n c_n at a float q, over float 4-tuples
+    listed from the top coefficient c_N down to c_0."""
     qw, qx, qy, qz = q.w, q.x, q.y, q.z
-    last = cs[-1]
-    aw, ax, ay, az = last.w, last.x, last.y, last.z
-    for i in range(len(cs) - 2, -1, -1):
-        c = cs[i]
-        nw = qw * aw - qx * ax - qy * ay - qz * az + c.w
-        nx = qw * ax + qx * aw + qy * az - qz * ay + c.x
-        ny = qw * ay - qx * az + qy * aw + qz * ax + c.y
-        nz = qw * az + qx * ay - qy * ax + qz * aw + c.z
-        aw, ax, ay, az = nw, nx, ny, nz
+    it = iter(rows)
+    aw, ax, ay, az = next(it)
+    for cw, cx, cy, cz in it:
+        aw, ax, ay, az = (qw * aw - qx * ax - qy * ay - qz * az + cw,
+                          qw * ax + qx * aw + qy * az - qz * ay + cx,
+                          qw * ay - qx * az + qy * aw + qz * ax + cy,
+                          qw * az + qx * ay - qy * ax + qz * aw + cz)
     return Quaternion(aw, ax, ay, az)
 
 
@@ -184,6 +185,14 @@ class SliceSeries:
         den = math.lcm(*(x.denominator for cs in comps for x in cs))
         return den, tuple(tuple(x.numerator * (den // x.denominator) for x in cs)
                           for cs in comps)
+
+    @cached_property
+    def _float_rows(self) -> tuple[tuple[float, float, float, float], ...]:
+        """The coefficients as float 4-tuples from a_N down to a_v, for the
+        float Horner.  Each component is converted on its own, so an a_v
+        that underflows to zero keeps its place.  Built on first use and
+        kept in the instance ``__dict__``."""
+        return tuple(float_components(c.w, c.x, c.y, c.z) for c in reversed(self.coeffs))
 
     def coeff(self, n: int) -> Quaternion:
         """Coefficient of q^n.  Raises above the truncation degree."""
@@ -268,8 +277,10 @@ class SliceSeries:
         of q commute with q itself.  An exact window at an exact point runs
         the integer Horner :func:`_horner_xv` on its cached integer form and
         stays exact; a positive v joins that Horner as v zero rows.  Any
-        float operand runs float Horner with both operands in float, which
-        is bit for bit what promoting each mixed operation gives.
+        float operand runs the float Horner :func:`_eval_float` on the
+        cached float rows at the point in float, which is bit for bit what
+        promoting each mixed operation gives.  A rational coefficient too
+        large for a float raises `DomainError`.
         """
         if q.norm_sq() >= 1:
             raise DomainError("evaluation point must lie in the open unit ball")
@@ -284,9 +295,7 @@ class SliceSeries:
             acc = Quaternion(*(Fraction(c, power * den) for c in _plus_v_times(a, b, v1, v2, v3)))
         else:
             low = self.valuation
-            # converted one by one: to_float() would renormalize an underflowed a_v
-            cs = tuple(c.to_float() for c in self.coeffs) if self.is_exact else self.coeffs
-            acc = _eval_float(cs, q.to_float())
+            acc = _eval_float(self._float_rows, q.to_float())
         return _central_power(q, low) * acc if low else acc
 
     # -- serialization -----------------------------------------------------
@@ -321,11 +330,33 @@ class SliceSeries:
 # ---------------------------------------------------------------------------
 
 
+def rational_quaternion(row, den: int, scale: int = 1) -> Quaternion:
+    """The exact quaternion scale * row / den of an integer 4-tuple."""
+    r0, r1, r2, r3 = row
+    return Quaternion(Fraction(scale * r0, den), Fraction(scale * r1, den),
+                      Fraction(scale * r2, den), Fraction(scale * r3, den))
+
+
 def _exact_series(valuation: int, den: int, rows) -> SliceSeries:
     """The exact window sum_n q^(valuation+n) r_n / den of integer rows r_n."""
-    return SliceSeries(valuation, tuple(
-        Quaternion(Fraction(r0, den), Fraction(r1, den), Fraction(r2, den), Fraction(r3, den))
-        for r0, r1, r2, r3 in rows))
+    return SliceSeries(valuation, tuple(rational_quaternion(row, den) for row in rows))
+
+
+def integer_powers(u: Quaternion, count: int, right: Quaternion = ONE):
+    """[(D^n E, U^n R) for n < count]: the powers u^n r = U^n R / (D^n E)
+    of an exact u = U / D times an exact r = R / E, on integers.  Each step
+    is one integer quaternion product U (U^(n-1) R), no `Fraction`."""
+    den, u0, u1, u2, u3, _ = _integer_point(u)
+    scale, r0, r1, r2, r3, _ = _integer_point(right)
+    out = [(scale, (r0, r1, r2, r3))]
+    for _ in range(count - 1):
+        r0, r1, r2, r3 = (u0 * r0 - u1 * r1 - u2 * r2 - u3 * r3,
+                          u0 * r1 + u1 * r0 + u2 * r3 - u3 * r2,
+                          u0 * r2 - u1 * r3 + u2 * r0 + u3 * r1,
+                          u0 * r3 + u1 * r2 - u2 * r1 + u3 * r0)
+        scale *= den
+        out.append((scale, (r0, r1, r2, r3)))
+    return out[:count]
 
 
 def slice_derivative(f: SliceSeries) -> SliceSeries:
@@ -607,7 +638,11 @@ def outside_closed_ball(a: Quaternion) -> bool:
 
 
 def geometric(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
-    """Sigma q^n u^n, the star reciprocal of 1 - q u."""
+    """Sigma q^n u^n, the star reciprocal of 1 - q u.  An exact u raises
+    its powers on integers (:func:`integer_powers`)."""
+    if u.is_exact:
+        return SliceSeries(0, tuple(rational_quaternion(row, den)
+                                    for den, row in integer_powers(u, degree + 1)))
     coeffs = []
     acc = ONE
     for _ in range(degree + 1):
@@ -621,12 +656,17 @@ def mobius(a: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
 
         a - (1 - |a|^2) Sigma_{n>=1} q^n conj(a)^(n-1)
 
-    which is the expansion of (1 - q conj(a))^(-*) star (a - q).
+    which is the expansion of (1 - q conj(a))^(-*) star (a - q).  An
+    exact a raises the powers of conj(a) on integers.
     """
     if outside_closed_ball(a):
         raise DomainError("moebius parameter must lie in the closed unit ball")
     t = 1 - a.norm_sq()
     abar = a.conjugate()
+    if a.is_exact:
+        return SliceSeries(0, (a,) + tuple(
+            rational_quaternion(row, den * t.denominator, -t.numerator)
+            for den, row in integer_powers(abar, degree)))
     coeffs = [a]
     power = ONE
     for _ in range(1, degree + 1):
@@ -796,7 +836,9 @@ class ExactForm:
 
     At a float point each term is evaluated exactly and rounded once,
     then weighted and summed in term order; at an exact point the whole
-    value stays exact.  Powers of q are central, so q^s multiplies the
+    value stays exact.  A weight of 1 multiplies nothing, and at a float
+    point any other weight w multiplies as float(w), which is bit for bit
+    the promoted product.  Powers of q are central, so q^s multiplies the
     summed core.
     """
 
@@ -809,10 +851,13 @@ class ExactForm:
         return tuple(t.derivative() for t in self.terms)
 
     def _core(self, quotients: tuple[StarQuotient, ...], q: Quaternion) -> Quaternion:
-        values = (quot.eval(q) * w for w, quot in zip(self.weights, quotients))
-        acc = next(values)
-        for value in values:
-            acc = acc + value
+        exact = q.is_exact
+        acc = None
+        for w, quot in zip(self.weights, quotients):
+            value = quot.eval(q)
+            if w != 1:
+                value = value * (w if exact else float(w))
+            acc = value if acc is None else acc + value
         return acc
 
     def value(self, q: Quaternion) -> Quaternion:

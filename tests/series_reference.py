@@ -6,10 +6,19 @@ windows run in `Fraction` and a float operand promotes every mixed
 operation to float.  Tests compare `star_mul`, `symmetrize`,
 `star_reciprocal` and `compose_slice_preserving` against them: exact
 windows coefficient for coefficient, float and mixed windows bit for bit.
+
+The same holds for the scalar paths: the old `Quaternion.__pow__`, the
+float Horner that read `Quaternion` attributes, `random_exact_unit` in
+`Fraction` quaternions, and the power loops of the generators `geometric`,
+`mobius`, `caratheodory_extremal`, `generate_caratheodory`, `koebe` and
+`rogosinski_extremal`.
 """
 
+from fractions import Fraction
+
+from srgft.classes import _rogosinski_parts, caratheodory_mixture_parts
 from srgft.errors import DomainError
-from srgft.quat import ZERO, Quaternion
+from srgft.quat import ONE, ZERO, Quaternion
 from srgft.series import SliceSeries, regular_conjugate
 
 
@@ -98,3 +107,99 @@ def reference_compose_slice_preserving(f, w):
                     nxt[d1 + d2] = nxt[d1 + d2] + power[d1] * w_scal[d2]
         power = nxt
     return SliceSeries(0, tuple(out))
+
+
+def reference_pow(q, n):
+    """Square-and-multiply that also squares after the last bit."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("quaternion power requires a nonnegative integer")
+    result = ONE if q.is_exact else ONE.to_float()
+    base = q
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def reference_eval_float(cs, q):
+    """Float Horner of sum_n q^n c_n over float Quaternions c_0, c_1, ..."""
+    qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    last = cs[-1]
+    aw, ax, ay, az = last.w, last.x, last.y, last.z
+    for i in range(len(cs) - 2, -1, -1):
+        c = cs[i]
+        nw = qw * aw - qx * ax - qy * ay - qz * az + c.w
+        nx = qw * ax + qx * aw + qy * az - qz * ay + c.x
+        ny = qw * ay - qx * az + qy * aw + qz * ax + c.y
+        nz = qw * az + qx * ay - qy * ax + qz * aw + c.z
+        aw, ax, ay, az = nw, nx, ny, nz
+    return Quaternion(aw, ax, ay, az)
+
+
+def reference_random_exact_unit(rng):
+    while True:
+        v = Quaternion(rng.randint(-2, 2), rng.randint(-2, 2),
+                       rng.randint(-2, 2), rng.randint(-2, 2))
+        if not v.is_zero():
+            break
+    return (v * v) * Fraction(1, v.norm_sq())
+
+
+def reference_geometric(u, degree):
+    coeffs = []
+    acc = ONE
+    for _ in range(degree + 1):
+        coeffs.append(acc)
+        acc = acc * u
+    return SliceSeries(0, tuple(coeffs))
+
+
+def reference_mobius(a, degree):
+    t = 1 - a.norm_sq()
+    abar = a.conjugate()
+    coeffs = [a]
+    power = ONE
+    for _ in range(1, degree + 1):
+        coeffs.append(power * (-t))
+        power = power * abar
+    return SliceSeries(0, tuple(coeffs))
+
+
+def reference_caratheodory_extremal(u, degree):
+    coeffs = [ONE]
+    power = u
+    for _ in range(1, degree + 1):
+        coeffs.append(power * 2)
+        power = power * u
+    return SliceSeries.from_coeffs(coeffs)
+
+
+def reference_generate_caratheodory(seed, degree, k):
+    lambdas, units = caratheodory_mixture_parts(seed, k)
+    acc = SliceSeries.zero(degree)
+    for lam, u in zip(lambdas, units):
+        acc = acc + reference_caratheodory_extremal(u, degree).scale(lam)
+    return acc
+
+
+def reference_koebe(u, degree):
+    coeffs = []
+    power = ONE
+    for n in range(1, degree + 1):
+        coeffs.append(power * n)
+        power = power * u
+    return SliceSeries.from_coeffs(coeffs, valuation=1)
+
+
+def reference_rogosinski_extremal(b, p, degree):
+    beta, u_b, p = _rogosinski_parts(b, p)
+    bp = p * beta
+    factor = p * (beta * beta - 1)
+    coeffs = [u_b * beta]
+    power = ONE
+    for _ in range(2, degree + 1):
+        coeffs.append(power * factor * u_b)
+        power = power * bp
+    return SliceSeries.from_coeffs(coeffs, valuation=1)

@@ -8,6 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from series_reference import (reference_caratheodory_extremal,
+                              reference_generate_caratheodory, reference_koebe,
+                              reference_random_exact_unit,
+                              reference_rogosinski_extremal)
+
 from srgft.classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
                            caratheodory_extremal, caratheodory_extremal_quotient,
                            caratheodory_mixture_form,
@@ -339,3 +344,82 @@ class TestOddPartBridge:
             assert lhs.w > 0
         assert is_starlike(half_diff).member
         assert is_close_to_convex(f, half_diff).member
+
+
+def _repr_window(s: SliceSeries) -> tuple:
+    """Valuation and each component's repr: type, value and sign of zero."""
+    return s.valuation, [tuple(repr(v) for v in (c.w, c.x, c.y, c.z)) for c in s.coeffs]
+
+
+zero_signs = st.tuples(*[st.sampled_from((1.0, -1.0))] * 4)
+
+
+def _to_float(q: Quaternion, signs) -> Quaternion:
+    """q in float mode, its zero components given the signs drawn."""
+    return Quaternion(*(float(c) or math.copysign(0.0, s)
+                        for c, s in zip((q.w, q.x, q.y, q.z), signs)))
+
+
+@st.composite
+def units(draw, allow_float=True):
+    """Exact rational units, or their float images with drawn signs of zero."""
+    u = random_exact_unit(Random(draw(st.integers(0, 10 ** 6))))
+    if allow_float and draw(st.booleans()):
+        return _to_float(u, draw(zero_signs))
+    return u
+
+
+@st.composite
+def rogosinski_parameters(draw):
+    """(b, p): b inside the ball with rational or irrational |b|, p in the
+    closed ball, each exact or float."""
+    b = draw(units(allow_float=False))
+    if draw(st.integers(0, 3)):
+        m = draw(st.integers(2, 16))
+        b = b * F(draw(st.integers(1, m - 1)), m)
+    else:  # |b|^2 = 2/9: the family degrades to float
+        b = exact(F(1, 3), F(1, 3))
+    p = draw(units(allow_float=False)) * F(draw(st.sampled_from((0, 1, 2, 3))), 3)
+    if draw(st.booleans()):
+        b = _to_float(b, draw(zero_signs))
+    if draw(st.booleans()):
+        p = _to_float(p, draw(zero_signs))
+    return b, p
+
+
+class TestGeneratorReferences:
+    """The integer power loops agree with the `Quaternion` loops they
+    replace: exact windows exactly, float ones bit for bit."""
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=200)
+    def test_random_exact_unit_matches_the_reference(self, seed):
+        rng, ref = Random(seed), Random(seed)
+        for _ in range(3):
+            u, want = random_exact_unit(rng), reference_random_exact_unit(ref)
+            assert u == want and u.is_exact and u.norm_sq() == 1
+        assert rng.getstate() == ref.getstate()
+
+    @given(units(), st.integers(0, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_caratheodory_extremal_matches_the_reference(self, u, degree):
+        assert _repr_window(caratheodory_extremal(u, degree)) == \
+            _repr_window(reference_caratheodory_extremal(u, degree))
+
+    @given(units(), st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_koebe_matches_the_reference(self, u, degree):
+        assert _repr_window(koebe(u, degree)) == _repr_window(reference_koebe(u, degree))
+
+    @given(st.integers(0, 10 ** 6), st.integers(0, 30), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_generate_caratheodory_matches_the_reference(self, seed, degree, k):
+        assert _repr_window(generate_caratheodory(seed, degree, k)) == \
+            _repr_window(reference_generate_caratheodory(seed, degree, k))
+
+    @given(rogosinski_parameters(), st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_rogosinski_extremal_matches_the_reference(self, params, degree):
+        b, p = params
+        assert _repr_window(rogosinski_extremal(b, p, degree)) == \
+            _repr_window(reference_rogosinski_extremal(b, p, degree))

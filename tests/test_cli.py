@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, file round-trips."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -150,6 +151,29 @@ class TestGenCommand:
         assert run(["gen", "koebe", "--u", "1/2", "--degree", "12"]) == 2
         assert run(["gen", "rogosinski", "--b", "0", "--degree", "12"]) == 2
 
+    # sha256 of the file each family writes at seed 1 and the default degree 48
+    PINNED_GEN = {
+        "sstar": "8b1b237d4e919e5e789c825983f84e465a9643d244b629763df85c8727d01140",
+        "sstar --mode float": "6f8eb3a6e7308b1248b29b458b93177d3926bf32b0b17fc7ed9cbe00379b6fd9",
+        "caratheodory": "480c04e826c556e93f4072ad86c7c4a5e0ff705318a0feeb101d6b59394e3697",
+        "koebe --u=2/3i+1/3j+2/3k":
+            "5010c3446beabc36d15550d2a3bfd7d836063e89ddb1902bb9fa27adc0d96a0d",
+        "koebe --u=2/3i+1/3j+2/3k --mode float":
+            "9409d85dcb39bce939e7fd0078eaa6d29236fc0df7f66ee797379776d681d9cb",
+        "rogosinski": "59b5c8f7ac26693e4f11bc2d51db1b4c539189ad34e207df847b9618c93fe8f9",
+        "rogosinski --b=3/10i+2/5j --p=3/5+4/5k":
+            "744483a520641161392bf12cceef12381db0e9950e3bd0635ef5adac8e5103da",
+        "rogosinski --b=3/10i+2/5j --p=3/5+4/5k --mode float":
+            "f818165868c1e033ce898096530632ffc83e2a503d5458a07917ef17f3e1799d",
+        "class-c": "d10f5adb753f4b02058d7929e850d69fb6f1f60e3601e878adcbc51245117684",
+    }
+
+    @pytest.mark.parametrize("family", PINNED_GEN)
+    def test_gen_output_is_pinned(self, family, tmp_path):
+        out = tmp_path / "member.json"
+        assert run(["gen", *family.split(), "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_GEN[family]
+
 
 class TestEvalCommand:
     def test_mobius_reference_value(self, tmp_path, capsys):
@@ -238,6 +262,20 @@ def test_malformed_series_file_is_an_error_not_a_traceback(name, command, tmp_pa
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["eval", "slice-image"])
+def test_coefficient_too_large_for_a_float_is_an_error(command, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    huge = SliceSeries.from_coeffs([Quaternion(1, 0, 0, 0), Quaternion(10 ** 400, 0, 0, 0)])
+    path.write_text(json.dumps(huge.to_json_dict()))
+    cloud = tmp_path / "cloud.csv"
+    flags = ["--at", "0.5"] if command == "eval" else ["--out", str(cloud)]
+    assert run([command, str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rational component too large for a float\n"
+    assert not cloud.exists()
 
 
 class TestSliceImageCommand:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from series_reference import reference_pow
 from srgft.errors import DomainError, QuaternionParseError
 from srgft.quat import (I, J, K, ONE, ImaginaryUnit, Quaternion,
                         format_quaternion, inner_product, parse_quaternion,
@@ -250,3 +251,89 @@ class TestScalarMode:
     @pytest.mark.parametrize("text, kind", [("0.5i", float), ("1/2i", F)])
     def test_parsed_literal_has_one_mode(self, text, kind):
         assert _kinds(parse_quaternion(text)) == {kind}
+
+
+def _reprs(q: Quaternion) -> tuple:
+    return tuple(repr(v) for v in (q.w, q.x, q.y, q.z))
+
+
+class TestPower:
+    @given(exact_quats, st.integers(0, 40))
+    @settings(max_examples=100)
+    def test_exact_power_matches_the_reference(self, q, n):
+        assert _reprs(q ** n) == _reprs(reference_pow(q, n))
+
+    @given(float_quats, st.integers(0, 40))
+    @settings(max_examples=200)
+    def test_float_power_matches_the_reference_bit_for_bit(self, q, n):
+        assert _reprs(q ** n) == _reprs(reference_pow(q, n))
+
+    @pytest.mark.parametrize("n", [-1, 1.0, F(2)])
+    def test_power_needs_a_nonnegative_int(self, n):
+        with pytest.raises(DomainError):
+            ONE ** n
+
+
+# one component of each kind the constructor meets
+COMPONENTS = {
+    "fraction": F(-3, 7),
+    "int": 5,
+    "bool": True,
+    "float": -0.0,
+    "inf": float("inf"),
+    "nan": float("nan"),
+    "huge": F(10 ** 400, 3),
+    "str": "1",
+}
+
+
+def _expected(kinds):
+    """Error type, or the component types and values, by the mode rules."""
+    values = [COMPONENTS[k] for k in kinds]
+    for k in kinds:  # components are coerced in order; the first bad one raises
+        if k == "str":
+            return TypeError
+        if k in ("inf", "nan"):
+            return DomainError
+    if any(type(v) is float for v in values):
+        if "huge" in kinds:
+            return DomainError
+        return [(float, float(v)) for v in values]
+    return [(F, F(v)) for v in values]
+
+
+class TestConstructorModes:
+    """The fast path for normal components keeps every rule of coercion."""
+
+    @given(st.lists(st.sampled_from(sorted(COMPONENTS)), min_size=4, max_size=4))
+    @settings(max_examples=300)
+    def test_mode_rules(self, kinds):
+        want = _expected(kinds)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                Quaternion(*(COMPONENTS[k] for k in kinds))
+            return
+        q = Quaternion(*(COMPONENTS[k] for k in kinds))
+        got = [(type(v), v) for v in (q.w, q.x, q.y, q.z)]
+        assert [t for t, _ in got] == [t for t, _ in want]
+        assert [repr(v) for _, v in got] == [repr(v) for _, v in want]
+
+    def test_normal_components_are_kept_as_given(self):
+        comps = (0.5, -0.0, 1e-300, 2.0)
+        q = Quaternion(*comps)
+        assert all(a is b for a, b in zip((q.w, q.x, q.y, q.z), comps))
+        exact_comps = (F(1, 2), F(0), F(-5, 3), F(7))
+        q = Quaternion(*exact_comps)
+        assert all(a is b for a, b in zip((q.w, q.x, q.y, q.z), exact_comps))
+        assert q.is_exact and not q.to_float().is_exact
+
+    def test_subclasses_take_the_coercion_path(self):
+        class Half(float):
+            pass
+
+        q = Quaternion(Half(0.5), 0.0, 0.0, 0.0)
+        assert type(q.w) is float and not q.is_exact
+
+    def test_huge_rational_to_float_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="too large for a float"):
+            Quaternion(F(10 ** 400), 0, 0, 0).to_float()

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quotient_reference import reference_eval, reference_series_eval
-from series_reference import (reference_compose_slice_preserving,
+from series_reference import (reference_compose_slice_preserving, reference_eval_float,
+                              reference_geometric, reference_mobius, reference_pow,
                               reference_star_mul, reference_star_reciprocal,
                               reference_symmetrize)
 from srgft.checks import close_to_convex_member
@@ -26,7 +27,7 @@ from srgft.series import (EvalDomain, ExactForm, SliceSeries, StarQuotient,
                           integrate_radial, mobius, mobius_quotient, odd_part,
                           quotient_transform, regular_conjugate,
                           slice_derivative, star_mul, star_reciprocal,
-                          symmetrize)
+                          symmetrize, _eval_float)
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -935,3 +936,91 @@ class TestIntegerKernels:
         if f.valuation >= 0:
             assert _bits(compose_slice_preserving(f, w)) == \
                 _bits(reference_compose_slice_preserving(f, w))
+
+
+def _repr_window(s: SliceSeries) -> tuple:
+    """Valuation and each component's repr: type, value and sign of zero."""
+    return s.valuation, [tuple(repr(v) for v in (c.w, c.x, c.y, c.z)) for c in s.coeffs]
+
+
+@st.composite
+def ball_parameters(draw):
+    """Exact parameters of the closed unit ball, the unit sphere included,
+    and their float images with drawn signs of zero."""
+    u = random_exact_unit(Random(draw(st.integers(0, 10 ** 6))))
+    kind = draw(st.sampled_from(("unit", "scaled", "rational", "zero")))
+    if kind == "unit":
+        a = u
+    elif kind == "scaled":
+        m = draw(st.integers(1, 12))
+        a = u * F(draw(st.integers(0, m)), m)
+    elif kind == "rational":
+        a = Quaternion(*draw(st.tuples(*[ball_rationals] * 4)))
+    else:
+        a = ZERO
+    if draw(st.booleans()):
+        return _float_with_signed_zeros(a, draw(zero_signs))
+    return a
+
+
+class TestScalarPaths:
+    """The float Horner on cached rows, the weighted ExactForm core and
+    the integer power loops agree with the `Quaternion` code they replace:
+    exact results exactly, float results bit for bit."""
+
+    @given(exact_windows(), st.booleans(), zero_signs, exact_ball_points(zero=False),
+           zero_signs)
+    @settings(max_examples=150, deadline=None)
+    def test_float_horner_reads_the_cached_rows(self, f, float_window, window_signs,
+                                                q, point_signs):
+        if float_window:
+            f = SliceSeries(f.valuation, tuple(_float_with_signed_zeros(c, window_signs)
+                                               for c in f.coeffs))
+        q = _float_with_signed_zeros(q, point_signs)
+        want = reference_eval_float(tuple(c.to_float() for c in f.coeffs), q)
+        assert _outcome(lambda p: _eval_float(f._float_rows, p), q) == \
+            _outcome(lambda p: want, q)
+
+    def test_float_rows_of_a_huge_rational_raise_domain_error(self):
+        f = series([1, 10 ** 400])
+        with pytest.raises(DomainError, match="too large for a float"):
+            f.eval(Quaternion(0.5, 0.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match="too large for a float"):
+            f.to_float()
+        assert f.eval(exact(F(1, 2))) == exact(1 + F(10 ** 400, 2))
+
+    @given(st.integers(0, 4), points())
+    @settings(max_examples=150, deadline=None)
+    def test_form_value_matches_the_promoted_sum(self, index, q):
+        form = _exact_forms()[index]
+
+        def core(quotients, p):
+            acc = None
+            for w, quot in zip(form.weights, quotients):
+                value = quot.eval(p) * w
+                acc = value if acc is None else acc + value
+            return acc
+
+        def value(p):
+            c = core(form.terms, p)
+            if not form.shift:
+                return c
+            power = reference_pow(p, form.shift) if form.shift > 0 else \
+                reference_pow(p.inverse(), -form.shift)
+            return power * c
+
+        assume(form.shift >= 0 or not q.is_zero())
+        assert _outcome(form.value, q) == _outcome(value, q)
+        if not form.shift:
+            assert _outcome(form.derivative, q) == \
+                _outcome(lambda p: core(form._derivatives, p), q)
+
+    @given(ball_parameters(), st.integers(0, 24))
+    @settings(max_examples=150, deadline=None)
+    def test_geometric_matches_the_reference(self, u, degree):
+        assert _repr_window(geometric(u, degree)) == _repr_window(reference_geometric(u, degree))
+
+    @given(ball_parameters(), st.integers(0, 24))
+    @settings(max_examples=150, deadline=None)
+    def test_mobius_matches_the_reference(self, a, degree):
+        assert _repr_window(mobius(a, degree)) == _repr_window(reference_mobius(a, degree))
