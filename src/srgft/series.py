@@ -93,6 +93,25 @@ def _plus_v_times(e: tuple[int, ...], f: tuple[int, ...], v1: int, v2: int, v3: 
             e3 + v3 * f0 + v1 * f2 - v2 * f1)
 
 
+def _integer_value(coeffs: tuple[tuple[int, ...], ...], point):
+    """(X, L^k): sum_n q^n c_n = X / L^k at the point (L, W, V1, V2, V3,
+    |V|^2) of :func:`_integer_point`, for integer 4-tuples c listed from
+    c_k down.  X is an integer 4-tuple."""
+    scale, w, v1, v2, v3, n2 = point
+    power, a, b = _horner_xv(coeffs, scale, w, n2)
+    return _plus_v_times(a, b, v1, v2, v3), power
+
+
+def _integer_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """The quaternion product a b of two integer 4-tuples."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
 def _eval_float(rows: tuple[tuple[float, float, float, float], ...],
                 q: Quaternion) -> Quaternion:
     """Float Horner of sum_n q^n c_n at a float q, over float 4-tuples
@@ -288,11 +307,10 @@ class SliceSeries:
             raise SingularityError("negative-valuation series is singular at 0")
         if self.is_exact and q.is_exact:
             low = min(self.valuation, 0)
-            scale, w, v1, v2, v3, n2 = _integer_point(q)
             den, rows = self._integer_form
-            power, a, b = _horner_xv(rows[::-1] + ((0, 0, 0, 0),) * (self.valuation - low),
-                                     scale, w, n2)
-            acc = Quaternion(*(Fraction(c, power * den) for c in _plus_v_times(a, b, v1, v2, v3)))
+            comps, power = _integer_value(rows[::-1] + ((0, 0, 0, 0),) * (self.valuation - low),
+                                          _integer_point(q))
+            acc = Quaternion(*(Fraction(c, power * den) for c in comps))
         else:
             low = self.valuation
             acc = _eval_float(self._float_rows, q.to_float())
@@ -346,16 +364,12 @@ def integer_powers(u: Quaternion, count: int, right: Quaternion = ONE):
     """[(D^n E, U^n R) for n < count]: the powers u^n r = U^n R / (D^n E)
     of an exact u = U / D times an exact r = R / E, on integers.  Each step
     is one integer quaternion product U (U^(n-1) R), no `Fraction`."""
-    den, u0, u1, u2, u3, _ = _integer_point(u)
-    scale, r0, r1, r2, r3, _ = _integer_point(right)
-    out = [(scale, (r0, r1, r2, r3))]
+    den, *units, _ = _integer_point(u)
+    scale, *row, _ = _integer_point(right)
+    out = [(scale, tuple(row))]
     for _ in range(count - 1):
-        r0, r1, r2, r3 = (u0 * r0 - u1 * r1 - u2 * r2 - u3 * r3,
-                          u0 * r1 + u1 * r0 + u2 * r3 - u3 * r2,
-                          u0 * r2 - u1 * r3 + u2 * r0 + u3 * r1,
-                          u0 * r3 + u1 * r2 - u2 * r1 + u3 * r0)
         scale *= den
-        out.append((scale, (r0, r1, r2, r3)))
+        out.append((scale, _integer_product(units, out[-1][1])))
     return out[:count]
 
 
@@ -692,12 +706,16 @@ class StarQuotient:
         value(q) = den^s(q)^(-1) (left star den^c star num)(q)
 
     because den^s has real coefficients and collapses pointwise.  Both
-    den^s and left star den^c star num are polynomials, so there is no
+    den^s and G = den^c star num are polynomials, so there is no
     truncation error; this is how the built-in extremal functions are
     evaluated near the boundary of the ball.  The two polynomials are
     formed on first evaluation, from den and num with their trailing
     zeros trimmed, and read through their integer forms: integer
-    coefficients over one common denominator each.
+    coefficients over one common denominator each.  A left factor h is
+    never folded into G for evaluation: (h star G)(q) = sum_m q^m h(q)
+    g_m, so h(q) is evaluated once and multiplies the few rows g_m.
+    :class:`ExactForm` shares that value among terms with one left
+    factor.
 
     Evaluation runs on integers only.  The point is scaled by the lcm L
     of its component denominators (a binary float is a dyadic rational)
@@ -729,31 +747,63 @@ class StarQuotient:
         d = self.den.to_exact().trim()
         return symmetrize(d.pad_to(2 * d.degree - d.valuation))
 
+    def _conj_num(self) -> SliceSeries:
+        return full_star_mul(regular_conjugate(self.den.to_exact().trim()),
+                             self.num.to_exact().trim())
+
     @cached_property
     def _den_conj_num(self) -> SliceSeries:
-        out = full_star_mul(regular_conjugate(self.den.to_exact().trim()),
-                            self.num.to_exact().trim())
+        out = self._conj_num()
         if self.left is not None:
             out = full_star_mul(self.left.to_exact().trim(), out)
         return out
 
     @cached_property
     def _integer_parts(self):
-        """(v, D_s, s, D_n, n): den^s = q^v s(q) / D_s and the numerator
-        polynomial = q^v n(q) / D_n, with integer coefficients listed from
-        the highest power down.  v is the lower of the two valuations; the
-        other polynomial takes the difference as zero coefficients."""
-        sym, num = self._den_sym, self._den_conj_num
-        low = min(sym.valuation, num.valuation)
+        """(v, D_s, s, D_g, g, left): den^s = q^v s(q) / D_s with integer
+        coefficients, and the numerator without its left factor,
+        den^c star num = q^(v - v_h) g(q) / D_g with integer 4-tuples.
+        ``left`` is None, or (D_h, h) for the left factor q^v_h h(q) / D_h.
+        All are listed from the highest power down.  v is the lower of
+        the valuations of den^s and of the numerator left star den^c star
+        num; the other one takes the difference as zero coefficients."""
+        sym = self._den_sym
+        if self.left is None:
+            num, left, v_left = self._den_conj_num, None, 0
+        else:
+            num, h = self._conj_num(), self.left.to_exact().trim()
+            h_den, h_rows = h._integer_form
+            left, v_left = (h_den, h_rows[::-1]), h.valuation
+        low = min(sym.valuation, v_left + num.valuation)
         sym_den, sym_rows = sym._integer_form
         num_den, num_rows = num._integer_form
         return (low, sym_den, tuple(c[0] for c in sym_rows[::-1]) + (0,) * (sym.valuation - low),
-                num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (num.valuation - low))
+                num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (v_left + num.valuation - low), left)
 
-    def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:
+    def _left_value(self, point):
+        """(X, E): the left factor without its q^v_h is X / E at the point
+        of :func:`_integer_point`, with an integer 4-tuple X; None without
+        a left factor."""
+        left = self._integer_parts[5]
+        if left is None:
+            return None
+        den, rows = left
+        value, power = _integer_value(rows, point)
+        return value, power * den
+
+    def eval(self, q: Quaternion, domain: EvalDomain | None = None,
+             prepared=None) -> Quaternion:
+        """The value at q.  ``prepared`` is (point, left value): q's
+        :func:`_integer_point` and the :meth:`_left_value` there, which
+        :class:`ExactForm` computes once for terms with one left factor;
+        by default both are computed here."""
+        if prepared is None:
+            point = _integer_point(q)
+            prepared = point, self._left_value(point)
+        point, left_value = prepared
         domain = domain or self.ZERO_GUARD
-        low, sym_den, sym, num_den, num = self._integer_parts
-        scale, w, v1, v2, v3, n2 = _integer_point(q)
+        low, sym_den, sym, num_den, num, _ = self._integer_parts
+        scale, w, v1, v2, v3, n2 = point
         r2 = w * w + n2  # L^2 |q|^2
         if r2 >= scale * scale:
             raise DomainError("evaluation point must lie in the open unit ball")
@@ -772,6 +822,11 @@ class StarQuotient:
             top, bottom = top * scale ** (-2 * low), bottom * r2 ** -low
         if math.sqrt(top / bottom) < domain.singular_threshold:
             raise SingularityError("quotient evaluated too close to a symmetrization zero")
+        if left_value is not None:
+            # (h star G)(q) = sum_m q^m h(q) g_m: the rows X g_m over D_g E
+            value, value_den = left_value
+            num = tuple(_integer_product(value, g) for g in num)
+            num_den *= value_den
         # numerator: L^k n(q) = A + V B, componentwise
         npower, (a0, a1, a2, a3), (b0, b1, b2, b3) = _horner_xv(num, scale, w, n2)
         # (x - V y)(A + V B) = E + V F with E = x A + |V|^2 y B, F = x B - y A
@@ -839,7 +894,10 @@ class ExactForm:
     value stays exact.  A weight of 1 multiplies nothing, and at a float
     point any other weight w multiplies as float(w), which is bit for bit
     the promoted product.  Powers of q are central, so q^s multiplies the
-    summed core.
+    summed core.  The point is scaled to integers once per evaluation,
+    and consecutive terms with the same left factor (the close-to-convex
+    f' form) share its value there.  A form needs at least one term and
+    one weight per term.
     """
 
     terms: tuple[StarQuotient, ...]
@@ -850,11 +908,18 @@ class ExactForm:
     def _derivatives(self) -> tuple[StarQuotient, ...]:
         return tuple(t.derivative() for t in self.terms)
 
+    def __post_init__(self):
+        if not self.terms or len(self.weights) != len(self.terms):
+            raise DomainError("an exact form needs at least one term and one weight per term")
+
     def _core(self, quotients: tuple[StarQuotient, ...], q: Quaternion) -> Quaternion:
         exact = q.is_exact
-        acc = None
+        point = _integer_point(q)
+        acc = left = shared = None
         for w, quot in zip(self.weights, quotients):
-            value = quot.eval(q)
+            if quot.left is not left:
+                left, shared = quot.left, quot._left_value(point)
+            value = quot.eval(q, None, (point, shared))
             if w != 1:
                 value = value * (w if exact else float(w))
             acc = value if acc is None else acc + value

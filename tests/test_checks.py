@@ -60,13 +60,16 @@ class TestBieberbach:
         fut = close_to_convex_member(2, 48)
         terms = fut.derivative_form.terms
         # building the member leaves the f' polynomials unbuilt
-        assert not any("_den_conj_num" in t.__dict__ for t in terms)
+        assert not any("_integer_parts" in t.__dict__ or "_den_conj_num" in t.__dict__
+                       for t in terms)
         window = slice_derivative(fut.series.to_float())
         points = [q for q in DEFAULT_GRID.points if abs(q) <= 0.3 + 1e-12]
         assert points
         for q in points:
             assert abs(fut.derivative_value(q) - window.eval(q)) <= 1e-12
-        assert all("_den_conj_num" in t.__dict__ for t in terms)
+        # evaluation builds the integer parts but never folds h into a numerator
+        assert all("_integer_parts" in t.__dict__ for t in terms)
+        assert not any("_den_conj_num" in t.__dict__ for t in terms)
 
 
 class TestConvexCoefficients:

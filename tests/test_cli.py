@@ -151,7 +151,9 @@ class TestGenCommand:
         assert run(["gen", "koebe", "--u", "1/2", "--degree", "12"]) == 2
         assert run(["gen", "rogosinski", "--b", "0", "--degree", "12"]) == 2
 
-    # sha256 of the file each family writes at seed 1 and the default degree 48
+    # sha256 of the file each family writes at the default degree 48 and at
+    # seed 1 unless its options set another; seed 11 is the slice-files fault
+    # seed, and five grid axes screen class-c at general float points
     PINNED_GEN = {
         "sstar": "8b1b237d4e919e5e789c825983f84e465a9643d244b629763df85c8727d01140",
         "sstar --mode float": "6f8eb3a6e7308b1248b29b458b93177d3926bf32b0b17fc7ed9cbe00379b6fd9",
@@ -166,12 +168,16 @@ class TestGenCommand:
         "rogosinski --b=3/10i+2/5j --p=3/5+4/5k --mode float":
             "f818165868c1e033ce898096530632ffc83e2a503d5458a07917ef17f3e1799d",
         "class-c": "d10f5adb753f4b02058d7929e850d69fb6f1f60e3601e878adcbc51245117684",
+        "class-c --seed=11": "38fb7850256734654509db1bf1f9322ed5862d80fae4a4e959bd771adfed56dd",
+        "class-c --grid-units=5":
+            "d10f5adb753f4b02058d7929e850d69fb6f1f60e3601e878adcbc51245117684",
     }
 
     @pytest.mark.parametrize("family", PINNED_GEN)
     def test_gen_output_is_pinned(self, family, tmp_path):
         out = tmp_path / "member.json"
-        assert run(["gen", *family.split(), "--seed", "1", "--out", str(out)]) == 0
+        name, *options = family.split()
+        assert run(["gen", name, "--seed", "1", *options, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_GEN[family]
 
 

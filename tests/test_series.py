@@ -15,7 +15,7 @@ from series_reference import (reference_compose_slice_preserving, reference_eval
                               reference_star_mul, reference_star_reciprocal,
                               reference_symmetrize)
 from srgft.checks import close_to_convex_member
-from srgft.classes import (DEFAULT_GRID, caratheodory_extremal,
+from srgft.classes import (DEFAULT_GRID, SamplingGrid, caratheodory_extremal,
                            caratheodory_extremal_quotient,
                            caratheodory_mixture_form, koebe,
                            koebe_quotient, random_exact_unit,
@@ -27,7 +27,7 @@ from srgft.series import (EvalDomain, ExactForm, SliceSeries, StarQuotient,
                           integrate_radial, mobius, mobius_quotient, odd_part,
                           quotient_transform, regular_conjugate,
                           slice_derivative, star_mul, star_reciprocal,
-                          symmetrize, _eval_float)
+                          symmetrize, _eval_float, _horner_xv)
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -502,14 +502,19 @@ def _quotient(kind: str, seed: int) -> StarQuotient:
         return quot
     # |den / q^v - 1| < 1 in the ball, so den^s vanishes there only at 0
     den = SliceSeries.from_coeffs([ONE, *rand_series(rng, 1, scale=1).coeffs],
-                                  rng.randint(0, 2) if kind == "den-valuation" else 0)
-    if kind == "left":
-        return StarQuotient(rand_series(rng, 2), den, left=rand_series(rng, 4, valuation=1))
+                                  rng.randint(0, 2) if kind == "den-valuation" else
+                                  rng.randint(1, 2) if kind == "left-den-valuation" else 0)
+    if kind.startswith("left"):
+        # left valuations 0, 1 and 2; the evaluation splits q^v_left off
+        left = rand_series(rng, 4, valuation=rng.randint(0, 2))
+        if kind == "left-float":
+            left = left.to_float()
+        return StarQuotient(rand_series(rng, 2), den, left=left)
     return StarQuotient(rand_series(rng, 3, valuation=rng.randint(0, 2)), den)
 
 
 QUOTIENT_KINDS = ("koebe", "mobius", "caratheodory", "rogosinski", "random",
-                  "den-valuation", "left")
+                  "den-valuation", "left", "left-float", "left-den-valuation")
 
 
 @st.composite
@@ -587,6 +592,85 @@ class TestIntegerEval:
         for q in (exact(1), exact(F(3, 5), F(4, 5)), Quaternion(0.6, 0.8, 0.0, 0.0)):
             with pytest.raises(DomainError):
                 quot.eval(q)
+
+
+def _reference_form_value(form: ExactForm, q: Quaternion) -> Quaternion:
+    """q^s times the weighted sum, in term order, of each term's reference value."""
+    acc = None
+    for w, quot in zip(form.weights, form.terms):
+        value = reference_eval(quot, q) * w
+        acc = value if acc is None else acc + value
+    if not form.shift:
+        return acc
+    power = reference_pow(q, form.shift) if form.shift > 0 else \
+        reference_pow(q.inverse(), -form.shift)
+    return power * acc
+
+
+def _shared_left_forms() -> tuple[ExactForm, ...]:
+    """The close-to-convex f' form, whose three terms share h, and a random
+    form whose left factor is interrupted by a term without one."""
+    rng = Random(17)
+    h = rand_series(rng, 6, valuation=1)
+
+    def den():
+        return SliceSeries.from_coeffs([ONE, *rand_series(rng, 1, scale=1).coeffs])
+
+    terms = tuple(StarQuotient(rand_series(rng, 2), den(), left=left)
+                  for left in (h, h, None, h))
+    return (close_to_convex_member(3).derivative_form,
+            ExactForm(terms, (F(1, 3), F(1), F(1, 4), F(-2, 7)), shift=1))
+
+
+# i, j, k and two Fibonacci axes of the five-axis grid, every third angle
+_AXIS_POINTS = SamplingGrid.default((0.3, 0.7, 0.95), 5, 8).points[::3]
+_SIGNED_ZERO_POINTS = (Quaternion(0.25, -0.0, 0.5, 0.0), Quaternion(-0.0, 0.3, -0.0, -0.2),
+                       Quaternion(-0.5, 0.0, -0.0, 0.0), Quaternion(0.0, -0.0, 0.0, 0.6))
+_EXACT_POINTS = (exact(F(1, 3)), exact(F(-1, 5), F(1, 4), F(-1, 6), F(2, 7)),
+                 exact(0, F(3, 5), F(-4, 5) * F(9, 10)), exact(F(1, 2), F(1, 2), F(1, 2)))
+
+
+class TestSharedLeftFactor:
+    """Terms with one left factor share its value at each point."""
+
+    @pytest.mark.parametrize("index", range(2))
+    def test_form_matches_the_per_term_references(self, index):
+        form = _shared_left_forms()[index]
+        points = _EXACT_POINTS + _SIGNED_ZERO_POINTS + _AXIS_POINTS
+        values = [_outcome(form.value, q) for q in points]
+        # no term folded its left factor into a numerator polynomial
+        assert not any("_den_conj_num" in t.__dict__ for t in form.terms if t.left is not None)
+        assert values == [_outcome(lambda p: _reference_form_value(form, p), q) for q in points]
+
+    def test_one_left_horner_per_point(self, monkeypatch):
+        form = close_to_convex_member(4, 24).derivative_form
+        (h,) = {id(t.left): t.left for t in form.terms}.values()
+        h_rows = h.trim()._integer_form[1][::-1]
+        calls = []
+
+        def counting(coeffs, *args):
+            calls.append(coeffs)
+            return _horner_xv(coeffs, *args)
+
+        monkeypatch.setattr("srgft.series._horner_xv", counting)
+        for q in (exact(F(1, 3), F(1, 4)), Quaternion(0.2, 0.0, 0.3, 0.0)):
+            calls.clear()
+            form.value(q)
+            assert sum(rows == h_rows for rows in calls) == 1
+
+
+class TestExactFormTerms:
+    def test_every_term_needs_one_weight(self):
+        koebe_1, mobius_half = koebe_quotient(ONE), mobius_quotient(exact(F(1, 2)))
+        # 3/4 + 1/5 at 1/3
+        assert ExactForm((koebe_1, mobius_half), (F(1), F(1))).value(exact(F(1, 3))) == \
+            exact(F(19, 20))
+        for form in (lambda: ExactForm((koebe_1, mobius_half)),
+                     lambda: ExactForm((koebe_1,), (F(1, 2), F(1, 2))),
+                     lambda: ExactForm(()),
+                     lambda: ExactForm((), ())):
+            with pytest.raises(DomainError):
+                form()
 
 
 # a nonzero coefficient that rounds to 0.0 as a float
