@@ -395,19 +395,13 @@ def certify_small_coeff(f: SliceSeries) -> ClassVerdict:
 def caratheodory_extremal(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """1 + 2 Sigma q^n u^n, the maximal-coefficient member for |u| = 1.
 
-    An exact u raises its powers on integers (`integer_powers`); a float
-    u multiplies quaternions.
+    The powers of u are raised on integers (`integer_powers`); a float u
+    is taken exactly and each coefficient rounded once.
     """
     _require_unit(u)
-    if u.is_exact:
-        return SliceSeries(0, (ONE,) + tuple(rational_quaternion(row, den, 2)
-                                             for den, row in integer_powers(u, degree, u)))
-    coeffs = [ONE]
-    power = u
-    for _ in range(1, degree + 1):
-        coeffs.append(power * 2)
-        power = power * u
-    return SliceSeries.from_coeffs(coeffs)
+    out = SliceSeries(0, (ONE,) + tuple(rational_quaternion(row, den, 2)
+                                        for den, row in integer_powers(u, degree, u)))
+    return out if u.is_exact else out.to_float()
 
 
 def caratheodory_extremal_quotient(u: Quaternion) -> StarQuotient:
@@ -468,17 +462,12 @@ def generate_close_to_convex(h: FunctionLike, p: FunctionLike,
 
 def koebe(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """Coefficients a_n = n u^(n-1): the extremal for the coefficient,
-    growth and distortion bounds."""
+    growth and distortion bounds.  The powers of u are raised on integers;
+    a float u is taken exactly and each coefficient rounded once."""
     _require_unit(u)
-    if u.is_exact:
-        return SliceSeries(1, tuple(rational_quaternion(row, den, n) for n, (den, row)
-                                    in enumerate(integer_powers(u, degree), 1)))
-    coeffs = []
-    power = ONE
-    for n in range(1, degree + 1):
-        coeffs.append(power * n)
-        power = power * u
-    return SliceSeries.from_coeffs(coeffs, valuation=1)
+    out = SliceSeries(1, tuple(rational_quaternion(row, den, n) for n, (den, row)
+                               in enumerate(integer_powers(u, degree), 1)))
+    return out if u.is_exact else out.to_float()
 
 
 def koebe_quotient(u: Quaternion) -> StarQuotient:
@@ -527,25 +516,20 @@ def rogosinski_extremal(b: Quaternion, p: Quaternion,
 
         f(q) = q (1 - q |b| p)^(-star) star (|b| - q p) b/|b|
 
-    Stays exact when |b| is rational; degrades to float otherwise.  In
-    exact mode the powers of |b| p are raised on integers
-    (`integer_powers`).  The family needs b != 0; for b = 0 use the
-    monomials q^2 u instead.
+    The powers of |b| p are raised on integers (`integer_powers`).  The
+    window is exact when b has a rational |b| and p is exact.  Otherwise
+    |b|, b/|b| and p are the floats of `_rogosinski_parts`, taken exactly,
+    and each coefficient is rounded once.  The family needs b != 0; for
+    b = 0 use the monomials q^2 u instead.
     """
     beta, u_b, p = _rogosinski_parts(b, p)
-    bp = p * beta
+    exact = u_b.is_exact and p.is_exact
+    beta, u_b, p = Fraction(beta), u_b.to_exact(), p.to_exact()
     # a_(n+1) = (|b| p)^(n-1) p (|b|^2 - 1) u_b for n >= 1
-    factor = p * (beta * beta - 1)
-    if u_b.is_exact and p.is_exact:
-        return SliceSeries(1, (u_b * beta,) + tuple(
-            rational_quaternion(row, den)
-            for den, row in integer_powers(bp, degree - 1, factor * u_b)))
-    coeffs = [u_b * beta]
-    power = ONE
-    for _ in range(2, degree + 1):
-        coeffs.append(power * factor * u_b)
-        power = power * bp
-    return SliceSeries.from_coeffs(coeffs, valuation=1)
+    out = SliceSeries(1, (u_b * beta,) + tuple(
+        rational_quaternion(row, den)
+        for den, row in integer_powers(p * beta, degree - 1, p * (beta * beta - 1) * u_b)))
+    return out if exact else out.to_float()
 
 
 def rogosinski_extremal_form(b: Quaternion, p: Quaternion) -> ExactForm:

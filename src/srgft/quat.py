@@ -358,6 +358,8 @@ def quaternion_from_json(data) -> Quaternion:
         raise ValueError("quaternion JSON form must be a 4-element array")
     comps = []
     for c in data:
+        if isinstance(c, bool):
+            raise ValueError(f"bad scalar in quaternion array: {c!r}")
         if isinstance(c, str):
             try:
                 comps.append(Fraction(c))

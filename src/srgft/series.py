@@ -22,7 +22,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError, SingularityError
-from .quat import (ONE, ZERO, Quaternion, Scalar, float_components, quaternion_from_json,
+from .quat import (ONE, ZERO, Quaternion, float_components, quaternion_from_json,
                    quaternion_to_json)
 
 DEFAULT_DEGREE = 48
@@ -331,8 +331,10 @@ class SliceSeries:
         if not isinstance(data, dict) or type(data.get("valuation")) is not int \
                 or not isinstance(data.get("coeffs"), list):
             raise ValueError('a series needs an integer "valuation" and a "coeffs" array')
+        mode = data.get("mode")  # files written before the key carry none
+        if "mode" in data and mode not in ("exact", "float"):
+            raise ValueError(f'a series "mode" must be "exact" or "float", not {mode!r}')
         coeffs = tuple(quaternion_from_json(c) for c in data["coeffs"])
-        mode = data.get("mode")
         if mode == "float":
             coeffs = tuple(c.to_float() for c in coeffs)
         elif mode == "exact" and any(not c.is_exact for c in coeffs):
@@ -362,8 +364,9 @@ def _exact_series(valuation: int, den: int, rows) -> SliceSeries:
 
 def integer_powers(u: Quaternion, count: int, right: Quaternion = ONE):
     """[(D^n E, U^n R) for n < count]: the powers u^n r = U^n R / (D^n E)
-    of an exact u = U / D times an exact r = R / E, on integers.  Each step
-    is one integer quaternion product U (U^(n-1) R), no `Fraction`."""
+    of u = U / D times r = R / E, on integers.  A float u or r is taken
+    exactly (a binary float is a dyadic rational).  Each step is one
+    integer quaternion product U (U^(n-1) R), no `Fraction`."""
     den, *units, _ = _integer_point(u)
     scale, *row, _ = _integer_point(right)
     out = [(scale, tuple(row))]
@@ -393,39 +396,27 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     min(N_f + v_g, N_g + v_f).  Exact windows convolve their integer
     forms over D_f D_g: each component of c_n is one integer dot product
     of a_0 .. a_n with b_n .. b_0 under a sign pattern of the quaternion
-    product.  A float operand runs the quaternion loop.
+    product.  A float operand is taken exactly, and each component of the
+    float result is rounded once from the exact product.
     """
-    exact = f.is_exact and g.is_exact
+    if not (f.is_exact and g.is_exact):
+        return star_mul(f.to_exact(), g.to_exact()).to_float()
     v = f.valuation + g.valuation
     degree = min(f.degree + g.valuation, g.degree + f.valuation)
     if f.is_zero() or g.is_zero():
-        return SliceSeries.zero(max(degree, 0), exact)
+        return SliceSeries.zero(max(degree, 0))
     length = degree - v + 1
-    if exact:
-        f_den, f_rows = f._integer_form
-        g_den, g_rows = g._integer_form
-        flat = [x for row in f_rows[:length] for x in row]
-        rev = g_rows[length - 1::-1]
-        signed = ([x for b0, b1, b2, b3 in rev for x in (b0, -b1, -b2, -b3)],
-                  [x for b0, b1, b2, b3 in rev for x in (b1, b0, b3, -b2)],
-                  [x for b0, b1, b2, b3 in rev for x in (b2, -b3, b0, b1)],
-                  [x for b0, b1, b2, b3 in rev for x in (b3, b2, -b1, b0)])
-        end = 4 * length
-        return _exact_series(v, f_den * g_den, (
-            [sum(map(mul, flat, b[end - 4 * n - 4:])) for b in signed] for n in range(length)))
-    zero = _zero_like(exact)
-    out = [zero] * length
-    fa, ga = f.coeffs, g.coeffs
-    for i, a in enumerate(fa):
-        if a.is_zero():
-            continue
-        jmax = min(len(ga), length - i)
-        for j in range(jmax):
-            b = ga[j]
-            if b.is_zero():
-                continue
-            out[i + j] = out[i + j] + a * b
-    return SliceSeries(v, tuple(out))
+    f_den, f_rows = f._integer_form
+    g_den, g_rows = g._integer_form
+    flat = [x for row in f_rows[:length] for x in row]
+    rev = g_rows[length - 1::-1]
+    signed = ([x for b0, b1, b2, b3 in rev for x in (b0, -b1, -b2, -b3)],
+              [x for b0, b1, b2, b3 in rev for x in (b1, b0, b3, -b2)],
+              [x for b0, b1, b2, b3 in rev for x in (b2, -b3, b0, b1)],
+              [x for b0, b1, b2, b3 in rev for x in (b3, b2, -b1, b0)])
+    end = 4 * length
+    return _exact_series(v, f_den * g_den, (
+        [sum(map(mul, flat, b[end - 4 * n - 4:])) for b in signed] for n in range(length)))
 
 
 def full_star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
@@ -446,53 +437,30 @@ def regular_conjugate(f: SliceSeries) -> SliceSeries:
 def symmetrize(f: SliceSeries) -> SliceSeries:
     """f star f^c.  Coefficients are real by the pairing a_k conj(a_m) + a_m conj(a_k).
 
-    Computed through real dot products so reality is exact in both scalar
-    modes; in exact mode this agrees with star_mul(f, f^c) coefficient by
-    coefficient.  An exact window takes the dot product of its integer
-    rows c_0 .. c_t with c_t .. c_0 over D^2; a float window pairs the
-    terms, doubling each off-diagonal dot.
+    Computed through real dot products, so the result is real; it agrees
+    with star_mul(f, f^c) coefficient by coefficient.  The window takes
+    the dot product of its integer rows c_0 .. c_t with c_t .. c_0 over
+    D^2.  A float window is taken exactly and rounded once per
+    coefficient.
     """
+    if not f.is_exact:
+        return symmetrize(f.to_exact()).to_float()
     if f.is_zero():
-        return SliceSeries.zero(max(f.degree + f.valuation, 0), f.is_exact)
-    cs = f.coeffs
-    length = len(cs)  # valid window: t in [0, N - v]
-    if f.is_exact:
-        den, rows = f._integer_form
-        flat = [x for row in rows for x in row]
-        rev = [x for row in reversed(rows) for x in row]
-        out = []
-        for t in range(length):
-            # the pairs i < t - i: rows 0, 1, .. against rows t, t - 1, ..
-            start = 4 * (length - 1 - t)
-            acc = 2 * sum(map(mul, flat, rev[start:start + 4 * ((t + 1) // 2)]))
-            if not t % 2:
-                middle = rows[t // 2]
-                acc += sum(map(mul, middle, middle))
-            out.append(Quaternion.from_real(Fraction(acc, den * den)))
-        return SliceSeries(2 * f.valuation, tuple(out))
+        return SliceSeries.zero(max(f.degree + f.valuation, 0))
+    den, rows = f._integer_form
+    length = len(rows)  # valid window: t in [0, N - v]
+    flat = [x for row in rows for x in row]
+    rev = [x for row in reversed(rows) for x in row]
     out = []
     for t in range(length):
-        acc = 0
-        half = t // 2
-        for i in range(half + 1):
-            j = t - i
-            a, b = cs[i], cs[j]
-            dot = a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
-            acc = acc + (dot if i == j else 2 * dot)
-        out.append(Quaternion.from_real(acc))
+        # the pairs i < t - i: rows 0, 1, .. against rows t, t - 1, ..
+        start = 4 * (length - 1 - t)
+        acc = 2 * sum(map(mul, flat, rev[start:start + 4 * ((t + 1) // 2)]))
+        if not t % 2:
+            middle = rows[t // 2]
+            acc += sum(map(mul, middle, middle))
+        out.append(Quaternion.from_real(Fraction(acc, den * den)))
     return SliceSeries(2 * f.valuation, tuple(out))
-
-
-def _invert_real_series(values: list[float]) -> list[float]:
-    """Reciprocal of a float power series with s_0 != 0, to the same order."""
-    inv0 = 1 / values[0]
-    out = [inv0]
-    for n in range(1, len(values)):
-        acc = 0
-        for k in range(1, min(n, len(values) - 1) + 1):
-            acc = acc + values[k] * out[n - k]
-        out.append(-inv0 * acc)
-    return out
 
 
 def _invert_integer_series(s: list[int]) -> tuple[int, list[int]]:
@@ -518,20 +486,19 @@ def star_reciprocal(f: SliceSeries) -> SliceSeries:
     """Regular reciprocal: invert the real symmetrization, then star f^c.
 
     The input's valuation flips sign, so reciprocals of series vanishing
-    at 0 come back as Laurent windows.  An exact window inverts the
-    integer form of its symmetrization.
+    at 0 come back as Laurent windows.  The window inverts the integer
+    form of its symmetrization; a float window is taken exactly and
+    rounded once per coefficient.
     """
     if f.is_zero():
         raise DomainError("the zero series has no regular reciprocal")
-    fs = symmetrize(f)
+    if not f.is_exact:
+        return star_reciprocal(f.to_exact()).to_float()
     # strip the central q^(2v); the unit part starts with |a_v|^2 > 0
-    if f.is_exact:
-        den, rows = fs._integer_form
-        inv_den, inverted = _invert_integer_series([row[0] for row in rows])
-        scalars = [Fraction(den * u, inv_den) for u in inverted]
-    else:
-        scalars = _invert_real_series([c.w for c in fs.coeffs])
-    inv_sym = SliceSeries(-2 * f.valuation, tuple(Quaternion.from_real(s) for s in scalars))
+    den, rows = symmetrize(f)._integer_form
+    inv_den, inverted = _invert_integer_series([row[0] for row in rows])
+    inv_sym = SliceSeries(-2 * f.valuation, tuple(
+        Quaternion.from_real(Fraction(den * u, inv_den)) for u in inverted))
     return star_mul(inv_sym, regular_conjugate(f))
 
 
@@ -567,7 +534,8 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
     min(N_f, N_w).  Exact windows run on integers: with w = W / D_w, the
     powers W^n have integer coefficients (each one a dot product with the
     reversed W), and sum_n a_n w^n is summed over D_f D_w^N with a_n
-    scaled by D_w^(N-n).  A float operand runs the quaternion loop.
+    scaled by D_w^(N-n).  A float operand is taken exactly, and each
+    component of the float result is rounded once.
     """
     for _, c in w.terms():
         if not c.is_real():
@@ -576,57 +544,30 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
         raise DomainError("inner series must vanish at 0")
     if f.valuation < 0:
         raise DomainError("cannot substitute into a Laurent window")
-    exact = f.is_exact and w.is_exact
+    if not (f.is_exact and w.is_exact):
+        return compose_slice_preserving(f.to_exact(), w.to_exact()).to_float()
     degree = min(f.degree, w.degree)
-    if exact:
-        f_den, f_rows = f._integer_form
-        w_den, w_rows = w._integer_form
-        w_ints = ([0] * w.valuation + [row[0] for row in w_rows])[:degree + 1]
-        while len(w_ints) > 1 and not w_ints[-1]:
-            w_ints.pop()
-        m = len(w_ints) - 1
-        w_rev = w_ints[::-1]
-        power = [1] + [0] * degree
-        powers = [power]
-        for n in range(1, degree + 1):
-            # W^n lives on q^(n v_w) .. q^(n m); a monomial W has one term
-            padded = [0] * m + power
-            power = [0] * (degree + 1)
-            for d in range(n * w.valuation, min(n * m, degree) + 1):
-                power[d] = sum(map(mul, padded[d:d + m + 1], w_rev))
-            powers.append(power)
-        a_rows = (((0, 0, 0, 0),) * f.valuation + f_rows)[:degree + 1]
-        scaled = [[x * w_den ** (degree - n) for n, x in enumerate(comp)]
-                  for comp in zip(*a_rows)]
-        return _exact_series(0, f_den * w_den ** degree, (
-            [sum(map(mul, comp, col)) for comp in scaled] for col in zip(*powers)))
-    w_scal: list[Scalar] = [0] * (degree + 1)
-    for n, c in w.terms():
-        if 0 <= n <= degree:
-            w_scal[n] = c.w
-    out = [_zero_like(exact)] * (degree + 1)
-    # power[d] = coefficient of q^d in w(q)^n, rebuilt per n
-    power: list[Scalar] = [1] + [0] * degree
-    for n in range(0, degree + 1):
-        if f.valuation <= n <= f.degree:
-            a = f.coeff(n)
-            if not a.is_zero():
-                for d in range(degree + 1):
-                    if power[d] != 0:
-                        out[d] = out[d] + a * power[d]
-        if n == degree:
-            break
-        nxt: list[Scalar] = [0] * (degree + 1)
-        for d1 in range(degree + 1):
-            p = power[d1]
-            if p == 0:
-                continue
-            for d2 in range(1, degree + 1 - d1):
-                s = w_scal[d2]
-                if s != 0:
-                    nxt[d1 + d2] = nxt[d1 + d2] + p * s
-        power = nxt
-    return SliceSeries(0, tuple(out))
+    f_den, f_rows = f._integer_form
+    w_den, w_rows = w._integer_form
+    w_ints = ([0] * w.valuation + [row[0] for row in w_rows])[:degree + 1]
+    while len(w_ints) > 1 and not w_ints[-1]:
+        w_ints.pop()
+    m = len(w_ints) - 1
+    w_rev = w_ints[::-1]
+    power = [1] + [0] * degree
+    powers = [power]
+    for n in range(1, degree + 1):
+        # W^n lives on q^(n v_w) .. q^(n m); a monomial W has one term
+        padded = [0] * m + power
+        power = [0] * (degree + 1)
+        for d in range(n * w.valuation, min(n * m, degree) + 1):
+            power[d] = sum(map(mul, padded[d:d + m + 1], w_rev))
+        powers.append(power)
+    a_rows = (((0, 0, 0, 0),) * f.valuation + f_rows)[:degree + 1]
+    scaled = [[x * w_den ** (degree - n) for n, x in enumerate(comp)]
+              for comp in zip(*a_rows)]
+    return _exact_series(0, f_den * w_den ** degree, (
+        [sum(map(mul, comp, col)) for comp in scaled] for col in zip(*powers)))
 
 
 def integrate_radial(g: SliceSeries) -> SliceSeries:
@@ -652,17 +593,12 @@ def outside_closed_ball(a: Quaternion) -> bool:
 
 
 def geometric(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
-    """Sigma q^n u^n, the star reciprocal of 1 - q u.  An exact u raises
-    its powers on integers (:func:`integer_powers`)."""
-    if u.is_exact:
-        return SliceSeries(0, tuple(rational_quaternion(row, den)
-                                    for den, row in integer_powers(u, degree + 1)))
-    coeffs = []
-    acc = ONE
-    for _ in range(degree + 1):
-        coeffs.append(acc)
-        acc = acc * u
-    return SliceSeries(0, tuple(coeffs))
+    """Sigma q^n u^n, the star reciprocal of 1 - q u.  The powers of u are
+    raised on integers (:func:`integer_powers`); a float u is taken
+    exactly and each coefficient rounded once."""
+    out = SliceSeries(0, tuple(rational_quaternion(row, den)
+                               for den, row in integer_powers(u, degree + 1)))
+    return out if u.is_exact else out.to_float()
 
 
 def mobius(a: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
@@ -670,23 +606,18 @@ def mobius(a: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
 
         a - (1 - |a|^2) Sigma_{n>=1} q^n conj(a)^(n-1)
 
-    which is the expansion of (1 - q conj(a))^(-*) star (a - q).  An
-    exact a raises the powers of conj(a) on integers.
+    which is the expansion of (1 - q conj(a))^(-*) star (a - q).  The
+    powers of conj(a) are raised on integers; a float a is taken exactly
+    and each coefficient rounded once.
     """
     if outside_closed_ball(a):
         raise DomainError("moebius parameter must lie in the closed unit ball")
+    exact, a = a.is_exact, a.to_exact()
     t = 1 - a.norm_sq()
-    abar = a.conjugate()
-    if a.is_exact:
-        return SliceSeries(0, (a,) + tuple(
-            rational_quaternion(row, den * t.denominator, -t.numerator)
-            for den, row in integer_powers(abar, degree)))
-    coeffs = [a]
-    power = ONE
-    for _ in range(1, degree + 1):
-        coeffs.append(power * (-t))
-        power = power * abar
-    return SliceSeries(0, tuple(coeffs))
+    out = SliceSeries(0, (a,) + tuple(
+        rational_quaternion(row, den * t.denominator, -t.numerator)
+        for den, row in integer_powers(a.conjugate(), degree)))
+    return out if exact else out.to_float()
 
 
 def mobius_quotient(a: Quaternion) -> "StarQuotient":

@@ -1,17 +1,21 @@
 """Reference series kernels in `Quaternion` arithmetic.
 
-These are the loops the package ran before its integer kernels: each
-operation works on the coefficients in their own scalar mode, so exact
-windows run in `Fraction` and a float operand promotes every mixed
-operation to float.  Tests compare `star_mul`, `symmetrize`,
-`star_reciprocal` and `compose_slice_preserving` against them: exact
-windows coefficient for coefficient, float and mixed windows bit for bit.
+These are the loops the package ran before its integer kernels, run here
+in `Fraction` on exact windows.  Tests compare `star_mul`, `symmetrize`,
+`star_reciprocal` and `compose_slice_preserving` against them
+coefficient for coefficient.  A float or mixed operand is checked against
+the reference at the exact values of its operands, each component of the
+result rounded once to float, bit for bit.
 
-The same holds for the scalar paths: the old `Quaternion.__pow__`, the
-float Horner that read `Quaternion` attributes, `random_exact_unit` in
-`Fraction` quaternions, and the power loops of the generators `geometric`,
+The same holds for the power loops of the generators `geometric`,
 `mobius`, `caratheodory_extremal`, `generate_caratheodory`, `koebe` and
-`rogosinski_extremal`.
+`rogosinski_extremal` (the last on the parts |b|, b/|b| and p;
+`reference_at_exact` runs the others at the exact value of a float
+parameter), and for `random_exact_unit` in `Fraction` quaternions.  Three loops still run in
+float: the old `Quaternion.__pow__` and the float Horner that read
+`Quaternion` attributes, which the package matches bit for bit, and
+`reference_koebe` at a float unit, which rounds at every power and so
+misses the correctly rounded window.
 """
 
 from fractions import Fraction
@@ -22,18 +26,13 @@ from srgft.quat import ONE, ZERO, Quaternion
 from srgft.series import SliceSeries, regular_conjugate
 
 
-def _zero_like(exact):
-    return ZERO if exact else Quaternion(0.0, 0.0, 0.0, 0.0)
-
-
 def reference_star_mul(f, g):
-    exact = f.is_exact and g.is_exact
     v = f.valuation + g.valuation
     degree = min(f.degree + g.valuation, g.degree + f.valuation)
     if f.is_zero() or g.is_zero():
-        return SliceSeries.zero(max(degree, 0), exact)
+        return SliceSeries.zero(max(degree, 0))
     length = degree - v + 1
-    out = [_zero_like(exact)] * length
+    out = [ZERO] * length
     for i, a in enumerate(f.coeffs):
         if a.is_zero():
             continue
@@ -47,7 +46,7 @@ def reference_star_mul(f, g):
 
 def reference_symmetrize(f):
     if f.is_zero():
-        return SliceSeries.zero(max(f.degree + f.valuation, 0), f.is_exact)
+        return SliceSeries.zero(max(f.degree + f.valuation, 0))
     cs = f.coeffs
     out = []
     for t in range(len(cs)):
@@ -81,13 +80,12 @@ def reference_star_reciprocal(f):
 
 
 def reference_compose_slice_preserving(f, w):
-    exact = f.is_exact and w.is_exact
     degree = min(f.degree, w.degree)
     w_scal = [0] * (degree + 1)
     for n, c in w.terms():
         if 0 <= n <= degree:
             w_scal[n] = c.w
-    out = [_zero_like(exact)] * (degree + 1)
+    out = [ZERO] * (degree + 1)
     power = [1] + [0] * degree  # coefficients of w(q)^n, rebuilt per n
     for n in range(0, degree + 1):
         if f.valuation <= n <= f.degree:
@@ -147,6 +145,13 @@ def reference_random_exact_unit(rng):
     return (v * v) * Fraction(1, v.norm_sq())
 
 
+def reference_at_exact(reference, a, degree):
+    """The reference generator at the exact value of the parameter a,
+    rounded once to float when a is float."""
+    out = reference(a.to_exact(), degree)
+    return out if a.is_exact else out.to_float()
+
+
 def reference_geometric(u, degree):
     coeffs = []
     acc = ONE
@@ -194,7 +199,11 @@ def reference_koebe(u, degree):
 
 
 def reference_rogosinski_extremal(b, p, degree):
-    beta, u_b, p = _rogosinski_parts(b, p)
+    return reference_rogosinski_window(*_rogosinski_parts(b, p), degree)
+
+
+def reference_rogosinski_window(beta, u_b, p, degree):
+    """The Rogosinski window of the parts |b|, b/|b| and p."""
     bp = p * beta
     factor = p * (beta * beta - 1)
     coeffs = [u_b * beta]

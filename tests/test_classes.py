@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from series_reference import (reference_caratheodory_extremal,
+from series_reference import (reference_at_exact, reference_caratheodory_extremal,
                               reference_generate_caratheodory, reference_koebe,
                               reference_random_exact_unit,
-                              reference_rogosinski_extremal)
+                              reference_rogosinski_extremal, reference_rogosinski_window)
 
+from srgft.checks import _diagonal_float_unit
 from srgft.classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
                            caratheodory_extremal, caratheodory_extremal_quotient,
                            caratheodory_mixture_form,
@@ -24,7 +25,7 @@ from srgft.classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
                            is_slice_preserving, is_starlike, koebe,
                            koebe_quotient, random_exact_unit,
                            rogosinski_extremal, rogosinski_extremal_form,
-                           small_coeff_margin)
+                           small_coeff_margin, _rogosinski_parts)
 from srgft.errors import DomainError, PreconditionError
 from srgft.quat import I, J, K, ONE, Quaternion
 from srgft.series import ExactForm, SliceSeries, odd_part, slice_derivative
@@ -346,9 +347,14 @@ class TestOddPartBridge:
         assert is_close_to_convex(f, half_diff).member
 
 
+def _reprs(q: Quaternion) -> tuple:
+    """Each component's repr: type, value and sign of zero."""
+    return tuple(repr(v) for v in (q.w, q.x, q.y, q.z))
+
+
 def _repr_window(s: SliceSeries) -> tuple:
     """Valuation and each component's repr: type, value and sign of zero."""
-    return s.valuation, [tuple(repr(v) for v in (c.w, c.x, c.y, c.z)) for c in s.coeffs]
+    return s.valuation, [_reprs(c) for c in s.coeffs]
 
 
 zero_signs = st.tuples(*[st.sampled_from((1.0, -1.0))] * 4)
@@ -389,7 +395,8 @@ def rogosinski_parameters(draw):
 
 class TestGeneratorReferences:
     """The integer power loops agree with the `Quaternion` loops they
-    replace: exact windows exactly, float ones bit for bit."""
+    replace on exact parameters; a float parameter gives the exact window
+    of its exact value, rounded once, bit for bit."""
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=200)
@@ -404,12 +411,30 @@ class TestGeneratorReferences:
     @settings(max_examples=150, deadline=None)
     def test_caratheodory_extremal_matches_the_reference(self, u, degree):
         assert _repr_window(caratheodory_extremal(u, degree)) == \
-            _repr_window(reference_caratheodory_extremal(u, degree))
+            _repr_window(reference_at_exact(reference_caratheodory_extremal, u, degree))
 
     @given(units(), st.integers(1, 30))
     @settings(max_examples=150, deadline=None)
     def test_koebe_matches_the_reference(self, u, degree):
-        assert _repr_window(koebe(u, degree)) == _repr_window(reference_koebe(u, degree))
+        assert _repr_window(koebe(u, degree)) == \
+            _repr_window(reference_at_exact(reference_koebe, u, degree))
+
+    def test_diagonal_float_koebe_is_rounded_once(self):
+        """Each coefficient of the bieberbach suite's float Koebe function is
+        float() of the exact n u^(n-1) at the dyadic u; the old float loop,
+        which rounded at every power, missed that value from n = 3 on."""
+        u = _diagonal_float_unit()
+        exact_u = u.to_exact()
+        f, old = koebe(u, 48), reference_koebe(u, 48)
+        missed = []
+        for n in range(1, 49):
+            power = exact_u ** (n - 1) * n
+            want = _reprs(power.to_float())
+            assert _reprs(f.coeff(n)) == want
+            if _reprs(old.coeff(n)) != want:
+                missed.append(n)
+        assert {3, 6, 9, 10} <= set(missed)
+        assert f.coeff(3).w == -2.9999999999999996  # the old loop gave -2.999999999999999
 
     @given(st.integers(0, 10 ** 6), st.integers(0, 30), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -421,5 +446,10 @@ class TestGeneratorReferences:
     @settings(max_examples=150, deadline=None)
     def test_rogosinski_extremal_matches_the_reference(self, params, degree):
         b, p = params
-        assert _repr_window(rogosinski_extremal(b, p, degree)) == \
-            _repr_window(reference_rogosinski_extremal(b, p, degree))
+        beta, u_b, q = _rogosinski_parts(b, p)
+        if u_b.is_exact and q.is_exact:
+            want = reference_rogosinski_extremal(b, p, degree)
+        else:  # the float parts taken exactly, each coefficient rounded once
+            want = reference_rogosinski_window(F(beta), u_b.to_exact(), q.to_exact(),
+                                               degree).to_float()
+        assert _repr_window(rogosinski_extremal(b, p, degree)) == _repr_window(want)

@@ -161,12 +161,12 @@ class TestGenCommand:
         "koebe --u=2/3i+1/3j+2/3k":
             "5010c3446beabc36d15550d2a3bfd7d836063e89ddb1902bb9fa27adc0d96a0d",
         "koebe --u=2/3i+1/3j+2/3k --mode float":
-            "9409d85dcb39bce939e7fd0078eaa6d29236fc0df7f66ee797379776d681d9cb",
+            "18800b3b019aeaca98d74007e79aa51640d0a651beb823b7e557325073764b6e",
         "rogosinski": "59b5c8f7ac26693e4f11bc2d51db1b4c539189ad34e207df847b9618c93fe8f9",
         "rogosinski --b=3/10i+2/5j --p=3/5+4/5k":
             "744483a520641161392bf12cceef12381db0e9950e3bd0635ef5adac8e5103da",
         "rogosinski --b=3/10i+2/5j --p=3/5+4/5k --mode float":
-            "f818165868c1e033ce898096530632ffc83e2a503d5458a07917ef17f3e1799d",
+            "235cc0d2ef7b3f361615b179ce11ef053ac76ab395aefe1def8a4a752d76bc7c",
         "class-c": "d10f5adb753f4b02058d7929e850d69fb6f1f60e3601e878adcbc51245117684",
         "class-c --seed=11": "38fb7850256734654509db1bf1f9322ed5862d80fae4a4e959bd771adfed56dd",
         "class-c --grid-units=5":
@@ -254,6 +254,9 @@ MALFORMED_FILES = {
         "series": SliceSeries.identity(4).to_json_dict(),
         "quotient": {"num": SliceSeries.identity(1).to_json_dict(), "shift": 0},
     },
+    # JSON true is an int to Python; it used to load as the component 1.0
+    "bool-component": {"valuation": 0, "coeffs": [[True, False, 0, 0], ["1/2", "0", "0", "0"]]},
+    "unknown-mode": dict(SliceSeries.identity(4).to_json_dict(), mode="banana"),
 }
 
 
