@@ -34,7 +34,7 @@ from .classes import (DEFAULT_GRID, FunctionLike, FunctionUnderTest,
 from .errors import DomainError, PreconditionError
 from .quat import (ONE, ZERO, I, J, K, Quaternion, format_quaternion,
                    quaternion_to_json)
-from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, ExactForm,
+from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, QuotientSum,
                      SliceSeries, StarQuotient, compose_slice_preserving,
                      integrate_radial, mobius, mobius_quotient,
                      slice_derivative, symmetrize)
@@ -675,7 +675,7 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
 def koebe_function(u: Quaternion, degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
     return FunctionUnderTest(
         f"koebe({format_quaternion(u)})", koebe(u, degree),
-        ExactForm((koebe_quotient(u),)),
+        koebe_quotient(u),
         certificates=("starlike", "close-to-convex"))
 
 
@@ -684,14 +684,14 @@ def caratheodory_extremal_function(u: Quaternion,
     return FunctionUnderTest(
         f"caratheodory-extremal({format_quaternion(u)})",
         caratheodory_extremal(u, degree),
-        ExactForm((caratheodory_extremal_quotient(u),)),
+        caratheodory_extremal_quotient(u),
         certificates=("caratheodory",))
 
 
 def convex_function(degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
     return FunctionUnderTest(
         "convex-reference", convex_reference(degree),
-        ExactForm((convex_reference_quotient(),)),
+        convex_reference_quotient(),
         certificates=("starlike", "close-to-convex", "derivative-starlike",
                       "slice-preserving"))
 
@@ -699,7 +699,7 @@ def convex_function(degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
 def odd_reference_function(degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
     return FunctionUnderTest(
         "odd-reference", odd_reference(degree),
-        ExactForm((odd_reference_quotient(),)),
+        odd_reference_quotient(),
         certificates=("starlike", "slice-preserving"))
 
 
@@ -711,7 +711,7 @@ def mobius_function(a: Quaternion, degree: int = DEFAULT_DEGREE,
     if u is not None:
         fid += f"*{format_quaternion(u)}"
         series, quot = series.times(u), StarQuotient(quot.num.times(u), quot.den)
-    return FunctionUnderTest(fid, series, ExactForm((quot,)))
+    return FunctionUnderTest(fid, series, quot)
 
 
 def identity_function(degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
@@ -767,14 +767,12 @@ def close_to_convex_member(seed: int, degree: int = DEFAULT_DEGREE,
                            k: int = 3) -> FunctionUnderTest:
     """f' = q^-1 h star p for a certified starlike h and Caratheodory mixture p.
 
-    f' keeps the exact form q^-1 sum_k w_k h star (1-qu_k)^(-star) star
-    (1+qu_k), one left-factor quotient per term of p.
+    f' keeps the exact form (h / q) star sum_k w_k (1-qu_k)^(-star) star
+    (1+qu_k), one quotient sum with p's terms and the left factor h / q.
     """
     h = close_to_convex_reference(seed, degree)
     p = caratheodory_member(1000003 * seed + 2, degree, k)
-    derivative = ExactForm(tuple(StarQuotient(t.num, t.den, left=h.series)
-                                 for t in p.form.terms),
-                           p.form.weights, shift=-1)
+    derivative = QuotientSum(p.form.terms, p.form.weights, left=h.series.shift(-1))
     return FunctionUnderTest(
         f"close-to-convex-member(seed={seed})", generate_close_to_convex(h, p),
         derivative_form=derivative, certificates=("close-to-convex",))

@@ -30,7 +30,7 @@ from typing import Optional, Union
 from .errors import DomainError, PreconditionError
 from .quat import (ONE, ZERO, ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K,
                    exact_sqrt, quaternion_to_json)
-from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, ExactForm,
+from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, QuotientSum,
                      SliceSeries, StarQuotient, full_star_mul, integer_powers,
                      integrate_radial, outside_closed_ball, rational_quaternion,
                      slice_derivative, star_mul)
@@ -148,16 +148,18 @@ class FunctionUnderTest:
     Carries the coefficient window plus, when available, an exact point
     form of f that stays accurate near the boundary of the ball (the
     truncated window of an infinite extremal is useless at radius 0.99),
-    or only one of f' (``derivative_form``).  Without a form, points are
-    evaluated on a float copy of the window.  ``certificates`` lists
-    class names established by construction, so checks need not
-    re-screen them.
+    or only one of f' (``derivative_form``).  Each form is one
+    :class:`StarQuotient`, evaluated exactly and rounded once; f' of
+    ``form`` is its derivative quotient, built on first use.  Without a
+    form, points are evaluated on a float copy of the window.
+    ``certificates`` lists class names established by construction, so
+    checks need not re-screen them.
     """
 
     fid: str
     series: SliceSeries
-    form: Optional[ExactForm] = None
-    derivative_form: Optional[ExactForm] = None
+    form: Optional[StarQuotient] = None
+    derivative_form: Optional[StarQuotient] = None
     certificates: tuple[str, ...] = ()
 
     @cached_property
@@ -168,16 +170,20 @@ class FunctionUnderTest:
     def _float_derivative(self) -> SliceSeries:
         return slice_derivative(self._float_series)
 
+    @cached_property
+    def _form_derivative(self) -> StarQuotient:
+        return self.form.derivative()
+
     def value(self, q: Quaternion) -> Quaternion:
         if self.form is not None:
-            return self.form.value(q)
+            return self.form.eval(q)
         return self._float_series.eval(q)
 
     def derivative_value(self, q: Quaternion) -> Quaternion:
         if self.derivative_form is not None:
-            return self.derivative_form.value(q)
+            return self.derivative_form.eval(q)
         if self.form is not None:
-            return self.form.derivative(q)
+            return self._form_derivative.eval(q)
         return self._float_derivative.eval(q)
 
     def coeff(self, n: int) -> Quaternion:
@@ -437,11 +443,10 @@ def generate_caratheodory(seed: int, degree: int = DEFAULT_DEGREE,
     return SliceSeries(0, tuple(coeffs))
 
 
-def caratheodory_mixture_form(seed: int, k: int = 3) -> ExactForm:
+def caratheodory_mixture_form(seed: int, k: int = 3) -> QuotientSum:
     """Exact point form of the mixture that generate_caratheodory expands."""
     lambdas, units = caratheodory_mixture_parts(seed, k)
-    return ExactForm(tuple(caratheodory_extremal_quotient(u) for u in units),
-                     tuple(lambdas))
+    return QuotientSum([caratheodory_extremal_quotient(u) for u in units], lambdas)
 
 
 def generate_close_to_convex(h: FunctionLike, p: FunctionLike,
@@ -532,12 +537,12 @@ def rogosinski_extremal(b: Quaternion, p: Quaternion,
     return out if exact else out.to_float()
 
 
-def rogosinski_extremal_form(b: Quaternion, p: Quaternion) -> ExactForm:
-    """f(q) = q C(q) with the quotient core C = (1 - q |b| p)^(-*) star (|b| - q p) b/|b|."""
+def rogosinski_extremal_form(b: Quaternion, p: Quaternion) -> StarQuotient:
+    """f = (1 - q |b| p)^(-*) star q (|b| - q p) b/|b|; q is central."""
     beta, u_b, p = _rogosinski_parts(b, p)
-    num = SliceSeries.from_coeffs([u_b * beta, (-p) * u_b])
+    num = SliceSeries.from_coeffs([u_b * beta, (-p) * u_b], valuation=1)
     den = SliceSeries.from_coeffs([ONE, (-p) * beta])
-    return ExactForm((StarQuotient(num, den),), shift=1)
+    return StarQuotient(num, den)
 
 
 def _rogosinski_parts(b: Quaternion, p: Quaternion):

@@ -36,8 +36,7 @@ from .classes import (DEFAULT_ANGLE_COUNT, DEFAULT_RADII, ClassVerdict,
 from .errors import DomainError, PreconditionError, QuaternionParseError
 from .quat import (UNIT_I, UNIT_J, UNIT_K, ImaginaryUnit, format_quaternion,
                    parse_quaternion)
-from .series import (DEFAULT_DEGREE, ExactForm, SliceSeries, StarQuotient,
-                     slice_derivative)
+from .series import DEFAULT_DEGREE, SliceSeries, StarQuotient, slice_derivative
 
 SEED_ENV = "SRGFT_SEED"
 USAGE_EXIT = 2
@@ -126,9 +125,10 @@ def _gen_member(args, cfg: SuiteConfig) -> tuple[FunctionUnderTest, ClassVerdict
     raise DomainError(f"unknown family {args.family!r}")
 
 
-# A file carries one quotient and a shift.  A Caratheodory mixture's form
-# is a weighted sum and a class-c member only has one of f', so those
-# files (like sstar ones) carry the window alone.
+# A file carries one quotient block.  Caratheodory and class-c files (like
+# sstar ones) carry the window alone until the slice-files oracles in
+# perfbench check each file against the form it carries (ROADMAP item 2):
+# a mixture's form and a class-c f' are quotient sums too.
 _FAMILIES_WITH_QUOTIENT = ("koebe", "rogosinski")
 
 
@@ -137,9 +137,8 @@ def _gen_payload(args, cfg: SuiteConfig) -> dict:
     series = fut.series if args.mode == "exact" else fut.series.to_float()
     quotient = None
     if args.family in _FAMILIES_WITH_QUOTIENT:
-        (quot,) = fut.form.terms
-        quotient = {"num": quot.num.to_json_dict(), "den": quot.den.to_json_dict(),
-                    "shift": fut.form.shift}
+        quotient = {"num": fut.form.num.to_json_dict(), "den": fut.form.den.to_json_dict(),
+                    "shift": 0}
     return {"series": series.to_json_dict(), "quotient": quotient,
             "verdict": verdict.to_json_dict()}
 
@@ -159,7 +158,9 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_series_file(path: str) -> tuple[SliceSeries, ExactForm | None]:
+def _load_series_file(path: str) -> tuple[SliceSeries, StarQuotient | None]:
+    """The window and, when the file has a quotient block, its quotient;
+    a block's "shift" s (older files wrote q^s apart) multiplies num by q^s."""
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict) or "series" not in data:
@@ -169,9 +170,9 @@ def _load_series_file(path: str) -> tuple[SliceSeries, ExactForm | None]:
     if block is not None:
         if not isinstance(block, dict) or type(block.get("shift", 0)) is not int:
             raise ValueError('"quotient" must be an object with an integer "shift"')
-        quot = StarQuotient(SliceSeries.from_json_dict(block.get("num")),
+        num = SliceSeries.from_json_dict(block.get("num"))
+        form = StarQuotient(num.shift(block.get("shift", 0)),
                             SliceSeries.from_json_dict(block.get("den")))
-        form = ExactForm((quot,), shift=block.get("shift", 0))
     return SliceSeries.from_json_dict(data["series"]), form
 
 
@@ -182,7 +183,7 @@ def cmd_eval(args) -> int:
         if form is None:
             value, derivative = series.eval(q), slice_derivative(series).eval(q)
         else:
-            value, derivative = form.value_and_derivative(q)
+            value, derivative = form.eval(q), form.derivative().eval(q)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return FAILURE_EXIT
@@ -217,7 +218,7 @@ def cmd_slice_image(args) -> int:
         return FAILURE_EXIT
     radii = [0.98 * (i + 1) / 24 for i in range(24)]
     angles = [2.0 * math.pi * j / 48 for j in range(48)]
-    evaluate = series.to_float().eval if form is None else form.value
+    evaluate = series.to_float().eval if form is None else form.eval
     rows = []
     for r in radii:
         for theta in angles:

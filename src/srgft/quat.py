@@ -111,10 +111,6 @@ class Quaternion:
     def from_real(cls, s) -> "Quaternion":
         return cls(s, 0, 0, 0)
 
-    @property
-    def re(self) -> Scalar:
-        return self.w
-
     def imag(self) -> "Quaternion":
         return Quaternion(0, self.x, self.y, self.z)
 
@@ -246,9 +242,6 @@ class ImaginaryUnit:
 
     def as_quaternion(self) -> Quaternion:
         return Quaternion(0, self.x, self.y, self.z)
-
-    def __neg__(self) -> "ImaginaryUnit":
-        return ImaginaryUnit(-self.x, -self.y, -self.z)
 
     def circle_point(self, theta: float, radius: float = 1.0) -> Quaternion:
         """radius * exp(I theta) = r cos(theta) + r sin(theta) I, float mode."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -571,9 +571,13 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
 
 
 def integrate_radial(g: SliceSeries) -> SliceSeries:
-    """Primitive with f(0) = 0: coefficient g_n / (n+1) lands at power n+1."""
+    """Primitive with f(0) = 0: coefficient g_n / (n+1) lands at power n+1.
+
+    A float window is taken exactly and each coefficient rounded once."""
     if g.valuation < 0:
         raise DomainError("cannot integrate a Laurent window term q^-1")
+    if not g.is_exact:
+        return integrate_radial(g.to_exact()).to_float()
     return SliceSeries(g.valuation + 1,
                        tuple(c * Fraction(1, n + 1) for n, c in g.terms()))
 
@@ -639,26 +643,27 @@ class StarQuotient:
     because den^s has real coefficients and collapses pointwise.  Both
     den^s and G = den^c star num are polynomials, so there is no
     truncation error; this is how the built-in extremal functions are
-    evaluated near the boundary of the ball.  The two polynomials are
-    formed on first evaluation, from den and num with their trailing
-    zeros trimmed, and read through their integer forms: integer
-    coefficients over one common denominator each.  A left factor h is
-    never folded into G for evaluation: (h star G)(q) = sum_m q^m h(q)
-    g_m, so h(q) is evaluated once and multiplies the few rows g_m.
-    :class:`ExactForm` shares that value among terms with one left
-    factor.
+    evaluated near the boundary of the ball.  A real den (as in every
+    :class:`QuotientSum`) is its own den^c, with den^s = den star den, so
+    the value is den(q)^(-1) (left star num)(q), and the guard reads
+    |den^s(q)| = |den(q)|^2.  The polynomials are formed on first use,
+    from den and num with their trailing zeros trimmed, and read through
+    their integer forms: integer coefficients over one common denominator
+    each.  A left factor h is never folded into G for evaluation: (h star
+    G)(q) = sum_m q^m h(q) g_m, so h(q) is evaluated once and multiplies
+    the few rows g_m.
 
     Evaluation runs on integers only.  The point is scaled by the lcm L
     of its component denominators (a binary float is a dyadic rational)
     to (W + V) / L; the numerator runs through :func:`_horner_xv` and the
-    real den^s through the same recurrence on scalars, and each component
-    is divided once at the end.  An exact point gives an exact value; at
-    a float point each component is the correctly rounded value of the
-    exact one.  Exactness matters because the symmetrized denominator can
-    be as small as (1-|q|)^8 near the boundary, where float Horner would
-    cancel catastrophically.  The default guard therefore only fences off
-    genuine zeros; pass a stricter :class:`EvalDomain` to refuse a wider
-    neighbourhood of the singular set.
+    real denominator through the same recurrence on scalars, and each
+    component is divided once at the end.  An exact point gives an exact
+    value; at a float point each component is the correctly rounded
+    value of the exact one.  Exactness matters because the symmetrized
+    denominator can be as small as (1-|q|)^8 near the boundary, where
+    float Horner would cancel catastrophically.  The default guard only
+    fences off genuine zeros; pass a stricter :class:`EvalDomain` to
+    refuse a wider neighbourhood of the singular set.
     """
 
     #: anti-zero guard: den^s vanishing only on the boundary sphere can
@@ -691,56 +696,44 @@ class StarQuotient:
 
     @cached_property
     def _integer_parts(self):
-        """(v, D_s, s, D_g, g, left): den^s = q^v s(q) / D_s with integer
-        coefficients, and the numerator without its left factor,
-        den^c star num = q^(v - v_h) g(q) / D_g with integer 4-tuples.
-        ``left`` is None, or (D_h, h) for the left factor q^v_h h(q) / D_h.
-        All are listed from the highest power down.  v is the lower of
-        the valuations of den^s and of the numerator left star den^c star
-        num; the other one takes the difference as zero coefficients."""
-        sym = self._den_sym
-        if self.left is None:
-            num, left, v_left = self._den_conj_num, None, 0
+        """(v, real, D_s, s, D_g, g, left): den^s = q^v s(q) / D_s with
+        integer coefficients, and the numerator without its left factor,
+        den^c star num = q^(v - v_h) g(q) / D_g with integer 4-tuples; for
+        a real den (``real``) s and g stand for den and num.  ``left`` is
+        None, or (D_h, h) for the left factor q^v_h h(q) / D_h.  All are
+        listed from the highest power down.  v is the lower of the two
+        valuations; the other part takes the difference as zero rows."""
+        den = self.den.to_exact().trim()
+        real = all(c.is_real() for c in den.coeffs)
+        if real:
+            sym, num = den, self.num.to_exact().trim()
         else:
-            num, h = self._conj_num(), self.left.to_exact().trim()
+            sym, num = self._den_sym, self._conj_num()
+        left, v_left = None, 0
+        if self.left is not None:
+            h = self.left.to_exact().trim()
             h_den, h_rows = h._integer_form
             left, v_left = (h_den, h_rows[::-1]), h.valuation
         low = min(sym.valuation, v_left + num.valuation)
         sym_den, sym_rows = sym._integer_form
         num_den, num_rows = num._integer_form
-        return (low, sym_den, tuple(c[0] for c in sym_rows[::-1]) + (0,) * (sym.valuation - low),
+        return (low, real, sym_den,
+                tuple(c[0] for c in sym_rows[::-1]) + (0,) * (sym.valuation - low),
                 num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (v_left + num.valuation - low), left)
 
-    def _left_value(self, point):
-        """(X, E): the left factor without its q^v_h is X / E at the point
-        of :func:`_integer_point`, with an integer 4-tuple X; None without
-        a left factor."""
-        left = self._integer_parts[5]
-        if left is None:
-            return None
-        den, rows = left
-        value, power = _integer_value(rows, point)
-        return value, power * den
-
-    def eval(self, q: Quaternion, domain: EvalDomain | None = None,
-             prepared=None) -> Quaternion:
-        """The value at q.  ``prepared`` is (point, left value): q's
-        :func:`_integer_point` and the :meth:`_left_value` there, which
-        :class:`ExactForm` computes once for terms with one left factor;
-        by default both are computed here."""
-        if prepared is None:
-            point = _integer_point(q)
-            prepared = point, self._left_value(point)
-        point, left_value = prepared
+    def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:
+        """The value at q, refused where |den^s(q)| falls below the
+        guard's threshold (by default :attr:`ZERO_GUARD`)."""
         domain = domain or self.ZERO_GUARD
-        low, sym_den, sym, num_den, num, _ = self._integer_parts
+        low, real, sym_den, sym, num_den, num, left = self._integer_parts
+        point = _integer_point(q)
         scale, w, v1, v2, v3, n2 = point
         r2 = w * w + n2  # L^2 |q|^2
         if r2 >= scale * scale:
             raise DomainError("evaluation point must lie in the open unit ball")
         if low < 0 and not r2:
             raise SingularityError("negative-valuation series is singular at 0")
-        # den^s: L^m s(q) = x + V y, and the guard reads |den^s(q)|^2 exactly
+        # the real denominator: L^m s(q) = x + V y; the guard reads |den^s(q)|^2
         x, y, power = sym[0], 0, 1
         for c in sym[1:]:
             power *= scale
@@ -751,13 +744,16 @@ class StarQuotient:
             top, bottom = top * r2 ** low, bottom * scale ** (2 * low)
         elif low < 0:
             top, bottom = top * scale ** (-2 * low), bottom * r2 ** -low
+        if real:  # |den^s(q)| = |den(q)|^2
+            top, bottom = top * top, bottom * bottom
         if math.sqrt(top / bottom) < domain.singular_threshold:
             raise SingularityError("quotient evaluated too close to a symmetrization zero")
-        if left_value is not None:
+        if left is not None:
             # (h star G)(q) = sum_m q^m h(q) g_m: the rows X g_m over D_g E
-            value, value_den = left_value
+            left_den, left_rows = left
+            value, left_power = _integer_value(left_rows, point)
             num = tuple(_integer_product(value, g) for g in num)
-            num_den *= value_den
+            num_den *= left_power * left_den
         # numerator: L^k n(q) = A + V B, componentwise
         npower, (a0, a1, a2, a3), (b0, b1, b2, b3) = _horner_xv(num, scale, w, n2)
         # (x - V y)(A + V B) = E + V F with E = x A + |V|^2 y B, F = x B - y A
@@ -810,67 +806,33 @@ class StarQuotient:
         return StarQuotient(new_num, new_den)
 
 
-@dataclass(frozen=True)
-class ExactForm:
-    """The point form f(q) = q^s Sigma_k w_k R_k(q) of a function under test.
+class QuotientSum(StarQuotient):
+    """left star sum_k w_k R_k for quotients R_k = den_k^(-*) star num_k,
+    as one quotient over the real denominator den = prod_k den_k^s.
 
-    Every R_k is a :class:`StarQuotient`, so one form covers the checked
-    functions whose truncated windows are too coarse near the boundary:
-    a plain quotient (Koebe, Moebius), q times a quotient (Rogosinski,
-    s = 1), a convex combination of quotients (a Caratheodory mixture)
-    and the derivative of a close-to-convex member (s = -1).
-
-    At a float point each term is evaluated exactly and rounded once,
-    then weighted and summed in term order; at an exact point the whole
-    value stays exact.  A weight of 1 multiplies nothing, and at a float
-    point any other weight w multiplies as float(w), which is bit for bit
-    the promoted product.  Powers of q are central, so q^s multiplies the
-    summed core.  The point is scaled to integers once per evaluation,
-    and consecutive terms with the same left factor (the close-to-convex
-    f' form) share its value there.  A form needs at least one term and
-    one weight per term.
+    Real series are central, so sum_k w_k R_k = den^(-1) num with
+    num = sum_k w_k (prod_(j != k) den_j^s) star den_k^c star num_k.  Both
+    are built on first use.  A sum needs at least one term, one weight
+    per term and no left factor on a term.
     """
 
-    terms: tuple[StarQuotient, ...]
-    weights: tuple[Fraction, ...] = (Fraction(1),)
-    shift: int = 0
+    def __init__(self, terms: Sequence[StarQuotient], weights: Sequence,
+                 left: SliceSeries | None = None):
+        if not terms or len(weights) != len(terms):
+            raise DomainError("a quotient sum needs at least one term and one weight per term")
+        if any(t.left is not None for t in terms):
+            raise DomainError("a term of a quotient sum cannot carry a left factor")
+        self.terms, self.weights, self.left = tuple(terms), tuple(weights), left
 
     @cached_property
-    def _derivatives(self) -> tuple[StarQuotient, ...]:
-        return tuple(t.derivative() for t in self.terms)
+    def den(self) -> SliceSeries:
+        return reduce(full_star_mul, (t._den_sym for t in self.terms))
 
-    def __post_init__(self):
-        if not self.terms or len(self.weights) != len(self.terms):
-            raise DomainError("an exact form needs at least one term and one weight per term")
-
-    def _core(self, quotients: tuple[StarQuotient, ...], q: Quaternion) -> Quaternion:
-        exact = q.is_exact
-        point = _integer_point(q)
-        acc = left = shared = None
-        for w, quot in zip(self.weights, quotients):
-            if quot.left is not left:
-                left, shared = quot.left, quot._left_value(point)
-            value = quot.eval(q, None, (point, shared))
-            if w != 1:
-                value = value * (w if exact else float(w))
-            acc = value if acc is None else acc + value
-        return acc
-
-    def value(self, q: Quaternion) -> Quaternion:
-        core = self._core(self.terms, q)
-        return _central_power(q, self.shift) * core if self.shift else core
-
-    def derivative(self, q: Quaternion) -> Quaternion:
-        if self.shift:
-            return self.value_and_derivative(q)[1]
-        return self._core(self._derivatives, q)
-
-    def value_and_derivative(self, q: Quaternion) -> tuple[Quaternion, Quaternion]:
-        core = self._core(self.terms, q)
-        dcore = self._core(self._derivatives, q)
-        s = self.shift
-        if not s:
-            return core, dcore
-        # (q^s C)' = s q^(s-1) C + q^s C'; powers of q are central
-        power = _central_power(q, s)
-        return power * core, _central_power(q, s - 1) * core * s + power * dcore
+    @cached_property
+    def num(self) -> SliceSeries:
+        syms = [t._den_sym for t in self.terms]
+        parts = [reduce(full_star_mul, syms[:k] + syms[k + 1:], t._conj_num()).scale(w)
+                 for k, (w, t) in enumerate(zip(self.weights, self.terms))]
+        # __add__ keeps the smaller window; each part is a polynomial
+        degree = max(part.degree for part in parts)
+        return reduce(SliceSeries.__add__, (part.pad_to(degree) for part in parts))

@@ -58,18 +58,25 @@ class TestBieberbach:
 
     def test_close_to_convex_derivative_form_matches_window(self):
         fut = close_to_convex_member(2, 48)
-        terms = fut.derivative_form.terms
-        # building the member leaves the f' polynomials unbuilt
-        assert not any("_integer_parts" in t.__dict__ or "_den_conj_num" in t.__dict__
-                       for t in terms)
+        form = fut.derivative_form
         window = slice_derivative(fut.series.to_float())
         points = [q for q in DEFAULT_GRID.points if abs(q) <= 0.3 + 1e-12]
         assert points
         for q in points:
             assert abs(fut.derivative_value(q) - window.eval(q)) <= 1e-12
-        # evaluation builds the integer parts but never folds h into a numerator
-        assert all("_integer_parts" in t.__dict__ for t in terms)
-        assert not any("_den_conj_num" in t.__dict__ for t in terms)
+        # evaluation never folds h into the numerator, and the real
+        # denominator is evaluated as it is, never symmetrized
+        assert "_integer_parts" in form.__dict__
+        assert not any(name in form.__dict__ for name in ("_den_conj_num", "_den_sym"))
+
+    def test_building_a_member_forms_no_polynomial(self):
+        """A mixture's and a class-c f''s num, den and integer parts are
+        built on first evaluation, not with the member."""
+        forms = (caratheodory_member(5, 48).form, close_to_convex_member(2, 48).derivative_form)
+        for form in forms:
+            assert not any(name in form.__dict__ for name in ("num", "den", "_integer_parts"))
+            assert not any(name in t.__dict__ for t in form.terms
+                           for name in ("_integer_parts", "_den_sym"))
 
 
 class TestConvexCoefficients:

@@ -135,7 +135,9 @@ class TestGenCommand:
                     "--degree", "12", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["verdict"]["member"] is True
-        assert data["quotient"]["shift"] == 1
+        # q C(q) is one quotient: q sits in the numerator, no shift apart
+        assert data["quotient"]["shift"] == 0
+        assert data["quotient"]["num"]["valuation"] == 1
         series = SliceSeries.from_json_dict(data["series"])
         assert series.coeff(1) == Quaternion(0, F(1, 2), 0, 0)
 
@@ -162,15 +164,15 @@ class TestGenCommand:
             "5010c3446beabc36d15550d2a3bfd7d836063e89ddb1902bb9fa27adc0d96a0d",
         "koebe --u=2/3i+1/3j+2/3k --mode float":
             "18800b3b019aeaca98d74007e79aa51640d0a651beb823b7e557325073764b6e",
-        "rogosinski": "59b5c8f7ac26693e4f11bc2d51db1b4c539189ad34e207df847b9618c93fe8f9",
+        "rogosinski": "196568d85d6b90c3433fcbc2817a1552d84ab91319d121a444ab1404a1e5b635",
         "rogosinski --b=3/10i+2/5j --p=3/5+4/5k":
-            "744483a520641161392bf12cceef12381db0e9950e3bd0635ef5adac8e5103da",
+            "0fef4d1938390ba4b03108a27bd2709c7ad2fb0d31ed7abeae48da421f898b2d",
         "rogosinski --b=3/10i+2/5j --p=3/5+4/5k --mode float":
-            "235cc0d2ef7b3f361615b179ce11ef053ac76ab395aefe1def8a4a752d76bc7c",
-        "class-c": "d10f5adb753f4b02058d7929e850d69fb6f1f60e3601e878adcbc51245117684",
-        "class-c --seed=11": "38fb7850256734654509db1bf1f9322ed5862d80fae4a4e959bd771adfed56dd",
+            "e3365c1743239325bc14818649ac8d14e630d1f4e89b54f2a66c57f2812b83fb",
+        "class-c": "0727643893f2b768fd4ab033e4f68dadffe1cebf105d332bcbc23563baecfb55",
+        "class-c --seed=11": "56e6dbec278641fddd5edc21c5d9a87622c459940a7031180a5cd7dae0a32d22",
         "class-c --grid-units=5":
-            "d10f5adb753f4b02058d7929e850d69fb6f1f60e3601e878adcbc51245117684",
+            "0727643893f2b768fd4ab033e4f68dadffe1cebf105d332bcbc23563baecfb55",
     }
 
     @pytest.mark.parametrize("family", PINNED_GEN)
@@ -196,6 +198,29 @@ class TestEvalCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "2/5i-2/5j"
         assert parse_quaternion(lines[1]) == Quaternion(F(-204, 225), 0, 0, F(-96, 225))
+
+    def test_old_rogosinski_file_loads_like_a_new_one(self, tmp_path, capsys):
+        """Files written before q was folded into the numerator carry the
+        unshifted numerator and "shift": 1; they evaluate the same."""
+        new = tmp_path / "new.json"
+        assert run(["gen", "rogosinski", "--b", "3/10i+2/5j", "--p", "3/5+4/5k",
+                    "--degree", "12", "--out", str(new)]) == 0
+        data = json.loads(new.read_text())
+        num = SliceSeries.from_json_dict(data["quotient"]["num"])
+        data["quotient"].update(num=num.shift(-1).to_json_dict(), shift=1)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data))
+        capsys.readouterr()
+        for literal in ("1/5-3/10i+1/10j+1/3k", "0.2-0.3i+0.1j+0.3k", "0", "-0.9j"):
+            outputs = []
+            for path in (new, old):
+                assert run(["eval", str(path), "--at=" + literal]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+        clouds = [tmp_path / "new.csv", tmp_path / "old.csv"]
+        for path, cloud in zip((new, old), clouds):
+            assert run(["slice-image", str(path), "--unit", "j", "--out", str(cloud)]) == 0
+        assert clouds[0].read_bytes() == clouds[1].read_bytes()
 
     def test_identity_echo(self, tmp_path, capsys):
         path = tmp_path / "id.json"

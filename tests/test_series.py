@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from quotient_reference import reference_eval, reference_series_eval
 from series_reference import (reference_at_exact, reference_compose_slice_preserving,
                               reference_eval_float, reference_geometric, reference_mobius,
-                              reference_pow, reference_star_mul, reference_star_reciprocal,
+                              reference_star_mul, reference_star_reciprocal,
                               reference_symmetrize)
 from srgft.checks import close_to_convex_member
 from srgft.classes import (DEFAULT_GRID, SamplingGrid, caratheodory_extremal,
@@ -22,7 +22,7 @@ from srgft.classes import (DEFAULT_GRID, SamplingGrid, caratheodory_extremal,
                            rogosinski_extremal, rogosinski_extremal_form)
 from srgft.errors import DomainError, SingularityError
 from srgft.quat import I, J, K, ONE, ZERO, Quaternion
-from srgft.series import (EvalDomain, ExactForm, SliceSeries, StarQuotient,
+from srgft.series import (EvalDomain, QuotientSum, SliceSeries, StarQuotient,
                           compose_slice_preserving, full_star_mul, geometric,
                           integrate_radial, mobius, mobius_quotient, odd_part,
                           quotient_transform, regular_conjugate,
@@ -506,8 +506,21 @@ def _quotient(kind: str, seed: int) -> StarQuotient:
     if kind == "caratheodory":
         return caratheodory_extremal_quotient(u)
     if kind == "rogosinski":
-        (quot,) = rogosinski_extremal_form(u * F(5, 8), w * F(3, 4)).terms
-        return quot
+        return rogosinski_extremal_form(u * F(5, 8), w * F(3, 4))
+    if kind == "real":
+        # 1 + a q + b q^2 with |a| + |b| < 1 vanishes nowhere in the ball
+        den = series([1, F(rng.randint(-4, 4), 10), F(rng.randint(-4, 4), 10)],
+                     rng.randint(0, 1))
+        left = rand_series(rng, 3, valuation=rng.randint(0, 1)) if rng.random() < 0.5 else None
+        return StarQuotient(rand_series(rng, 3, valuation=rng.randint(0, 2)), den, left=left)
+    if kind == "mixture":
+        terms = [caratheodory_extremal_quotient(random_exact_unit(rng)) if rng.random() < 0.5
+                 else StarQuotient(rand_series(rng, 2),
+                                   series([1, *rand_series(rng, 1, scale=1).coeffs]))
+                 for _ in range(rng.randint(1, 3))]
+        weights = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in terms]
+        left = rand_series(rng, 2, valuation=rng.randint(0, 1)) if rng.random() < 0.5 else None
+        return QuotientSum(terms, weights, left=left)
     # |den / q^v - 1| < 1 in the ball, so den^s vanishes there only at 0
     den = SliceSeries.from_coeffs([ONE, *rand_series(rng, 1, scale=1).coeffs],
                                   rng.randint(0, 2) if kind == "den-valuation" else
@@ -522,7 +535,8 @@ def _quotient(kind: str, seed: int) -> StarQuotient:
 
 
 QUOTIENT_KINDS = ("koebe", "mobius", "caratheodory", "rogosinski", "random",
-                  "den-valuation", "left", "left-float", "left-den-valuation")
+                  "den-valuation", "left", "left-float", "left-den-valuation", "real",
+                  "mixture")
 
 
 @st.composite
@@ -568,10 +582,11 @@ def _outcome(evaluate, q):
 
 
 class TestIntegerEval:
-    @given(quotients(), points())
+    @given(quotients(), points(), st.sampled_from((None, EvalDomain(1e-3))))
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_fraction_reference(self, quot, q):
-        assert _outcome(quot.eval, q) == _outcome(lambda p: reference_eval(quot, p), q)
+    def test_matches_the_fraction_reference(self, quot, q, domain):
+        assert _outcome(lambda p: quot.eval(p, domain), q) == \
+            _outcome(lambda p: reference_eval(quot, p, domain), q)
 
     @given(st.integers(0, 10 ** 6), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
@@ -602,32 +617,30 @@ class TestIntegerEval:
                 quot.eval(q)
 
 
-def _reference_form_value(form: ExactForm, q: Quaternion) -> Quaternion:
-    """q^s times the weighted sum, in term order, of each term's reference value."""
-    acc = None
-    for w, quot in zip(form.weights, form.terms):
-        value = reference_eval(quot, q) * w
-        acc = value if acc is None else acc + value
-    if not form.shift:
-        return acc
-    power = reference_pow(q, form.shift) if form.shift > 0 else \
-        reference_pow(q.inverse(), -form.shift)
-    return power * acc
+def _reference_sum_value(form: QuotientSum, q: Quaternion) -> Quaternion:
+    """The weighted sum, in term order, of each term's exact reference value
+    with the form's left factor, rounded once at a float point."""
+    qe = q.to_exact()
+    acc = ZERO
+    for w, t in zip(form.weights, form.terms):
+        acc = acc + reference_eval(StarQuotient(t.num, t.den, left=form.left), qe) * w
+    return acc if q.is_exact else acc.to_float()
 
 
-def _shared_left_forms() -> tuple[ExactForm, ...]:
-    """The close-to-convex f' form, whose three terms share h, and a random
-    form whose left factor is interrupted by a term without one."""
+def _quotient_sums() -> tuple[QuotientSum, ...]:
+    """The close-to-convex f' form, whose three terms share h / q, a random
+    sum with a left factor and negative weights, and the same sum without
+    its left factor."""
     rng = Random(17)
-    h = rand_series(rng, 6, valuation=1)
+    h = rand_series(rng, 6)
 
     def den():
         return SliceSeries.from_coeffs([ONE, *rand_series(rng, 1, scale=1).coeffs])
 
-    terms = tuple(StarQuotient(rand_series(rng, 2), den(), left=left)
-                  for left in (h, h, None, h))
+    terms = tuple(StarQuotient(rand_series(rng, 2), den()) for _ in range(4))
+    weights = (F(1, 3), F(1), F(1, 4), F(-2, 7))
     return (close_to_convex_member(3).derivative_form,
-            ExactForm(terms, (F(1, 3), F(1), F(1, 4), F(-2, 7)), shift=1))
+            QuotientSum(terms, weights, left=h), QuotientSum(terms, weights))
 
 
 # i, j, k and two Fibonacci axes of the five-axis grid, every third angle
@@ -639,21 +652,21 @@ _EXACT_POINTS = (exact(F(1, 3)), exact(F(-1, 5), F(1, 4), F(-1, 6), F(2, 7)),
 
 
 class TestSharedLeftFactor:
-    """Terms with one left factor share its value at each point."""
+    """A quotient sum is one quotient: its terms share the left factor, and
+    its value is the exact weighted sum of its terms, rounded once."""
 
-    @pytest.mark.parametrize("index", range(2))
+    @pytest.mark.parametrize("index", range(3))
     def test_form_matches_the_per_term_references(self, index):
-        form = _shared_left_forms()[index]
+        form = _quotient_sums()[index]
         points = _EXACT_POINTS + _SIGNED_ZERO_POINTS + _AXIS_POINTS
-        values = [_outcome(form.value, q) for q in points]
-        # no term folded its left factor into a numerator polynomial
-        assert not any("_den_conj_num" in t.__dict__ for t in form.terms if t.left is not None)
-        assert values == [_outcome(lambda p: _reference_form_value(form, p), q) for q in points]
+        values = [_outcome(form.eval, q) for q in points]
+        # the real denominator is evaluated as it is, never symmetrized
+        assert "_den_sym" not in form.__dict__ and "_den_conj_num" not in form.__dict__
+        assert values == [_outcome(lambda p: _reference_sum_value(form, p), q) for q in points]
 
     def test_one_left_horner_per_point(self, monkeypatch):
         form = close_to_convex_member(4, 24).derivative_form
-        (h,) = {id(t.left): t.left for t in form.terms}.values()
-        h_rows = h.trim()._integer_form[1][::-1]
+        h_rows = form.left.trim()._integer_form[1][::-1]
         calls = []
 
         def counting(coeffs, *args):
@@ -663,22 +676,30 @@ class TestSharedLeftFactor:
         monkeypatch.setattr("srgft.series._horner_xv", counting)
         for q in (exact(F(1, 3), F(1, 4)), Quaternion(0.2, 0.0, 0.3, 0.0)):
             calls.clear()
-            form.value(q)
+            form.eval(q)
             assert sum(rows == h_rows for rows in calls) == 1
 
 
-class TestExactFormTerms:
+class TestQuotientSum:
     def test_every_term_needs_one_weight(self):
         koebe_1, mobius_half = koebe_quotient(ONE), mobius_quotient(exact(F(1, 2)))
         # 3/4 + 1/5 at 1/3
-        assert ExactForm((koebe_1, mobius_half), (F(1), F(1))).value(exact(F(1, 3))) == \
+        assert QuotientSum((koebe_1, mobius_half), (F(1), F(1))).eval(exact(F(1, 3))) == \
             exact(F(19, 20))
-        for form in (lambda: ExactForm((koebe_1, mobius_half)),
-                     lambda: ExactForm((koebe_1,), (F(1, 2), F(1, 2))),
-                     lambda: ExactForm(()),
-                     lambda: ExactForm((), ())):
+        with_left = StarQuotient(koebe_1.num, koebe_1.den, left=series([1, 1]))
+        for form in (lambda: QuotientSum((koebe_1, mobius_half), (F(1),)),
+                     lambda: QuotientSum((koebe_1,), (F(1, 2), F(1, 2))),
+                     lambda: QuotientSum((), ()),
+                     lambda: QuotientSum((mobius_half, with_left), (F(1), F(1)))):
             with pytest.raises(DomainError):
                 form()
+
+    def test_sum_is_one_quotient_over_a_real_denominator(self):
+        form = _quotient_sums()[2]
+        assert all(c.is_real() for c in form.den.coeffs)
+        assert form.to_series(24) == functools.reduce(
+            lambda a, b: a + b, (t.to_series(24).scale(w)
+                                 for w, t in zip(form.weights, form.terms)))
 
 
 # a nonzero coefficient that rounds to 0.0 as a float
@@ -783,15 +804,20 @@ def imaginary_units(draw):
 
 
 @functools.cache
-def _exact_forms() -> tuple[ExactForm, ...]:
-    """Every built-in kind of ExactForm, built once."""
+def _exact_forms() -> tuple[StarQuotient, ...]:
+    """Every built-in kind of exact point form, built once."""
     rng = Random(3)
     u, w = random_exact_unit(rng), random_exact_unit(rng)
-    return (ExactForm((koebe_quotient(u),)),
-            ExactForm((mobius_quotient(u * F(1, 2)),)),
+    return (koebe_quotient(u),
+            mobius_quotient(u * F(1, 2)),
             caratheodory_mixture_form(5),
             rogosinski_extremal_form(u * F(5, 8), w * F(3, 4)),
             close_to_convex_member(2).derivative_form)
+
+
+@functools.cache
+def _form_derivative(index: int) -> StarQuotient:
+    return _exact_forms()[index].derivative()
 
 
 class TestRepresentationFormula:
@@ -801,7 +827,7 @@ class TestRepresentationFormula:
     @settings(max_examples=60, deadline=None)
     def test_one_slice_determines_every_slice(self, index, i_unit, j_unit, x, y):
         """f(x+yJ) = 1/2 (1-JI) f(x+yI) + 1/2 (1+JI) f(x-yI), exactly."""
-        f = _exact_forms()[index].value
+        f = _exact_forms()[index].eval
         ji = j_unit * i_unit
         lhs = f(ONE * x + j_unit * y)
         rhs = ((ONE - ji) * f(ONE * x + i_unit * y) +
@@ -876,17 +902,12 @@ def _component_types(s: SliceSeries) -> set:
     return {type(v) for c in s.coeffs for v in (c.w, c.x, c.y, c.z)}
 
 
-def _bits(s: SliceSeries) -> tuple:
-    """Valuation and the exact bit pattern of every float component."""
-    return s.valuation, [tuple(v.hex() for v in (c.w, c.x, c.y, c.z)) for c in s.coeffs]
-
-
 def _windows_from(u: Quaternion) -> list[SliceSeries]:
     """Every window built from the unit u (the Koebe quotient's numerator
     is the exact q in both modes, so only its denominator is listed)."""
     half = u * F(1, 2)
     lin = SliceSeries.from_coeffs([ONE, -u])
-    (rogo,) = rogosinski_extremal_form(half, u).terms
+    rogo = rogosinski_extremal_form(half, u)
     quotients = (caratheodory_extremal_quotient(u), mobius_quotient(half), rogo)
     return ([koebe(u, 8), koebe_quotient(u).den, caratheodory_extremal(u, 8),
              geometric(half, 8), mobius(half, 8), rogosinski_extremal(half, u, 8),
@@ -911,12 +932,12 @@ class TestScalarMode:
     @given(st.lists(float_quats, min_size=1, max_size=8), st.integers(0, 3))
     @settings(max_examples=80)
     def test_integrate_matches_float_constants_bit_for_bit(self, coeffs, valuation):
+        """A float window's primitive is the exact one, rounded once."""
         g = SliceSeries.from_coeffs(coeffs, valuation)
         want = SliceSeries(g.valuation + 1, tuple(
-            Quaternion(c.w * (1.0 / (n + 1)), c.x * (1.0 / (n + 1)),
-                       c.y * (1.0 / (n + 1)), c.z * (1.0 / (n + 1)))
+            Quaternion(*(F(v) / (n + 1) for v in (c.w, c.x, c.y, c.z))).to_float()
             for n, c in g.terms()))
-        assert _bits(integrate_radial(g)) == _bits(want)
+        assert _repr_window(integrate_radial(g)) == _repr_window(want)
 
     @given(st.lists(float_quats, min_size=1, max_size=8), st.integers(-2, 3))
     @settings(max_examples=80)
@@ -1053,10 +1074,11 @@ def ball_parameters(draw):
 
 
 class TestScalarPaths:
-    """The float Horner on cached rows and the weighted ExactForm core
-    agree with the `Quaternion` code they replace bit for bit.  The
-    integer power loops agree with it on an exact parameter, and give the
-    exact window rounded once on a float one."""
+    """The float Horner on cached rows agrees with the `Quaternion` code it
+    replaces bit for bit, and every exact point form is its exact value
+    rounded once.  The integer power loops agree with the `Quaternion`
+    code on an exact parameter, and give the exact window rounded once on
+    a float one."""
 
     @given(exact_windows(), st.booleans(), zero_signs, exact_ball_points(zero=False),
            zero_signs)
@@ -1081,29 +1103,19 @@ class TestScalarPaths:
 
     @given(st.integers(0, 4), points())
     @settings(max_examples=150, deadline=None)
-    def test_form_value_matches_the_promoted_sum(self, index, q):
-        form = _exact_forms()[index]
-
-        def core(quotients, p):
-            acc = None
-            for w, quot in zip(form.weights, quotients):
-                value = quot.eval(p) * w
-                acc = value if acc is None else acc + value
-            return acc
-
-        def value(p):
-            c = core(form.terms, p)
-            if not form.shift:
-                return c
-            power = reference_pow(p, form.shift) if form.shift > 0 else \
-                reference_pow(p.inverse(), -form.shift)
-            return power * c
-
-        assume(form.shift >= 0 or not q.is_zero())
-        assert _outcome(form.value, q) == _outcome(value, q)
-        if not form.shift:
-            assert _outcome(form.derivative, q) == \
-                _outcome(lambda p: core(form._derivatives, p), q)
+    def test_form_value_is_rounded_once(self, index, q):
+        """A mixture, a Rogosinski q C(q) and a class-c f' are one quotient
+        each: at a float point each component of a value and of a
+        derivative is the exact value rounded once, not a float sum or
+        product of rounded parts.  TestIntegerEval checks the exact values
+        against the `Fraction` reference."""
+        forms = [_exact_forms()[index]]
+        if index < 4:  # nothing differentiates the class-c f' form
+            forms.append(_form_derivative(index))
+        for form in forms:
+            assert _outcome(form.eval, q) == \
+                _outcome(lambda p: form.eval(p) if p.is_exact else
+                         form.eval(p.to_exact()).to_float(), q)
 
     @given(ball_parameters(), st.integers(0, 24))
     @settings(max_examples=150, deadline=None)
