@@ -31,12 +31,13 @@ from .errors import DomainError, PreconditionError
 from .quat import (ONE, ZERO, ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K,
                    exact_sqrt, quaternion_to_json)
 from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, QuotientSum,
-                     SliceSeries, StarQuotient, full_star_mul, integer_powers,
+                     SliceSeries, StarQuotient, full_star_mul, integer_powers, integer_row,
                      integrate_radial, outside_closed_ball, rational_quaternion,
-                     slice_derivative, star_mul)
+                     rows_over_lcm, slice_derivative, star_mul)
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 DEFAULT_ANGLE_COUNT = 8
+_ONE_ROW, _ZERO_ROW = (1, 0, 0, 0), (0, 0, 0, 0)
 
 
 def _extra_units(count: int) -> list[ImaginaryUnit]:
@@ -328,8 +329,9 @@ def is_one_slice(f: FunctionLike) -> ClassVerdict:
 # ---------------------------------------------------------------------------
 
 
-def random_exact_unit(rng: Random) -> Quaternion:
-    """Rational point of the unit 3-sphere: v^2 / |v|^2 for integer v.
+def _random_unit_row(rng: Random) -> tuple[int, tuple[int, int, int, int]]:
+    """(|v|^2, v^2) for a random nonzero integer v: the rational unit
+    v^2 / |v|^2 as an integer row over its denominator.
 
     The square of v = v0 + V is v0^2 - |V|^2 + 2 v0 V, taken on integers.
     """
@@ -337,9 +339,14 @@ def random_exact_unit(rng: Random) -> Quaternion:
         v0, v1, v2, v3 = (rng.randint(-2, 2) for _ in range(4))
         if v0 or v1 or v2 or v3:
             break
-    return rational_quaternion((v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3, 2 * v0 * v1,
-                                2 * v0 * v2, 2 * v0 * v3),
-                               v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
+    return (v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3,
+            (v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3, 2 * v0 * v1, 2 * v0 * v2, 2 * v0 * v3))
+
+
+def random_exact_unit(rng: Random) -> Quaternion:
+    """Rational point of the unit 3-sphere: v^2 / |v|^2 for integer v."""
+    den, row = _random_unit_row(rng)
+    return rational_quaternion(row, den)
 
 
 def random_float_unit(rng: Random) -> Quaternion:
@@ -365,16 +372,16 @@ def generate_starlike_small_coeff(seed: int, degree: int = DEFAULT_DEGREE) -> Sl
     if degree < 2:
         raise DomainError("need degree >= 2")
     rng = Random(seed)
-    coeffs = [ONE]
+    pairs = [(1, _ONE_ROW)]
     scale = 512 * (degree - 1)
     for n in range(2, degree + 1):
         weight = rng.randrange(256)
         if weight == 0:
-            coeffs.append(ZERO)
+            pairs.append((1, _ZERO_ROW))
             continue
-        u = random_exact_unit(rng)
-        coeffs.append(u * Fraction(weight, scale * n))
-    return SliceSeries.from_coeffs(coeffs, valuation=1)
+        den, row = _random_unit_row(rng)
+        pairs.append((den * scale * n, tuple(weight * x for x in row)))
+    return SliceSeries._from_rows(1, *rows_over_lcm(pairs))
 
 
 def small_coeff_margin(f: SliceSeries) -> Fraction:
@@ -405,8 +412,8 @@ def caratheodory_extremal(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceS
     is taken exactly and each coefficient rounded once.
     """
     _require_unit(u)
-    out = SliceSeries(0, (ONE,) + tuple(rational_quaternion(row, den, 2)
-                                        for den, row in integer_powers(u, degree, u)))
+    out = SliceSeries._from_rows(0, *rows_over_lcm([(1, _ONE_ROW)] + [
+        (den, tuple(2 * x for x in row)) for den, row in integer_powers(u, degree, u)]))
     return out if u.is_exact else out.to_float()
 
 
@@ -435,12 +442,11 @@ def generate_caratheodory(seed: int, degree: int = DEFAULT_DEGREE,
     """
     lambdas, units = caratheodory_mixture_parts(seed, k)
     powers = [integer_powers(u, degree, u * (2 * lam)) for lam, u in zip(lambdas, units)]
-    coeffs = [ONE]
+    pairs = [(1, _ONE_ROW)]
     for terms in zip(*powers):
-        den = math.lcm(*(d for d, _ in terms))
-        coeffs.append(rational_quaternion(
-            [sum(row[i] * (den // d) for d, row in terms) for i in range(4)], den))
-    return SliceSeries(0, tuple(coeffs))
+        den, rows = rows_over_lcm(terms)
+        pairs.append((den, tuple(map(sum, zip(*rows)))))
+    return SliceSeries._from_rows(0, *rows_over_lcm(pairs))
 
 
 def caratheodory_mixture_form(seed: int, k: int = 3) -> QuotientSum:
@@ -470,8 +476,9 @@ def koebe(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     growth and distortion bounds.  The powers of u are raised on integers;
     a float u is taken exactly and each coefficient rounded once."""
     _require_unit(u)
-    out = SliceSeries(1, tuple(rational_quaternion(row, den, n) for n, (den, row)
-                               in enumerate(integer_powers(u, degree), 1)))
+    out = SliceSeries._from_rows(1, *rows_over_lcm([
+        (den, tuple(n * x for x in row))
+        for n, (den, row) in enumerate(integer_powers(u, degree), 1)]))
     return out if u.is_exact else out.to_float()
 
 
@@ -531,9 +538,8 @@ def rogosinski_extremal(b: Quaternion, p: Quaternion,
     exact = u_b.is_exact and p.is_exact
     beta, u_b, p = Fraction(beta), u_b.to_exact(), p.to_exact()
     # a_(n+1) = (|b| p)^(n-1) p (|b|^2 - 1) u_b for n >= 1
-    out = SliceSeries(1, (u_b * beta,) + tuple(
-        rational_quaternion(row, den)
-        for den, row in integer_powers(p * beta, degree - 1, p * (beta * beta - 1) * u_b)))
+    powers = integer_powers(p * beta, degree - 1, p * (beta * beta - 1) * u_b)
+    out = SliceSeries._from_rows(1, *rows_over_lcm([integer_row(u_b * beta)] + powers))
     return out if exact else out.to_float()
 
 

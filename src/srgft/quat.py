@@ -54,7 +54,7 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quaternion:
     """Immutable quaternion w + x i + y j + z k.
 

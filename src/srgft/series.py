@@ -22,11 +22,11 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError, SingularityError
-from .quat import (ONE, ZERO, Quaternion, float_components, quaternion_from_json,
-                   quaternion_to_json)
+from .quat import ONE, ZERO, Quaternion, quaternion_from_json, quaternion_to_json
 
 DEFAULT_DEGREE = 48
 DEFAULT_SINGULAR_THRESHOLD = 1e-8
+_FRACTION_ZERO = ZERO.w
 
 
 @dataclass(frozen=True)
@@ -127,36 +127,97 @@ def _eval_float(rows: tuple[tuple[float, float, float, float], ...],
     return Quaternion(aw, ax, ay, az)
 
 
-@dataclass(frozen=True)
+def _float_row(row: tuple[int, ...], den: int) -> tuple[float, ...]:
+    """The components of the integer 4-tuple row over den as floats.  Int
+    by int true division is correctly rounded, so each equals the float of
+    the reduced `Fraction`."""
+    try:
+        return tuple(x / den for x in row)
+    except OverflowError:
+        raise DomainError("rational component too large for a float") from None
+
+
 class SliceSeries:
-    """Window of a left power series: coefficients a_v .. a_N, inclusive."""
+    """Window of a left power series: coefficients a_v .. a_N, inclusive.
 
-    valuation: int
-    coeffs: tuple[Quaternion, ...]
+    An exact window is held as its integer form (D, rows) when a kernel
+    or generator builds it: sum_n q^(v+n) rows_n / D.  Its `Fraction`
+    coefficients are formed on first read (``coeffs``, ``coeff``,
+    ``terms``, JSON output).  A window built from coefficients keeps
+    them, and forms its integer form on first use.  Both are cached in
+    the instance ``__dict__``.  Equality and hashing are by value, however
+    the window was built: two exact windows compare their integer forms,
+    which are canonical, and the hash reads the coefficients.  A float
+    window holds its float coefficients.  Windows are immutable.
+    """
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, valuation: int, coeffs: Sequence[Quaternion]):
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a series window must hold at least one coefficient")
-        coeffs = tuple(self.coeffs)
-        if any(not c.is_exact for c in coeffs):
+        exact = all(c.is_exact for c in coeffs)
+        if not exact:
             coeffs = tuple(c.to_float() for c in coeffs)
-        v = self.valuation
-        degree = v + len(coeffs) - 1
+        degree = valuation + len(coeffs) - 1
         # normalized valuation: leading zeros are knowledge, push them into v
         k = 0
         while k < len(coeffs) and coeffs[k].is_zero():
             k += 1
         if k == len(coeffs):
             # identically zero on the window; canonical form starts at 0
-            if degree < 0:
-                degree = 0
-            v = 0
-            coeffs = (coeffs[0],) * (degree + 1)
+            degree = max(degree, 0)
+            valuation, coeffs = 0, (coeffs[0],) * (degree + 1)
         else:
-            v += k
-            coeffs = coeffs[k:]
-        object.__setattr__(self, "valuation", v)
-        object.__setattr__(self, "coeffs", coeffs)
+            valuation, coeffs = valuation + k, coeffs[k:]
+        self._set(valuation, degree, exact, coeffs=coeffs)
+
+    @classmethod
+    def _from_rows(cls, valuation: int, den: int, rows) -> "SliceSeries":
+        """The exact window sum_n q^(valuation+n) rows_n / den of integer
+        4-sequences over a positive den, in canonical form: leading zero
+        rows fold into the valuation, and one gcd over den and every entry
+        reduces den to the lcm of the reduced denominators, which is the
+        `_integer_form` of the same coefficients."""
+        rows = tuple(rows)
+        degree = valuation + len(rows) - 1
+        k = 0
+        while k < len(rows) and not any(rows[k]):
+            k += 1
+        if k == len(rows):
+            degree = max(degree, 0)
+            valuation, den, rows = 0, 1, ((0, 0, 0, 0),) * (degree + 1)
+        else:
+            valuation, rows = valuation + k, rows[k:]
+            g = math.gcd(den, *(x for row in rows for x in row))
+            den //= g
+            rows = tuple(tuple(x // g for x in row) if g > 1 else tuple(row) for row in rows)
+        out = object.__new__(cls)
+        out._set(valuation, degree, True, _integer_form=(den, rows))
+        return out
+
+    def _set(self, valuation: int, degree: int, exact: bool, **cached) -> None:
+        self.__dict__.update(valuation=valuation, degree=degree, is_exact=exact, **cached)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a SliceSeries is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a SliceSeries is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SliceSeries):
+            return NotImplemented
+        if self.valuation != other.valuation:
+            return False
+        if self.is_exact and other.is_exact:
+            return self._integer_form == other._integer_form
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.valuation, self.coeffs))
+
+    def __repr__(self):
+        return f"SliceSeries(valuation={self.valuation!r}, coeffs={self.coeffs!r})"
 
     # -- construction ---------------------------------------------------
 
@@ -184,22 +245,32 @@ class SliceSeries:
 
     # -- shape ------------------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        return self.valuation + len(self.coeffs) - 1
-
-    @property
-    def is_exact(self) -> bool:
-        return self.coeffs[0].is_exact
-
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        # a nonzero window starts with a nonzero coefficient
+        if "_integer_form" in self.__dict__:
+            return not any(self._integer_form[1][0])
+        return self.coeffs[0].is_zero()
+
+    def is_real(self) -> bool:
+        """All coefficients real: the series is slice preserving."""
+        if self.is_exact:
+            return not any(x for row in self._integer_form[1] for x in row[1:])
+        return all(c.is_real() for c in self.coeffs)
+
+    @cached_property
+    def coeffs(self) -> tuple[Quaternion, ...]:
+        """The coefficients a_v .. a_N; an exact window built from integer
+        rows forms them from its integer form on first read."""
+        den, rows = self._integer_form
+        return tuple(rational_quaternion(row, den) for row in rows)
 
     @cached_property
     def _integer_form(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
         """(D, c): the exact window is sum_n q^(v+n) c_n / D with the least
         common denominator D and integer 4-tuples c_n, listed from q^v up.
-        Built on first use and kept in the instance ``__dict__``."""
+        A window built by a kernel or generator holds it from the start
+        (see :meth:`_from_rows`); one built from coefficients builds it on
+        first use with one lcm."""
         comps = [(c.w, c.x, c.y, c.z) for c in self.coeffs]
         den = math.lcm(*(x.denominator for cs in comps for x in cs))
         return den, tuple(tuple(x.numerator * (den // x.denominator) for x in cs)
@@ -211,7 +282,10 @@ class SliceSeries:
         float Horner.  Each component is converted on its own, so an a_v
         that underflows to zero keeps its place.  Built on first use and
         kept in the instance ``__dict__``."""
-        return tuple(float_components(c.w, c.x, c.y, c.z) for c in reversed(self.coeffs))
+        if self.is_exact:
+            den, rows = self._integer_form
+            return tuple(_float_row(row, den) for row in reversed(rows))
+        return tuple((c.w, c.x, c.y, c.z) for c in reversed(self.coeffs))
 
     def coeff(self, n: int) -> Quaternion:
         """Coefficient of q^n.  Raises above the truncation degree."""
@@ -231,6 +305,9 @@ class SliceSeries:
         keep = degree - self.valuation + 1
         if keep < 1:
             return SliceSeries.zero(max(degree, 0), self.is_exact)
+        if self.is_exact:
+            den, rows = self._integer_form
+            return SliceSeries._from_rows(self.valuation, den, rows[:keep])
         return SliceSeries(self.valuation, self.coeffs[:keep])
 
     def pad_to(self, degree: int) -> "SliceSeries":
@@ -241,10 +318,21 @@ class SliceSeries:
         """
         if degree <= self.degree:
             return self
+        if self.is_exact:
+            den, rows = self._integer_form
+            return SliceSeries._from_rows(self.valuation, den,
+                                          rows + ((0, 0, 0, 0),) * (degree - self.degree))
         return SliceSeries(self.valuation, self.coeffs + (ZERO,) * (degree - self.degree))
 
     def trim(self) -> "SliceSeries":
         """Drop trailing zero coefficients (values are unchanged)."""
+        if self.is_exact:
+            den, rows = self._integer_form
+            last = len(rows)
+            while last > 1 and not any(rows[last - 1]):
+                last -= 1
+            return self if last == len(rows) else SliceSeries._from_rows(
+                self.valuation, den, rows[:last])
         last = len(self.coeffs)
         while last > 1 and self.coeffs[last - 1].is_zero():
             last -= 1
@@ -254,12 +342,18 @@ class SliceSeries:
 
     def shift(self, k: int) -> "SliceSeries":
         """Multiply by the central power q^k (valuation shift)."""
+        if self.is_exact:
+            return SliceSeries._from_rows(self.valuation + k, *self._integer_form)
         return SliceSeries(self.valuation + k, self.coeffs)
 
     def to_float(self) -> "SliceSeries":
+        """The float window; each component of an exact coefficient is
+        its row entry divided by D, correctly rounded."""
         if not self.is_exact:
             return self
-        return SliceSeries(self.valuation, tuple(c.to_float() for c in self.coeffs))
+        den, rows = self._integer_form
+        return SliceSeries(self.valuation,
+                           tuple(Quaternion(*_float_row(row, den)) for row in rows))
 
     def to_exact(self) -> "SliceSeries":
         if self.is_exact:
@@ -278,6 +372,10 @@ class SliceSeries:
         return self + (-other)
 
     def __neg__(self) -> "SliceSeries":
+        if self.is_exact:
+            den, rows = self._integer_form
+            return SliceSeries._from_rows(self.valuation, den,
+                                          (tuple(-x for x in row) for row in rows))
         return SliceSeries(self.valuation, tuple(-c for c in self.coeffs))
 
     def times(self, c: Quaternion) -> "SliceSeries":
@@ -350,16 +448,30 @@ class SliceSeries:
 # ---------------------------------------------------------------------------
 
 
-def rational_quaternion(row, den: int, scale: int = 1) -> Quaternion:
-    """The exact quaternion scale * row / den of an integer 4-tuple."""
+def rational_quaternion(row, den: int) -> Quaternion:
+    """The exact quaternion row / den of an integer 4-tuple.  Zero
+    components share one `Fraction`, and a zero row is ``ZERO``."""
     r0, r1, r2, r3 = row
-    return Quaternion(Fraction(scale * r0, den), Fraction(scale * r1, den),
-                      Fraction(scale * r2, den), Fraction(scale * r3, den))
+    if not (r0 or r1 or r2 or r3):
+        return ZERO
+    return Quaternion(Fraction(r0, den) if r0 else _FRACTION_ZERO,
+                      Fraction(r1, den) if r1 else _FRACTION_ZERO,
+                      Fraction(r2, den) if r2 else _FRACTION_ZERO,
+                      Fraction(r3, den) if r3 else _FRACTION_ZERO)
 
 
-def _exact_series(valuation: int, den: int, rows) -> SliceSeries:
-    """The exact window sum_n q^(valuation+n) r_n / den of integer rows r_n."""
-    return SliceSeries(valuation, tuple(rational_quaternion(row, den) for row in rows))
+def rows_over_lcm(pairs) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, rows): the rationals r_n / d_n of (d_n, r_n) pairs, integer
+    4-tuples r_n over positive d_n, as integer rows over D = lcm(d_n)."""
+    den = math.lcm(*(d for d, _ in pairs))
+    return den, [tuple(x * (den // d) for x in row) for d, row in pairs]
+
+
+def integer_row(q: Quaternion) -> tuple[int, tuple[int, int, int, int]]:
+    """(D, R): q = R / D with an integer 4-tuple R, from the point scaling
+    of :func:`_integer_point` (a binary float is a dyadic rational)."""
+    scale, *row, _ = _integer_point(q)
+    return scale, tuple(row)
 
 
 def integer_powers(u: Quaternion, count: int, right: Quaternion = ONE):
@@ -367,9 +479,9 @@ def integer_powers(u: Quaternion, count: int, right: Quaternion = ONE):
     of u = U / D times r = R / E, on integers.  A float u or r is taken
     exactly (a binary float is a dyadic rational).  Each step is one
     integer quaternion product U (U^(n-1) R), no `Fraction`."""
-    den, *units, _ = _integer_point(u)
-    scale, *row, _ = _integer_point(right)
-    out = [(scale, tuple(row))]
+    den, units = integer_row(u)
+    scale, row = integer_row(right)
+    out = [(scale, row)]
     for _ in range(count - 1):
         scale *= den
         out.append((scale, _integer_product(units, out[-1][1])))
@@ -415,7 +527,7 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
               [x for b0, b1, b2, b3 in rev for x in (b2, -b3, b0, b1)],
               [x for b0, b1, b2, b3 in rev for x in (b3, b2, -b1, b0)])
     end = 4 * length
-    return _exact_series(v, f_den * g_den, (
+    return SliceSeries._from_rows(v, f_den * g_den, (
         [sum(map(mul, flat, b[end - 4 * n - 4:])) for b in signed] for n in range(length)))
 
 
@@ -431,6 +543,10 @@ def full_star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
 
 def regular_conjugate(f: SliceSeries) -> SliceSeries:
     """Coefficient-wise quaternion conjugation."""
+    if f.is_exact:
+        den, rows = f._integer_form
+        return SliceSeries._from_rows(f.valuation, den,
+                                      ((r0, -r1, -r2, -r3) for r0, r1, r2, r3 in rows))
     return SliceSeries(f.valuation, tuple(c.conjugate() for c in f.coeffs))
 
 
@@ -459,8 +575,8 @@ def symmetrize(f: SliceSeries) -> SliceSeries:
         if not t % 2:
             middle = rows[t // 2]
             acc += sum(map(mul, middle, middle))
-        out.append(Quaternion.from_real(Fraction(acc, den * den)))
-    return SliceSeries(2 * f.valuation, tuple(out))
+        out.append((acc, 0, 0, 0))
+    return SliceSeries._from_rows(2 * f.valuation, den * den, out)
 
 
 def _invert_integer_series(s: list[int]) -> tuple[int, list[int]]:
@@ -497,8 +613,8 @@ def star_reciprocal(f: SliceSeries) -> SliceSeries:
     # strip the central q^(2v); the unit part starts with |a_v|^2 > 0
     den, rows = symmetrize(f)._integer_form
     inv_den, inverted = _invert_integer_series([row[0] for row in rows])
-    inv_sym = SliceSeries(-2 * f.valuation, tuple(
-        Quaternion.from_real(Fraction(den * u, inv_den)) for u in inverted))
+    inv_sym = SliceSeries._from_rows(-2 * f.valuation, inv_den,
+                                     ((den * u, 0, 0, 0) for u in inverted))
     return star_mul(inv_sym, regular_conjugate(f))
 
 
@@ -534,12 +650,12 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
     min(N_f, N_w).  Exact windows run on integers: with w = W / D_w, the
     powers W^n have integer coefficients (each one a dot product with the
     reversed W), and sum_n a_n w^n is summed over D_f D_w^N with a_n
-    scaled by D_w^(N-n).  A float operand is taken exactly, and each
+    scaled by D_w^(N-n).  A monomial W = c q^m needs no powers: a_n
+    lands at q^(n m) times c^n.  A float operand is taken exactly, and each
     component of the float result is rounded once.
     """
-    for _, c in w.terms():
-        if not c.is_real():
-            raise DomainError("inner series must have all-real coefficients")
+    if not w.is_real():
+        raise DomainError("inner series must have all-real coefficients")
     if w.valuation < 1 and not w.is_zero():
         raise DomainError("inner series must vanish at 0")
     if f.valuation < 0:
@@ -553,20 +669,28 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
     while len(w_ints) > 1 and not w_ints[-1]:
         w_ints.pop()
     m = len(w_ints) - 1
+    a_rows = (((0, 0, 0, 0),) * f.valuation + f_rows)[:degree + 1]
+    if m and m == w.valuation:
+        # a monomial W = c q^m: W^n = c^n q^(n m), so no power table
+        c, top = w_ints[m], degree // m
+        rows = [(0, 0, 0, 0)] * (degree + 1)
+        for n in range(top + 1):
+            factor = c ** n * w_den ** (top - n)
+            rows[n * m] = tuple(x * factor for x in a_rows[n])
+        return SliceSeries._from_rows(0, f_den * w_den ** top, rows)
     w_rev = w_ints[::-1]
     power = [1] + [0] * degree
     powers = [power]
     for n in range(1, degree + 1):
-        # W^n lives on q^(n v_w) .. q^(n m); a monomial W has one term
+        # W^n lives on q^(n v_w) .. q^(n m)
         padded = [0] * m + power
         power = [0] * (degree + 1)
         for d in range(n * w.valuation, min(n * m, degree) + 1):
             power[d] = sum(map(mul, padded[d:d + m + 1], w_rev))
         powers.append(power)
-    a_rows = (((0, 0, 0, 0),) * f.valuation + f_rows)[:degree + 1]
     scaled = [[x * w_den ** (degree - n) for n, x in enumerate(comp)]
               for comp in zip(*a_rows)]
-    return _exact_series(0, f_den * w_den ** degree, (
+    return SliceSeries._from_rows(0, f_den * w_den ** degree, (
         [sum(map(mul, comp, col)) for comp in scaled] for col in zip(*powers)))
 
 
@@ -578,8 +702,11 @@ def integrate_radial(g: SliceSeries) -> SliceSeries:
         raise DomainError("cannot integrate a Laurent window term q^-1")
     if not g.is_exact:
         return integrate_radial(g.to_exact()).to_float()
-    return SliceSeries(g.valuation + 1,
-                       tuple(c * Fraction(1, n + 1) for n, c in g.terms()))
+    # a_n / (n + 1) over D L with L = lcm(v + 1, .., N + 1)
+    den, rows = g._integer_form
+    top = math.lcm(*range(g.valuation + 1, g.degree + 2))
+    return SliceSeries._from_rows(g.valuation + 1, den * top, (
+        tuple(x * (top // n) for x in row) for n, row in enumerate(rows, g.valuation + 1)))
 
 
 def odd_part(f: SliceSeries) -> SliceSeries:
@@ -600,8 +727,7 @@ def geometric(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """Sigma q^n u^n, the star reciprocal of 1 - q u.  The powers of u are
     raised on integers (:func:`integer_powers`); a float u is taken
     exactly and each coefficient rounded once."""
-    out = SliceSeries(0, tuple(rational_quaternion(row, den)
-                               for den, row in integer_powers(u, degree + 1)))
+    out = SliceSeries._from_rows(0, *rows_over_lcm(integer_powers(u, degree + 1)))
     return out if u.is_exact else out.to_float()
 
 
@@ -618,9 +744,9 @@ def mobius(a: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
         raise DomainError("moebius parameter must lie in the closed unit ball")
     exact, a = a.is_exact, a.to_exact()
     t = 1 - a.norm_sq()
-    out = SliceSeries(0, (a,) + tuple(
-        rational_quaternion(row, den * t.denominator, -t.numerator)
-        for den, row in integer_powers(a.conjugate(), degree)))
+    out = SliceSeries._from_rows(0, *rows_over_lcm([integer_row(a)] + [
+        (den * t.denominator, tuple(-t.numerator * x for x in row))
+        for den, row in integer_powers(a.conjugate(), degree)]))
     return out if exact else out.to_float()
 
 
@@ -704,7 +830,7 @@ class StarQuotient:
         listed from the highest power down.  v is the lower of the two
         valuations; the other part takes the difference as zero rows."""
         den = self.den.to_exact().trim()
-        real = all(c.is_real() for c in den.coeffs)
+        real = den.is_real()
         if real:
             sym, num = den, self.num.to_exact().trim()
         else:
@@ -787,10 +913,15 @@ class StarQuotient:
             (den^(-*) star num)' = (den star den)^(-*) star (den star num' - den' star num).
 
         Exact coefficients must commute exactly; float ones up to rounding.
-        A left factor is first moved into the numerator over the real
-        denominator den^s, whose coefficients always commute.
+        A left factor is first moved into the numerator: over den itself
+        when den is real, else over the real denominator den^s, whose
+        coefficients always commute.
         """
         if self.left is not None:
+            den = self.den.to_exact().trim()
+            if den.is_real():
+                return StarQuotient(full_star_mul(self.left.to_exact().trim(),
+                                                  self.num.to_exact().trim()), den).derivative()
             return StarQuotient(self._den_conj_num, self._den_sym).derivative()
         cs = [c for c in self.den.coeffs if not c.is_zero()]
         for i in range(len(cs)):

@@ -2,10 +2,11 @@
 
 These are the loops the package ran before its integer kernels, run here
 in `Fraction` on exact windows.  Tests compare `star_mul`, `symmetrize`,
-`star_reciprocal` and `compose_slice_preserving` against them
-coefficient for coefficient.  A float or mixed operand is checked against
-the reference at the exact values of its operands, each component of the
-result rounded once to float, bit for bit.
+`star_reciprocal`, `compose_slice_preserving`, `integrate_radial` and
+`StarQuotient.to_series` against them coefficient for coefficient.  A
+float or mixed operand is checked against the reference at the exact
+values of its operands, each component of the result rounded once to
+float, bit for bit.
 
 The same holds for the power loops of the generators `geometric`,
 `mobius`, `caratheodory_extremal`, `generate_caratheodory`, `koebe` and
@@ -23,7 +24,7 @@ from fractions import Fraction
 from srgft.classes import _rogosinski_parts, caratheodory_mixture_parts
 from srgft.errors import DomainError
 from srgft.quat import ONE, ZERO, Quaternion
-from srgft.series import SliceSeries, regular_conjugate
+from srgft.series import SliceSeries
 
 
 def reference_star_mul(f, g):
@@ -76,7 +77,8 @@ def reference_star_reciprocal(f):
     fs = reference_symmetrize(f)
     inverted = reference_invert_real_series([c.w for c in fs.coeffs])
     inv_sym = SliceSeries(-2 * f.valuation, tuple(Quaternion.from_real(s) for s in inverted))
-    return reference_star_mul(inv_sym, regular_conjugate(f))
+    conjugate = SliceSeries(f.valuation, tuple(c.conjugate() for c in f.coeffs))
+    return reference_star_mul(inv_sym, conjugate)
 
 
 def reference_compose_slice_preserving(f, w):
@@ -105,6 +107,23 @@ def reference_compose_slice_preserving(f, w):
                     nxt[d1 + d2] = nxt[d1 + d2] + power[d1] * w_scal[d2]
         power = nxt
     return SliceSeries(0, tuple(out))
+
+
+def reference_integrate_radial(g):
+    return SliceSeries(g.valuation + 1, tuple(c * Fraction(1, n + 1) for n, c in g.terms()))
+
+
+def _reference_pad(s, degree):
+    return SliceSeries(s.valuation, s.coeffs + (ZERO,) * max(degree - s.degree, 0))
+
+
+def reference_to_series(num, den, degree):
+    """The window of den^(-*) star num through ``degree``, padded and
+    truncated as `StarQuotient.to_series` does."""
+    v = den.valuation
+    rec = reference_star_reciprocal(_reference_pad(den, degree + 2 * abs(v) + 2))
+    out = reference_star_mul(rec, _reference_pad(num, degree + abs(v) + 2))
+    return SliceSeries(out.valuation, out.coeffs[:degree - out.valuation + 1])
 
 
 def reference_pow(q, n):

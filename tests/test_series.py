@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 from quotient_reference import reference_eval, reference_series_eval
 from series_reference import (reference_at_exact, reference_compose_slice_preserving,
-                              reference_eval_float, reference_geometric, reference_mobius,
+                              reference_eval_float, reference_geometric,
+                              reference_integrate_radial, reference_mobius,
                               reference_star_mul, reference_star_reciprocal,
-                              reference_symmetrize)
+                              reference_symmetrize, reference_to_series)
 from srgft.checks import close_to_convex_member
 from srgft.classes import (DEFAULT_GRID, SamplingGrid, caratheodory_extremal,
                            caratheodory_extremal_quotient,
-                           caratheodory_mixture_form, koebe,
+                           caratheodory_mixture_form, generate_caratheodory,
+                           generate_starlike_small_coeff, koebe,
                            koebe_quotient, random_exact_unit,
                            rogosinski_extremal, rogosinski_extremal_form)
 from srgft.errors import DomainError, SingularityError
@@ -27,7 +29,7 @@ from srgft.series import (EvalDomain, QuotientSum, SliceSeries, StarQuotient,
                           integrate_radial, mobius, mobius_quotient, odd_part,
                           quotient_transform, regular_conjugate,
                           slice_derivative, star_mul, star_reciprocal,
-                          symmetrize, _eval_float, _horner_xv)
+                          symmetrize, _eval_float, _horner_xv, _transform_parts)
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -486,6 +488,20 @@ class TestStarQuotient:
             assert abs(quot.eval(point) - window.to_float().eval(point)) < 1e-12
             assert quot.eval(point) == reference_eval(quot, point)
             assert abs(quot.derivative().eval(point) - derivative_window.eval(point)) < 1e-12
+
+    def test_left_factor_over_a_real_den_is_not_symmetrized(self):
+        """A left factor moves into the numerator over a real den itself,
+        not over den^s = den star den: the class-c f' form (den degree 6)
+        has a derivative over degree 12, not 24, with the same values."""
+        form = close_to_convex_member(2).derivative_form
+        derivative = form.derivative()
+        over_sym = StarQuotient(form._den_conj_num, form._den_sym).derivative()
+        assert (form.den.degree, derivative.den.degree, over_sym.den.degree) == (6, 12, 24)
+        for q in (exact(F(1, 5), F(-1, 10), F(3, 10), F(1, 10)),
+                  Quaternion(0.3, 0.1, -0.2, 0.4)):
+            want = reference_eval(over_sym, q)
+            assert reference_eval(derivative, q) == want
+            assert derivative.eval(q) == want
 
     def test_float_inputs_round_to_exact(self):
         quot = StarQuotient(SliceSeries.identity(),
@@ -1128,3 +1144,117 @@ class TestScalarPaths:
     def test_mobius_matches_the_reference(self, a, degree):
         assert _repr_window(mobius(a, degree)) == \
             _repr_window(reference_at_exact(reference_mobius, a, degree))
+
+
+@st.composite
+def integer_rows(draw):
+    """(valuation, D, rows): integer 4-tuples over a D that may share a
+    factor with every entry, with up to two leading zero rows, interior
+    zero rows, and all rows zero one time in eight."""
+    rng = Random(draw(st.integers(0, 10 ** 6)))
+    common = draw(st.sampled_from((1, 2, 6, 35)))
+    den = common * draw(st.sampled_from((1, 3, 8, 105)))
+    zero = draw(st.integers(0, 7)) == 0
+
+    def row():
+        if zero or rng.random() < 0.3:
+            return (0, 0, 0, 0)
+        return tuple(common * rng.randint(-20, 20) for _ in range(4))
+
+    rows = [(0, 0, 0, 0)] * draw(st.integers(0, 2)) + \
+        [row() for _ in range(draw(st.integers(1, 12)))]
+    return draw(st.integers(-3, 3)), den, rows
+
+
+def _row_windows(rng: Random) -> list[SliceSeries]:
+    """Outputs of every kernel, generator and shape operation that builds
+    an exact window from integer rows."""
+    f, g = rand_series(rng, 6), rand_series(rng, 5, valuation=1)
+    w = series([F(1, 2), F(1, 4)], valuation=1).pad_to(6)
+    u = random_exact_unit(rng)
+    product = star_mul(f, g)
+    return [product, symmetrize(f), star_reciprocal(f), integrate_radial(f),
+            compose_slice_preserving(f, w), compose_slice_preserving(f, w.truncate(1)),
+            StarQuotient(g, f).to_series(6), regular_conjugate(f), product.shift(2),
+            product.pad_to(20), product.truncate(4), product.pad_to(20).trim(), -product,
+            koebe(u, 8), geometric(u * F(1, 2), 8), mobius(u * F(1, 2), 8),
+            caratheodory_extremal(u, 8), generate_caratheodory(1, 8),
+            generate_starlike_small_coeff(1, 8), rogosinski_extremal(u * F(5, 8), u, 8)]
+
+
+class TestRowWindows:
+    """An exact window built from integer rows is the window of its
+    `Fraction` coefficients, which it forms only when they are read, and
+    a chain of kernels on such windows agrees with the `Fraction`
+    references coefficient by coefficient."""
+
+    @given(integer_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_row_window_is_the_window_of_its_fractions(self, form):
+        v, den, rows = form
+        s = SliceSeries._from_rows(v, den, rows)
+        fractions = SliceSeries(v, [Quaternion(*(F(x, den) for x in row)) for row in rows])
+        rebuilt = SliceSeries(s.valuation, s.coeffs)
+        # the rebuilt window forms its own integer form with one lcm
+        assert "_integer_form" not in rebuilt.__dict__
+        assert s._integer_form == rebuilt._integer_form
+        for other in (fractions, rebuilt):
+            assert s == other and other == s
+            assert hash(s) == hash(other)
+            assert (s.valuation, s.degree, s.is_zero()) == \
+                (other.valuation, other.degree, other.is_zero())
+        assert _repr_window(s.to_float()) == \
+            _repr_window(SliceSeries(s.valuation, [c.to_float() for c in s.coeffs]))
+        if not s.is_zero():
+            assert s != s.shift(1) and s != -s
+
+    def test_kernel_outputs_form_no_coefficients_until_read(self):
+        for s in _row_windows(Random(4)):
+            assert s.is_exact and not s.is_zero()
+            assert "coeffs" not in s.__dict__
+            coeffs = s.coeffs
+            assert "coeffs" in s.__dict__ and s.coeffs is coeffs
+            assert _component_types(s) == {F}
+
+    def test_transform_parts_cache_hits_for_equal_windows_built_differently(self):
+        rng = Random(11)
+        f, g = rand_series(rng, 3), rand_series(rng, 2)
+        rows = star_mul(f.pad_to(5), g.pad_to(5))
+        fractions = reference_star_mul(f.pad_to(5), g.pad_to(5))
+        assert "coeffs" not in rows.__dict__ and "_integer_form" not in fractions.__dict__
+        q = exact(F(1, 5), F(1, 10), 0, F(-1, 10))
+        _transform_parts.cache_clear()
+        first = quotient_transform(rows, q)
+        assert quotient_transform(fractions, q) == first
+        info = _transform_parts.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @given(kernel_windows(max_length=10, valuations=(0, 2)),
+           kernel_windows(max_length=10, valuations=(0, 2)), inner_windows)
+    @settings(max_examples=60, deadline=None)
+    def test_chained_kernels_match_the_references(self, f, g, w):
+        product = star_mul(f, g)
+        assume(not product.is_zero())
+        primitive = integrate_radial(product)
+        square = symmetrize(primitive)
+        inverse = star_reciprocal(square.shift(-square.valuation))
+        composed = compose_slice_preserving(inverse, w)
+        window = StarQuotient(composed, primitive).to_series(8)
+        ref_product = reference_star_mul(f, g)
+        ref_primitive = reference_integrate_radial(ref_product)
+        ref_square = reference_symmetrize(ref_primitive)
+        ref_inverse = reference_star_reciprocal(SliceSeries(0, ref_square.coeffs))
+        ref_composed = reference_compose_slice_preserving(ref_inverse, w)
+        ref_window = reference_to_series(ref_composed, ref_primitive, 8)
+        for got, want in ((product, ref_product), (primitive, ref_primitive),
+                          (square, ref_square), (inverse, ref_inverse),
+                          (composed, ref_composed), (window, ref_window)):
+            _same_exact_window(got, want)
+
+    @given(kernel_windows(max_length=14, valuations=(0, 3)), st.integers(1, 5),
+           st.fractions(F(-3), F(3), max_denominator=12).filter(bool), st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_monomial_inner_series_match_the_reference(self, f, k, c, pad):
+        w = SliceSeries.from_coeffs([Quaternion.from_real(c)], valuation=k).pad_to(k + pad)
+        _same_exact_window(compose_slice_preserving(f, w),
+                           reference_compose_slice_preserving(f, w))
