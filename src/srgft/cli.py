@@ -34,8 +34,8 @@ from .classes import (DEFAULT_ANGLE_COUNT, DEFAULT_RADII, ClassVerdict,
                       FunctionUnderTest, SamplingGrid, certify_small_coeff,
                       is_caratheodory, is_close_to_convex, is_starlike)
 from .errors import DomainError, PreconditionError, QuaternionParseError
-from .quat import (UNIT_I, UNIT_J, UNIT_K, ImaginaryUnit, format_quaternion,
-                   parse_quaternion)
+from .quat import (UNIT_I, UNIT_J, UNIT_K, ImaginaryUnit, Quaternion,
+                   format_quaternion, parse_quaternion)
 from .series import DEFAULT_DEGREE, SliceSeries, StarQuotient, slice_derivative
 
 SEED_ENV = "SRGFT_SEED"
@@ -219,15 +219,16 @@ def cmd_slice_image(args) -> int:
     radii = [0.98 * (i + 1) / 24 for i in range(24)]
     angles = [2.0 * math.pi * j / 48 for j in range(48)]
     evaluate = series.to_float().eval if form is None else form.eval
+    # a named unit holds Fractions; convert its components once
+    ux, uy, uz = float(unit.x), float(unit.y), float(unit.z)
     rows = []
     for r in radii:
         for theta in angles:
-            q = unit.circle_point(theta, r)
-            value = evaluate(q)
+            # the point r cos(theta) + r sin(theta) I of `ImaginaryUnit.circle_point`
             re_in = r * math.cos(theta)
             im_in = r * math.sin(theta)
-            im_out = (float(value.x) * float(unit.x) + float(value.y) * float(unit.y)
-                      + float(value.z) * float(unit.z))
+            value = evaluate(Quaternion(re_in, im_in * ux, im_in * uy, im_in * uz))
+            im_out = value.x * ux + value.y * uy + value.z * uz
             rows.append((re_in, im_in, float(value.w), im_out))
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)

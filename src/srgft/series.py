@@ -127,6 +127,27 @@ def _eval_float(rows: tuple[tuple[float, float, float, float], ...],
     return Quaternion(aw, ax, ay, az)
 
 
+def _complex_products_round_each_term() -> bool:
+    """Whether CPython's complex product rounds each of its real products
+    before it adds them, as :func:`_eval_float` does.  A compiler may
+    contract a*c - b*d into a fused multiply-add (aarch64 compilers may);
+    with h l = 1 - 2^-60, each product below cancels to exactly 0 only when
+    no term of its real or imaginary part is fused."""
+    h, l = 1 + 2.0 ** -30, 1 - 2.0 ** -30
+    return not ((complex(h, 1) * complex(l, 1)).real or (complex(1, h) * complex(1, l)).real
+                or (complex(h, 1) * complex(1, -l)).imag
+                or (complex(1, h) * complex(-l, 1)).imag)
+
+
+_COMPLEX_PRODUCTS_ROUND_EACH_TERM = _complex_products_round_each_term()
+
+# At q = x + y e with e = i, j or k, left multiplication by q is the
+# complex number x + y i acting on two planes (a, b) of H, the components
+# a + b i of each plane listed by index: for e = i the planes (w, x) and
+# (y, z), for e = j (w, y) and (z, x), for e = k (w, z) and (x, y).
+_AXIS_PLANES = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))
+
+
 def _float_row(row: tuple[int, ...], den: int) -> tuple[float, ...]:
     """The components of the integer 4-tuple row over den as floats.  Int
     by int true division is correctly rounded, so each equals the float of
@@ -287,6 +308,62 @@ class SliceSeries:
             return tuple(_float_row(row, den) for row in reversed(rows))
         return tuple((c.w, c.x, c.y, c.z) for c in reversed(self.coeffs))
 
+    def _axis_rows(self, axis: int):
+        """(pairs, signed): the float rows as pairs of complex numbers, one
+        per plane of ``_AXIS_PLANES[axis]``, and the components whose entry
+        in the lowest row a_v is -0.0.  Built on first use per axis and
+        kept in the instance ``__dict__``."""
+        key = ("_axis_rows_i", "_axis_rows_j", "_axis_rows_k")[axis]
+        cached = self.__dict__.get(key)
+        if cached is None:
+            rows = self._float_rows
+            (p0, p1), (r0, r1) = _AXIS_PLANES[axis]
+            cached = (tuple((complex(row[p0], row[p1]), complex(row[r0], row[r1]))
+                            for row in rows),
+                      tuple(m for m, c in enumerate(rows[-1])
+                            if c == 0 and math.copysign(1.0, c) < 0))
+            self.__dict__[key] = cached
+        return cached
+
+    def _eval_at_float(self, q: Quaternion) -> Quaternion:
+        """The float Horner at the float point q.  On the i, j or k axis, a
+        real point included, it runs as two complex Horners
+        acc = (Re q + q_e i) acc + c, one per plane of ``_AXIS_PLANES``; anywhere
+        else, and where complex products may be fused, it is
+        :func:`_eval_float`.  Both give the same bits: the quaternion Horner
+        forms the same products and sums in the same order, plus ±0 terms
+        that leave every nonzero value as it is.  Two cases take
+        :func:`_eval_float` instead: a zero component whose entry in the
+        last row added is -0.0, where the sign of the zero can differ, and
+        an overflow, which the quaternion Horner spreads as NaN and the
+        `Quaternion` constructor refuses."""
+        w, x, y, z = q.w, q.x, q.y, q.z
+        if not _COMPLEX_PRODUCTS_ROUND_EACH_TERM:
+            return _eval_float(self._float_rows, q)
+        if not (y or z):
+            axis, point = 0, complex(w, x)
+        elif not (x or z):
+            axis, point = 1, complex(w, y)
+        elif not (x or y):
+            axis, point = 2, complex(w, z)
+        else:
+            return _eval_float(self._float_rows, q)
+        pairs, signed = self._axis_rows(axis)
+        it = iter(pairs)
+        a, b = next(it)
+        for c, d in it:
+            a = point * a + c
+            b = point * b + d
+        (p0, p1), (r0, r1) = _AXIS_PLANES[axis]
+        out = [0.0] * 4
+        out[p0], out[p1], out[r0], out[r1] = a.real, a.imag, b.real, b.imag
+        if signed and any(out[m] == 0 for m in signed):
+            return _eval_float(self._float_rows, q)
+        try:
+            return Quaternion(*out)
+        except DomainError:
+            return _eval_float(self._float_rows, q)
+
     def coeff(self, n: int) -> Quaternion:
         """Coefficient of q^n.  Raises above the truncation degree."""
         if n > self.degree:
@@ -362,9 +439,23 @@ class SliceSeries:
 
     # -- linear structure ------------------------------------------------
 
+    def _rows_from(self, v: int, degree: int) -> tuple[tuple[int, ...], ...]:
+        """The integer rows of q^v .. q^degree, v at most the valuation."""
+        rows = ((0, 0, 0, 0),) * (self.valuation - v) + self._integer_form[1]
+        return rows[:degree - v + 1]
+
     def __add__(self, other: "SliceSeries") -> "SliceSeries":
+        """The sum on the smaller window; two exact windows add their rows
+        over the lcm of their denominators."""
         v = min(self.valuation, other.valuation)
         degree = min(self.degree, other.degree)
+        if self.is_exact and other.is_exact:
+            den_a, den_b = self._integer_form[0], other._integer_form[0]
+            den = math.lcm(den_a, den_b)
+            fa, fb = den // den_a, den // den_b
+            return SliceSeries._from_rows(v, den, (
+                tuple(fa * x + fb * y for x, y in zip(a, b))
+                for a, b in zip(self._rows_from(v, degree), other._rows_from(v, degree))))
         return SliceSeries(v, tuple(self.coeff(n) + other.coeff(n)
                                     for n in range(v, degree + 1)))
 
@@ -383,6 +474,13 @@ class SliceSeries:
         return SliceSeries(self.valuation, tuple(a * c for a in self.coeffs))
 
     def scale(self, s) -> "SliceSeries":
+        """Every coefficient times the real scalar s; an exact window times
+        an int or `Fraction` multiplies its rows by s."""
+        if self.is_exact and isinstance(s, (int, Fraction)):
+            s = Fraction(s)
+            den, rows = self._integer_form
+            return SliceSeries._from_rows(self.valuation, den * s.denominator, (
+                tuple(x * s.numerator for x in row) for row in rows))
         return SliceSeries(self.valuation, tuple(a * s for a in self.coeffs))
 
     # -- evaluation --------------------------------------------------------
@@ -396,8 +494,10 @@ class SliceSeries:
         stays exact; a positive v joins that Horner as v zero rows.  Any
         float operand runs the float Horner :func:`_eval_float` on the
         cached float rows at the point in float, which is bit for bit what
-        promoting each mixed operation gives.  A rational coefficient too
-        large for a float raises `DomainError`.
+        promoting each mixed operation gives.  On the i, j and k axes, and
+        at a real point, that Horner runs as two complex Horners with the
+        same bits (:meth:`_eval_at_float`, which names its fallbacks).  A
+        rational coefficient too large for a float raises `DomainError`.
         """
         if q.norm_sq() >= 1:
             raise DomainError("evaluation point must lie in the open unit ball")
@@ -411,7 +511,7 @@ class SliceSeries:
             acc = Quaternion(*(Fraction(c, power * den) for c in comps))
         else:
             low = self.valuation
-            acc = _eval_float(self._float_rows, q.to_float())
+            acc = self._eval_at_float(q.to_float())
         return _central_power(q, low) * acc if low else acc
 
     # -- serialization -----------------------------------------------------

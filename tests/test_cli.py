@@ -362,6 +362,47 @@ class TestSliceImageCommand:
         path.write_text(json.dumps(SliceSeries.identity(4).to_json_dict()))
         assert run(["slice-image", str(path), "--unit", "1+i"]) == 1
 
+    # sha256 of the CSV of each seed-7 gen file on each axis; the float
+    # sstar file holds the exact window rounded, so its images are the same
+    PINNED_IMAGE = {
+        ("sstar", "i"): "5f0f3608b621e9f1ce5ae308f6a3a12740f528a633522e4e0747ba997fda7a04",
+        ("sstar", "j"): "692ac9fd597410ec6ff50c43c756af5086d050399d26bb09dfe517265f1bb137",
+        ("sstar", "k"): "7c5516dc4b17f9e53fcb428ef6e564884883076ca7feb24e1d9ecd499aa1ccf4",
+        ("sstar", "1/3i+2/3j+2/3k"):
+            "2cf1299ed0b4924c7e3f6366c3ac783b76b7bad7052ee0fcdd84ad4a67600447",
+        ("class-c", "i"): "2fd78c0db4ff7399a3206cf4c858e6912dd22990af4ab5515aa861b8a7ee3f9e",
+        ("class-c", "j"): "ed26a037e9139378fda85cdf1b824c3bef5f9885e29a42521780c64d4e380d61",
+        ("class-c", "k"): "8d0a085eb0f104b1bb9191e52b3799a1d62d53de0e25359e02331fafa699345e",
+        ("class-c", "1/3i+2/3j+2/3k"):
+            "a988d2d21ac07c0d2c24e8e70807c9eda3092ffca55ef079595b67cdff24c441",
+        ("sstar --mode float", "i"):
+            "5f0f3608b621e9f1ce5ae308f6a3a12740f528a633522e4e0747ba997fda7a04",
+        ("sstar --mode float", "j"):
+            "692ac9fd597410ec6ff50c43c756af5086d050399d26bb09dfe517265f1bb137",
+        ("sstar --mode float", "k"):
+            "7c5516dc4b17f9e53fcb428ef6e564884883076ca7feb24e1d9ecd499aa1ccf4",
+        ("sstar --mode float", "1/3i+2/3j+2/3k"):
+            "2cf1299ed0b4924c7e3f6366c3ac783b76b7bad7052ee0fcdd84ad4a67600447",
+    }
+
+    @pytest.fixture(scope="class")
+    def gen_files(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("gen")
+        paths = {}
+        for family in {family for family, _ in self.PINNED_IMAGE}:
+            name, *options = family.split()
+            paths[family] = folder / f"{name}{len(options)}.json"
+            assert run(["gen", name, "--seed", "7", *options, "--out", str(paths[family])]) == 0
+        return paths
+
+    @pytest.mark.parametrize("family, unit", PINNED_IMAGE)
+    def test_image_is_pinned(self, family, unit, gen_files, tmp_path):
+        out = tmp_path / "cloud.csv"
+        assert run(["slice-image", str(gen_files[family]), "--unit", unit,
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            self.PINNED_IMAGE[(family, unit)]
+
 
 class TestFlags:
     def test_flags_a_subcommand_does_not_read_are_refused(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quotient_reference import reference_eval, reference_series_eval
@@ -1258,3 +1258,129 @@ class TestRowWindows:
         w = SliceSeries.from_coeffs([Quaternion.from_real(c)], valuation=k).pad_to(k + pad)
         _same_exact_window(compose_slice_preserving(f, w),
                            reference_compose_slice_preserving(f, w))
+
+
+class TestLinearRows:
+    """Sums and real multiples of exact windows run on their integer rows
+    and give the window of the `Fraction` arithmetic they replace."""
+
+    @given(kernel_windows(), kernel_windows())
+    @settings(max_examples=150, deadline=None)
+    def test_sum_matches_the_fraction_sum(self, f, g):
+        v, degree = min(f.valuation, g.valuation), min(f.degree, g.degree)
+        want = SliceSeries(v, tuple(f.coeff(n) + g.coeff(n) for n in range(v, degree + 1)))
+        _same_exact_window(f + g, want)
+        _same_exact_window(f - g, SliceSeries(v, tuple(f.coeff(n) - g.coeff(n)
+                                                       for n in range(v, degree + 1))))
+
+    @given(kernel_windows(), st.one_of(st.integers(-5, 5),
+                                       st.fractions(F(-4), F(4), max_denominator=30)))
+    @settings(max_examples=150, deadline=None)
+    def test_scale_matches_the_fraction_product(self, f, s):
+        _same_exact_window(f.scale(s), SliceSeries(f.valuation, tuple(a * s for a in f.coeffs)))
+
+    def test_rows_stay_rows(self):
+        f, g = generate_caratheodory(1, 8), generate_starlike_small_coeff(2, 8)
+        for out in (f + g, f.scale(F(3, 7)), caratheodory_mixture_form(4).num):
+            assert "coeffs" not in out.__dict__
+
+    def test_float_operands_keep_the_float_arithmetic(self):
+        f, g = koebe(ONE, 6), koebe(I, 6).to_float()
+        assert (f + g).coeffs == tuple(a + b for a, b in zip(f.coeffs, g.coeffs))
+        assert f.scale(0.5).coeffs == tuple(a * 0.5 for a in f.coeffs)
+        assert not f.scale(0.5).is_exact
+
+
+# float components that cancel, vanish with either sign, or overflow
+float_entries = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e300, 1.7e308)),
+                          st.floats(-2, 2))
+signed_zeros = st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def float_windows(draw):
+    """Float windows of 1, 2, 3 or 49 rows, real or quaternionic, whose
+    lowest coefficient a_v often has -0.0 components; the zero window is a
+    row of signed zeros repeated."""
+    length = draw(st.sampled_from((1, 2, 3, 49)))
+    if draw(st.integers(0, 7)) == 0:
+        zero = Quaternion(*draw(st.tuples(*[signed_zeros] * 4)))
+        return SliceSeries(0, (zero,) * length)
+    real = draw(st.booleans())
+    rows = [Quaternion(draw(float_entries),
+                       *draw(st.tuples(*[signed_zeros if real else float_entries] * 3)))
+            for _ in range(length)]
+    if draw(st.booleans()):
+        rows[0] = Quaternion(rows[0].w or 1.0, *draw(st.tuples(*[signed_zeros] * 3)))
+    return SliceSeries(draw(st.integers(0, 2)), rows)
+
+
+@st.composite
+def axis_points(draw):
+    """Points x + y e on e = i, j, k, or real, every other component a
+    signed zero; x and y may be signed zeros too, so q = 0 is drawn."""
+    x = draw(st.one_of(signed_zeros, st.floats(-0.7, 0.7)))
+    y = draw(st.one_of(signed_zeros, st.floats(-0.7, 0.7)))
+    comps = [x, *draw(st.tuples(*[signed_zeros] * 3))]
+    axis = draw(st.integers(0, 3))
+    if axis:
+        comps[axis] = y
+    return Quaternion(*comps)
+
+
+def _float_outcome(evaluate):
+    """Each component's repr, or the error with its message."""
+    try:
+        value = evaluate()
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return tuple(repr(c) for c in (value.w, value.x, value.y, value.z))
+
+
+class TestAxisHorner:
+    """On the i, j and k axes the float Horner runs as two complex Horners;
+    the quaternion Horner `_eval_float` is its oracle, bit for bit."""
+
+    @given(float_windows(), axis_points())
+    @settings(max_examples=250, deadline=None)
+    # the (y, z) plane overflows: the quaternion Horner turns 0 * inf into
+    # NaN in w, so the error names nan where the complex plane holds inf
+    @example(SliceSeries(0, [Quaternion(1.0, 0.0, 1.7e308, 0.0)] * 3),
+             Quaternion(0.9, 0.1, 0.0, -0.0))
+    # a real window: the zeros of y and z take their signs from a_0
+    @example(SliceSeries(0, [Quaternion(1.0, -0.0, -0.0, 0.0)] * 3),
+             Quaternion(0.5, -0.0, 0.0, 0.0))
+    def test_matches_the_quaternion_horner(self, f, q):
+        assert _float_outcome(lambda: f._eval_at_float(q)) == \
+            _float_outcome(lambda: _eval_float(f._float_rows, q))
+
+    def test_axis_points_skip_the_quaternion_horner(self, monkeypatch):
+        import srgft.series as series_module
+        calls = []
+        monkeypatch.setattr(series_module, "_eval_float",
+                            lambda rows, q: calls.append(q) or _eval_float(rows, q))
+        f = generate_starlike_small_coeff(3, 12).to_float()
+        on_axes = [Quaternion(0.25, 0.5, 0.0, 0.0), Quaternion(-0.5, 0.0, -0.25, 0.0),
+                   Quaternion(0.0, -0.0, 0.0, 0.75), Quaternion(0.5, 0.0, 0.0, 0.0)]
+        off_axes = Quaternion(0.25, 0.25, 0.25, 0.0)
+        for q in on_axes + [off_axes]:
+            f.eval(q)
+        assert calls == [off_axes]
+        # where complex products may be fused, every point takes _eval_float
+        calls.clear()
+        monkeypatch.setattr(series_module, "_COMPLEX_PRODUCTS_ROUND_EACH_TERM", False)
+        for q in on_axes:
+            f.eval(q)
+        assert calls == on_axes
+
+    def test_suite_points_never_fall_back(self, monkeypatch, tmp_path):
+        """The default grid lies on the three axes; no float window
+        evaluation of these suites needs the quaternion Horner."""
+        import srgft.series as series_module
+        from srgft.cli import main
+        calls = []
+        monkeypatch.setattr(series_module, "_eval_float",
+                            lambda rows, q: calls.append(len(rows)) or _eval_float(rows, q))
+        for suite in ("growth", "bieberbach", "koebe"):
+            main(["check", "--suite", suite, "--degree", "24", "--out", str(tmp_path / "r.json")])
+        assert calls == []
