@@ -127,7 +127,16 @@ class Quaternion:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def __abs__(self) -> float:
-        return math.sqrt(float(self.norm_sq()))
+        """sqrt(float(|q|^2)).  An exact q sums the squared numerators over
+        one lcm d of its denominators: N / d^2 is int by int true division,
+        correctly rounded like ``float(self.norm_sq())``, and an oversized
+        value raises `OverflowError` as that does."""
+        if not self.is_exact:
+            return math.sqrt(self.norm_sq())
+        comps = (self.w, self.x, self.y, self.z)
+        den = math.lcm(*(c.denominator for c in comps))
+        total = sum((c.numerator * (den // c.denominator)) ** 2 for c in comps)
+        return math.sqrt(total / (den * den))
 
     # -- algebra ------------------------------------------------------------
 

@@ -127,6 +127,31 @@ def _eval_float(rows: tuple[tuple[float, float, float, float], ...],
     return Quaternion(aw, ax, ay, az)
 
 
+def _float_product(left, right):
+    """The product of two float 4-tuples, term for term as
+    `Quaternion.__mul__` forms it."""
+    a, b, c, d = left
+    e, f, g, h = right
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
+
+
+def _float_power_times(q: Quaternion, n: int, acc: Quaternion) -> Quaternion:
+    """q^n acc at a float q and n > 0, on 4-tuples with the products of
+    ``q ** n * acc`` in the same order (`Quaternion.__pow__` from
+    ``_FLOAT_ONE``), so with the same bits and one `Quaternion` built."""
+    result, base = (1.0, 0.0, 0.0, 0.0), (q.w, q.x, q.y, q.z)
+    while n:
+        if n & 1:
+            result = _float_product(result, base)
+        n >>= 1
+        if n:
+            base = _float_product(base, base)
+    return Quaternion(*_float_product(result, (acc.w, acc.x, acc.y, acc.z)))
+
+
 def _complex_products_round_each_term() -> bool:
     """Whether CPython's complex product rounds each of its real products
     before it adds them, as :func:`_eval_float` does.  A compiler may
@@ -496,7 +521,8 @@ class SliceSeries:
         cached float rows at the point in float, which is bit for bit what
         promoting each mixed operation gives.  On the i, j and k axes, and
         at a real point, that Horner runs as two complex Horners with the
-        same bits (:meth:`_eval_at_float`, which names its fallbacks).  A
+        same bits (:meth:`_eval_at_float`, which names its fallbacks); at a
+        float point a positive v joins as :func:`_float_power_times`.  A
         rational coefficient too large for a float raises `DomainError`.
         """
         if q.norm_sq() >= 1:
@@ -512,6 +538,8 @@ class SliceSeries:
         else:
             low = self.valuation
             acc = self._eval_at_float(q.to_float())
+            if low > 0 and not q.is_exact:
+                return _float_power_times(q, low, acc)
         return _central_power(q, low) * acc if low else acc
 
     # -- serialization -----------------------------------------------------
@@ -858,6 +886,12 @@ def mobius_quotient(a: Quaternion) -> "StarQuotient":
                         SliceSeries.from_coeffs([ONE, -a.conjugate()]))
 
 
+# A grid sweeps one radius at a time, the i points at every angle, then the
+# j and k points at the same angles: 16 classes cover that up to 16 angles.
+_SHARED_CAPACITY = 16
+_TOO_CLOSE = "quotient evaluated too close to a symmetrization zero"
+
+
 class StarQuotient:
     """Pointwise-exact evaluator for left star den^(-*) star num with
     polynomial parts (``left`` defaults to 1).
@@ -876,18 +910,25 @@ class StarQuotient:
     from den and num with their trailing zeros trimmed, and read through
     their integer forms: integer coefficients over one common denominator
     each.  A left factor h is never folded into G for evaluation: (h star
-    G)(q) = sum_m q^m h(q) g_m, so h(q) is evaluated once and multiplies
-    the few rows g_m.
+    G)(q) = sum_m q^m h(q) g_m = h(q) G(q), because the Horner's P_m and
+    Q_m are integers, so G's Horner runs once and h(q) multiplies its two
+    results.
 
     Evaluation runs on integers only.  The point is scaled by the lcm L
     of its component denominators (a binary float is a dyadic rational)
     to (W + V) / L; the numerator runs through :func:`_horner_xv` and the
     real denominator through the same recurrence on scalars, and each
-    component is divided once at the end.  An exact point gives an exact
-    value; at a float point each component is the correctly rounded
-    value of the exact one.  Exactness matters because the symmetrized
-    denominator can be as small as (1-|q|)^8 near the boundary, where
-    float Horner would cancel catastrophically.  The default guard only
+    component is divided once at the end.  All of it but the last step
+    E + V F (and h(q) = A_h + V B_h) reads only (L, W, |V|^2), as the
+    representation formula f(x + yI) = alpha + I beta says: that shared
+    part (:meth:`_shared_part`) is kept per quotient for the last
+    ``_SHARED_CAPACITY`` classes, so the i, j and k points of one
+    (r, theta) run one Horner.  Each call still tests the ball and
+    compares the stored guard with its own domain.  An exact point gives
+    an exact value; at a float point each component is the correctly
+    rounded value of the exact one.  Exactness matters because the
+    symmetrized denominator can be as small as (1-|q|)^8 near the
+    boundary, where float Horner would cancel catastrophically.  The default guard only
     fences off genuine zeros; pass a stricter :class:`EvalDomain` to
     refuse a wider neighbourhood of the singular set.
     """
@@ -947,16 +988,24 @@ class StarQuotient:
                 tuple(c[0] for c in sym_rows[::-1]) + (0,) * (sym.valuation - low),
                 num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (v_left + num.valuation - low), left)
 
-    def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:
-        """The value at q, refused where |den^s(q)| falls below the
-        guard's threshold (by default :attr:`ZERO_GUARD`)."""
-        domain = domain or self.ZERO_GUARD
+    @cached_property
+    def _shared(self) -> dict:
+        """The shared parts (:meth:`_shared_part`) of the last
+        ``_SHARED_CAPACITY`` classes evaluated, keyed by (L, W, |V|^2) and
+        oldest first; kept in the instance ``__dict__``."""
+        return {}
+
+    def _shared_part(self, scale: int, w: int, n2: int, r2: int, domain: EvalDomain):
+        """(guard, E, F, left, factor, divisor): everything of the value at
+        (W + V) / L that reads only L, W and |V|^2 = n2, so the points
+        x + y I of one (r, theta) share it whatever their axis I.
+
+        guard is |den^s(q)|.  The value is (E + V F) factor / divisor
+        componentwise with integer 4-tuples E and F; with a left factor h
+        it is (H E + V H F) factor / divisor for H = A_h + V B_h, left
+        being (A_h, B_h).  Raises where the point is refused: at 0 for a
+        negative valuation, and below ``domain``'s threshold."""
         low, real, sym_den, sym, num_den, num, left = self._integer_parts
-        point = _integer_point(q)
-        scale, w, v1, v2, v3, n2 = point
-        r2 = w * w + n2  # L^2 |q|^2
-        if r2 >= scale * scale:
-            raise DomainError("evaluation point must lie in the open unit ball")
         if low < 0 and not r2:
             raise SingularityError("negative-valuation series is singular at 0")
         # the real denominator: L^m s(q) = x + V y; the guard reads |den^s(q)|^2
@@ -972,26 +1021,51 @@ class StarQuotient:
             top, bottom = top * scale ** (-2 * low), bottom * r2 ** -low
         if real:  # |den^s(q)| = |den(q)|^2
             top, bottom = top * top, bottom * bottom
-        if math.sqrt(top / bottom) < domain.singular_threshold:
-            raise SingularityError("quotient evaluated too close to a symmetrization zero")
-        if left is not None:
-            # (h star G)(q) = sum_m q^m h(q) g_m: the rows X g_m over D_g E
-            left_den, left_rows = left
-            value, left_power = _integer_value(left_rows, point)
-            num = tuple(_integer_product(value, g) for g in num)
-            num_den *= left_power * left_den
+        guard = math.sqrt(top / bottom)
+        if guard < domain.singular_threshold:
+            raise SingularityError(_TOO_CLOSE)
         # numerator: L^k n(q) = A + V B, componentwise
         npower, (a0, a1, a2, a3), (b0, b1, b2, b3) = _horner_xv(num, scale, w, n2)
-        # (x - V y)(A + V B) = E + V F with E = x A + |V|^2 y B, F = x B - y A
-        comps = _plus_v_times((x * a0 + n2 * y * b0, x * a1 + n2 * y * b1,
-                               x * a2 + n2 * y * b2, x * a3 + n2 * y * b3),
-                              (x * b0 - y * a0, x * b1 - y * a1,
-                               x * b2 - y * a2, x * b3 - y * a3), v1, v2, v3)
+        if left is not None:
+            # (h star G)(q) = sum_m q^m h(q) g_m = h(q) G(q): P_m, Q_m are
+            # integers, so sum_m P_m (H g_m) = H A, and H is formed per point
+            left_den, left_rows = left
+            left_power, *left = _horner_xv(left_rows, scale, w, n2)
+            num_den *= left_power * left_den
         # value = L^m D_s / (norm L^k D_n) * comps; both L powers are powers of L
         if power >= npower:
             factor, divisor = power // npower * sym_den, norm * num_den
         else:
             factor, divisor = sym_den, norm * (npower // power) * num_den
+        # (x - V y)(A + V B) = E + V F with E = x A + |V|^2 y B, F = x B - y A
+        return (guard,
+                (x * a0 + n2 * y * b0, x * a1 + n2 * y * b1,
+                 x * a2 + n2 * y * b2, x * a3 + n2 * y * b3),
+                (x * b0 - y * a0, x * b1 - y * a1, x * b2 - y * a2, x * b3 - y * a3),
+                left, factor, divisor)
+
+    def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:
+        """The value at q, refused where |den^s(q)| falls below the
+        guard's threshold (by default :attr:`ZERO_GUARD`)."""
+        domain = domain or self.ZERO_GUARD
+        scale, w, v1, v2, v3, n2 = _integer_point(q)
+        r2 = w * w + n2  # L^2 |q|^2
+        if r2 >= scale * scale:
+            raise DomainError("evaluation point must lie in the open unit ball")
+        shared, key = self._shared, (scale, w, n2)
+        part = shared.get(key)
+        if part is None:
+            part = self._shared_part(scale, w, n2, r2, domain)
+            if len(shared) >= _SHARED_CAPACITY:
+                del shared[next(iter(shared))]
+            shared[key] = part
+        elif part[0] < domain.singular_threshold:
+            raise SingularityError(_TOO_CLOSE)
+        _, e, f, left, factor, divisor = part
+        if left is not None:
+            h = _plus_v_times(*left, v1, v2, v3)
+            e, f = _integer_product(h, e), _integer_product(h, f)
+        comps = _plus_v_times(e, f, v1, v2, v3)
         if q.is_exact:
             return Quaternion(*(Fraction(c * factor, divisor) for c in comps))
         return Quaternion(*(c * factor / divisor for c in comps))

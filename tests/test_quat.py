@@ -337,3 +337,44 @@ class TestConstructorModes:
     def test_huge_rational_to_float_is_a_domain_error(self):
         with pytest.raises(DomainError, match="too large for a float"):
             Quaternion(F(10 ** 400), 0, 0, 0).to_float()
+
+
+def _abs_outcome(evaluate):
+    """The repr of the float, or the error type."""
+    try:
+        return repr(evaluate())
+    except OverflowError as exc:
+        return type(exc)
+
+
+# numerators and denominators from 1 to about 10^300 digits in size
+huge_ints = st.integers(0, 300).flatmap(lambda e: st.integers(-10 ** e, 10 ** e))
+huge_fractions = st.builds(F, huge_ints, huge_ints.filter(bool))
+
+
+class TestModulus:
+    """abs of an exact quaternion sums squared numerators over one lcm; it
+    is bit for bit sqrt(float(|q|^2)), overflow included."""
+
+    @given(st.tuples(*[huge_fractions] * 4).map(lambda c: Quaternion(*c)))
+    @settings(max_examples=300)
+    def test_exact_matches_the_float_of_the_norm(self, q):
+        assert _abs_outcome(lambda: abs(q)) == \
+            _abs_outcome(lambda: math.sqrt(float(q.norm_sq())))
+
+    @pytest.mark.parametrize("q", [
+        exact(F(3, 5), F(4, 5)), exact(0), exact(F(1, 3), F(-1, 3), F(1, 3), F(1, 3)),
+        Quaternion(F(10 ** 300, 7), F(-(10 ** 300), 11), 0, 0) * F(1, 10 ** 200),
+        Quaternion(F(1, 10 ** 300), F(1, 3 * 10 ** 299), 0, 0)])
+    def test_examples(self, q):
+        assert repr(abs(q)) == repr(math.sqrt(float(q.norm_sq())))
+
+    def test_oversized_value_overflows(self):
+        q = Quaternion(F(10 ** 300, 7), F(-(10 ** 300), 11), 0, 0)
+        for evaluate in (lambda: abs(q), lambda: math.sqrt(float(q.norm_sq()))):
+            with pytest.raises(OverflowError):
+                evaluate()
+
+    @given(float_quats)
+    def test_float_is_unchanged(self, q):
+        assert repr(abs(q)) == repr(math.sqrt(q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z))

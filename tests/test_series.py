@@ -23,13 +23,15 @@ from srgft.classes import (DEFAULT_GRID, SamplingGrid, caratheodory_extremal,
                            koebe_quotient, random_exact_unit,
                            rogosinski_extremal, rogosinski_extremal_form)
 from srgft.errors import DomainError, SingularityError
-from srgft.quat import I, J, K, ONE, ZERO, Quaternion
+from srgft.quat import I, J, K, ONE, UNIT_J, ZERO, Quaternion
 from srgft.series import (EvalDomain, QuotientSum, SliceSeries, StarQuotient,
                           compose_slice_preserving, full_star_mul, geometric,
                           integrate_radial, mobius, mobius_quotient, odd_part,
                           quotient_transform, regular_conjugate,
                           slice_derivative, star_mul, star_reciprocal,
-                          symmetrize, _eval_float, _horner_xv, _transform_parts)
+                          symmetrize, _central_power, _eval_float,
+                          _float_power_times, _horner_xv, _integer_point,
+                          _transform_parts, _SHARED_CAPACITY)
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -694,6 +696,111 @@ class TestSharedLeftFactor:
             calls.clear()
             form.eval(q)
             assert sum(rows == h_rows for rows in calls) == 1
+
+
+@functools.cache
+def _memo_sums() -> tuple[QuotientSum, ...]:
+    """A sum with a left factor, the same sum without it, and a
+    close-to-convex f' form, built once and kept across examples."""
+    return _quotient_sums()[1:] + (close_to_convex_member(5, 16).derivative_form,)
+
+
+@st.composite
+def memo_forms(draw):
+    if draw(st.booleans()):
+        return draw(quotients())
+    return _memo_sums()[draw(st.integers(0, 2))]
+
+
+@st.composite
+def slice_classes(draw):
+    """The points x + y e of one (r, theta), e = ±i, ±j, ±k, as floats and
+    their exact twins, with a few signed-zero copies of the float points."""
+    coord = st.one_of(signed_zeros, st.floats(-0.68, 0.68).map(lambda t: round(t, 6)))
+    x, y = draw(coord), draw(coord)
+    out = []
+    for axis in (1, 2, 3):
+        for s in (y, -y):
+            comps = [x, 0.0, 0.0, 0.0]
+            comps[axis] = s
+            out += [Quaternion(*comps), Quaternion(*comps).to_exact()]
+    signs = draw(st.lists(zero_signs, max_size=3))
+    return out + [_float_with_signed_zeros(q.to_exact(), sign)
+                  for q, sign in zip(out[::2], signs)]
+
+
+class TestSharedParts:
+    """The points of one (r, theta) share the den recurrence, the guard and
+    the numerator Horner, whatever their slice axis, sign of zero or mode."""
+
+    @given(memo_forms(), st.lists(slice_classes(), min_size=1, max_size=3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cold_and_warm_memo_match_the_reference(self, form, classes, data):
+        form.__dict__.pop("_shared", None)
+        domains = st.sampled_from((None, EvalDomain(1e-3)))
+        points = [q for cls in classes for q in cls] + [ZERO.to_float()]
+        calls = [(q, data.draw(domains)) for q in points]
+        # one reference per exact point and guard; a float point rounds it once
+        expected = {}
+        for q, domain in calls:
+            key = (q.to_exact(), domain)
+            if key not in expected:
+                try:
+                    expected[key] = reference_eval(form, key[0], domain)
+                except DomainError as exc:
+                    expected[key] = type(exc)
+
+        def want(q, domain):
+            value = expected[q.to_exact(), domain]
+            if isinstance(value, type):
+                return value
+            return _outcome(lambda p: value if p.is_exact else value.to_float(), q)
+
+        # a cold memo, then a warm one, each in its own order
+        for order in (data.draw(st.permutations(calls)), data.draw(st.permutations(calls))):
+            for q, domain in order:
+                assert _outcome(lambda p: form.eval(p, domain), q) == want(q, domain)
+
+    def test_stricter_domain_on_a_hit_is_refused(self):
+        quot = koebe_quotient(ONE)
+        strict = EvalDomain(1e-3)
+        # |den^s| = |1 - q|^4: 6.25e-6 at 0.95, 2.2e-4 at 0.93 + 0.1e on each axis
+        points = [Quaternion(0.95, 0.0, 0.0, 0.0), Quaternion(0.93, 0.1, 0.0, 0.0),
+                  Quaternion(0.93, 0.0, -0.1, 0.0), Quaternion(0.93, 0.0, 0.0, 0.1)]
+        for q in points:
+            quot.eval(q)
+        assert len(quot._shared) == 2
+        for q in points + [q.to_exact() for q in points]:
+            with pytest.raises(SingularityError):
+                quot.eval(q, strict)
+            assert _outcome(quot.eval, q) == _outcome(lambda p: reference_eval(quot, p), q)
+
+    def test_single_slice_keeps_the_memo_bounded(self):
+        form = koebe_quotient(ONE)
+        # slice-image: 12 radii by 96 angles on one slice
+        for k in range(12):
+            for m in range(96):
+                form.eval(UNIT_J.circle_point(2 * math.pi * m / 96, 0.05 + 0.07 * k))
+        assert len(form._shared) == _SHARED_CAPACITY
+
+    @pytest.mark.parametrize("form", [koebe_quotient(ONE), _quotient_sums()[1]],
+                             ids=["koebe", "left-sum"])
+    def test_grid_sweep_runs_one_horner_per_class(self, form, monkeypatch):
+        num_rows = form._integer_parts[5]
+        calls = []
+
+        def counting(coeffs, *args):
+            calls.append(coeffs is num_rows)
+            return _horner_xv(coeffs, *args)
+
+        monkeypatch.setattr("srgft.series._horner_xv", counting)
+        for q in DEFAULT_GRID.points:
+            form.eval(q)
+        classes = {(scale, w, n2) for scale, w, *_, n2 in map(_integer_point, DEFAULT_GRID.points)}
+        assert sum(calls) == len(classes)
+        assert len(classes) <= len(DEFAULT_GRID.radii) * len(DEFAULT_GRID.angles)
+        # with a left factor, h's Horner runs once per class too
+        assert len(calls) == len(classes) * (2 if form.left is not None else 1)
 
 
 class TestQuotientSum:
@@ -1384,3 +1491,21 @@ class TestAxisHorner:
         for suite in ("growth", "bieberbach", "koebe"):
             main(["check", "--suite", suite, "--degree", "24", "--out", str(tmp_path / "r.json")])
         assert calls == []
+
+
+def _float_quaternions(entries):
+    return st.tuples(*[st.one_of(signed_zeros, entries)] * 4).map(lambda c: Quaternion(*c))
+
+
+class TestFloatPowerTimes:
+    """q^v acc at a float point runs on 4-tuples with the bits of
+    ``q ** v * acc``, on and off the axes, with signed zeros and overflow."""
+
+    @given(st.one_of(axis_points(), _float_quaternions(st.floats(-0.5, 0.5))),
+           _float_quaternions(st.one_of(st.floats(-1e3, 1e3),
+                                        st.sampled_from((1.5e308, -1.5e308)))),
+           st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_quaternion_products(self, q, acc, v):
+        assert _float_outcome(lambda: _float_power_times(q, v, acc)) == \
+            _float_outcome(lambda: _central_power(q, v) * acc)
