@@ -258,11 +258,6 @@ class ImaginaryUnit:
         return Quaternion(c, s * float(self.x), s * float(self.y), s * float(self.z))
 
 
-def inner_product(a: ImaginaryUnit, b: ImaginaryUnit) -> Scalar:
-    """<I,J> = -Re(IJ), the Euclidean inner product of the two axes."""
-    return a.x * b.x + a.y * b.y + a.z * b.z
-
-
 ZERO = Quaternion(0, 0, 0, 0)
 ONE = Quaternion(1, 0, 0, 0)
 _FLOAT_ONE = Quaternion(1.0, 0.0, 0.0, 0.0)

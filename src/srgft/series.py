@@ -22,7 +22,8 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError, SingularityError
-from .quat import ONE, ZERO, Quaternion, quaternion_from_json, quaternion_to_json
+from .quat import (ONE, ZERO, Quaternion, float_components, quaternion_from_json,
+                   quaternion_to_json)
 
 DEFAULT_DEGREE = 48
 DEFAULT_SINGULAR_THRESHOLD = 1e-8
@@ -102,8 +103,10 @@ def _integer_value(coeffs: tuple[tuple[int, ...], ...], point):
     return _plus_v_times(a, b, v1, v2, v3), power
 
 
-def _integer_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """The quaternion product a b of two integer 4-tuples."""
+def _product(a: tuple, b: tuple) -> tuple:
+    """The quaternion product a b of two 4-tuples, term for term as
+    `Quaternion.__mul__` forms it: integers give integers, and floats the
+    bits of the `Quaternion` product."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
@@ -127,17 +130,6 @@ def _eval_float(rows: tuple[tuple[float, float, float, float], ...],
     return Quaternion(aw, ax, ay, az)
 
 
-def _float_product(left, right):
-    """The product of two float 4-tuples, term for term as
-    `Quaternion.__mul__` forms it."""
-    a, b, c, d = left
-    e, f, g, h = right
-    return (a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e)
-
-
 def _float_power_times(q: Quaternion, n: int, acc: Quaternion) -> Quaternion:
     """q^n acc at a float q and n > 0, on 4-tuples with the products of
     ``q ** n * acc`` in the same order (`Quaternion.__pow__` from
@@ -145,11 +137,11 @@ def _float_power_times(q: Quaternion, n: int, acc: Quaternion) -> Quaternion:
     result, base = (1.0, 0.0, 0.0, 0.0), (q.w, q.x, q.y, q.z)
     while n:
         if n & 1:
-            result = _float_product(result, base)
+            result = _product(result, base)
         n >>= 1
         if n:
-            base = _float_product(base, base)
-    return Quaternion(*_float_product(result, (acc.w, acc.x, acc.y, acc.z)))
+            base = _product(base, base)
+    return Quaternion(*_product(result, (acc.w, acc.x, acc.y, acc.z)))
 
 
 def _complex_products_round_each_term() -> bool:
@@ -173,76 +165,93 @@ _COMPLEX_PRODUCTS_ROUND_EACH_TERM = _complex_products_round_each_term()
 _AXIS_PLANES = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))
 
 
-def _float_row(row: tuple[int, ...], den: int) -> tuple[float, ...]:
-    """The components of the integer 4-tuple row over den as floats.  Int
-    by int true division is correctly rounded, so each equals the float of
-    the reduced `Fraction`."""
+def _float_row(row: tuple, den: int) -> tuple[float, ...]:
+    """The components of the 4-tuple row over den as floats.  Int by int
+    true division is correctly rounded, so each equals the float of the
+    reduced `Fraction`; a float row over 1 keeps its bits, -0.0 included."""
     try:
         return tuple(x / den for x in row)
     except OverflowError:
         raise DomainError("rational component too large for a float") from None
 
 
+def _zero_row(exact: bool) -> tuple:
+    return (0, 0, 0, 0) if exact else (0.0, 0.0, 0.0, 0.0)
+
+
+def _rows_from(rows: tuple, low: int, v: int, degree: int) -> tuple:
+    """The rows of q^v .. q^degree of ``rows``, which start at q^low for
+    v <= low.  The rows below low are integer zeros, which add to a float
+    entry with the bits that 0.0 gives."""
+    return (((0, 0, 0, 0),) * (low - v) + rows)[:degree - v + 1]
+
+
 class SliceSeries:
     """Window of a left power series: coefficients a_v .. a_N, inclusive.
 
-    An exact window is held as its integer form (D, rows) when a kernel
-    or generator builds it: sum_n q^(v+n) rows_n / D.  Its `Fraction`
-    coefficients are formed on first read (``coeffs``, ``coeff``,
-    ``terms``, JSON output).  A window built from coefficients keeps
-    them, and forms its integer form on first use.  Both are cached in
-    the instance ``__dict__``.  Equality and hashing are by value, however
-    the window was built: two exact windows compare their integer forms,
-    which are canonical, and the hash reads the coefficients.  A float
-    window holds its float coefficients.  Windows are immutable.
+    Every window holds one form (D, rows), the window sum_n q^(v+n)
+    rows_n / D with 4-tuples rows_n listed from q^v up.  An exact window
+    holds integer rows over their least common denominator D, and a float
+    window the float components of its coefficients over D = 1.  Every
+    constructor brings the form to canonical shape
+    (:meth:`_canonicalize`), and each shape and linear operation runs once
+    on it, whatever the mode.  The `Quaternion` coefficients (``coeffs``,
+    ``coeff``, ``terms``, JSON output) are a view formed from the rows on
+    first read and cached in the instance ``__dict__``.  Equality and
+    hashing are by value, however the window was built.  Windows are
+    immutable.
     """
 
     def __init__(self, valuation: int, coeffs: Sequence[Quaternion]):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series window must hold at least one coefficient")
-        exact = all(c.is_exact for c in coeffs)
-        if not exact:
-            coeffs = tuple(c.to_float() for c in coeffs)
-        degree = valuation + len(coeffs) - 1
-        # normalized valuation: leading zeros are knowledge, push them into v
-        k = 0
-        while k < len(coeffs) and coeffs[k].is_zero():
-            k += 1
-        if k == len(coeffs):
-            # identically zero on the window; canonical form starts at 0
-            degree = max(degree, 0)
-            valuation, coeffs = 0, (coeffs[0],) * (degree + 1)
+        comps = [(c.w, c.x, c.y, c.z) for c in coeffs]
+        if all(c.is_exact for c in coeffs):
+            den = math.lcm(*(x.denominator for cs in comps for x in cs))
+            rows = (tuple(x.numerator * (den // x.denominator) for x in cs) for cs in comps)
         else:
-            valuation, coeffs = valuation + k, coeffs[k:]
-        self._set(valuation, degree, exact, coeffs=coeffs)
+            den, rows = 1, (float_components(*cs) for cs in comps)
+        self._canonicalize(valuation, den, rows)
 
     @classmethod
     def _from_rows(cls, valuation: int, den: int, rows) -> "SliceSeries":
-        """The exact window sum_n q^(valuation+n) rows_n / den of integer
-        4-sequences over a positive den, in canonical form: leading zero
-        rows fold into the valuation, and one gcd over den and every entry
-        reduces den to the lcm of the reduced denominators, which is the
-        `_integer_form` of the same coefficients."""
-        rows = tuple(rows)
+        """The window sum_n q^(valuation+n) rows_n / den of 4-sequences:
+        integers over a positive den, or floats over 1."""
+        out = object.__new__(cls)
+        out._canonicalize(valuation, den, rows)
+        return out
+
+    def _canonicalize(self, valuation: int, den: int, rows) -> None:
+        """Hold sum_n q^(valuation+n) rows_n / den in canonical form.
+        Leading zero rows fold into the valuation.  A window that is zero
+        throughout starts at 0 and repeats its first row, so a float zero
+        keeps the signs of its components.  One gcd over den and every
+        entry reduces den to the lcm of the reduced denominators; only an
+        exact window has den > 1.  The mode is the type of the entries,
+        and a float entry must be finite, as a `Quaternion` component."""
+        rows = tuple(map(tuple, rows))
         degree = valuation + len(rows) - 1
         k = 0
         while k < len(rows) and not any(rows[k]):
             k += 1
         if k == len(rows):
             degree = max(degree, 0)
-            valuation, den, rows = 0, 1, ((0, 0, 0, 0),) * (degree + 1)
+            valuation, den, rows = 0, 1, rows[:1] * (degree + 1)
         else:
             valuation, rows = valuation + k, rows[k:]
-            g = math.gcd(den, *(x for row in rows for x in row))
-            den //= g
-            rows = tuple(tuple(x // g for x in row) if g > 1 else tuple(row) for row in rows)
-        out = object.__new__(cls)
-        out._set(valuation, degree, True, _integer_form=(den, rows))
-        return out
-
-    def _set(self, valuation: int, degree: int, exact: bool, **cached) -> None:
-        self.__dict__.update(valuation=valuation, degree=degree, is_exact=exact, **cached)
+            if den > 1:
+                g = math.gcd(den, *(x for row in rows for x in row))
+                if g > 1:
+                    den //= g
+                    rows = tuple(tuple(x // g for x in row) for row in rows)
+        exact = type(rows[0][0]) is not float
+        if not exact:
+            for x in (x for row in rows for x in row):
+                if not math.isfinite(x):
+                    raise DomainError(f"non-finite float component: {x!r}")
+        self.__dict__.update(valuation=valuation, degree=degree, is_exact=exact,
+                             _form=(den, rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("a SliceSeries is immutable")
@@ -255,8 +264,8 @@ class SliceSeries:
             return NotImplemented
         if self.valuation != other.valuation:
             return False
-        if self.is_exact and other.is_exact:
-            return self._integer_form == other._integer_form
+        if self.is_exact == other.is_exact:
+            return self._form == other._form
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -273,8 +282,7 @@ class SliceSeries:
 
     @classmethod
     def zero(cls, degree: int = 0, exact: bool = True) -> "SliceSeries":
-        z = _zero_like(exact)
-        return cls(0, (z,) * (max(degree, 0) + 1))
+        return cls._from_rows(0, 1, (_zero_row(exact),) * (max(degree, 0) + 1))
 
     @classmethod
     def one(cls, degree: int = 0) -> "SliceSeries":
@@ -292,46 +300,29 @@ class SliceSeries:
     # -- shape ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        # a nonzero window starts with a nonzero coefficient
-        if "_integer_form" in self.__dict__:
-            return not any(self._integer_form[1][0])
-        return self.coeffs[0].is_zero()
+        # a nonzero window starts with a nonzero row
+        return not any(self._form[1][0])
 
     def is_real(self) -> bool:
         """All coefficients real: the series is slice preserving."""
-        if self.is_exact:
-            return not any(x for row in self._integer_form[1] for x in row[1:])
-        return all(c.is_real() for c in self.coeffs)
+        return not any(x for row in self._form[1] for x in row[1:])
 
     @cached_property
     def coeffs(self) -> tuple[Quaternion, ...]:
-        """The coefficients a_v .. a_N; an exact window built from integer
-        rows forms them from its integer form on first read."""
-        den, rows = self._integer_form
-        return tuple(rational_quaternion(row, den) for row in rows)
-
-    @cached_property
-    def _integer_form(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-        """(D, c): the exact window is sum_n q^(v+n) c_n / D with the least
-        common denominator D and integer 4-tuples c_n, listed from q^v up.
-        A window built by a kernel or generator holds it from the start
-        (see :meth:`_from_rows`); one built from coefficients builds it on
-        first use with one lcm."""
-        comps = [(c.w, c.x, c.y, c.z) for c in self.coeffs]
-        den = math.lcm(*(x.denominator for cs in comps for x in cs))
-        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in cs)
-                          for cs in comps)
+        """The coefficients a_v .. a_N, formed from the rows on first read."""
+        den, rows = self._form
+        if self.is_exact:
+            return tuple(rational_quaternion(row, den) for row in rows)
+        return tuple(Quaternion(*row) for row in rows)
 
     @cached_property
     def _float_rows(self) -> tuple[tuple[float, float, float, float], ...]:
-        """The coefficients as float 4-tuples from a_N down to a_v, for the
+        """The rows over D as float 4-tuples from a_N down to a_v, for the
         float Horner.  Each component is converted on its own, so an a_v
         that underflows to zero keeps its place.  Built on first use and
         kept in the instance ``__dict__``."""
-        if self.is_exact:
-            den, rows = self._integer_form
-            return tuple(_float_row(row, den) for row in reversed(rows))
-        return tuple((c.w, c.x, c.y, c.z) for c in reversed(self.coeffs))
+        den, rows = self._form
+        return tuple(_float_row(row, den) for row in reversed(rows))
 
     def _axis_rows(self, axis: int):
         """(pairs, signed): the float rows as pairs of complex numbers, one
@@ -407,10 +398,8 @@ class SliceSeries:
         keep = degree - self.valuation + 1
         if keep < 1:
             return SliceSeries.zero(max(degree, 0), self.is_exact)
-        if self.is_exact:
-            den, rows = self._integer_form
-            return SliceSeries._from_rows(self.valuation, den, rows[:keep])
-        return SliceSeries(self.valuation, self.coeffs[:keep])
+        den, rows = self._form
+        return SliceSeries._from_rows(self.valuation, den, rows[:keep])
 
     def pad_to(self, degree: int) -> "SliceSeries":
         """Extend the window with zero coefficients.
@@ -420,42 +409,29 @@ class SliceSeries:
         """
         if degree <= self.degree:
             return self
-        if self.is_exact:
-            den, rows = self._integer_form
-            return SliceSeries._from_rows(self.valuation, den,
-                                          rows + ((0, 0, 0, 0),) * (degree - self.degree))
-        return SliceSeries(self.valuation, self.coeffs + (ZERO,) * (degree - self.degree))
+        den, rows = self._form
+        return SliceSeries._from_rows(self.valuation, den,
+                                      rows + (_zero_row(self.is_exact),) * (degree - self.degree))
 
     def trim(self) -> "SliceSeries":
         """Drop trailing zero coefficients (values are unchanged)."""
-        if self.is_exact:
-            den, rows = self._integer_form
-            last = len(rows)
-            while last > 1 and not any(rows[last - 1]):
-                last -= 1
-            return self if last == len(rows) else SliceSeries._from_rows(
-                self.valuation, den, rows[:last])
-        last = len(self.coeffs)
-        while last > 1 and self.coeffs[last - 1].is_zero():
+        den, rows = self._form
+        last = len(rows)
+        while last > 1 and not any(rows[last - 1]):
             last -= 1
-        if last == len(self.coeffs):
-            return self
-        return SliceSeries(self.valuation, self.coeffs[:last])
+        return self if last == len(rows) else SliceSeries._from_rows(
+            self.valuation, den, rows[:last])
 
     def shift(self, k: int) -> "SliceSeries":
         """Multiply by the central power q^k (valuation shift)."""
-        if self.is_exact:
-            return SliceSeries._from_rows(self.valuation + k, *self._integer_form)
-        return SliceSeries(self.valuation + k, self.coeffs)
+        return SliceSeries._from_rows(self.valuation + k, *self._form)
 
     def to_float(self) -> "SliceSeries":
         """The float window; each component of an exact coefficient is
-        its row entry divided by D, correctly rounded."""
-        if not self.is_exact:
-            return self
-        den, rows = self._integer_form
-        return SliceSeries(self.valuation,
-                           tuple(Quaternion(*_float_row(row, den)) for row in rows))
+        its row entry divided by D, correctly rounded, and a float window
+        keeps its bits."""
+        den, rows = self._form
+        return SliceSeries._from_rows(self.valuation, 1, (_float_row(row, den) for row in rows))
 
     def to_exact(self) -> "SliceSeries":
         if self.is_exact:
@@ -464,35 +440,28 @@ class SliceSeries:
 
     # -- linear structure ------------------------------------------------
 
-    def _rows_from(self, v: int, degree: int) -> tuple[tuple[int, ...], ...]:
-        """The integer rows of q^v .. q^degree, v at most the valuation."""
-        rows = ((0, 0, 0, 0),) * (self.valuation - v) + self._integer_form[1]
-        return rows[:degree - v + 1]
-
     def __add__(self, other: "SliceSeries") -> "SliceSeries":
-        """The sum on the smaller window; two exact windows add their rows
-        over the lcm of their denominators."""
+        """The sum on the smaller window: the rows add over the lcm of the
+        two denominators.  A mixed sum adds in float, each exact
+        coefficient rounded on its own."""
         v = min(self.valuation, other.valuation)
         degree = min(self.degree, other.degree)
-        if self.is_exact and other.is_exact:
-            den_a, den_b = self._integer_form[0], other._integer_form[0]
-            den = math.lcm(den_a, den_b)
-            fa, fb = den // den_a, den // den_b
-            return SliceSeries._from_rows(v, den, (
-                tuple(fa * x + fb * y for x, y in zip(a, b))
-                for a, b in zip(self._rows_from(v, degree), other._rows_from(v, degree))))
-        return SliceSeries(v, tuple(self.coeff(n) + other.coeff(n)
-                                    for n in range(v, degree + 1)))
+        (den_a, rows_a), (den_b, rows_b) = self._form, other._form
+        if self.is_exact != other.is_exact:
+            den_a, rows_a, den_b, rows_b = 1, self._float_rows[::-1], 1, other._float_rows[::-1]
+        den = math.lcm(den_a, den_b)
+        fa, fb = den // den_a, den // den_b
+        return SliceSeries._from_rows(v, den, (
+            tuple(fa * x + fb * y for x, y in zip(a, b))
+            for a, b in zip(_rows_from(rows_a, self.valuation, v, degree),
+                            _rows_from(rows_b, other.valuation, v, degree))))
 
     def __sub__(self, other: "SliceSeries") -> "SliceSeries":
         return self + (-other)
 
     def __neg__(self) -> "SliceSeries":
-        if self.is_exact:
-            den, rows = self._integer_form
-            return SliceSeries._from_rows(self.valuation, den,
-                                          (tuple(-x for x in row) for row in rows))
-        return SliceSeries(self.valuation, tuple(-c for c in self.coeffs))
+        den, rows = self._form
+        return SliceSeries._from_rows(self.valuation, den, (tuple(-x for x in row) for row in rows))
 
     def times(self, c: Quaternion) -> "SliceSeries":
         """Right-multiply every coefficient: f(q) c."""
@@ -503,7 +472,7 @@ class SliceSeries:
         an int or `Fraction` multiplies its rows by s."""
         if self.is_exact and isinstance(s, (int, Fraction)):
             s = Fraction(s)
-            den, rows = self._integer_form
+            den, rows = self._form
             return SliceSeries._from_rows(self.valuation, den * s.denominator, (
                 tuple(x * s.numerator for x in row) for row in rows))
         return SliceSeries(self.valuation, tuple(a * s for a in self.coeffs))
@@ -515,7 +484,7 @@ class SliceSeries:
 
         The nesting q^v (a_v + q (a_{v+1} + ...)) is exact because powers
         of q commute with q itself.  An exact window at an exact point runs
-        the integer Horner :func:`_horner_xv` on its cached integer form and
+        the integer Horner :func:`_horner_xv` on its integer rows and
         stays exact; a positive v joins that Horner as v zero rows.  Any
         float operand runs the float Horner :func:`_eval_float` on the
         cached float rows at the point in float, which is bit for bit what
@@ -531,7 +500,7 @@ class SliceSeries:
             raise SingularityError("negative-valuation series is singular at 0")
         if self.is_exact and q.is_exact:
             low = min(self.valuation, 0)
-            den, rows = self._integer_form
+            den, rows = self._form
             comps, power = _integer_value(rows[::-1] + ((0, 0, 0, 0),) * (self.valuation - low),
                                           _integer_point(q))
             acc = Quaternion(*(Fraction(c, power * den) for c in comps))
@@ -612,7 +581,7 @@ def integer_powers(u: Quaternion, count: int, right: Quaternion = ONE):
     out = [(scale, row)]
     for _ in range(count - 1):
         scale *= den
-        out.append((scale, _integer_product(units, out[-1][1])))
+        out.append((scale, _product(units, out[-1][1])))
     return out[:count]
 
 
@@ -620,12 +589,13 @@ def slice_derivative(f: SliceSeries) -> SliceSeries:
     """Term rule: q^n a_n maps to q^(n-1) (n a_n); window shrinks by one.
 
     The n = 0 slot multiplies to zero, so the constant term drops out of
-    the normalized result on its own.
+    the normalized result on its own; a zero result is the zero window
+    of f's mode.
     """
-    out = tuple(a * n for n, a in f.terms())
-    if all(c.is_zero() for c in out):
-        return SliceSeries.zero(max(f.degree - 1, 0), f.is_exact)
-    return SliceSeries(f.valuation - 1, out)
+    den, rows = f._form
+    out = SliceSeries._from_rows(f.valuation - 1, den, (
+        tuple(n * x for x in row) for n, row in enumerate(rows, f.valuation)))
+    return SliceSeries.zero(out.degree, f.is_exact) if out.is_zero() else out
 
 
 def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
@@ -646,8 +616,8 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     if f.is_zero() or g.is_zero():
         return SliceSeries.zero(max(degree, 0))
     length = degree - v + 1
-    f_den, f_rows = f._integer_form
-    g_den, g_rows = g._integer_form
+    f_den, f_rows = f._form
+    g_den, g_rows = g._form
     flat = [x for row in f_rows[:length] for x in row]
     rev = g_rows[length - 1::-1]
     signed = ([x for b0, b1, b2, b3 in rev for x in (b0, -b1, -b2, -b3)],
@@ -671,11 +641,9 @@ def full_star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
 
 def regular_conjugate(f: SliceSeries) -> SliceSeries:
     """Coefficient-wise quaternion conjugation."""
-    if f.is_exact:
-        den, rows = f._integer_form
-        return SliceSeries._from_rows(f.valuation, den,
-                                      ((r0, -r1, -r2, -r3) for r0, r1, r2, r3 in rows))
-    return SliceSeries(f.valuation, tuple(c.conjugate() for c in f.coeffs))
+    den, rows = f._form
+    return SliceSeries._from_rows(f.valuation, den,
+                                  ((r0, -r1, -r2, -r3) for r0, r1, r2, r3 in rows))
 
 
 def symmetrize(f: SliceSeries) -> SliceSeries:
@@ -691,7 +659,7 @@ def symmetrize(f: SliceSeries) -> SliceSeries:
         return symmetrize(f.to_exact()).to_float()
     if f.is_zero():
         return SliceSeries.zero(max(f.degree + f.valuation, 0))
-    den, rows = f._integer_form
+    den, rows = f._form
     length = len(rows)  # valid window: t in [0, N - v]
     flat = [x for row in rows for x in row]
     rev = [x for row in reversed(rows) for x in row]
@@ -739,7 +707,7 @@ def star_reciprocal(f: SliceSeries) -> SliceSeries:
     if not f.is_exact:
         return star_reciprocal(f.to_exact()).to_float()
     # strip the central q^(2v); the unit part starts with |a_v|^2 > 0
-    den, rows = symmetrize(f)._integer_form
+    den, rows = symmetrize(f)._form
     inv_den, inverted = _invert_integer_series([row[0] for row in rows])
     inv_sym = SliceSeries._from_rows(-2 * f.valuation, inv_den,
                                      ((den * u, 0, 0, 0) for u in inverted))
@@ -791,8 +759,8 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
     if not (f.is_exact and w.is_exact):
         return compose_slice_preserving(f.to_exact(), w.to_exact()).to_float()
     degree = min(f.degree, w.degree)
-    f_den, f_rows = f._integer_form
-    w_den, w_rows = w._integer_form
+    f_den, f_rows = f._form
+    w_den, w_rows = w._form
     w_ints = ([0] * w.valuation + [row[0] for row in w_rows])[:degree + 1]
     while len(w_ints) > 1 and not w_ints[-1]:
         w_ints.pop()
@@ -831,7 +799,7 @@ def integrate_radial(g: SliceSeries) -> SliceSeries:
     if not g.is_exact:
         return integrate_radial(g.to_exact()).to_float()
     # a_n / (n + 1) over D L with L = lcm(v + 1, .., N + 1)
-    den, rows = g._integer_form
+    den, rows = g._form
     top = math.lcm(*range(g.valuation + 1, g.degree + 2))
     return SliceSeries._from_rows(g.valuation + 1, den * top, (
         tuple(x * (top // n) for x in row) for n, row in enumerate(rows, g.valuation + 1)))
@@ -839,9 +807,10 @@ def integrate_radial(g: SliceSeries) -> SliceSeries:
 
 def odd_part(f: SliceSeries) -> SliceSeries:
     """(f(q) - f(-q)) / 2: keeps the odd-power coefficients."""
-    out = tuple(c if n % 2 == 1 else _zero_like(f.is_exact)
-                for n, c in f.terms())
-    return SliceSeries(f.valuation, out)
+    den, rows = f._form
+    zero = _zero_row(f.is_exact)
+    return SliceSeries._from_rows(f.valuation, den, (
+        row if n % 2 else zero for n, row in enumerate(rows, f.valuation)))
 
 
 def outside_closed_ball(a: Quaternion) -> bool:
@@ -979,11 +948,11 @@ class StarQuotient:
         left, v_left = None, 0
         if self.left is not None:
             h = self.left.to_exact().trim()
-            h_den, h_rows = h._integer_form
+            h_den, h_rows = h._form
             left, v_left = (h_den, h_rows[::-1]), h.valuation
         low = min(sym.valuation, v_left + num.valuation)
-        sym_den, sym_rows = sym._integer_form
-        num_den, num_rows = num._integer_form
+        sym_den, sym_rows = sym._form
+        num_den, num_rows = num._form
         return (low, real, sym_den,
                 tuple(c[0] for c in sym_rows[::-1]) + (0,) * (sym.valuation - low),
                 num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (v_left + num.valuation - low), left)
@@ -1064,7 +1033,7 @@ class StarQuotient:
         _, e, f, left, factor, divisor = part
         if left is not None:
             h = _plus_v_times(*left, v1, v2, v3)
-            e, f = _integer_product(h, e), _integer_product(h, f)
+            e, f = _product(h, e), _product(h, f)
         comps = _plus_v_times(e, f, v1, v2, v3)
         if q.is_exact:
             return Quaternion(*(Fraction(c * factor, divisor) for c in comps))

@@ -17,6 +17,12 @@ float: the old `Quaternion.__pow__` and the float Horner that read
 `Quaternion` attributes, which the package matches bit for bit, and
 `reference_koebe` at a float unit, which rounds at every power and so
 misses the correctly rounded window.
+
+The shape and linear operations of a window (``truncate``, ``pad_to``,
+``trim``, ``shift``, negation, sums, ``regular_conjugate``,
+``slice_derivative``, ``odd_part`` and ``to_float``) are written here on
+`Quaternion` coefficients with the canonical form of the old constructor,
+for the float and mixed windows that the package runs on float rows.
 """
 
 from fractions import Fraction
@@ -231,3 +237,98 @@ def reference_rogosinski_window(beta, u_b, p, degree):
         coeffs.append(power * factor * u_b)
         power = power * bp
     return SliceSeries.from_coeffs(coeffs, valuation=1)
+
+
+# -- windows of `Quaternion` coefficients -------------------------------------
+#
+# A window here is (valuation, coefficients), built as `SliceSeries` built
+# it before it held rows: every shape and linear operation runs on the
+# `Quaternion` coefficients, and `reference_window` puts the result in
+# canonical form.
+
+
+def reference_window(valuation, coeffs):
+    """A window with any float coefficient in float, its leading zeros
+    folded into the valuation; a window zero throughout starts at 0 and
+    repeats its first coefficient."""
+    coeffs = tuple(coeffs)
+    if not all(c.is_exact for c in coeffs):
+        coeffs = tuple(c.to_float() for c in coeffs)
+    k = 0
+    while k < len(coeffs) and coeffs[k].is_zero():
+        k += 1
+    if k == len(coeffs):
+        return 0, (coeffs[0],) * max(valuation + len(coeffs), 1)
+    return valuation + k, coeffs[k:]
+
+
+def _degree(f):
+    return f[0] + len(f[1]) - 1
+
+
+def _zero_of(f):
+    return ZERO if f[1][0].is_exact else Quaternion(0.0, 0.0, 0.0, 0.0)
+
+
+def _coeff(f, n):
+    v, cs = f
+    return cs[n - v] if n >= v else _zero_of(f)
+
+
+def reference_truncate(f, degree):
+    v, cs = f
+    if degree >= _degree(f):
+        return f
+    if degree < v:
+        return reference_window(0, (_zero_of(f),) * (max(degree, 0) + 1))
+    return reference_window(v, cs[:degree - v + 1])
+
+
+def reference_pad_to(f, degree):
+    return reference_window(f[0], f[1] + (ZERO,) * max(degree - _degree(f), 0))
+
+
+def reference_trim(f):
+    v, cs = f
+    last = len(cs)
+    while last > 1 and cs[last - 1].is_zero():
+        last -= 1
+    return reference_window(v, cs[:last])
+
+
+def reference_shift(f, k):
+    return reference_window(f[0] + k, f[1])
+
+
+def reference_neg(f):
+    return reference_window(f[0], (-c for c in f[1]))
+
+
+def reference_conjugate(f):
+    return reference_window(f[0], (c.conjugate() for c in f[1]))
+
+
+def reference_add(f, g):
+    v, degree = min(f[0], g[0]), min(_degree(f), _degree(g))
+    return reference_window(v, (_coeff(f, n) + _coeff(g, n) for n in range(v, degree + 1)))
+
+
+def reference_sub(f, g):
+    return reference_add(f, reference_neg(g))
+
+
+def reference_slice_derivative(f):
+    v, cs = f
+    out = [c * n for n, c in enumerate(cs, v)]
+    if all(c.is_zero() for c in out):
+        return reference_window(0, (_zero_of(f),) * max(_degree(f), 1))
+    return reference_window(v - 1, out)
+
+
+def reference_odd_part(f):
+    v, cs = f
+    return reference_window(v, (c if n % 2 == 1 else _zero_of(f) for n, c in enumerate(cs, v)))
+
+
+def reference_to_float(f):
+    return reference_window(f[0], (c.to_float() for c in f[1]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from series_reference import reference_pow
 from srgft.errors import DomainError, QuaternionParseError
 from srgft.quat import (I, J, K, ONE, ImaginaryUnit, Quaternion,
-                        format_quaternion, inner_product, parse_quaternion,
+                        format_quaternion, parse_quaternion,
                         quaternion_from_json, quaternion_to_json)
 
 # Independent oracle: hand-derived basis product table from
@@ -209,10 +209,6 @@ class TestImaginaryUnit:
             ImaginaryUnit(F(1), F(1), F(0))
         with pytest.raises(DomainError):
             ImaginaryUnit(0.5, 0.5, 0.5)
-
-    def test_inner_product(self):
-        assert inner_product(ImaginaryUnit(1, 0, 0), ImaginaryUnit(0, 1, 0)) == 0
-        assert inner_product(ImaginaryUnit(1, 0, 0), ImaginaryUnit(1, 0, 0)) == 1
 
     def test_circle_point(self):
         unit = ImaginaryUnit(0, 1, 0)

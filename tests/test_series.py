@@ -10,11 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quotient_reference import reference_eval, reference_series_eval
-from series_reference import (reference_at_exact, reference_compose_slice_preserving,
+from series_reference import (reference_add, reference_at_exact,
+                              reference_compose_slice_preserving, reference_conjugate,
                               reference_eval_float, reference_geometric,
-                              reference_integrate_radial, reference_mobius,
-                              reference_star_mul, reference_star_reciprocal,
-                              reference_symmetrize, reference_to_series)
+                              reference_integrate_radial, reference_mobius, reference_neg,
+                              reference_odd_part, reference_pad_to, reference_shift,
+                              reference_slice_derivative, reference_star_mul,
+                              reference_star_reciprocal, reference_sub, reference_symmetrize,
+                              reference_to_float, reference_to_series, reference_trim,
+                              reference_truncate, reference_window)
 from srgft.checks import close_to_convex_member
 from srgft.classes import (DEFAULT_GRID, SamplingGrid, caratheodory_extremal,
                            caratheodory_extremal_quotient,
@@ -684,7 +688,7 @@ class TestSharedLeftFactor:
 
     def test_one_left_horner_per_point(self, monkeypatch):
         form = close_to_convex_member(4, 24).derivative_form
-        h_rows = form.left.trim()._integer_form[1][::-1]
+        h_rows = form.left.trim()._form[1][::-1]
         calls = []
 
         def counting(coeffs, *args):
@@ -1222,6 +1226,8 @@ class TestScalarPaths:
             f.eval(Quaternion(0.5, 0.0, 0.0, 0.0))
         with pytest.raises(DomainError, match="too large for a float"):
             f.to_float()
+        with pytest.raises(DomainError, match="too large for a float"):
+            f + SliceSeries(0, [Quaternion(1.0, 0.0, 0.0, 0.0)])
         assert f.eval(exact(F(1, 2))) == exact(1 + F(10 ** 400, 2))
 
     @given(st.integers(0, 4), points())
@@ -1302,9 +1308,8 @@ class TestRowWindows:
         s = SliceSeries._from_rows(v, den, rows)
         fractions = SliceSeries(v, [Quaternion(*(F(x, den) for x in row)) for row in rows])
         rebuilt = SliceSeries(s.valuation, s.coeffs)
-        # the rebuilt window forms its own integer form with one lcm
-        assert "_integer_form" not in rebuilt.__dict__
-        assert s._integer_form == rebuilt._integer_form
+        # the rebuilt window forms the same integer rows with one lcm
+        assert s._form == rebuilt._form
         for other in (fractions, rebuilt):
             assert s == other and other == s
             assert hash(s) == hash(other)
@@ -1328,7 +1333,7 @@ class TestRowWindows:
         f, g = rand_series(rng, 3), rand_series(rng, 2)
         rows = star_mul(f.pad_to(5), g.pad_to(5))
         fractions = reference_star_mul(f.pad_to(5), g.pad_to(5))
-        assert "coeffs" not in rows.__dict__ and "_integer_form" not in fractions.__dict__
+        assert "coeffs" not in rows.__dict__
         q = exact(F(1, 5), F(1, 10), 0, F(-1, 10))
         _transform_parts.cache_clear()
         first = quotient_transform(rows, q)
@@ -1509,3 +1514,71 @@ class TestFloatPowerTimes:
     def test_matches_the_quaternion_products(self, q, acc, v):
         assert _float_outcome(lambda: _float_power_times(q, v, acc)) == \
             _float_outcome(lambda: _central_power(q, v) * acc)
+
+
+def _window_outcome(build):
+    """Valuation, degree and each component's repr of a `SliceSeries` or a
+    reference window, or the error with its message."""
+    try:
+        window = build()
+    except DomainError as exc:
+        return type(exc), str(exc)
+    if isinstance(window, SliceSeries):
+        v, coeffs, degree = window.valuation, window.coeffs, window.degree
+    else:
+        (v, coeffs), degree = window, window[0] + len(window[1]) - 1
+    return v, degree, [tuple(repr(x) for x in (c.w, c.x, c.y, c.z)) for c in coeffs]
+
+
+# exact components that round to a float zero of either sign, or just do not
+tiny_rationals = st.sampled_from((F(0), F(1, 10 ** 400), F(-1, 10 ** 400), F(1, 2 ** 1075),
+                                  F(-3, 2 ** 1077), F(1, 2 ** 1074), F(-1, 2 ** 1074)))
+
+
+class TestFloatRows:
+    """A float window holds float rows, and each shape and linear operation
+    on them gives the window of the `Quaternion` arithmetic it replaced
+    (`series_reference`), signed zeros, folded leading zeros and overflow
+    included; a mixed sum runs in float."""
+
+    @given(float_windows(), float_windows(), exact_windows(), st.integers(-2, 52),
+           st.integers(-3, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_quaternion_reference(self, f, g, e, degree, k):
+        assert (f.is_zero(), f.is_real()) == \
+            (f.coeffs[0].is_zero(), all(c.is_real() for c in f.coeffs))
+        rebuilt = SliceSeries(f.valuation, f.coeffs)
+        assert f == rebuilt and hash(f) == hash(rebuilt) and f == f.to_exact()
+        rf, rg, re = ((s.valuation, s.coeffs) for s in (f, g, e))
+        cases = [
+            (lambda: SliceSeries(k, f.coeffs + g.coeffs),
+             lambda: reference_window(k, f.coeffs + g.coeffs)),
+            (lambda: SliceSeries(k, e.coeffs + f.coeffs),
+             lambda: reference_window(k, e.coeffs + f.coeffs)),
+            (lambda: f.truncate(degree), lambda: reference_truncate(rf, degree)),
+            (lambda: f.pad_to(degree), lambda: reference_pad_to(rf, degree)),
+            (lambda: f.trim(), lambda: reference_trim(rf)),
+            (lambda: f.pad_to(degree).trim(), lambda: reference_trim(reference_pad_to(rf, degree))),
+            (lambda: f.shift(k), lambda: reference_shift(rf, k)),
+            (lambda: -f, lambda: reference_neg(rf)),
+            (lambda: regular_conjugate(f), lambda: reference_conjugate(rf)),
+            (lambda: f + g, lambda: reference_add(rf, rg)),
+            (lambda: f - g, lambda: reference_sub(rf, rg)),
+            (lambda: f + f, lambda: reference_add(rf, rf)),
+            (lambda: f - f, lambda: reference_sub(rf, rf)),
+            (lambda: f + e, lambda: reference_add(rf, re)),
+            (lambda: e - f, lambda: reference_sub(re, rf)),
+            (lambda: slice_derivative(f), lambda: reference_slice_derivative(rf)),
+            (lambda: odd_part(f), lambda: reference_odd_part(rf)),
+        ]
+        for got, want in cases:
+            assert _window_outcome(got) == _window_outcome(want)
+
+    @given(st.lists(st.tuples(*[tiny_rationals] * 4), min_size=1, max_size=3),
+           exact_windows(), st.booleans(), st.integers(-3, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_to_float_folds_the_coefficients_that_underflow(self, low, e, tiny_only, k):
+        coeffs = [Quaternion(*c) for c in low] + ([] if tiny_only else list(e.coeffs))
+        s = SliceSeries(k, coeffs)
+        assert _window_outcome(s.to_float) == \
+            _window_outcome(lambda: reference_to_float((s.valuation, s.coeffs)))
