@@ -126,6 +126,13 @@ def _coeff_entry(n: int, lhs: float, rhs: float) -> dict:
     return {"n": n, "lhs": lhs, "rhs": rhs}
 
 
+def _by_radius(grid: SamplingGrid, values: list):
+    """(r, points_at(r), their values) per radius of the radius-major grid.points."""
+    n = len(grid.directions)
+    return ((r, grid.points[i * n:(i + 1) * n], values[i * n:(i + 1) * n])
+            for i, r in enumerate(grid.radii))
+
+
 def _require_class(fut: FunctionUnderTest, class_name: str,
                    grid: SamplingGrid, predicate) -> None:
     if fut.certifies(class_name):
@@ -221,12 +228,11 @@ def check_caratheodory_bounds(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRID
     _require_class(fut, "caratheodory", grid, is_caratheodory)
     col = _Collector(tol)
     max_by_radius: list[list[float]] = []
-    for r in grid.radii:
+    for r, points, values in _by_radius(grid, fut.values(grid.points)):
         lower = (1.0 - r) / (1.0 + r)
         upper = (1.0 + r) / (1.0 - r)
         max_abs = 0.0
-        for q in grid.points_at(r):
-            value = fut.value(q)
+        for q, value in zip(points, values):
             re, mod = float(value.w), abs(value)
             max_abs = max(max_abs, mod)
             col.check(re - lower, _point_entry(q, lower, re), equality_scale=upper)
@@ -247,12 +253,13 @@ def check_growth_distortion(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     fut = as_function(f)
     _require_class(fut, "starlike", grid, is_starlike)
     col = _Collector(tol)
-    for r in grid.radii:
+    pairs = list(zip(fut.values(grid.points), fut.derivative_values(grid.points)))
+    for r, points, values in _by_radius(grid, pairs):
         f_lo, f_hi = r / (1 + r) ** 2, r / (1 - r) ** 2
         d_lo, d_hi = (1 - r) / (1 + r) ** 3, (1 + r) / (1 - r) ** 3
         q_lo, q_hi = (1 - r) / (1 + r), (1 + r) / (1 - r)
-        for q in grid.points_at(r):
-            fv, dv = abs(fut.value(q)), abs(fut.derivative_value(q))
+        for q, (value, derivative) in zip(points, values):
+            fv, dv = abs(value), abs(derivative)
             ratio = r * dv / fv
             col.check(fv - f_lo, _point_entry(q, f_lo, fv), equality_scale=f_hi)
             col.check(f_hi - fv, _point_entry(q, fv, f_hi), equality_scale=f_hi)
@@ -284,15 +291,15 @@ def check_growth_order_m(f: FunctionLike, m: int,
     else:
         raise DomainError(f"unknown variant {variant!r}")
     col = _Collector(tol)
-    for r in grid.radii:
+    sweep = fut.values if variant == "growth" else fut.derivative_values
+    for r, points, values in _by_radius(grid, sweep(grid.points)):
         denom_lo = (1 + r ** m) ** (2.0 / m)
         denom_hi = (1 - r ** m) ** (2.0 / m)
         if variant == "growth":
             lo, hi = r / denom_lo, r / denom_hi
         else:
             lo, hi = 1.0 / denom_lo, 1.0 / denom_hi
-        for q in grid.points_at(r):
-            value = abs(fut.value(q)) if variant == "growth" else abs(fut.derivative_value(q))
+        for q, value in zip(points, map(abs, values)):
             col.check(value - lo, _point_entry(q, lo, value), equality_scale=hi)
             col.check(hi - value, _point_entry(q, value, hi), equality_scale=hi)
     return col.report(f"growth-order-{m}-{variant}", fut.fid, fut.series.degree)
@@ -305,7 +312,7 @@ def check_growth_order_m(f: FunctionLike, m: int,
 
 def _screen_self_map(fut: FunctionUnderTest, grid: SamplingGrid,
                      slack: float = 0.0) -> None:
-    worst = max(abs(fut.value(q)) for q in grid.points)
+    worst = max(map(abs, fut.values(grid.points)))
     if worst >= 1.0 + slack:
         raise PreconditionError(f"{fut.fid} is not a self-map on the grid: max |f| = {worst}")
 
@@ -319,10 +326,9 @@ def check_schwarz(f: FunctionLike, m: int, grid: SamplingGrid = DEFAULT_GRID,
             raise PreconditionError(f"coefficient a_{n} must vanish")
     _screen_self_map(fut, grid)
     col = _Collector(tol)
-    for r in grid.radii:
+    for r, points, values in _by_radius(grid, fut.values(grid.points)):
         bound = r ** m
-        for q in grid.points_at(r):
-            mod = abs(fut.value(q))
+        for q, mod in zip(points, map(abs, values)):
             col.check(bound - mod, _point_entry(q, mod, bound), equality_scale=1.0)
     a_m = abs(fut.series.coeff(m)) if fut.series.degree >= m else 0.0
     col.check(1.0 - a_m, _coeff_entry(m, a_m, 1.0))
@@ -426,8 +432,7 @@ def check_bohr(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     """Sigma |a_n| / 3^n <= 1 for self-maps (or Re f <= 1 screens)."""
     fut = as_function(f)
     max_mod, max_re = 0.0, -math.inf
-    for q in grid.points:
-        value = fut.value(q)
+    for value in fut.values(grid.points):
         max_mod = max(max_mod, abs(value))
         max_re = max(max_re, float(value.w))
     if max_mod >= 1.0 + tol and max_re > 1.0 + tol:
@@ -456,12 +461,13 @@ def check_monotone_modulus(f: FunctionLike, alpha: float = 0.0,
     _require_class(fut, "starlike", grid,
                    lambda g, gr: is_starlike(g, gr, alpha))
     col = _Collector(tol)
-    for u in grid.directions:
+    values, n = fut.values(grid.points), len(grid.directions)
+    for k in range(n):
         previous = None
-        for r in grid.radii:
-            m_r = abs(fut.value(u * r)) / r ** alpha
+        for r, q, value in zip(grid.radii, grid.points[k::n], values[k::n]):
+            m_r = abs(value) / r ** alpha
             if previous is not None:
-                col.check(m_r - previous, _point_entry(u * r, previous, m_r),
+                col.check(m_r - previous, _point_entry(q, previous, m_r),
                           equality_scale=max(m_r, 1.0))
             previous = m_r
     return col.report("monotone-modulus", fut.fid, fut.series.degree,
@@ -479,8 +485,8 @@ def check_hayman(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     _require_class(fut, "starlike", grid, is_starlike)
     col = _Collector(tol)
     phis = []
-    for r in grid.radii:
-        m_inf = max(abs(fut.value(u * r)) for u in grid.directions)
+    for r, _, values in _by_radius(grid, fut.values(grid.points)):
+        m_inf = max(map(abs, values))
         phis.append((1.0 - r) ** 2 * m_inf / r)
     for i in range(1, len(phis)):
         col.check(phis[i - 1] - phis[i],
@@ -515,10 +521,10 @@ def check_koebe_quarter(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     bound = r_max / (1.0 + r_max) ** 2
     min_mod = math.inf
     argmin = None
-    for u in grid.directions:
-        mod = abs(fut.value(u * r_max))
+    points = grid.points_at(r_max)
+    for q, mod in zip(points, map(abs, fut.values(points))):
         if mod < min_mod:
-            min_mod, argmin = mod, u * r_max
+            min_mod, argmin = mod, q
     col.check(min_mod - bound, _point_entry(argmin, bound, min_mod), equality_scale=1.0)
     params: dict = {"largest_radius": r_max, "min_modulus": min_mod,
                     "proxy_bound": bound}
@@ -526,15 +532,16 @@ def check_koebe_quarter(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
         delta = 1e-3
         target = Quaternion(-0.25 - delta, 0.0, 0.0, 0.0)
         floors = []
-        for r in grid.radii:
+        values = fut.values(grid.points)
+        for r, _, at_r in _by_radius(grid, values):
             floor = 0.25 - r / (1.0 + r) ** 2
             closest = math.inf
-            for q in grid.points_at(r):
-                closest = min(closest, abs(fut.value(q) + Quaternion(0.25, 0.0, 0.0, 0.0)))
+            for value in at_r:
+                closest = min(closest, abs(value + Quaternion(0.25, 0.0, 0.0, 0.0)))
             col.check(closest - floor + tol,
                       _point_entry(Quaternion(-r, 0.0, 0.0, 0.0), floor, closest))
             floors.append([r, floor, closest])
-        omitted_min = min(abs(fut.value(q) - target) for q in grid.points)
+        omitted_min = min(abs(value - target) for value in values)
         col.check(omitted_min - delta / 2,
                   {"n": "omitted-point", "lhs": delta / 2, "rhs": omitted_min})
         params["quarter_point_floors"] = floors
@@ -556,8 +563,8 @@ def check_convex_covering_examples(grid: SamplingGrid = DEFAULT_GRID,
     series = convex_reference(degree)
     if series.coeff(1) != ONE:
         raise DomainError("reference normalization broke")
-    for q in grid.points:
-        re = float(convex_q.eval(q).w)
+    for q, value in zip(grid.points, convex_q.values(grid.points)):
+        re = float(value.w)
         col.check(re + 0.5, _point_entry(q, -0.5, re), equality_scale=1.0)
     witness_sequence = []
     previous = None
@@ -626,22 +633,21 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
     max_ratio = 0.0
     max_star = 0.0
     skipped: list[dict] = []
-    evaluated = 0
+    kept = []
     for q in grid.points:
         sym = abs(fs.eval(q))
-        if sym < domain.singular_threshold:
-            if len(skipped) < 16:
-                skipped.append(_point_entry(q, sym, domain.singular_threshold))
-            continue
-        evaluated += 1
+        if sym >= domain.singular_threshold:
+            kept.append(q)
+        elif len(skipped) < 16:
+            skipped.append(_point_entry(q, sym, domain.singular_threshold))
+    for q, star in zip(kept, quotient.values(kept)):
         fv, gv = ff.eval(q), gf.eval(q)
-        star = quotient.eval(q)
         min_re_point = min(min_re_point, float((fv.inverse() * gv).w))
         min_re_star = min(min_re_star, float(star.w))
         max_ratio = max(max_ratio, abs(gv) / abs(fv))
         max_star = max(max_star, abs(star))
     total = len(grid.points)
-    skipped_count = total - evaluated
+    skipped_count = total - len(kept)
     params = {
         "min_re_pointwise": min_re_point,
         "min_re_star": min_re_star,
@@ -651,7 +657,7 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
     }
     if skipped_count > 0.1 * total:
         return CheckReport("quotient-equivalences", "pair", False, 0.0,
-                           evaluated, tuple(skipped) or ({"n": "all-skipped", "lhs": 0.0, "rhs": 0.0},),
+                           len(kept), tuple(skipped) or ({"n": "all-skipped", "lhs": 0.0, "rhs": 0.0},),
                            min(f.degree, g.degree), status="inconclusive", params=params)
     re_agree = (min_re_point > 0.0) == (min_re_star > 0.0)
     mod_agree = (max_ratio < 1.0) == (max_star < 1.0)
@@ -662,7 +668,7 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
     if not passed:
         witnesses = ({"n": "verdicts", "lhs": min_re_point, "rhs": min_re_star},)
     return CheckReport("quotient-equivalences", "pair", passed,
-                       margin if passed else -margin, evaluated, witnesses,
+                       margin if passed else -margin, len(kept), witnesses,
                        min(f.degree, g.degree),
                        status="pass" if passed else "fail", params=params)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from random import Random
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import DomainError, PreconditionError
 from .quat import (ONE, ZERO, ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K,
@@ -152,7 +152,8 @@ class FunctionUnderTest:
     or only one of f' (``derivative_form``).  Each form is one
     :class:`StarQuotient`, evaluated exactly and rounded once; f' of
     ``form`` is its derivative quotient, built on first use.  Without a
-    form, points are evaluated on a float copy of the window.
+    form, points are evaluated on a float copy of the window.  ``values``
+    and ``derivative_values`` evaluate a sweep, picking the path once.
     ``certificates`` lists class names established by construction, so
     checks need not re-screen them.
     """
@@ -175,17 +176,23 @@ class FunctionUnderTest:
     def _form_derivative(self) -> StarQuotient:
         return self.form.derivative()
 
-    def value(self, q: Quaternion) -> Quaternion:
+    def values(self, points: Iterable[Quaternion]) -> list[Quaternion]:
         if self.form is not None:
-            return self.form.eval(q)
-        return self._float_series.eval(q)
+            return self.form.values(points)
+        return [self._float_series.eval(q) for q in points]
+
+    def derivative_values(self, points: Iterable[Quaternion]) -> list[Quaternion]:
+        if self.derivative_form is not None:
+            return self.derivative_form.values(points)
+        if self.form is not None:
+            return self._form_derivative.values(points)
+        return [self._float_derivative.eval(q) for q in points]
+
+    def value(self, q: Quaternion) -> Quaternion:
+        return self.values((q,))[0]
 
     def derivative_value(self, q: Quaternion) -> Quaternion:
-        if self.derivative_form is not None:
-            return self.derivative_form.eval(q)
-        if self.form is not None:
-            return self._form_derivative.eval(q)
-        return self._float_derivative.eval(q)
+        return self.derivative_values((q,))[0]
 
     def coeff(self, n: int) -> Quaternion:
         return self.series.coeff(n)
@@ -218,8 +225,8 @@ def is_caratheodory(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRID) -> Class
                             _coeff_witness(0, s.coeff(0) if s.valuation <= 0 else s.coeffs[0]))
     worst = math.inf
     argmin = None
-    for q in grid.points:
-        re = float(fut.value(q).w)
+    for q, value in zip(grid.points, fut.values(grid.points)):
+        re = float(value.w)
         if re < worst:
             worst, argmin = re, q
     if worst <= 0.0:
@@ -251,15 +258,18 @@ def is_starlike(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
         return ClassVerdict(name, False, "refuted", None, witness)
     worst = math.inf
     argmin = None
-    for q in grid.points:
-        value = fut.value(q)
-        if abs(value) < domain.singular_threshold:
-            return ClassVerdict(name, False, "refuted", None,
-                                _point_witness(q, abs(value)))
-        quotient = value.inverse() * (q * fut.derivative_value(q))
-        margin = float(quotient.w) - float(alpha)
+    values = fut.values(grid.points)
+    # the derivatives are read only up to the first zero on the grid
+    zero = next((n for n, value in enumerate(values)
+                 if abs(value) < domain.singular_threshold), None)
+    points = grid.points[:zero]
+    for q, value, derivative in zip(points, values, fut.derivative_values(points)):
+        margin = float((value.inverse() * (q * derivative)).w) - float(alpha)
         if margin < worst:
             worst, argmin = margin, q
+    if zero is not None:
+        return ClassVerdict(name, False, "refuted", None,
+                            _point_witness(grid.points[zero], abs(values[zero])))
     if worst <= 0.0:
         return ClassVerdict(name, False, "refuted", worst, _point_witness(argmin, worst))
     return ClassVerdict(name, True, "sampled", worst)
@@ -278,9 +288,9 @@ def is_close_to_convex(f: FunctionLike, h: FunctionLike,
     fut = as_function(f)
     worst = math.inf
     argmin = None
-    for q in grid.points:
-        hv = hf.value(q)
-        quotient = hv.inverse() * (q * fut.derivative_value(q))
+    for q, hv, derivative in zip(grid.points, hf.values(grid.points),
+                                 fut.derivative_values(grid.points)):
+        quotient = hv.inverse() * (q * derivative)
         if float(quotient.w) < worst:
             worst, argmin = float(quotient.w), q
     if worst <= 0.0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, SingularityError
 from .quat import (ONE, ZERO, Quaternion, float_components, quaternion_from_json,
@@ -820,14 +820,6 @@ def outside_closed_ball(a: Quaternion) -> bool:
     return nsq > 1 if a.is_exact else nsq > 1.0 + 1e-12
 
 
-def geometric(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
-    """Sigma q^n u^n, the star reciprocal of 1 - q u.  The powers of u are
-    raised on integers (:func:`integer_powers`); a float u is taken
-    exactly and each coefficient rounded once."""
-    out = SliceSeries._from_rows(0, *rows_over_lcm(integer_powers(u, degree + 1)))
-    return out if u.is_exact else out.to_float()
-
-
 def mobius(a: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """Regular Moebius transform of the unit ball vanishing nowhere inside:
 
@@ -853,12 +845,6 @@ def mobius_quotient(a: Quaternion) -> "StarQuotient":
         raise DomainError("moebius parameter must lie in the closed unit ball")
     return StarQuotient(SliceSeries.from_coeffs([a, -ONE]),
                         SliceSeries.from_coeffs([ONE, -a.conjugate()]))
-
-
-# A grid sweeps one radius at a time, the i points at every angle, then the
-# j and k points at the same angles: 16 classes cover that up to 16 angles.
-_SHARED_CAPACITY = 16
-_TOO_CLOSE = "quotient evaluated too close to a symmetrization zero"
 
 
 class StarQuotient:
@@ -888,16 +874,15 @@ class StarQuotient:
     to (W + V) / L; the numerator runs through :func:`_horner_xv` and the
     real denominator through the same recurrence on scalars, and each
     component is divided once at the end.  All of it but the last step
-    E + V F (and h(q) = A_h + V B_h) reads only (L, W, |V|^2), as the
-    representation formula f(x + yI) = alpha + I beta says: that shared
-    part (:meth:`_shared_part`) is kept per quotient for the last
-    ``_SHARED_CAPACITY`` classes, so the i, j and k points of one
-    (r, theta) run one Horner.  Each call still tests the ball and
-    compares the stored guard with its own domain.  An exact point gives
-    an exact value; at a float point each component is the correctly
-    rounded value of the exact one.  Exactness matters because the
-    symmetrized denominator can be as small as (1-|q|)^8 near the
-    boundary, where float Horner would cancel catastrophically.  The default guard only
+    E + V F (and h(q) = A_h + V B_h) reads only the class (L, W, |V|^2),
+    as the representation formula f(x + yI) = alpha + I beta says.
+    :meth:`values` forms that shared part (:meth:`_shared_part`) once per
+    class of its batch, so the i, j and k points of one (r, theta) run one
+    Horner; nothing outlives the call.  An exact point gives an exact
+    value; at a float point each component is the correctly rounded value
+    of the exact one.  Exactness matters because the symmetrized
+    denominator can be as small as (1-|q|)^8 near the boundary, where
+    float Horner would cancel catastrophically.  The default guard only
     fences off genuine zeros; pass a stricter :class:`EvalDomain` to
     refuse a wider neighbourhood of the singular set.
     """
@@ -957,23 +942,16 @@ class StarQuotient:
                 tuple(c[0] for c in sym_rows[::-1]) + (0,) * (sym.valuation - low),
                 num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (v_left + num.valuation - low), left)
 
-    @cached_property
-    def _shared(self) -> dict:
-        """The shared parts (:meth:`_shared_part`) of the last
-        ``_SHARED_CAPACITY`` classes evaluated, keyed by (L, W, |V|^2) and
-        oldest first; kept in the instance ``__dict__``."""
-        return {}
-
     def _shared_part(self, scale: int, w: int, n2: int, r2: int, domain: EvalDomain):
-        """(guard, E, F, left, factor, divisor): everything of the value at
+        """(E, F, left, factor, divisor): everything of the value at
         (W + V) / L that reads only L, W and |V|^2 = n2, so the points
         x + y I of one (r, theta) share it whatever their axis I.
 
-        guard is |den^s(q)|.  The value is (E + V F) factor / divisor
+        The value is (E + V F) factor / divisor
         componentwise with integer 4-tuples E and F; with a left factor h
         it is (H E + V H F) factor / divisor for H = A_h + V B_h, left
-        being (A_h, B_h).  Raises where the point is refused: at 0 for a
-        negative valuation, and below ``domain``'s threshold."""
+        being (A_h, B_h).  Raises at 0 for a negative valuation, and where
+        |den^s(q)| falls below ``domain``'s threshold."""
         low, real, sym_den, sym, num_den, num, left = self._integer_parts
         if low < 0 and not r2:
             raise SingularityError("negative-valuation series is singular at 0")
@@ -990,9 +968,8 @@ class StarQuotient:
             top, bottom = top * scale ** (-2 * low), bottom * r2 ** -low
         if real:  # |den^s(q)| = |den(q)|^2
             top, bottom = top * top, bottom * bottom
-        guard = math.sqrt(top / bottom)
-        if guard < domain.singular_threshold:
-            raise SingularityError(_TOO_CLOSE)
+        if math.sqrt(top / bottom) < domain.singular_threshold:
+            raise SingularityError("quotient evaluated too close to a symmetrization zero")
         # numerator: L^k n(q) = A + V B, componentwise
         npower, (a0, a1, a2, a3), (b0, b1, b2, b3) = _horner_xv(num, scale, w, n2)
         if left is not None:
@@ -1007,37 +984,40 @@ class StarQuotient:
         else:
             factor, divisor = sym_den, norm * (npower // power) * num_den
         # (x - V y)(A + V B) = E + V F with E = x A + |V|^2 y B, F = x B - y A
-        return (guard,
-                (x * a0 + n2 * y * b0, x * a1 + n2 * y * b1,
+        return ((x * a0 + n2 * y * b0, x * a1 + n2 * y * b1,
                  x * a2 + n2 * y * b2, x * a3 + n2 * y * b3),
                 (x * b0 - y * a0, x * b1 - y * a1, x * b2 - y * a2, x * b3 - y * a3),
                 left, factor, divisor)
 
-    def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:
-        """The value at q, refused where |den^s(q)| falls below the
-        guard's threshold (by default :attr:`ZERO_GUARD`)."""
+    def values(self, points: Iterable[Quaternion],
+               domain: EvalDomain | None = None) -> list[Quaternion]:
+        """The values at the points, in order, with one shared part per class
+        (L, W, |V|^2).  Raises at the first point where |den^s(q)| falls
+        below the guard's threshold (by default :attr:`ZERO_GUARD`)."""
         domain = domain or self.ZERO_GUARD
-        scale, w, v1, v2, v3, n2 = _integer_point(q)
-        r2 = w * w + n2  # L^2 |q|^2
-        if r2 >= scale * scale:
-            raise DomainError("evaluation point must lie in the open unit ball")
-        shared, key = self._shared, (scale, w, n2)
-        part = shared.get(key)
-        if part is None:
-            part = self._shared_part(scale, w, n2, r2, domain)
-            if len(shared) >= _SHARED_CAPACITY:
-                del shared[next(iter(shared))]
-            shared[key] = part
-        elif part[0] < domain.singular_threshold:
-            raise SingularityError(_TOO_CLOSE)
-        _, e, f, left, factor, divisor = part
-        if left is not None:
-            h = _plus_v_times(*left, v1, v2, v3)
-            e, f = _product(h, e), _product(h, f)
-        comps = _plus_v_times(e, f, v1, v2, v3)
-        if q.is_exact:
-            return Quaternion(*(Fraction(c * factor, divisor) for c in comps))
-        return Quaternion(*(c * factor / divisor for c in comps))
+        shared, out = {}, []
+        for q in points:
+            scale, w, v1, v2, v3, n2 = _integer_point(q)
+            r2 = w * w + n2  # L^2 |q|^2
+            if r2 >= scale * scale:
+                raise DomainError("evaluation point must lie in the open unit ball")
+            part = shared.get((scale, w, n2))
+            if part is None:
+                part = shared[scale, w, n2] = self._shared_part(scale, w, n2, r2, domain)
+            e, f, left, factor, divisor = part
+            if left is not None:
+                h = _plus_v_times(*left, v1, v2, v3)
+                e, f = _product(h, e), _product(h, f)
+            comps = _plus_v_times(e, f, v1, v2, v3)
+            if q.is_exact:
+                out.append(Quaternion(*(Fraction(c * factor, divisor) for c in comps)))
+            else:
+                out.append(Quaternion(*(c * factor / divisor for c in comps)))
+        return out
+
+    def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:
+        """The value at q; see :meth:`values`."""
+        return self.values((q,), domain)[0]
 
     def to_series(self, degree: int = DEFAULT_DEGREE) -> SliceSeries:
         v = self.den.valuation

@@ -8,11 +8,13 @@ float or mixed operand is checked against the reference at the exact
 values of its operands, each component of the result rounded once to
 float, bit for bit.
 
-The same holds for the power loops of the generators `geometric`,
-`mobius`, `caratheodory_extremal`, `generate_caratheodory`, `koebe` and
+The same holds for the power loops of the generators `mobius`,
+`caratheodory_extremal`, `generate_caratheodory`, `koebe` and
 `rogosinski_extremal` (the last on the parts |b|, b/|b| and p;
 `reference_at_exact` runs the others at the exact value of a float
-parameter), and for `random_exact_unit` in `Fraction` quaternions.  Three loops still run in
+parameter), and for `random_exact_unit` in `Fraction` quaternions.
+`reference_geometric`, the series Sigma q^n u^n, serves the tests as a
+fixture; the package has no generator of its own for it.  Three loops still run in
 float: the old `Quaternion.__pow__` and the float Horner that read
 `Quaternion` attributes, which the package matches bit for bit, and
 `reference_koebe` at a float unit, which rounds at every power and so

@@ -38,6 +38,11 @@ REPORT_SHA256_BY_SEED = {
     1: "a8ec0f8f539983214ed2af6483d536818608f2915b0d8f263d7e0ed442cbe48a",
     3: "23361654e881830bb1bd915ed5f6419c58eb1d92e3636baf6a1cdc661ea01da5",
 }
+# five slice axes, two of them off i, j and k, and 32 angles: a sweep
+# meets more exact point classes than the default grid has
+WIDE_GRID_FLAGS = ["--seed", "7", "--degree", "12", "--grid-units", "5",
+                   "--grid-angles", "32", "--grid-radii", "0.5,0.9,0.99"]
+WIDE_GRID_SHA256 = "2b53c55e0b9b0e2e8a2de15b1d1b65605fe871843e2d7f239992283c84fce9df"
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -269,3 +274,9 @@ def test_report_digest_at_other_seeds(seed, tmp_path):
     out = tmp_path / "report.json"
     assert main(["check", "--suite", "all", "--seed", str(seed), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256_BY_SEED[seed]
+
+
+def test_report_digest_on_a_wide_grid(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["check", "--suite", "all", *WIDE_GRID_FLAGS, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_GRID_SHA256

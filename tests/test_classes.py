@@ -1,5 +1,6 @@
 """Membership predicates, generators and the sampling grid."""
 
+import functools
 import math
 from fractions import Fraction as F
 from random import Random
@@ -13,7 +14,8 @@ from series_reference import (reference_at_exact, reference_caratheodory_extrema
                               reference_random_exact_unit,
                               reference_rogosinski_extremal, reference_rogosinski_window)
 
-from srgft.checks import _diagonal_float_unit
+from srgft.checks import (_diagonal_float_unit, caratheodory_member, close_to_convex_member,
+                          koebe_function, starlike_member)
 from srgft.classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
                            caratheodory_extremal, caratheodory_extremal_quotient,
                            caratheodory_mixture_form,
@@ -90,6 +92,38 @@ class TestFunctionUnderTest:
             assert fut.value(q) == plain.value(q) == ref.eval(q)
             assert fut.derivative_value(q) == plain.derivative_value(q) \
                 == ref_derivative.eval(q)
+
+
+@functools.cache
+def _sweep_functions() -> tuple[FunctionUnderTest, ...]:
+    """A quotient form with its derivative quotient, a quotient sum, an f'
+    form alone, a window alone, and a form refused at the grid point 1/2."""
+    singular = StarQuotient(SliceSeries.identity(), series([1, -2]))
+    return (koebe_function(ONE, 12), caratheodory_member(3, 12),
+            close_to_convex_member(3, 12), starlike_member(3, 12),
+            FunctionUnderTest("singular", SliceSeries.identity(12), singular))
+
+
+def _sweep_outcome(evaluate):
+    """Each value's component reprs, or the error type and message."""
+    try:
+        return [tuple(repr(c) for c in (v.w, v.x, v.y, v.z)) for v in evaluate()]
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+class TestSweeps:
+    @given(st.integers(0, 4), st.integers(1, 5), st.integers(1, 40),
+           st.lists(st.sampled_from((0.1, 0.5, 0.9, 0.99)), min_size=1, max_size=3,
+                    unique=True).map(sorted))
+    @settings(max_examples=40, deadline=None)
+    def test_a_sweep_equals_its_points_one_by_one(self, index, unit_count, angle_count, radii):
+        fut = _sweep_functions()[index]
+        points = SamplingGrid.default(radii, unit_count, angle_count).points
+        assert _sweep_outcome(lambda: fut.values(points)) == \
+            _sweep_outcome(lambda: [fut.value(q) for q in points])
+        assert _sweep_outcome(lambda: fut.derivative_values(points)) == \
+            _sweep_outcome(lambda: [fut.derivative_value(q) for q in points])
 
 
 class TestCaratheodoryPredicate:

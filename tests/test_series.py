@@ -29,13 +29,13 @@ from srgft.classes import (DEFAULT_GRID, SamplingGrid, caratheodory_extremal,
 from srgft.errors import DomainError, SingularityError
 from srgft.quat import I, J, K, ONE, UNIT_J, ZERO, Quaternion
 from srgft.series import (EvalDomain, QuotientSum, SliceSeries, StarQuotient,
-                          compose_slice_preserving, full_star_mul, geometric,
+                          compose_slice_preserving, full_star_mul,
                           integrate_radial, mobius, mobius_quotient, odd_part,
                           quotient_transform, regular_conjugate,
                           slice_derivative, star_mul, star_reciprocal,
                           symmetrize, _central_power, _eval_float,
                           _float_power_times, _horner_xv, _integer_point,
-                          _transform_parts, _SHARED_CAPACITY)
+                          _transform_parts)
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -119,7 +119,7 @@ class TestEval:
         assert f.eval(q) == q
 
     def test_geometric_sum(self):
-        f = geometric(ONE, 60).to_float()
+        f = reference_geometric(ONE, 60).to_float()
         value = f.eval(Quaternion(0.5, 0.0, 0.0, 0.0))
         assert abs(value - Quaternion(2.0, 0.0, 0.0, 0.0)) < 1e-12
 
@@ -189,7 +189,7 @@ class TestStarProduct:
 
     def test_geometric_square_counts(self):
         u = exact(0, F(3, 5), F(4, 5), 0)
-        g = geometric(u, 12)
+        g = reference_geometric(u, 12)
         sq = star_mul(g, g)
         power = ONE
         for n in range(0, sq.degree + 1):
@@ -252,7 +252,7 @@ class TestReciprocal:
         u = exact(0, F(3, 5), F(4, 5), 0)
         f = series([ONE, -u]).pad_to(10)
         rec = star_reciprocal(f)
-        expected = geometric(u, rec.degree)
+        expected = reference_geometric(u, rec.degree)
         for n in range(0, rec.degree + 1):
             assert rec.coeff(n) == expected.coeff(n)
         back = star_mul(rec, f)
@@ -367,7 +367,7 @@ class TestIntegrate:
 
     def test_geometric_shift(self):
         u = exact(0, 0, F(1, 2), 0)
-        g = star_mul(geometric(u, 10), geometric(u, 10))  # (n+1) u^n
+        g = star_mul(reference_geometric(u, 10), reference_geometric(u, 10))  # (n+1) u^n
         f = integrate_radial(g)
         power = ONE
         for n in range(1, f.degree + 1):
@@ -740,10 +740,9 @@ class TestSharedParts:
     @given(memo_forms(), st.lists(slice_classes(), min_size=1, max_size=3), st.data())
     @settings(max_examples=60, deadline=None)
     def test_cold_and_warm_memo_match_the_reference(self, form, classes, data):
-        form.__dict__.pop("_shared", None)
-        domains = st.sampled_from((None, EvalDomain(1e-3)))
+        guards = (None, EvalDomain(1e-3))
         points = [q for cls in classes for q in cls] + [ZERO.to_float()]
-        calls = [(q, data.draw(domains)) for q in points]
+        calls = [(q, data.draw(st.sampled_from(guards))) for q in points]
         # one reference per exact point and guard; a float point rounds it once
         expected = {}
         for q, domain in calls:
@@ -760,10 +759,23 @@ class TestSharedParts:
                 return value
             return _outcome(lambda p: value if p.is_exact else value.to_float(), q)
 
-        # a cold memo, then a warm one, each in its own order
+        def batch(points, domain):
+            """The outcomes of one values call: a refused point refuses it."""
+            try:
+                values = form.values(points, domain)
+            except DomainError as exc:
+                return type(exc)
+            return [_outcome(lambda p: v, q) for q, v in zip(points, values)]
+
+        # per point, then one batch per guard, each in its own order
         for order in (data.draw(st.permutations(calls)), data.draw(st.permutations(calls))):
             for q, domain in order:
                 assert _outcome(lambda p: form.eval(p, domain), q) == want(q, domain)
+            for domain in guards:
+                batch_points = [q for q, d in order if d == domain]
+                wants = [want(q, domain) for q in batch_points]
+                refused = [w for w in wants if isinstance(w, type)]
+                assert batch(batch_points, domain) == (refused[0] if refused else wants)
 
     def test_stricter_domain_on_a_hit_is_refused(self):
         quot = koebe_quotient(ONE)
@@ -771,21 +783,28 @@ class TestSharedParts:
         # |den^s| = |1 - q|^4: 6.25e-6 at 0.95, 2.2e-4 at 0.93 + 0.1e on each axis
         points = [Quaternion(0.95, 0.0, 0.0, 0.0), Quaternion(0.93, 0.1, 0.0, 0.0),
                   Quaternion(0.93, 0.0, -0.1, 0.0), Quaternion(0.93, 0.0, 0.0, 0.1)]
+        points += [q.to_exact() for q in points]
+        assert [_outcome(lambda p: v, q) for q, v in zip(points, quot.values(points))] == \
+            [_outcome(lambda p: reference_eval(quot, p), q) for q in points]
+        with pytest.raises(SingularityError):
+            quot.values(points, strict)
         for q in points:
-            quot.eval(q)
-        assert len(quot._shared) == 2
-        for q in points + [q.to_exact() for q in points]:
-            with pytest.raises(SingularityError):
-                quot.eval(q, strict)
-            assert _outcome(quot.eval, q) == _outcome(lambda p: reference_eval(quot, p), q)
+            for evaluate in (lambda p: quot.values([p], strict), lambda p: quot.eval(p, strict)):
+                with pytest.raises(SingularityError):
+                    evaluate(q)
 
-    def test_single_slice_keeps_the_memo_bounded(self):
-        form = koebe_quotient(ONE)
+    @pytest.mark.parametrize("form", [koebe_quotient(ONE), _quotient_sums()[1]],
+                             ids=["koebe", "left-sum"])
+    def test_evaluation_leaves_no_state(self, form):
         # slice-image: 12 radii by 96 angles on one slice
-        for k in range(12):
-            for m in range(96):
-                form.eval(UNIT_J.circle_point(2 * math.pi * m / 96, 0.05 + 0.07 * k))
-        assert len(form._shared) == _SHARED_CAPACITY
+        points = [UNIT_J.circle_point(2 * math.pi * m / 96, 0.05 + 0.07 * k)
+                  for k in range(12) for m in range(96)]
+        form.eval(points[0])
+        keys = set(form.__dict__)
+        for q in points:
+            form.eval(q)
+        form.values(points)
+        assert set(form.__dict__) == keys
 
     @pytest.mark.parametrize("form", [koebe_quotient(ONE), _quotient_sums()[1]],
                              ids=["koebe", "left-sum"])
@@ -798,13 +817,17 @@ class TestSharedParts:
             return _horner_xv(coeffs, *args)
 
         monkeypatch.setattr("srgft.series._horner_xv", counting)
-        for q in DEFAULT_GRID.points:
-            form.eval(q)
-        classes = {(scale, w, n2) for scale, w, *_, n2 in map(_integer_point, DEFAULT_GRID.points)}
-        assert sum(calls) == len(classes)
-        assert len(classes) <= len(DEFAULT_GRID.radii) * len(DEFAULT_GRID.angles)
-        # with a left factor, h's Horner runs once per class too
-        assert len(calls) == len(classes) * (2 if form.left is not None else 1)
+        # past 16 angles, and on axes beyond i, j and k
+        for grid in (DEFAULT_GRID, SamplingGrid.default(angle_count=32),
+                     SamplingGrid.default((0.5, 0.99), 5, 32)):
+            calls.clear()
+            form.values(grid.points)
+            classes = {(scale, w, n2) for scale, w, *_, n2 in map(_integer_point, grid.points)}
+            assert sum(calls) == len(classes)
+            if len(grid.units) <= 3:
+                assert len(classes) <= len(grid.radii) * len(grid.angles)
+            # with a left factor, h's Horner runs once per class too
+            assert len(calls) == len(classes) * (2 if form.left is not None else 1)
 
 
 class TestQuotientSum:
@@ -1037,7 +1060,8 @@ def _windows_from(u: Quaternion) -> list[SliceSeries]:
     rogo = rogosinski_extremal_form(half, u)
     quotients = (caratheodory_extremal_quotient(u), mobius_quotient(half), rogo)
     return ([koebe(u, 8), koebe_quotient(u).den, caratheodory_extremal(u, 8),
-             geometric(half, 8), mobius(half, 8), rogosinski_extremal(half, u, 8),
+             reference_at_exact(reference_geometric, half, 8), mobius(half, 8),
+             rogosinski_extremal(half, u, 8),
              integrate_radial(koebe(u, 8)), symmetrize(koebe(u, 8)),
              star_reciprocal(lin.pad_to(8))]
             + [part for quot in quotients for part in (quot.num, quot.den)])
@@ -1248,12 +1272,6 @@ class TestScalarPaths:
 
     @given(ball_parameters(), st.integers(0, 24))
     @settings(max_examples=150, deadline=None)
-    def test_geometric_matches_the_reference(self, u, degree):
-        assert _repr_window(geometric(u, degree)) == \
-            _repr_window(reference_at_exact(reference_geometric, u, degree))
-
-    @given(ball_parameters(), st.integers(0, 24))
-    @settings(max_examples=150, deadline=None)
     def test_mobius_matches_the_reference(self, a, degree):
         assert _repr_window(mobius(a, degree)) == \
             _repr_window(reference_at_exact(reference_mobius, a, degree))
@@ -1290,7 +1308,7 @@ def _row_windows(rng: Random) -> list[SliceSeries]:
             compose_slice_preserving(f, w), compose_slice_preserving(f, w.truncate(1)),
             StarQuotient(g, f).to_series(6), regular_conjugate(f), product.shift(2),
             product.pad_to(20), product.truncate(4), product.pad_to(20).trim(), -product,
-            koebe(u, 8), geometric(u * F(1, 2), 8), mobius(u * F(1, 2), 8),
+            koebe(u, 8), mobius(u * F(1, 2), 8),
             caratheodory_extremal(u, 8), generate_caratheodory(1, 8),
             generate_starlike_small_coeff(1, 8), rogosinski_extremal(u * F(5, 8), u, 8)]
 
