@@ -36,7 +36,7 @@ from .quat import (ONE, ZERO, I, J, K, Quaternion, format_quaternion,
                    quaternion_to_json)
 from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, QuotientSum,
                      SliceSeries, StarQuotient, compose_slice_preserving,
-                     integrate_radial, mobius, mobius_quotient,
+                     integrate_radial, mobius_quotient,
                      slice_derivative, symmetrize)
 
 EQUALITY_BAND = 1e-9
@@ -711,13 +711,13 @@ def odd_reference_function(degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
 
 def mobius_function(a: Quaternion, degree: int = DEFAULT_DEGREE,
                     u: Optional[Quaternion] = None) -> FunctionUnderTest:
-    """The Moebius transform of parameter a, times the constant u on the right."""
-    fid, series = f"mobius({format_quaternion(a)})", mobius(a, degree)
-    quot = mobius_quotient(a)
+    """The Moebius transform of parameter a, times the constant u on the
+    right: one quotient and its expansion."""
+    fid, quot = f"mobius({format_quaternion(a)})", mobius_quotient(a)
     if u is not None:
         fid += f"*{format_quaternion(u)}"
-        series, quot = series.times(u), StarQuotient(quot.num.times(u), quot.den)
-    return FunctionUnderTest(fid, series, quot)
+        quot = StarQuotient(quot.num.times(u), quot.den)
+    return FunctionUnderTest(fid, quot.to_series(degree), quot)
 
 
 def identity_function(degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:

@@ -31,13 +31,12 @@ from .errors import DomainError, PreconditionError
 from .quat import (ONE, ZERO, ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K,
                    exact_sqrt, quaternion_to_json)
 from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, QuotientSum,
-                     SliceSeries, StarQuotient, full_star_mul, integer_powers, integer_row,
-                     integrate_radial, outside_closed_ball, rational_quaternion,
-                     rows_over_lcm, slice_derivative, star_mul)
+                     SliceSeries, StarQuotient, full_star_mul, integrate_radial,
+                     outside_closed_ball, rational_quaternion, rows_over_lcm,
+                     slice_derivative, star_mul)
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 DEFAULT_ANGLE_COUNT = 8
-_ONE_ROW, _ZERO_ROW = (1, 0, 0, 0), (0, 0, 0, 0)
 
 
 def _extra_units(count: int) -> list[ImaginaryUnit]:
@@ -382,12 +381,12 @@ def generate_starlike_small_coeff(seed: int, degree: int = DEFAULT_DEGREE) -> Sl
     if degree < 2:
         raise DomainError("need degree >= 2")
     rng = Random(seed)
-    pairs = [(1, _ONE_ROW)]
+    pairs = [(1, (1, 0, 0, 0))]
     scale = 512 * (degree - 1)
     for n in range(2, degree + 1):
         weight = rng.randrange(256)
         if weight == 0:
-            pairs.append((1, _ZERO_ROW))
+            pairs.append((1, (0, 0, 0, 0)))
             continue
         den, row = _random_unit_row(rng)
         pairs.append((den * scale * n, tuple(weight * x for x in row)))
@@ -416,15 +415,11 @@ def certify_small_coeff(f: SliceSeries) -> ClassVerdict:
 
 
 def caratheodory_extremal(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
-    """1 + 2 Sigma q^n u^n, the maximal-coefficient member for |u| = 1.
-
-    The powers of u are raised on integers (`integer_powers`); a float u
-    is taken exactly and each coefficient rounded once.
-    """
+    """1 + 2 Sigma q^n u^n, the maximal-coefficient member for |u| = 1: the
+    expansion of :func:`caratheodory_extremal_quotient`, whose parts hold a
+    float u exactly, so a float u gives the exact window rounded once."""
     _require_unit(u)
-    out = SliceSeries._from_rows(0, *rows_over_lcm([(1, _ONE_ROW)] + [
-        (den, tuple(2 * x for x in row)) for den, row in integer_powers(u, degree, u)]))
-    return out if u.is_exact else out.to_float()
+    return caratheodory_extremal_quotient(u).to_series(degree)
 
 
 def caratheodory_extremal_quotient(u: Quaternion) -> StarQuotient:
@@ -445,18 +440,10 @@ def caratheodory_mixture_parts(seed: int, k: int = 3) -> tuple[list[Fraction], l
 
 def generate_caratheodory(seed: int, degree: int = DEFAULT_DEGREE,
                           k: int = 3) -> SliceSeries:
-    """Convex combination of extremal members: in the class by convexity.
-
-    a_0 = sum_k lambda_k = 1, and a_n = sum_k 2 lambda_k u_k^n is summed
-    on integers over one denominator, the powers from `integer_powers`.
-    """
-    lambdas, units = caratheodory_mixture_parts(seed, k)
-    powers = [integer_powers(u, degree, u * (2 * lam)) for lam, u in zip(lambdas, units)]
-    pairs = [(1, _ONE_ROW)]
-    for terms in zip(*powers):
-        den, rows = rows_over_lcm(terms)
-        pairs.append((den, tuple(map(sum, zip(*rows)))))
-    return SliceSeries._from_rows(0, *rows_over_lcm(pairs))
+    """sum_k lambda_k (1 + 2 Sigma q^n u_k^n), a convex combination of
+    extremal members and so in the class: the expansion of
+    :func:`caratheodory_mixture_form`."""
+    return caratheodory_mixture_form(seed, k).to_series(degree)
 
 
 def caratheodory_mixture_form(seed: int, k: int = 3) -> QuotientSum:
@@ -483,12 +470,10 @@ def generate_close_to_convex(h: FunctionLike, p: FunctionLike,
 
 def koebe(u: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """Coefficients a_n = n u^(n-1): the extremal for the coefficient,
-    growth and distortion bounds.  The powers of u are raised on integers;
-    a float u is taken exactly and each coefficient rounded once."""
+    growth and distortion bounds, expanded from :func:`koebe_quotient` at
+    the exact value of u and rounded once for a float u."""
     _require_unit(u)
-    out = SliceSeries._from_rows(1, *rows_over_lcm([
-        (den, tuple(n * x for x in row))
-        for n, (den, row) in enumerate(integer_powers(u, degree), 1)]))
+    out = koebe_quotient(u.to_exact()).to_series(degree)
     return out if u.is_exact else out.to_float()
 
 
@@ -499,7 +484,7 @@ def koebe_quotient(u: Quaternion) -> StarQuotient:
 
 def convex_reference(degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """q (1 - q)^(-star): half-plane image Re > -1/2, derivative 1 at 0."""
-    return SliceSeries.from_coeffs([ONE] * degree, valuation=1)
+    return convex_reference_quotient().to_series(degree)
 
 
 def convex_reference_quotient() -> StarQuotient:
@@ -509,8 +494,7 @@ def convex_reference_quotient() -> StarQuotient:
 
 def odd_reference(degree: int = DEFAULT_DEGREE) -> SliceSeries:
     """q (1 - q^2)^(-star) = q + q^3 + q^5 + ...; gap-2 starlike example."""
-    coeffs = [ONE if n % 2 == 1 else ZERO for n in range(1, degree + 1)]
-    return SliceSeries.from_coeffs(coeffs, valuation=1)
+    return odd_reference_quotient().to_series(degree)
 
 
 def odd_reference_quotient() -> StarQuotient:
@@ -538,24 +522,23 @@ def rogosinski_extremal(b: Quaternion, p: Quaternion,
 
         f(q) = q (1 - q |b| p)^(-star) star (|b| - q p) b/|b|
 
-    The powers of |b| p are raised on integers (`integer_powers`).  The
-    window is exact when b has a rational |b| and p is exact.  Otherwise
-    |b|, b/|b| and p are the floats of `_rogosinski_parts`, taken exactly,
-    and each coefficient is rounded once.  The family needs b != 0; for
-    b = 0 use the monomials q^2 u instead.
+    expanded from its quotient.  The window is exact when b has a rational
+    |b| and p is exact.  Otherwise |b|, b/|b| and p are the floats of
+    `_rogosinski_parts`, expanded at their exact values and rounded once.
+    The family needs b != 0; for b = 0 use the monomials q^2 u instead.
     """
     beta, u_b, p = _rogosinski_parts(b, p)
-    exact = u_b.is_exact and p.is_exact
-    beta, u_b, p = Fraction(beta), u_b.to_exact(), p.to_exact()
-    # a_(n+1) = (|b| p)^(n-1) p (|b|^2 - 1) u_b for n >= 1
-    powers = integer_powers(p * beta, degree - 1, p * (beta * beta - 1) * u_b)
-    out = SliceSeries._from_rows(1, *rows_over_lcm([integer_row(u_b * beta)] + powers))
-    return out if exact else out.to_float()
+    out = _rogosinski_quotient(Fraction(beta), u_b.to_exact(), p.to_exact()).to_series(degree)
+    return out if u_b.is_exact and p.is_exact else out.to_float()
 
 
 def rogosinski_extremal_form(b: Quaternion, p: Quaternion) -> StarQuotient:
-    """f = (1 - q |b| p)^(-*) star q (|b| - q p) b/|b|; q is central."""
-    beta, u_b, p = _rogosinski_parts(b, p)
+    """The point form, on the parts of `_rogosinski_parts` as they are."""
+    return _rogosinski_quotient(*_rogosinski_parts(b, p))
+
+
+def _rogosinski_quotient(beta, u_b: Quaternion, p: Quaternion) -> StarQuotient:
+    """(1 - q beta p)^(-*) star q (beta - q p) u_b; q is central."""
     num = SliceSeries.from_coeffs([u_b * beta, (-p) * u_b], valuation=1)
     den = SliceSeries.from_coeffs([ONE, (-p) * beta])
     return StarQuotient(num, den)

@@ -561,28 +561,7 @@ def rows_over_lcm(pairs) -> tuple[int, list[tuple[int, ...]]]:
     """(D, rows): the rationals r_n / d_n of (d_n, r_n) pairs, integer
     4-tuples r_n over positive d_n, as integer rows over D = lcm(d_n)."""
     den = math.lcm(*(d for d, _ in pairs))
-    return den, [tuple(x * (den // d) for x in row) for d, row in pairs]
-
-
-def integer_row(q: Quaternion) -> tuple[int, tuple[int, int, int, int]]:
-    """(D, R): q = R / D with an integer 4-tuple R, from the point scaling
-    of :func:`_integer_point` (a binary float is a dyadic rational)."""
-    scale, *row, _ = _integer_point(q)
-    return scale, tuple(row)
-
-
-def integer_powers(u: Quaternion, count: int, right: Quaternion = ONE):
-    """[(D^n E, U^n R) for n < count]: the powers u^n r = U^n R / (D^n E)
-    of u = U / D times r = R / E, on integers.  A float u or r is taken
-    exactly (a binary float is a dyadic rational).  Each step is one
-    integer quaternion product U (U^(n-1) R), no `Fraction`."""
-    den, units = integer_row(u)
-    scale, row = integer_row(right)
-    out = [(scale, row)]
-    for _ in range(count - 1):
-        scale *= den
-        out.append((scale, _product(units, out[-1][1])))
-    return out[:count]
+    return den, [tuple(x * f for x in row) for d, row in pairs for f in (den // d,)]
 
 
 def slice_derivative(f: SliceSeries) -> SliceSeries:
@@ -714,6 +693,48 @@ def star_reciprocal(f: SliceSeries) -> SliceSeries:
     return star_mul(inv_sym, regular_conjugate(f))
 
 
+def _quotient_window(num: SliceSeries, den: SliceSeries, degree: int) -> SliceSeries:
+    """The window q^v .. q^degree of den^(-*) star num, v = v_num - v_den,
+    for exact trimmed num and den, by den star g = num on integer rows.
+    With c = conj(d_0) (its sign for a real d_0), s = c d_0 > 0 and h = D_m g,
+    s h_n = c D_d m_n - sum_(k>=1) c d_k h_(n-k).  Row h_n is over E_n, a
+    multiple of E_(n-1), reduced by one gcd with s; a real c d_k is a scalar."""
+    v = num.valuation - den.valuation
+    length = degree - v + 1
+    if length < 1:
+        return SliceSeries.zero(max(degree, 0))
+    (num_den, num_rows), (den_den, den_rows) = num._form, den._form
+    d0 = den_rows[0]
+    c = (d0[0], -d0[1], -d0[2], -d0[3]) if any(d0[1:]) else (1 if d0[0] > 0 else -1, 0, 0, 0)
+    s = _product(c, d0)[0]
+    terms = []
+    for k, row in enumerate(den_rows[1:length], 1):
+        row = _product(c, row)
+        if any(row):
+            terms.append((k, row if any(row[1:]) else row[0]))
+    rows, scales, scale = [], [], 1
+    for n in range(length):
+        a0, a1, a2, a3 = ((scale * den_den * x for x in _product(c, num_rows[n]))
+                          if n < len(num_rows) else (0, 0, 0, 0))
+        for k, d in terms:
+            if k > n:
+                break
+            f = scale // scales[n - k]
+            if type(d) is int:
+                d *= f
+                h0, h1, h2, h3 = rows[n - k]
+            else:
+                h0, h1, h2, h3 = _product(d, rows[n - k])
+                d = f
+            a0, a1, a2, a3 = a0 - d * h0, a1 - d * h1, a2 - d * h2, a3 - d * h3
+        g = math.gcd(s, a0, a1, a2, a3)
+        scale *= s // g
+        rows.append((a0 // g, a1 // g, a2 // g, a3 // g))
+        scales.append(scale)
+    out_den, out_rows = rows_over_lcm(list(zip(scales, rows)))
+    return SliceSeries._from_rows(v, out_den * num_den, out_rows)
+
+
 @lru_cache(maxsize=128)
 def _transform_parts(f: SliceSeries) -> tuple[SliceSeries, SliceSeries]:
     return regular_conjugate(f), symmetrize(f.pad_to(2 * f.degree - f.valuation))
@@ -825,18 +846,9 @@ def mobius(a: Quaternion, degree: int = DEFAULT_DEGREE) -> SliceSeries:
 
         a - (1 - |a|^2) Sigma_{n>=1} q^n conj(a)^(n-1)
 
-    which is the expansion of (1 - q conj(a))^(-*) star (a - q).  The
-    powers of conj(a) are raised on integers; a float a is taken exactly
-    and each coefficient rounded once.
-    """
-    if outside_closed_ball(a):
-        raise DomainError("moebius parameter must lie in the closed unit ball")
-    exact, a = a.is_exact, a.to_exact()
-    t = 1 - a.norm_sq()
-    out = SliceSeries._from_rows(0, *rows_over_lcm([integer_row(a)] + [
-        (den * t.denominator, tuple(-t.numerator * x for x in row))
-        for den, row in integer_powers(a.conjugate(), degree)]))
-    return out if exact else out.to_float()
+    expanded from :func:`mobius_quotient`, whose parts hold a float a
+    exactly, so a float a gives the exact window rounded once."""
+    return mobius_quotient(a).to_series(degree)
 
 
 def mobius_quotient(a: Quaternion) -> "StarQuotient":
@@ -1020,12 +1032,16 @@ class StarQuotient:
         return self.values((q,), domain)[0]
 
     def to_series(self, degree: int = DEFAULT_DEGREE) -> SliceSeries:
-        v = self.den.valuation
-        rec = star_reciprocal(self.den.pad_to(degree + 2 * abs(v) + 2))
-        out = star_mul(rec, self.num.pad_to(degree + abs(v) + 2))
-        if self.left is not None:
-            out = star_mul(self.left.pad_to(out.degree - min(out.valuation, 0)), out)
-        return out.truncate(degree)
+        """The window through ``degree``: den^(-*) star num by the recurrence
+        :func:`_quotient_window`, times a left factor h by `star_mul`.  Float
+        parts are taken exactly; the float window is rounded once."""
+        left = None if self.left is None else self.left.to_exact().trim()
+        out = _quotient_window(self.num.to_exact().trim(), self.den.to_exact().trim(),
+                               degree - (0 if left is None else left.valuation))
+        if left is not None:
+            out = star_mul(left.pad_to(degree - out.valuation), out).truncate(degree)
+        exact = self.num.is_exact and self.den.is_exact and (left is None or self.left.is_exact)
+        return out if exact else out.to_float()
 
     def derivative(self) -> "StarQuotient":
         """Quotient rule, valid when the denominator coefficients commute.

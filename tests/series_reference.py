@@ -8,11 +8,13 @@ float or mixed operand is checked against the reference at the exact
 values of its operands, each component of the result rounded once to
 float, bit for bit.
 
-The same holds for the power loops of the generators `mobius`,
-`caratheodory_extremal`, `generate_caratheodory`, `koebe` and
-`rogosinski_extremal` (the last on the parts |b|, b/|b| and p;
-`reference_at_exact` runs the others at the exact value of a float
-parameter), and for `random_exact_unit` in `Fraction` quaternions.
+The power loops that the generators `mobius`, `caratheodory_extremal`,
+`generate_caratheodory`, `koebe` and `rogosinski_extremal` ran before
+each became the expansion of its quotient by `StarQuotient.to_series`
+stay here as oracles for those windows (the last on the parts |b|, b/|b|
+and p; `reference_at_exact` runs the others at the exact value of a
+float parameter), and so does `random_exact_unit` in `Fraction`
+quaternions.
 `reference_geometric`, the series Sigma q^n u^n, serves the tests as a
 fixture; the package has no generator of its own for it.  Three loops still run in
 float: the old `Quaternion.__pow__` and the float Horner that read
@@ -125,12 +127,18 @@ def _reference_pad(s, degree):
     return SliceSeries(s.valuation, s.coeffs + (ZERO,) * max(degree - s.degree, 0))
 
 
-def reference_to_series(num, den, degree):
-    """The window of den^(-*) star num through ``degree``, padded and
-    truncated as `StarQuotient.to_series` does."""
-    v = den.valuation
-    rec = reference_star_reciprocal(_reference_pad(den, degree + 2 * abs(v) + 2))
-    out = reference_star_mul(rec, _reference_pad(num, degree + abs(v) + 2))
+def reference_to_series(num, den, degree, left=None):
+    """The window of left star den^(-*) star num through ``degree``: the
+    reciprocal of den times num, then left times that, each padded far
+    enough that every coefficient through ``degree`` is known."""
+    inner = degree - left.valuation if left is not None else degree
+    v_den, v_num = den.valuation, num.valuation
+    rec = reference_star_reciprocal(_reference_pad(den, inner + 2 * abs(v_den) + abs(v_num) + 2))
+    out = reference_star_mul(rec, _reference_pad(num, inner + abs(v_den) + 2))
+    if left is not None:
+        out = reference_star_mul(_reference_pad(left, degree - out.valuation), out)
+    if degree < out.valuation:
+        return SliceSeries.zero(max(degree, 0))
     return SliceSeries(out.valuation, out.coeffs[:degree - out.valuation + 1])
 
 

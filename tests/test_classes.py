@@ -429,9 +429,9 @@ def rogosinski_parameters(draw):
 
 
 class TestGeneratorReferences:
-    """The integer power loops agree with the `Quaternion` loops they
-    replace on exact parameters; a float parameter gives the exact window
-    of its exact value, rounded once, bit for bit."""
+    """The family windows, each the expansion of its quotient, agree with
+    the `Quaternion` power loops on exact parameters; a float parameter
+    gives the exact window of its exact value, rounded once, bit for bit."""
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=200)

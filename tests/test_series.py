@@ -442,6 +442,25 @@ class TestStarQuotient:
             assert s.coeff(n) == power * 2
             power = power * u
 
+    def test_window_reaches_the_degree_asked_for(self):
+        """A numerator of valuation -3 still gives every coefficient
+        through the degree asked for, as a polynomial over den = 1."""
+        num = series([1, 1], valuation=-3)
+        window = StarQuotient(num, SliceSeries.one()).to_series(5)
+        assert (window.valuation, window.degree) == (-3, 5)
+        assert window == num.pad_to(5)
+
+    def test_float_quotient_window_is_rounded_once(self):
+        """(1 - qu)^(-*) (1 + qu) at a float u: each coefficient through
+        degree 30 is the exact coefficient at the dyadic u, rounded once."""
+        u = Quaternion(0.1, 0.7, 0.3, 0.2)
+        window = caratheodory_extremal_quotient(u).to_series(30)
+        exact_window = caratheodory_extremal_quotient(u.to_exact()).to_series(30)
+        assert not window.is_exact and window.degree == 30
+        assert _repr_window(window) == _repr_window(exact_window.to_float())
+        assert exact_window == reference_to_series(series([ONE, u.to_exact()]),
+                                                   series([ONE, -u.to_exact()]), 30)
+
     def test_derivative_requires_commuting_den(self):
         quot = StarQuotient(SliceSeries.one(), series([ONE, I, J]))
         with pytest.raises(DomainError):
@@ -1164,6 +1183,34 @@ class TestIntegerKernels:
         _same_exact_window(compose_slice_preserving(f, w),
                            reference_compose_slice_preserving(f, w))
 
+    @given(kernel_windows(max_length=8), kernel_windows(max_length=8, valuations=(0, 1)),
+           st.sampled_from((ONE, exact(-1), exact(F(3, 7)), exact(F(1, 2), F(-2, 3), 0, F(5, 4)),
+                            exact(0, 1, F(1, 3), -2))),
+           st.one_of(st.none(), kernel_windows(max_length=6, valuations=(-2, 2))),
+           st.integers(0, 12), st.sampled_from(("exact", "num", "den", "left", "all")),
+           zero_signs)
+    @settings(max_examples=120, deadline=None)
+    def test_to_series_matches_the_reference(self, num, den, d0, left, degree, floats, signs):
+        """The recurrence against the reciprocal and products of the
+        reference: d_0 = 1, real or not, den of valuation 0..3 and a
+        left factor, each part with trailing zeros.  A float part gives
+        the window of the exact values rounded once, bit for bit."""
+        assume(not den.is_zero())
+        den = SliceSeries.from_coeffs((d0,) + den.coeffs[1:], den.valuation)
+        parts = {"num": num, "den": den, "left": left}
+        for name in parts:
+            if parts[name] is not None and floats in (name, "all"):
+                parts[name] = SliceSeries(parts[name].valuation, tuple(
+                    _float_with_signed_zeros(c, signs) for c in parts[name].coeffs))
+        num, den, left = parts["num"], parts["den"], parts["left"]
+        window = StarQuotient(num, den, left).to_series(degree)
+        want = reference_to_series(num.to_exact(), den.to_exact(), degree,
+                                   left.to_exact() if left is not None else None)
+        if all(p is None or p.is_exact for p in parts.values()):
+            _same_exact_window(window, want)
+        else:
+            assert _repr_window(window) == _repr_window(want.to_float())
+
     def test_zero_series_operands(self):
         zero, f = SliceSeries.zero(5), rand_series(Random(5), 7, valuation=-2)
         _same_exact_window(star_mul(zero, f), reference_star_mul(zero, f))
@@ -1227,9 +1274,9 @@ def ball_parameters(draw):
 class TestScalarPaths:
     """The float Horner on cached rows agrees with the `Quaternion` code it
     replaces bit for bit, and every exact point form is its exact value
-    rounded once.  The integer power loops agree with the `Quaternion`
-    code on an exact parameter, and give the exact window rounded once on
-    a float one."""
+    rounded once.  The family windows, expanded from their quotients,
+    agree with the `Quaternion` power loops on an exact parameter, and
+    give the exact window rounded once on a float one."""
 
     @given(exact_windows(), st.booleans(), zero_signs, exact_ball_points(zero=False),
            zero_signs)
