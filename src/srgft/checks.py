@@ -774,7 +774,8 @@ def close_to_convex_member(seed: int, degree: int = DEFAULT_DEGREE,
     """f' = q^-1 h star p for a certified starlike h and Caratheodory mixture p.
 
     f' keeps the exact form (h / q) star sum_k w_k (1-qu_k)^(-star) star
-    (1+qu_k), one quotient sum with p's terms and the left factor h / q.
+    (1+qu_k), one quotient sum with p's terms and the left factor h / q,
+    which the sum folds into its num.
     """
     h = close_to_convex_reference(seed, degree)
     p = caratheodory_member(1000003 * seed + 2, degree, k)

@@ -125,10 +125,11 @@ def _gen_member(args, cfg: SuiteConfig) -> tuple[FunctionUnderTest, ClassVerdict
     raise DomainError(f"unknown family {args.family!r}")
 
 
-# A file carries one quotient block.  Caratheodory and class-c files (like
-# sstar ones) carry the window alone until the slice-files oracles in
-# perfbench check each file against the form it carries (ROADMAP item 2):
-# a mixture's form and a class-c f' are quotient sums too.
+# A file carries one quotient block, num over den.  Caratheodory and
+# class-c files (like sstar ones) carry the window alone until the
+# slice-files oracles in perfbench check each file against the form it
+# carries (ROADMAP item 2): a mixture's form is a quotient sum, and a
+# class-c f' is one whose left factor h / q is folded into num.
 _FAMILIES_WITH_QUOTIENT = ("koebe", "rogosinski")
 
 

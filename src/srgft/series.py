@@ -405,13 +405,20 @@ class SliceSeries:
         """Extend the window with zero coefficients.
 
         Only sound when the series is fully known up to ``degree``, i.e.
-        it is a polynomial; callers assert that knowledge.
+        it is a polynomial; callers assert that knowledge.  Zero rows
+        leave a nonzero canonical form canonical, so they are appended
+        as they are; a zero window is brought to shape again.
         """
         if degree <= self.degree:
             return self
         den, rows = self._form
-        return SliceSeries._from_rows(self.valuation, den,
-                                      rows + (_zero_row(self.is_exact),) * (degree - self.degree))
+        rows += (_zero_row(self.is_exact),) * (degree - self.degree)
+        if self.is_zero():
+            return SliceSeries._from_rows(self.valuation, den, rows)
+        out = object.__new__(SliceSeries)
+        out.__dict__.update(valuation=self.valuation, degree=degree, is_exact=self.is_exact,
+                            _form=(den, rows))
+        return out
 
     def trim(self) -> "SliceSeries":
         """Drop trailing zero coefficients (values are unchanged)."""
@@ -860,56 +867,50 @@ def mobius_quotient(a: Quaternion) -> "StarQuotient":
 
 
 class StarQuotient:
-    """Pointwise-exact evaluator for left star den^(-*) star num with
-    polynomial parts (``left`` defaults to 1).
+    """Pointwise-exact evaluator for den^(-*) star num with polynomial parts.
 
     Writing the reciprocal as (den^s)^(-1) den^c, the value at q is
 
-        value(q) = den^s(q)^(-1) (left star den^c star num)(q)
+        value(q) = den^s(q)^(-1) (den^c star num)(q)
 
     because den^s has real coefficients and collapses pointwise.  Both
     den^s and G = den^c star num are polynomials, so there is no
     truncation error; this is how the built-in extremal functions are
     evaluated near the boundary of the ball.  A real den (as in every
     :class:`QuotientSum`) is its own den^c, with den^s = den star den, so
-    the value is den(q)^(-1) (left star num)(q), and the guard reads
+    the value is den(q)^(-1) num(q), and the guard reads
     |den^s(q)| = |den(q)|^2.  The polynomials are formed on first use,
     from den and num with their trailing zeros trimmed, and read through
     their integer forms: integer coefficients over one common denominator
-    each.  A left factor h is never folded into G for evaluation: (h star
-    G)(q) = sum_m q^m h(q) g_m = h(q) G(q), because the Horner's P_m and
-    Q_m are integers, so G's Horner runs once and h(q) multiplies its two
-    results.
+    each.
 
     Evaluation runs on integers only.  The point is scaled by the lcm L
     of its component denominators (a binary float is a dyadic rational)
     to (W + V) / L; the numerator runs through :func:`_horner_xv` and the
     real denominator through the same recurrence on scalars, and each
     component is divided once at the end.  All of it but the last step
-    E + V F (and h(q) = A_h + V B_h) reads only the class (L, W, |V|^2),
-    as the representation formula f(x + yI) = alpha + I beta says.
-    :meth:`values` forms that shared part (:meth:`_shared_part`) once per
-    class of its batch, so the i, j and k points of one (r, theta) run one
-    Horner; nothing outlives the call.  An exact point gives an exact
-    value; at a float point each component is the correctly rounded value
-    of the exact one.  Exactness matters because the symmetrized
-    denominator can be as small as (1-|q|)^8 near the boundary, where
-    float Horner would cancel catastrophically.  The default guard only
-    fences off genuine zeros; pass a stricter :class:`EvalDomain` to
-    refuse a wider neighbourhood of the singular set.
+    E + V F reads only the class (L, W, |V|^2), as the representation
+    formula f(x + yI) = alpha + I beta says.  :meth:`values` forms that
+    shared part (:meth:`_shared_part`) once per class of its batch, so
+    the i, j and k points of one (r, theta) run one Horner; nothing
+    outlives the call.  An exact point gives an exact value; at a float
+    point each component is the correctly rounded value of the exact one.
+    Exactness matters because the symmetrized denominator can be as small
+    as (1-|q|)^8 near the boundary, where float Horner would cancel
+    catastrophically.  The default guard only fences off genuine zeros;
+    pass a stricter :class:`EvalDomain` to refuse a wider neighbourhood
+    of the singular set.
     """
 
     #: anti-zero guard: den^s vanishing only on the boundary sphere can
     #: legitimately reach ~1e-16 at radius 0.99 inside the ball
     ZERO_GUARD = EvalDomain(1e-250)
 
-    def __init__(self, num: SliceSeries, den: SliceSeries,
-                 left: SliceSeries | None = None):
+    def __init__(self, num: SliceSeries, den: SliceSeries):
         if den.is_zero():
             raise DomainError("quotient denominator is identically zero")
         self.num = num
         self.den = den
-        self.left = left
 
     @cached_property
     def _den_sym(self) -> SliceSeries:
@@ -921,50 +922,35 @@ class StarQuotient:
                              self.num.to_exact().trim())
 
     @cached_property
-    def _den_conj_num(self) -> SliceSeries:
-        out = self._conj_num()
-        if self.left is not None:
-            out = full_star_mul(self.left.to_exact().trim(), out)
-        return out
-
-    @cached_property
     def _integer_parts(self):
-        """(v, real, D_s, s, D_g, g, left): den^s = q^v s(q) / D_s with
-        integer coefficients, and the numerator without its left factor,
-        den^c star num = q^(v - v_h) g(q) / D_g with integer 4-tuples; for
-        a real den (``real``) s and g stand for den and num.  ``left`` is
-        None, or (D_h, h) for the left factor q^v_h h(q) / D_h.  All are
-        listed from the highest power down.  v is the lower of the two
-        valuations; the other part takes the difference as zero rows."""
+        """(v, real, D_s, s, D_g, g): den^s = q^v s(q) / D_s with integer
+        coefficients and den^c star num = q^v g(q) / D_g with integer
+        4-tuples; for a real den (``real``) s and g stand for den and num.
+        Both are listed from the highest power down.  v is the lower of
+        the two valuations; the other part takes the difference as zero
+        rows."""
         den = self.den.to_exact().trim()
         real = den.is_real()
         if real:
             sym, num = den, self.num.to_exact().trim()
         else:
             sym, num = self._den_sym, self._conj_num()
-        left, v_left = None, 0
-        if self.left is not None:
-            h = self.left.to_exact().trim()
-            h_den, h_rows = h._form
-            left, v_left = (h_den, h_rows[::-1]), h.valuation
-        low = min(sym.valuation, v_left + num.valuation)
+        low = min(sym.valuation, num.valuation)
         sym_den, sym_rows = sym._form
         num_den, num_rows = num._form
         return (low, real, sym_den,
                 tuple(c[0] for c in sym_rows[::-1]) + (0,) * (sym.valuation - low),
-                num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (v_left + num.valuation - low), left)
+                num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (num.valuation - low))
 
     def _shared_part(self, scale: int, w: int, n2: int, r2: int, domain: EvalDomain):
-        """(E, F, left, factor, divisor): everything of the value at
-        (W + V) / L that reads only L, W and |V|^2 = n2, so the points
-        x + y I of one (r, theta) share it whatever their axis I.
+        """(E, F, factor, divisor): everything of the value at (W + V) / L
+        that reads only L, W and |V|^2 = n2, so the points x + y I of one
+        (r, theta) share it whatever their axis I.
 
-        The value is (E + V F) factor / divisor
-        componentwise with integer 4-tuples E and F; with a left factor h
-        it is (H E + V H F) factor / divisor for H = A_h + V B_h, left
-        being (A_h, B_h).  Raises at 0 for a negative valuation, and where
+        The value is (E + V F) factor / divisor componentwise with integer
+        4-tuples E and F.  Raises at 0 for a negative valuation, and where
         |den^s(q)| falls below ``domain``'s threshold."""
-        low, real, sym_den, sym, num_den, num, left = self._integer_parts
+        low, real, sym_den, sym, num_den, num = self._integer_parts
         if low < 0 and not r2:
             raise SingularityError("negative-valuation series is singular at 0")
         # the real denominator: L^m s(q) = x + V y; the guard reads |den^s(q)|^2
@@ -984,12 +970,6 @@ class StarQuotient:
             raise SingularityError("quotient evaluated too close to a symmetrization zero")
         # numerator: L^k n(q) = A + V B, componentwise
         npower, (a0, a1, a2, a3), (b0, b1, b2, b3) = _horner_xv(num, scale, w, n2)
-        if left is not None:
-            # (h star G)(q) = sum_m q^m h(q) g_m = h(q) G(q): P_m, Q_m are
-            # integers, so sum_m P_m (H g_m) = H A, and H is formed per point
-            left_den, left_rows = left
-            left_power, *left = _horner_xv(left_rows, scale, w, n2)
-            num_den *= left_power * left_den
         # value = L^m D_s / (norm L^k D_n) * comps; both L powers are powers of L
         if power >= npower:
             factor, divisor = power // npower * sym_den, norm * num_den
@@ -999,7 +979,7 @@ class StarQuotient:
         return ((x * a0 + n2 * y * b0, x * a1 + n2 * y * b1,
                  x * a2 + n2 * y * b2, x * a3 + n2 * y * b3),
                 (x * b0 - y * a0, x * b1 - y * a1, x * b2 - y * a2, x * b3 - y * a3),
-                left, factor, divisor)
+                factor, divisor)
 
     def values(self, points: Iterable[Quaternion],
                domain: EvalDomain | None = None) -> list[Quaternion]:
@@ -1016,10 +996,7 @@ class StarQuotient:
             part = shared.get((scale, w, n2))
             if part is None:
                 part = shared[scale, w, n2] = self._shared_part(scale, w, n2, r2, domain)
-            e, f, left, factor, divisor = part
-            if left is not None:
-                h = _plus_v_times(*left, v1, v2, v3)
-                e, f = _product(h, e), _product(h, f)
+            e, f, factor, divisor = part
             comps = _plus_v_times(e, f, v1, v2, v3)
             if q.is_exact:
                 out.append(Quaternion(*(Fraction(c * factor, divisor) for c in comps)))
@@ -1033,15 +1010,10 @@ class StarQuotient:
 
     def to_series(self, degree: int = DEFAULT_DEGREE) -> SliceSeries:
         """The window through ``degree``: den^(-*) star num by the recurrence
-        :func:`_quotient_window`, times a left factor h by `star_mul`.  Float
-        parts are taken exactly; the float window is rounded once."""
-        left = None if self.left is None else self.left.to_exact().trim()
-        out = _quotient_window(self.num.to_exact().trim(), self.den.to_exact().trim(),
-                               degree - (0 if left is None else left.valuation))
-        if left is not None:
-            out = star_mul(left.pad_to(degree - out.valuation), out).truncate(degree)
-        exact = self.num.is_exact and self.den.is_exact and (left is None or self.left.is_exact)
-        return out if exact else out.to_float()
+        :func:`_quotient_window`.  Float parts are taken exactly; the float
+        window is rounded once."""
+        out = _quotient_window(self.num.to_exact().trim(), self.den.to_exact().trim(), degree)
+        return out if self.num.is_exact and self.den.is_exact else out.to_float()
 
     def derivative(self) -> "StarQuotient":
         """Quotient rule, valid when the denominator coefficients commute.
@@ -1052,16 +1024,7 @@ class StarQuotient:
             (den^(-*) star num)' = (den star den)^(-*) star (den star num' - den' star num).
 
         Exact coefficients must commute exactly; float ones up to rounding.
-        A left factor is first moved into the numerator: over den itself
-        when den is real, else over the real denominator den^s, whose
-        coefficients always commute.
         """
-        if self.left is not None:
-            den = self.den.to_exact().trim()
-            if den.is_real():
-                return StarQuotient(full_star_mul(self.left.to_exact().trim(),
-                                                  self.num.to_exact().trim()), den).derivative()
-            return StarQuotient(self._den_conj_num, self._den_sym).derivative()
         cs = [c for c in self.den.coeffs if not c.is_zero()]
         for i in range(len(cs)):
             for j in range(i + 1, len(cs)):
@@ -1080,18 +1043,18 @@ class QuotientSum(StarQuotient):
     """left star sum_k w_k R_k for quotients R_k = den_k^(-*) star num_k,
     as one quotient over the real denominator den = prod_k den_k^s.
 
-    Real series are central, so sum_k w_k R_k = den^(-1) num with
-    num = sum_k w_k (prod_(j != k) den_j^s) star den_k^c star num_k.  Both
-    are built on first use.  A sum needs at least one term, one weight
-    per term and no left factor on a term.
+    Real series are central, so sum_k w_k R_k = den^(-1) num_0 with
+    num_0 = sum_k w_k (prod_(j != k) den_j^s) star den_k^c star num_k, and
+    den^(-1) commutes with the left factor h (by default 1): the sum is
+    den^(-1) num with num = h star num_0, so h folds into num once.  Both
+    are built on first use, every part taken exactly.  A sum needs at
+    least one term and one weight per term.
     """
 
     def __init__(self, terms: Sequence[StarQuotient], weights: Sequence,
                  left: SliceSeries | None = None):
         if not terms or len(weights) != len(terms):
             raise DomainError("a quotient sum needs at least one term and one weight per term")
-        if any(t.left is not None for t in terms):
-            raise DomainError("a term of a quotient sum cannot carry a left factor")
         self.terms, self.weights, self.left = tuple(terms), tuple(weights), left
 
     @cached_property
@@ -1105,4 +1068,5 @@ class QuotientSum(StarQuotient):
                  for k, (w, t) in enumerate(zip(self.weights, self.terms))]
         # __add__ keeps the smaller window; each part is a polynomial
         degree = max(part.degree for part in parts)
-        return reduce(SliceSeries.__add__, (part.pad_to(degree) for part in parts))
+        out = reduce(SliceSeries.__add__, (part.pad_to(degree) for part in parts))
+        return out if self.left is None else full_star_mul(self.left.to_exact().trim(), out)

@@ -60,6 +60,11 @@ def rand_series(rng: Random, degree: int, valuation: int = 0,
     return SliceSeries.from_coeffs(coeffs, valuation)
 
 
+def with_left(quot: StarQuotient, left: SliceSeries) -> QuotientSum:
+    """left star quot as a one-term sum, the one form with a left factor."""
+    return QuotientSum((quot,), (F(1),), left=left)
+
+
 class TestWindow:
     def test_normalized_valuation(self):
         s = series([0, 0, 5], valuation=0)
@@ -491,36 +496,39 @@ class TestStarQuotient:
             assert padded_den.eval(point) == value
 
     def test_left_factor(self):
+        """A one-term sum with a left factor h is h star den^(-*) star num,
+        over a real den and over any den."""
         rng = Random(5)
         left = rand_series(rng, 4, valuation=1)
         num = rand_series(rng, 2)
         u = exact(0, F(3, 10), F(4, 10), 0)
-        quot = StarQuotient(num, series([ONE, -u]), left=left)
+        term = StarQuotient(num, series([ONE, -u]))
+        quot = with_left(term, left)
         # a real denominator commutes with the left factor
         real_den = series([1, F(-1, 2)])
         moved = StarQuotient(full_star_mul(left, num), real_den)
-        with_left = StarQuotient(num, real_den, left=left)
+        over_real = with_left(StarQuotient(num, real_den), left)
         q = exact(F(1, 5), F(-1, 10), F(3, 10), F(1, 10))
-        assert with_left.eval(q) == moved.eval(q)
-        assert with_left.derivative().eval(q) == moved.derivative().eval(q)
-        assert with_left.to_series(12) == moved.to_series(12)
+        assert over_real.eval(q) == moved.eval(q)
+        assert over_real.derivative().eval(q) == moved.derivative().eval(q)
+        assert over_real.to_series(12) == moved.to_series(12)
         # any denominator: the window and the float path agree with eval
         window = quot.to_series(60)
-        assert window == star_mul(left.pad_to(60),
-                                  StarQuotient(num, series([ONE, -u])).to_series(60)).truncate(60)
+        assert window == star_mul(left.pad_to(60), term.to_series(60)).truncate(60)
         derivative_window = slice_derivative(window).to_float()
         for point in (Quaternion(0.2, 0.1, 0.0, -0.1), Quaternion(0.0, 0.0, 0.3, 0.0)):
             assert abs(quot.eval(point) - window.to_float().eval(point)) < 1e-12
-            assert quot.eval(point) == reference_eval(quot, point)
+            assert quot.eval(point) == reference_eval(term, point, left=left)
             assert abs(quot.derivative().eval(point) - derivative_window.eval(point)) < 1e-12
 
     def test_left_factor_over_a_real_den_is_not_symmetrized(self):
-        """A left factor moves into the numerator over a real den itself,
+        """A left factor folds into the numerator over a real den itself,
         not over den^s = den star den: the class-c f' form (den degree 6)
         has a derivative over degree 12, not 24, with the same values."""
         form = close_to_convex_member(2).derivative_form
         derivative = form.derivative()
-        over_sym = StarQuotient(form._den_conj_num, form._den_sym).derivative()
+        over_sym = StarQuotient(full_star_mul(regular_conjugate(form.den), form.num),
+                                form._den_sym).derivative()
         assert (form.den.degree, derivative.den.degree, over_sym.den.degree) == (6, 12, 24)
         for q in (exact(F(1, 5), F(-1, 10), F(3, 10), F(1, 10)),
                   Quaternion(0.3, 0.1, -0.2, 0.4)):
@@ -553,7 +561,8 @@ def _quotient(kind: str, seed: int) -> StarQuotient:
         den = series([1, F(rng.randint(-4, 4), 10), F(rng.randint(-4, 4), 10)],
                      rng.randint(0, 1))
         left = rand_series(rng, 3, valuation=rng.randint(0, 1)) if rng.random() < 0.5 else None
-        return StarQuotient(rand_series(rng, 3, valuation=rng.randint(0, 2)), den, left=left)
+        quot = StarQuotient(rand_series(rng, 3, valuation=rng.randint(0, 2)), den)
+        return quot if left is None else with_left(quot, left)
     if kind == "mixture":
         terms = [caratheodory_extremal_quotient(random_exact_unit(rng)) if rng.random() < 0.5
                  else StarQuotient(rand_series(rng, 2),
@@ -567,11 +576,11 @@ def _quotient(kind: str, seed: int) -> StarQuotient:
                                   rng.randint(0, 2) if kind == "den-valuation" else
                                   rng.randint(1, 2) if kind == "left-den-valuation" else 0)
     if kind.startswith("left"):
-        # left valuations 0, 1 and 2; the evaluation splits q^v_left off
+        # a one-term sum with left valuation 0, 1 or 2, over a non-real den
         left = rand_series(rng, 4, valuation=rng.randint(0, 2))
         if kind == "left-float":
             left = left.to_float()
-        return StarQuotient(rand_series(rng, 2), den, left=left)
+        return with_left(StarQuotient(rand_series(rng, 2), den), left)
     return StarQuotient(rand_series(rng, 3, valuation=rng.randint(0, 2)), den)
 
 
@@ -660,11 +669,12 @@ class TestIntegerEval:
 
 def _reference_sum_value(form: QuotientSum, q: Quaternion) -> Quaternion:
     """The weighted sum, in term order, of each term's exact reference value
-    with the form's left factor, rounded once at a float point."""
+    with the form's left factor applied by the reference product, rounded
+    once at a float point."""
     qe = q.to_exact()
     acc = ZERO
     for w, t in zip(form.weights, form.terms):
-        acc = acc + reference_eval(StarQuotient(t.num, t.den, left=form.left), qe) * w
+        acc = acc + reference_eval(t, qe, left=form.left) * w
     return acc if q.is_exact else acc.to_float()
 
 
@@ -693,8 +703,9 @@ _EXACT_POINTS = (exact(F(1, 3)), exact(F(-1, 5), F(1, 4), F(-1, 6), F(2, 7)),
 
 
 class TestSharedLeftFactor:
-    """A quotient sum is one quotient: its terms share the left factor, and
-    its value is the exact weighted sum of its terms, rounded once."""
+    """A quotient sum is one quotient: its terms share the left factor,
+    folded once into its num, and its value is the exact weighted sum of
+    its terms, rounded once."""
 
     @pytest.mark.parametrize("index", range(3))
     def test_form_matches_the_per_term_references(self, index):
@@ -702,12 +713,13 @@ class TestSharedLeftFactor:
         points = _EXACT_POINTS + _SIGNED_ZERO_POINTS + _AXIS_POINTS
         values = [_outcome(form.eval, q) for q in points]
         # the real denominator is evaluated as it is, never symmetrized
-        assert "_den_sym" not in form.__dict__ and "_den_conj_num" not in form.__dict__
+        assert "_den_sym" not in form.__dict__
         assert values == [_outcome(lambda p: _reference_sum_value(form, p), q) for q in points]
 
     def test_one_left_horner_per_point(self, monkeypatch):
+        """h is folded into num, so a point runs one Horner, on num's rows."""
         form = close_to_convex_member(4, 24).derivative_form
-        h_rows = form.left.trim()._form[1][::-1]
+        num_rows = form._integer_parts[5]
         calls = []
 
         def counting(coeffs, *args):
@@ -718,7 +730,7 @@ class TestSharedLeftFactor:
         for q in (exact(F(1, 3), F(1, 4)), Quaternion(0.2, 0.0, 0.3, 0.0)):
             calls.clear()
             form.eval(q)
-            assert sum(rows == h_rows for rows in calls) == 1
+            assert len(calls) == 1 and calls[0] is num_rows
 
 
 @functools.cache
@@ -845,8 +857,8 @@ class TestSharedParts:
             assert sum(calls) == len(classes)
             if len(grid.units) <= 3:
                 assert len(classes) <= len(grid.radii) * len(grid.angles)
-            # with a left factor, h's Horner runs once per class too
-            assert len(calls) == len(classes) * (2 if form.left is not None else 1)
+            # a left factor is folded into num, so it adds no Horner
+            assert len(calls) == len(classes)
 
 
 class TestQuotientSum:
@@ -855,13 +867,16 @@ class TestQuotientSum:
         # 3/4 + 1/5 at 1/3
         assert QuotientSum((koebe_1, mobius_half), (F(1), F(1))).eval(exact(F(1, 3))) == \
             exact(F(19, 20))
-        with_left = StarQuotient(koebe_1.num, koebe_1.den, left=series([1, 1]))
         for form in (lambda: QuotientSum((koebe_1, mobius_half), (F(1),)),
                      lambda: QuotientSum((koebe_1,), (F(1, 2), F(1, 2))),
-                     lambda: QuotientSum((), ()),
-                     lambda: QuotientSum((mobius_half, with_left), (F(1), F(1)))):
+                     lambda: QuotientSum((), ())):
             with pytest.raises(DomainError):
                 form()
+        # a term may itself be a sum with a left factor, folded into its num
+        inner = with_left(koebe_1, series([1, I]))
+        q = exact(F(1, 5), F(1, 4), F(-1, 6))
+        assert QuotientSum((mobius_half, inner), (F(1), F(1))).eval(q) == \
+            mobius_half.eval(q) + reference_eval(koebe_1, q, left=series([1, I]))
 
     def test_sum_is_one_quotient_over_a_real_denominator(self):
         form = _quotient_sums()[2]
@@ -1193,8 +1208,9 @@ class TestIntegerKernels:
     def test_to_series_matches_the_reference(self, num, den, d0, left, degree, floats, signs):
         """The recurrence against the reciprocal and products of the
         reference: d_0 = 1, real or not, den of valuation 0..3 and a
-        left factor, each part with trailing zeros.  A float part gives
-        the window of the exact values rounded once, bit for bit."""
+        left factor on a one-term sum, each part with trailing zeros.  A
+        float part gives the window of the exact values rounded once, bit
+        for bit, and a sum, which takes every part exactly, an exact one."""
         assume(not den.is_zero())
         den = SliceSeries.from_coeffs((d0,) + den.coeffs[1:], den.valuation)
         parts = {"num": num, "den": den, "left": left}
@@ -1203,10 +1219,12 @@ class TestIntegerKernels:
                 parts[name] = SliceSeries(parts[name].valuation, tuple(
                     _float_with_signed_zeros(c, signs) for c in parts[name].coeffs))
         num, den, left = parts["num"], parts["den"], parts["left"]
-        window = StarQuotient(num, den, left).to_series(degree)
+        quot = StarQuotient(num, den)
+        window = (quot if left is None else with_left(quot, left)).to_series(degree)
         want = reference_to_series(num.to_exact(), den.to_exact(), degree,
                                    left.to_exact() if left is not None else None)
-        if all(p is None or p.is_exact for p in parts.values()):
+        # a sum takes every part exactly, so its window is exact
+        if left is not None or all(p is None or p.is_exact for p in parts.values()):
             _same_exact_window(window, want)
         else:
             assert _repr_window(window) == _repr_window(want.to_float())
