@@ -219,9 +219,10 @@ def is_caratheodory(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRID) -> Class
     name = "caratheodory"
     fut = as_function(p)
     s = fut.series
-    if s.valuation > 0 or not _is_one(s.coeff(0)):
+    # a pole at 0 is refuted at its lowest coefficient
+    if s.valuation or not _is_one(s.coeffs[0]):
         return ClassVerdict(name, False, "refuted", None,
-                            _coeff_witness(0, s.coeff(0) if s.valuation <= 0 else s.coeffs[0]))
+                            _coeff_witness(min(s.valuation, 0), s.coeffs[0]))
     worst = math.inf
     argmin = None
     for q, value in zip(grid.points, fut.values(grid.points)):
@@ -306,25 +307,29 @@ def is_slice_preserving(f: FunctionLike) -> ClassVerdict:
     return ClassVerdict(name, True, "analytic-sufficient")
 
 
+def _cross(a: tuple, b: tuple) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 def is_one_slice(f: FunctionLike) -> ClassVerdict:
     """All coefficients inside one plane R + I R; reports the axis I."""
     name = "one-slice"
     series = as_function(f).series
-    axis = None
+    axis = first = None
     for n, c in series.terms():
         ix, iy, iz = float(c.x), float(c.y), float(c.z)
         norm = math.sqrt(ix * ix + iy * iy + iz * iz)
         if norm == 0.0:
             continue
         if axis is None:
-            axis = (ix / norm, iy / norm, iz / norm)
+            axis, first = (ix / norm, iy / norm, iz / norm), (c.x, c.y, c.z)
             continue
-        cx = axis[1] * iz - axis[2] * iy
-        cy = axis[2] * ix - axis[0] * iz
-        cz = axis[0] * iy - axis[1] * ix
-        cross = math.sqrt(cx * cx + cy * cy + cz * cz)
-        tol = 0.0 if (series.is_exact and c.is_exact) else 1e-9 * norm
-        if cross > tol:
+        if series.is_exact:  # the exact cross product with the first imaginary part
+            off = any(_cross(first, (c.x, c.y, c.z)))
+        else:
+            cx, cy, cz = _cross(axis, (ix, iy, iz))
+            off = math.sqrt(cx * cx + cy * cy + cz * cz) > 1e-9 * norm
+        if off:
             return ClassVerdict(name, False, "refuted", None, _coeff_witness(n, c))
     if axis is None:
         return ClassVerdict(name, True, "analytic-sufficient",

@@ -185,7 +185,7 @@ def cmd_eval(args) -> int:
             value, derivative = series.eval(q), slice_derivative(series).eval(q)
         else:
             value, derivative = form.eval(q), form.derivative().eval(q)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return FAILURE_EXIT
     sys.stdout.write(format_quaternion(value) + "\n")
@@ -214,7 +214,7 @@ def cmd_slice_image(args) -> int:
     try:
         series, form = _load_series_file(args.series_file)
         unit = _parse_unit(args.unit)
-    except (OSError, ValueError, DomainError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return FAILURE_EXIT
     radii = [0.98 * (i + 1) / 24 for i in range(24)]
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, PreconditionError) as exc:
+    except (DomainError, PreconditionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return FAILURE_EXIT
 

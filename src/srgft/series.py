@@ -94,15 +94,6 @@ def _plus_v_times(e: tuple[int, ...], f: tuple[int, ...], v1: int, v2: int, v3: 
             e3 + v3 * f0 + v1 * f2 - v2 * f1)
 
 
-def _integer_value(coeffs: tuple[tuple[int, ...], ...], point):
-    """(X, L^k): sum_n q^n c_n = X / L^k at the point (L, W, V1, V2, V3,
-    |V|^2) of :func:`_integer_point`, for integer 4-tuples c listed from
-    c_k down.  X is an integer 4-tuple."""
-    scale, w, v1, v2, v3, n2 = point
-    power, a, b = _horner_xv(coeffs, scale, w, n2)
-    return _plus_v_times(a, b, v1, v2, v3), power
-
-
 def _product(a: tuple, b: tuple) -> tuple:
     """The quaternion product a b of two 4-tuples, term for term as
     `Quaternion.__mul__` forms it: integers give integers, and floats the
@@ -487,35 +478,26 @@ class SliceSeries:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, q: Quaternion) -> Quaternion:
-        """Value at q inside the unit ball, by left-nested Horner.
+        """Value at q inside the unit ball.
 
-        The nesting q^v (a_v + q (a_{v+1} + ...)) is exact because powers
-        of q commute with q itself.  An exact window at an exact point runs
-        the integer Horner :func:`_horner_xv` on its integer rows and
-        stays exact; a positive v joins that Horner as v zero rows.  Any
-        float operand runs the float Horner :func:`_eval_float` on the
-        cached float rows at the point in float, which is bit for bit what
-        promoting each mixed operation gives.  On the i, j and k axes, and
-        at a real point, that Horner runs as two complex Horners with the
-        same bits (:meth:`_eval_at_float`, which names its fallbacks); at a
-        float point a positive v joins as :func:`_float_power_times`.  A
-        rational coefficient too large for a float raises `DomainError`.
+        An exact window at an exact point is the quotient window / 1, and
+        :meth:`StarQuotient.eval` gives its exact value.  Any float operand
+        runs the float Horner on the cached float rows
+        (:meth:`_eval_at_float`), bit for bit what promoting each mixed
+        operation gives; a valuation v > 0 joins as q^v, by
+        :func:`_float_power_times` at a float point.  A rational
+        coefficient too large for a float raises `DomainError`.
         """
+        if self.is_exact and q.is_exact:
+            return StarQuotient(self, SliceSeries.one()).eval(q)
         if q.norm_sq() >= 1:
             raise DomainError("evaluation point must lie in the open unit ball")
         if self.valuation < 0 and q.is_zero():
             raise SingularityError("negative-valuation series is singular at 0")
-        if self.is_exact and q.is_exact:
-            low = min(self.valuation, 0)
-            den, rows = self._form
-            comps, power = _integer_value(rows[::-1] + ((0, 0, 0, 0),) * (self.valuation - low),
-                                          _integer_point(q))
-            acc = Quaternion(*(Fraction(c, power * den) for c in comps))
-        else:
-            low = self.valuation
-            acc = self._eval_at_float(q.to_float())
-            if low > 0 and not q.is_exact:
-                return _float_power_times(q, low, acc)
+        low = self.valuation
+        acc = self._eval_at_float(q.to_float())
+        if low > 0 and not q.is_exact:
+            return _float_power_times(q, low, acc)
         return _central_power(q, low) * acc if low else acc
 
     # -- serialization -----------------------------------------------------
@@ -774,8 +756,7 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
     min(N_f, N_w).  Exact windows run on integers: with w = W / D_w, the
     powers W^n have integer coefficients (each one a dot product with the
     reversed W), and sum_n a_n w^n is summed over D_f D_w^N with a_n
-    scaled by D_w^(N-n).  A monomial W = c q^m needs no powers: a_n
-    lands at q^(n m) times c^n.  A float operand is taken exactly, and each
+    scaled by D_w^(N-n).  A float operand is taken exactly, and each
     component of the float result is rounded once.
     """
     if not w.is_real():
@@ -794,14 +775,6 @@ def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
         w_ints.pop()
     m = len(w_ints) - 1
     a_rows = (((0, 0, 0, 0),) * f.valuation + f_rows)[:degree + 1]
-    if m and m == w.valuation:
-        # a monomial W = c q^m: W^n = c^n q^(n m), so no power table
-        c, top = w_ints[m], degree // m
-        rows = [(0, 0, 0, 0)] * (degree + 1)
-        for n in range(top + 1):
-            factor = c ** n * w_den ** (top - n)
-            rows[n * m] = tuple(x * factor for x in a_rows[n])
-        return SliceSeries._from_rows(0, f_den * w_den ** top, rows)
     w_rev = w_ints[::-1]
     power = [1] + [0] * degree
     powers = [power]
@@ -897,9 +870,12 @@ class StarQuotient:
     point each component is the correctly rounded value of the exact one.
     Exactness matters because the symmetrized denominator can be as small
     as (1-|q|)^8 near the boundary, where float Horner would cancel
-    catastrophically.  The default guard only fences off genuine zeros;
-    pass a stricter :class:`EvalDomain` to refuse a wider neighbourhood
-    of the singular set.
+    catastrophically.  The guard compares |den^s(q)| with its threshold
+    on integers.  The default guard only fences off genuine zeros; pass a
+    stricter :class:`EvalDomain` to refuse a wider neighbourhood of the
+    singular set.  :meth:`SliceSeries.eval` takes an exact window at an
+    exact point as the quotient window / 1, so this is the one exact
+    point evaluator.
     """
 
     #: anti-zero guard: den^s vanishing only on the boundary sphere can
@@ -926,16 +902,16 @@ class StarQuotient:
         """(v, real, D_s, s, D_g, g): den^s = q^v s(q) / D_s with integer
         coefficients and den^c star num = q^v g(q) / D_g with integer
         4-tuples; for a real den (``real``) s and g stand for den and num.
-        Both are listed from the highest power down.  v is the lower of
-        the two valuations; the other part takes the difference as zero
-        rows."""
+        Both are listed from the highest power down.  v is the lowest of
+        the two valuations and 0, and each part takes the rest of its
+        valuation as zero rows."""
         den = self.den.to_exact().trim()
         real = den.is_real()
         if real:
             sym, num = den, self.num.to_exact().trim()
         else:
             sym, num = self._den_sym, self._conj_num()
-        low = min(sym.valuation, num.valuation)
+        low = min(sym.valuation, num.valuation, 0)
         sym_den, sym_rows = sym._form
         num_den, num_rows = num._form
         return (low, real, sym_den,
@@ -943,30 +919,33 @@ class StarQuotient:
                 num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (num.valuation - low))
 
     def _shared_part(self, scale: int, w: int, n2: int, r2: int, domain: EvalDomain):
-        """(E, F, factor, divisor): everything of the value at (W + V) / L
-        that reads only L, W and |V|^2 = n2, so the points x + y I of one
+        """(E, F, divisor): everything of the value at (W + V) / L that
+        reads only L, W and |V|^2 = n2, so the points x + y I of one
         (r, theta) share it whatever their axis I.
 
-        The value is (E + V F) factor / divisor componentwise with integer
+        The value is (E + V F) / divisor componentwise with integer
         4-tuples E and F.  Raises at 0 for a negative valuation, and where
         |den^s(q)| falls below ``domain``'s threshold."""
         low, real, sym_den, sym, num_den, num = self._integer_parts
         if low < 0 and not r2:
             raise SingularityError("negative-valuation series is singular at 0")
-        # the real denominator: L^m s(q) = x + V y; the guard reads |den^s(q)|^2
+        # the real denominator: L^m s(q) = x + V y
         x, y, power = sym[0], 0, 1
         for c in sym[1:]:
             power *= scale
             x, y = w * x - n2 * y + power * c, x + w * y
         norm = x * x + n2 * y * y
+        # top / bottom is |den^s(q)|^2, or |den^s(q)| = |den(q)|^2 for a
+        # real den, and is refused below t^2, or t: the float threshold is
+        # t = n / 2^shift, so the comparison scales top by a shift
         top, bottom = norm, (power * sym_den) ** 2
-        if low > 0:
-            top, bottom = top * r2 ** low, bottom * scale ** (2 * low)
-        elif low < 0:
+        if low < 0:
             top, bottom = top * scale ** (-2 * low), bottom * r2 ** -low
-        if real:  # |den^s(q)| = |den(q)|^2
-            top, bottom = top * top, bottom * bottom
-        if math.sqrt(top / bottom) < domain.singular_threshold:
+        n, d = float(domain.singular_threshold).as_integer_ratio()
+        shift = d.bit_length() - 1
+        if not real:
+            n, shift = n * n, 2 * shift
+        if (top << shift) < n * bottom:
             raise SingularityError("quotient evaluated too close to a symmetrization zero")
         # numerator: L^k n(q) = A + V B, componentwise
         npower, (a0, a1, a2, a3), (b0, b1, b2, b3) = _horner_xv(num, scale, w, n2)
@@ -975,11 +954,13 @@ class StarQuotient:
             factor, divisor = power // npower * sym_den, norm * num_den
         else:
             factor, divisor = sym_den, norm * (npower // power) * num_den
-        # (x - V y)(A + V B) = E + V F with E = x A + |V|^2 y B, F = x B - y A
+        # (x - V y)(A + V B) factor = E + V F with E = x' A + |V|^2 y' B and
+        # F = x' B - y' A for x' = x factor, y' = y factor
+        x, y = x * factor, y * factor
         return ((x * a0 + n2 * y * b0, x * a1 + n2 * y * b1,
                  x * a2 + n2 * y * b2, x * a3 + n2 * y * b3),
                 (x * b0 - y * a0, x * b1 - y * a1, x * b2 - y * a2, x * b3 - y * a3),
-                factor, divisor)
+                divisor)
 
     def values(self, points: Iterable[Quaternion],
                domain: EvalDomain | None = None) -> list[Quaternion]:
@@ -996,12 +977,10 @@ class StarQuotient:
             part = shared.get((scale, w, n2))
             if part is None:
                 part = shared[scale, w, n2] = self._shared_part(scale, w, n2, r2, domain)
-            e, f, factor, divisor = part
+            e, f, divisor = part
             comps = _plus_v_times(e, f, v1, v2, v3)
-            if q.is_exact:
-                out.append(Quaternion(*(Fraction(c * factor, divisor) for c in comps)))
-            else:
-                out.append(Quaternion(*(c * factor / divisor for c in comps)))
+            out.append(rational_quaternion(comps, divisor) if q.is_exact
+                       else Quaternion(*_float_row(comps, divisor)))
         return out
 
     def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:

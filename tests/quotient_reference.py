@@ -4,7 +4,8 @@ These are the formulas the package evaluated before its integer Horner.
 `reference_series_eval` is the quaternion Horner of a series window in
 the operands' own modes: exact at an exact point, each mixed operation
 promoted to float otherwise.  `reference_eval` evaluates a StarQuotient
-with it: den^s(q) by exact Horner, the singular guard on |den^s(q)|, then
+with it: den^s(q) by exact Horner, the singular guard on |den^s(q)|
+(decided exactly, as |den^s(q)|^2 against the squared threshold), then
 den^s(q)^(-1) (left star den^c star num)(q), rounded once at a float
 point.  It reads only the quotient's ``num`` and ``den`` and forms den^c,
 den^s and the products with the `Quaternion` loops of `series_reference`,
@@ -14,6 +15,7 @@ so it shares no polynomial with the code it checks.  An optional
 """
 
 import functools
+from fractions import Fraction
 
 from series_reference import (reference_conjugate, reference_pad_to, reference_star_mul,
                               reference_trim)
@@ -63,7 +65,7 @@ def reference_eval(quot, q, domain=None, left=None):
     sym, top = _reference_parts(_polynomial(quot.num), _polynomial(quot.den),
                                 None if left is None else _polynomial(left))
     s = reference_series_eval(sym, qe)
-    if abs(s) < domain.singular_threshold:
+    if s.norm_sq() < Fraction(domain.singular_threshold) ** 2:
         raise SingularityError("quotient evaluated too close to a symmetrization zero")
     value = s.inverse() * reference_series_eval(top, qe)
     return value if q.is_exact else value.to_float()

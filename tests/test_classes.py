@@ -29,7 +29,7 @@ from srgft.classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
                            rogosinski_extremal, rogosinski_extremal_form,
                            small_coeff_margin, _rogosinski_parts)
 from srgft.errors import DomainError, PreconditionError
-from srgft.quat import I, J, K, ONE, Quaternion
+from srgft.quat import I, J, K, ONE, Quaternion, quaternion_to_json
 from srgft.series import (SliceSeries, StarQuotient, integrate_radial, odd_part,
                           slice_derivative)
 
@@ -151,6 +151,13 @@ class TestCaratheodoryPredicate:
         v = is_caratheodory(series([2, 1]))
         assert not v.member and v.witness["n"] == 0
 
+    def test_pole_at_zero_refuted_at_its_lowest_coefficient(self):
+        # q^-1 / 1000 + 1 has p's constant term 1 but no value at 0
+        v = is_caratheodory(series([F(1, 1000), 1], valuation=-1))
+        assert not v.member and v.certificate == "refuted"
+        assert v.witness["n"] == -1 and v.witness["coeff"] == \
+            quaternion_to_json(exact(F(1, 1000)))
+
 
 class TestStarlikePredicate:
     def test_identity_member(self):
@@ -204,6 +211,24 @@ class TestSlicePredicates:
         assert not is_one_slice(series([I, J])).member
         v_real = is_one_slice(series([1, 2, 3]))
         assert v_real.member and v_real.witness["axis"] == [1.0, 0.0, 0.0]
+
+    def test_exact_coefficients_on_one_axis_are_members(self):
+        u = exact(0, F(2, 29), F(3, 29), F(7, 29))
+        v = is_one_slice(series([u, ONE + u]))
+        # the axis is still reported from the float components of u
+        comps = (2 / 29, 3 / 29, 7 / 29)
+        norm = math.sqrt(sum(c * c for c in comps))
+        assert v.member and v.witness["axis"] == [c / norm for c in comps]
+        # one part in 29^3 off the axis is refuted
+        assert not is_one_slice(series([u, ONE + u + exact(0, 0, 0, F(1, 29 ** 3))])).member
+
+    @given(st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
+           st.lists(st.tuples(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=40)),
+                    min_size=2, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_rational_multiples_of_one_direction_are_members(self, d, parts):
+        coeffs = [exact(w, *(t * c for c in d)) for w, t in parts]
+        assert is_one_slice(series(coeffs)).member
 
     def test_koebe_directions(self):
         assert is_one_slice(koebe(I, 16)).member

@@ -237,6 +237,8 @@ class TestEvalCommand:
 
     def test_missing_file_exit_one(self, capsys):
         assert run(["eval", "/nonexistent.json", "--at", "0"]) == 1
+        assert capsys.readouterr().err == \
+            "error: [Errno 2] No such file or directory: '/nonexistent.json'\n"
 
     def test_form_file_outside_ball_exit_one(self, tmp_path, capsys):
         path = tmp_path / "koebe.json"
@@ -310,6 +312,27 @@ def test_coefficient_too_large_for_a_float_is_an_error(command, tmp_path, capsys
     assert captured.out == ""
     assert captured.err == "error: rational component too large for a float\n"
     assert not cloud.exists()
+
+
+UNWRITABLE_OUT_COMMANDS = {
+    "check": ["check", "--suite", "schwarz-pick-counterexample", *FAST],
+    "gen": ["gen", "koebe", *FAST],
+    "slice-image": ["slice-image"],
+}
+
+
+@pytest.mark.parametrize("command", UNWRITABLE_OUT_COMMANDS)
+def test_unwritable_out_is_an_error_not_a_traceback(command, tmp_path, capsys):
+    argv = UNWRITABLE_OUT_COMMANDS[command]
+    if command == "slice-image":
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps(SliceSeries.identity(4).to_json_dict()))
+        argv = argv + [str(path)]
+    out = tmp_path / "missing" / "out"
+    assert run([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
 class TestSliceImageCommand:

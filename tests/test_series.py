@@ -150,6 +150,21 @@ class TestEval:
         laurent = series([1], valuation=-1)  # q^-1
         assert laurent.eval(exact(0, F(1, 2))) == exact(0, -2)
 
+    def test_laurent_window_at_a_tiny_exact_point_is_exact(self):
+        # q^-2 (1 + q) at 10^-200 is 10^400 + 10^200, far beyond a float
+        window = series([1, 1], valuation=-2)
+        q, value = exact(F(1, 10 ** 200)), exact(10 ** 400 + 10 ** 200)
+        assert window.eval(q) == value
+        assert StarQuotient(window, SliceSeries.one()).eval(q) == value
+        # |den^s(q)| = 10^400 for den q^-1: the guard decides it on integers
+        assert StarQuotient(window, series([1], valuation=-1)).eval(q) == \
+            exact(10 ** 200 + 1)
+
+    def test_float_value_too_large_for_a_float_is_a_domain_error(self):
+        quot = StarQuotient(series([1, 1], valuation=-2), SliceSeries.one())
+        with pytest.raises(DomainError, match="too large for a float"):
+            quot.eval(Quaternion(1e-160, 0.0, 0.0, 0.0))
+
 
 class TestDerivative:
     def test_term_rule(self):
@@ -665,6 +680,29 @@ class TestIntegerEval:
         for q in (exact(1), exact(F(3, 5), F(4, 5)), Quaternion(0.6, 0.8, 0.0, 0.0)):
             with pytest.raises(DomainError):
                 quot.eval(q)
+
+
+class TestIntegerGuard:
+    def test_threshold_is_met_exactly_for_real_and_non_real_dens(self):
+        """At x = 3/4, |den^s| is exactly the threshold: (1 - x)^4 = 2^-8
+        for Koebe u = 1 at x (a real den), and (1 - x^2)^2 = 49/256 for
+        u = j at x j.  The threshold itself is accepted, and a point just
+        beyond it refused."""
+        tiny = F(1, 10 ** 30)
+        for u, at, t in ((ONE, lambda x: exact(x), 2.0 ** -8),
+                         (J, lambda x: exact(0, 0, x), 49 / 256)):
+            quot, domain = koebe_quotient(u), EvalDomain(t)
+            assert quot.eval(at(F(3, 4)), domain) == reference_eval(quot, at(F(3, 4)), domain)
+            with pytest.raises(SingularityError):
+                quot.eval(at(F(3, 4) + tiny), domain)
+
+    def test_tiny_den_above_the_threshold_is_accepted(self):
+        """|den^s| is about 10^-200 at 10^-50 k, above the default 1e-250,
+        though its square underflows a float."""
+        q = exact(0, 0, 0, F(1, 10 ** 50))
+        for den in (series([1], valuation=2), series([1, exact(0, 0, F(1, 2))], valuation=2)):
+            quot = StarQuotient(series([1, 1]), den)
+            assert quot.eval(q) == reference_eval(quot, q)
 
 
 def _reference_sum_value(form: QuotientSum, q: Quaternion) -> Quaternion:
