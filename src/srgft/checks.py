@@ -14,6 +14,7 @@ equality) is asserted, never the uniqueness converse.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -228,7 +229,7 @@ def check_caratheodory_bounds(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRID
     _require_class(fut, "caratheodory", grid, is_caratheodory)
     col = _Collector(tol)
     max_by_radius: list[list[float]] = []
-    for r, points, values in _by_radius(grid, fut.values(grid.points)):
+    for r, points, values in _by_radius(grid, fut.sweep(grid)):
         lower = (1.0 - r) / (1.0 + r)
         upper = (1.0 + r) / (1.0 - r)
         max_abs = 0.0
@@ -253,7 +254,7 @@ def check_growth_distortion(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     fut = as_function(f)
     _require_class(fut, "starlike", grid, is_starlike)
     col = _Collector(tol)
-    pairs = list(zip(fut.values(grid.points), fut.derivative_values(grid.points)))
+    pairs = list(zip(fut.sweep(grid), fut.derivative_sweep(grid)))
     for r, points, values in _by_radius(grid, pairs):
         f_lo, f_hi = r / (1 + r) ** 2, r / (1 - r) ** 2
         d_lo, d_hi = (1 - r) / (1 + r) ** 3, (1 + r) / (1 - r) ** 3
@@ -291,8 +292,8 @@ def check_growth_order_m(f: FunctionLike, m: int,
     else:
         raise DomainError(f"unknown variant {variant!r}")
     col = _Collector(tol)
-    sweep = fut.values if variant == "growth" else fut.derivative_values
-    for r, points, values in _by_radius(grid, sweep(grid.points)):
+    sweep = fut.sweep if variant == "growth" else fut.derivative_sweep
+    for r, points, values in _by_radius(grid, sweep(grid)):
         denom_lo = (1 + r ** m) ** (2.0 / m)
         denom_hi = (1 - r ** m) ** (2.0 / m)
         if variant == "growth":
@@ -312,7 +313,7 @@ def check_growth_order_m(f: FunctionLike, m: int,
 
 def _screen_self_map(fut: FunctionUnderTest, grid: SamplingGrid,
                      slack: float = 0.0) -> None:
-    worst = max(map(abs, fut.values(grid.points)))
+    worst = max(map(abs, fut.sweep(grid)))
     if worst >= 1.0 + slack:
         raise PreconditionError(f"{fut.fid} is not a self-map on the grid: max |f| = {worst}")
 
@@ -326,7 +327,7 @@ def check_schwarz(f: FunctionLike, m: int, grid: SamplingGrid = DEFAULT_GRID,
             raise PreconditionError(f"coefficient a_{n} must vanish")
     _screen_self_map(fut, grid)
     col = _Collector(tol)
-    for r, points, values in _by_radius(grid, fut.values(grid.points)):
+    for r, points, values in _by_radius(grid, fut.sweep(grid)):
         bound = r ** m
         for q, mod in zip(points, map(abs, values)):
             col.check(bound - mod, _point_entry(q, mod, bound), equality_scale=1.0)
@@ -432,7 +433,7 @@ def check_bohr(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     """Sigma |a_n| / 3^n <= 1 for self-maps (or Re f <= 1 screens)."""
     fut = as_function(f)
     max_mod, max_re = 0.0, -math.inf
-    for value in fut.values(grid.points):
+    for value in fut.sweep(grid):
         max_mod = max(max_mod, abs(value))
         max_re = max(max_re, float(value.w))
     if max_mod >= 1.0 + tol and max_re > 1.0 + tol:
@@ -461,7 +462,7 @@ def check_monotone_modulus(f: FunctionLike, alpha: float = 0.0,
     _require_class(fut, "starlike", grid,
                    lambda g, gr: is_starlike(g, gr, alpha))
     col = _Collector(tol)
-    values, n = fut.values(grid.points), len(grid.directions)
+    values, n = fut.sweep(grid), len(grid.directions)
     for k in range(n):
         previous = None
         for r, q, value in zip(grid.radii, grid.points[k::n], values[k::n]):
@@ -485,7 +486,7 @@ def check_hayman(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     _require_class(fut, "starlike", grid, is_starlike)
     col = _Collector(tol)
     phis = []
-    for r, _, values in _by_radius(grid, fut.values(grid.points)):
+    for r, _, values in _by_radius(grid, fut.sweep(grid)):
         m_inf = max(map(abs, values))
         phis.append((1.0 - r) ** 2 * m_inf / r)
     for i in range(1, len(phis)):
@@ -517,12 +518,12 @@ def check_koebe_quarter(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     fut = as_function(f)
     _require_class(fut, "starlike", grid, is_starlike)
     col = _Collector(tol)
-    r_max = grid.radii[-1]
+    values, n = fut.sweep(grid), len(grid.directions)
+    r_max, points, at_max = grid.radii[-1], grid.points[-n:], values[-n:]
     bound = r_max / (1.0 + r_max) ** 2
     min_mod = math.inf
     argmin = None
-    points = grid.points_at(r_max)
-    for q, mod in zip(points, map(abs, fut.values(points))):
+    for q, mod in zip(points, map(abs, at_max)):
         if mod < min_mod:
             min_mod, argmin = mod, q
     col.check(min_mod - bound, _point_entry(argmin, bound, min_mod), equality_scale=1.0)
@@ -532,7 +533,6 @@ def check_koebe_quarter(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
         delta = 1e-3
         target = Quaternion(-0.25 - delta, 0.0, 0.0, 0.0)
         floors = []
-        values = fut.values(grid.points)
         for r, _, at_r in _by_radius(grid, values):
             floor = 0.25 - r / (1.0 + r) ** 2
             closest = math.inf
@@ -786,9 +786,12 @@ def close_to_convex_member(seed: int, degree: int = DEFAULT_DEGREE,
 
 
 def convex_member(seed: int, degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
-    """f with q f' equal to a certified starlike member."""
-    h = generate_starlike_small_coeff(seed, degree)
-    series = integrate_radial(h.shift(-1))
+    """f with q f' equal to the certified ``starlike_member(seed, degree)``."""
+    return _convex_primitive(seed, starlike_member(seed, degree))
+
+
+def _convex_primitive(seed: int, h: FunctionUnderTest) -> FunctionUnderTest:
+    series = integrate_radial(h.series.shift(-1))
     return FunctionUnderTest(f"convex-member(seed={seed})", series,
                              certificates=("derivative-starlike",))
 
@@ -830,7 +833,12 @@ def quotient_pair(seed: int, degree: int = 4) -> tuple[SliceSeries, SliceSeries]
 
 @dataclass
 class SuiteConfig:
-    """Shared knobs for a suite run; all randomness flows from the seed."""
+    """Shared knobs for a suite run; all randomness flows from the seed.
+
+    ``build`` keeps every function it makes, so the suites built from one
+    config share their members; ``run_suites`` drops them once every
+    suite is built.
+    """
 
     degree: int = DEFAULT_DEGREE
     tol: float = POINT_TOL
@@ -845,9 +853,18 @@ class SuiteConfig:
             raise DomainError("tolerance must be positive")
         if self.random_count < 0:
             raise DomainError("random count must not be negative")
+        self._built: dict = {}
 
     def member_seed(self, i: int) -> int:
         return self.seed * 1000 + i
+
+    def build(self, make: Callable[..., FunctionUnderTest], *args) -> FunctionUnderTest:
+        """make(*args, self.degree), made once per config and shared."""
+        key = (make, args)
+        fut = self._built.get(key)
+        if fut is None:
+            fut = self._built[key] = make(*args, self.degree)
+        return fut
 
 
 def _diagonal_float_unit() -> Quaternion:
@@ -860,21 +877,21 @@ Task = Callable[[], CheckReport]
 
 def _members(cfg: SuiteConfig, make: Callable[[int, int], FunctionUnderTest],
              count: Optional[int] = None) -> list[FunctionUnderTest]:
-    """make(seed, cfg.degree) for the first ``count`` member seeds
-    (default ``cfg.random_count``)."""
+    """The shared make(seed, cfg.degree) for the first ``count`` member
+    seeds (default ``cfg.random_count``)."""
     count = cfg.random_count if count is None else count
-    return [make(cfg.member_seed(i), cfg.degree) for i in range(count)]
+    return [cfg.build(make, cfg.member_seed(i)) for i in range(count)]
 
 
 def _suite_bieberbach(cfg: SuiteConfig) -> list[Task]:
-    futs = [koebe_function(u, cfg.degree) for u in (ONE, I, _diagonal_float_unit())]
+    futs = [cfg.build(koebe_function, u) for u in (ONE, I, _diagonal_float_unit())]
     futs += _members(cfg, close_to_convex_member)
     return [partial(check_bieberbach, fut, cfg.grid) for fut in futs]
 
 
 def _suite_fekete_szego(cfg: SuiteConfig) -> list[Task]:
     lambdas = sample_lambdas(cfg.seed, max(25, cfg.random_count * 5))
-    return [partial(check_fekete_szego, koebe_function(u, cfg.degree), lambdas, cfg.grid)
+    return [partial(check_fekete_szego, cfg.build(koebe_function, u), lambdas, cfg.grid)
             for u in (ONE, I)]
 
 
@@ -887,12 +904,12 @@ def _suite_caratheodory(cfg: SuiteConfig) -> list[Task]:
 
 
 def _suite_growth(cfg: SuiteConfig) -> list[Task]:
-    kb = koebe_function(ONE, cfg.degree)
+    kb = cfg.build(koebe_function, ONE)
     tasks: list[Task] = [
         partial(check_growth_distortion, kb, cfg.grid, cfg.tol),
         partial(check_monotone_modulus, kb, 0.0, cfg.grid),
-        partial(check_growth_distortion, identity_function(cfg.degree), cfg.grid, cfg.tol),
-        partial(check_growth_order_m, convex_function(cfg.degree), 1, cfg.grid,
+        partial(check_growth_distortion, cfg.build(identity_function), cfg.grid, cfg.tol),
+        partial(check_growth_order_m, cfg.build(convex_function), 1, cfg.grid,
                 "distortion", cfg.tol),
         partial(check_growth_order_m, odd_reference_function(cfg.degree), 2, cfg.grid,
                 "growth", cfg.tol),
@@ -908,7 +925,7 @@ def _suite_schwarz(cfg: SuiteConfig) -> list[Task]:
     half_i = Quaternion(0, Fraction(1, 2), 0, 0)
     vanishing = [(monomial_function(K, 2, cfg.degree), 2),
                  (monomial_function(half, 2, cfg.degree), 2),
-                 (rogosinski_function(half_i, ONE, cfg.degree), 1)]
+                 (cfg.build(rogosinski_function, half_i, ONE), 1)]
     self_maps = [mobius_function(half_i, cfg.degree, J), constant_function(half),
                  monomial_function(half, 1, cfg.degree)]
     return ([partial(check_schwarz, fut, m, cfg.grid, cfg.tol) for fut, m in vanishing]
@@ -923,7 +940,7 @@ def _suite_counterexample(cfg: SuiteConfig) -> list[Task]:
 def _suite_rogosinski(cfg: SuiteConfig) -> list[Task]:
     b = Quaternion(0, Fraction(1, 2), 0, 0)
     q0s = [Quaternion.from_real(Fraction(1, 2)), Quaternion(0, 0, Fraction(1, 2), 0)]
-    futs = [rogosinski_function(b, p, cfg.degree) for p in (ONE, -ONE, I)]
+    futs = [cfg.build(rogosinski_function, b, p) for p in (ONE, -ONE, I)]
     cases = [(fut, q0) for fut in futs for q0 in q0s]
     rng = Random(cfg.seed)
     for _ in range(cfg.random_count):
@@ -936,27 +953,28 @@ def _suite_rogosinski(cfg: SuiteConfig) -> list[Task]:
 def _suite_bohr(cfg: SuiteConfig) -> list[Task]:
     half = Quaternion.from_real(Fraction(1, 2))
     a = Quaternion(0, Fraction(1, 2), 0, 0)
-    futs = [identity_function(cfg.degree), constant_function(half),
+    futs = [cfg.build(identity_function), constant_function(half),
             mobius_function(a, cfg.degree)]
     return [partial(check_bohr, fut, cfg.grid, cfg.tol) for fut in futs]
 
 
 def _suite_hayman(cfg: SuiteConfig) -> list[Task]:
-    futs = [koebe_function(ONE, cfg.degree), identity_function(cfg.degree)]
+    futs = [cfg.build(koebe_function, ONE), cfg.build(identity_function)]
     futs += _members(cfg, starlike_member)
     return [partial(check_hayman, fut, cfg.grid) for fut in futs]
 
 
 def _suite_koebe(cfg: SuiteConfig) -> list[Task]:
-    kb = koebe_function(ONE, cfg.degree)
-    futs = [identity_function(cfg.degree)] + _members(cfg, starlike_member)
+    kb = cfg.build(koebe_function, ONE)
+    futs = [cfg.build(identity_function)] + _members(cfg, starlike_member)
     return ([partial(check_koebe_quarter, kb, cfg.grid, check_omitted_slit=True)]
             + [partial(check_koebe_quarter, fut, cfg.grid) for fut in futs])
 
 
 def _suite_convex(cfg: SuiteConfig) -> list[Task]:
-    futs = [convex_function(cfg.degree), identity_function(cfg.degree)]
-    members = _members(cfg, convex_member)
+    futs = [cfg.build(convex_function), cfg.build(identity_function)]
+    members = [_convex_primitive(cfg.member_seed(i), h)
+               for i, h in enumerate(_members(cfg, starlike_member))]
     return ([partial(check_convex_coefficients, fut, cfg.grid) for fut in futs]
             + [partial(check_convex_covering_examples, cfg.grid, cfg.tol, cfg.degree)]
             + [partial(check_convex_coefficients, fut, cfg.grid) for fut in members])
@@ -967,7 +985,7 @@ def _suite_subordination(cfg: SuiteConfig) -> list[Task]:
     w_half = SliceSeries.from_coeffs([Quaternion.from_real(Fraction(1, 2))],
                                      valuation=1).pad_to(cfg.degree)
     w_id = SliceSeries.identity(cfg.degree)
-    kb = koebe_function(ONE, cfg.degree)
+    kb = cfg.build(koebe_function, ONE)
     cases = [(kb, w_square), (kb, w_half)]
     cases += [(fut, w_id) for fut in
               _members(cfg, close_to_convex_member, min(cfg.random_count, 3))]
@@ -1001,10 +1019,21 @@ SUITES: dict[str, Callable[[SuiteConfig], list[Task]]] = {
 
 
 def run_suites(names: list[str], cfg: SuiteConfig) -> list[CheckReport]:
-    """Build every named suite's tasks, then run them in declaration order."""
-    tasks: list[Task] = []
+    """Build every named suite's tasks, then run them in declaration order.
+
+    The suites share each member through ``cfg.build``, and a member's
+    grid sweeps are kept on it, so one run builds each member once and
+    sweeps each function's grid once.  The config forgets its members once
+    every suite is built, and each task is dropped once it has run, so a
+    member and its sweeps are freed after its last task.
+    """
+    tasks: deque[Task] = deque()
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
         tasks.extend(SUITES[name](cfg))
-    return [task() for task in tasks]
+    cfg._built.clear()
+    reports = []
+    while tasks:
+        reports.append(tasks.popleft()())
+    return reports

@@ -153,8 +153,11 @@ class FunctionUnderTest:
     ``form`` is its derivative quotient, built on first use.  Without a
     form, points are evaluated on a float copy of the window.  ``values``
     and ``derivative_values`` evaluate a sweep, picking the path once.
-    ``certificates`` lists class names established by construction, so
-    checks need not re-screen them.
+    ``sweep`` and ``derivative_sweep`` are those sweeps over a whole grid,
+    evaluated on first use and kept per grid, so every check and screen
+    that reads the same grid shares one sweep.  ``certificates`` lists
+    class names established by construction, so checks need not
+    re-screen them.
     """
 
     fid: str
@@ -186,6 +189,25 @@ class FunctionUnderTest:
         if self.form is not None:
             return self._form_derivative.values(points)
         return [self._float_derivative.eval(q) for q in points]
+
+    @cached_property
+    def _sweeps(self) -> dict:
+        return {}
+
+    def _grid_sweep(self, kind: str, evaluate, grid: SamplingGrid) -> tuple[Quaternion, ...]:
+        key = (kind, grid)
+        out = self._sweeps.get(key)
+        if out is None:
+            out = self._sweeps[key] = tuple(evaluate(grid.points))
+        return out
+
+    def sweep(self, grid: SamplingGrid) -> tuple[Quaternion, ...]:
+        """f at every point of ``grid.points``, evaluated once per grid."""
+        return self._grid_sweep("f", self.values, grid)
+
+    def derivative_sweep(self, grid: SamplingGrid) -> tuple[Quaternion, ...]:
+        """f' at every point of ``grid.points``, evaluated once per grid."""
+        return self._grid_sweep("f'", self.derivative_values, grid)
 
     def value(self, q: Quaternion) -> Quaternion:
         return self.values((q,))[0]
@@ -219,13 +241,13 @@ def is_caratheodory(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRID) -> Class
     name = "caratheodory"
     fut = as_function(p)
     s = fut.series
-    # a pole at 0 is refuted at its lowest coefficient
-    if s.valuation or not _is_one(s.coeffs[0]):
-        return ClassVerdict(name, False, "refuted", None,
-                            _coeff_witness(min(s.valuation, 0), s.coeffs[0]))
+    # a pole at 0 is refuted at its lowest coefficient, a zero at 0 at p(0) = 0
+    n0 = min(s.valuation, 0)
+    if s.valuation or not _is_one(s.coeff(n0)):
+        return ClassVerdict(name, False, "refuted", None, _coeff_witness(n0, s.coeff(n0)))
     worst = math.inf
     argmin = None
-    for q, value in zip(grid.points, fut.values(grid.points)):
+    for q, value in zip(grid.points, fut.sweep(grid)):
         re = float(value.w)
         if re < worst:
             worst, argmin = re, q
@@ -258,12 +280,14 @@ def is_starlike(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
         return ClassVerdict(name, False, "refuted", None, witness)
     worst = math.inf
     argmin = None
-    values = fut.values(grid.points)
+    values = fut.sweep(grid)
     # the derivatives are read only up to the first zero on the grid
     zero = next((n for n, value in enumerate(values)
                  if abs(value) < domain.singular_threshold), None)
     points = grid.points[:zero]
-    for q, value, derivative in zip(points, values, fut.derivative_values(points)):
+    derivatives = (fut.derivative_sweep(grid) if zero is None
+                   else fut.derivative_values(points))
+    for q, value, derivative in zip(points, values, derivatives):
         margin = float((value.inverse() * (q * derivative)).w) - float(alpha)
         if margin < worst:
             worst, argmin = margin, q
@@ -288,8 +312,7 @@ def is_close_to_convex(f: FunctionLike, h: FunctionLike,
     fut = as_function(f)
     worst = math.inf
     argmin = None
-    for q, hv, derivative in zip(grid.points, hf.values(grid.points),
-                                 fut.derivative_values(grid.points)):
+    for q, hv, derivative in zip(grid.points, hf.sweep(grid), fut.derivative_sweep(grid)):
         quotient = hv.inverse() * (q * derivative)
         if float(quotient.w) < worst:
             worst, argmin = float(quotient.w), q

@@ -116,7 +116,7 @@ def _gen_member(args, cfg: SuiteConfig) -> tuple[FunctionUnderTest, ClassVerdict
         if args.mode == "float":
             b, p = b.to_float(), p.to_float()
         fut = rogosinski_function(b, p, cfg.degree)
-        worst = max(map(abs, fut.values(cfg.grid.points)))
+        worst = max(map(abs, fut.sweep(cfg.grid)))
         return fut, ClassVerdict("ball-self-map", worst < 1.0, "sampled", 1.0 - worst)
     if args.family == "class-c":
         fut = close_to_convex_member(cfg.seed, cfg.degree)

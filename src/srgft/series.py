@@ -736,11 +736,17 @@ def quotient_transform(f: SliceSeries, q: Quaternion,
     Defined away from the zero set of the symmetrization, which is where
     the singular guard sits (the conjugate's zero set is contained in it).
     The window is treated as a polynomial, so the guard sees the full
-    symmetrization rather than a truncation that could miss a zero.
+    symmetrization rather than a truncation that could miss a zero.  An
+    exact f^s(q) is compared with the threshold as rationals, so a tiny
+    |f^s(q)| is measured instead of underflowing; a float one by ``abs``.
     """
     fc, fs = _transform_parts(f.trim())
     s = fs.eval(q)
-    if abs(s) < domain.singular_threshold:
+    if s.is_exact:
+        singular = s.norm_sq() < Fraction(domain.singular_threshold) ** 2
+    else:
+        singular = abs(s) < domain.singular_threshold
+    if singular:
         raise SingularityError("point too close to the symmetrization zero set")
     c = fc.eval(q)
     if c.is_zero():

@@ -1,7 +1,9 @@
 """Theorem checks against their documented extremal and trivial cases."""
 
 import hashlib
+import inspect
 import json
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +27,9 @@ from srgft.checks import (SuiteConfig, SUITES, caratheodory_extremal_function,
                           odd_reference_function, quotient_pair,
                           rogosinski_function, run_suites, sample_lambdas,
                           starlike_member, caratheodory_member)
-from srgft.classes import DEFAULT_GRID, SamplingGrid
+from srgft import checks as checks_module
+from srgft import classes as classes_module
+from srgft.classes import DEFAULT_GRID, FunctionUnderTest, SamplingGrid
 from srgft.errors import DomainError, PreconditionError
 from srgft.quat import I, J, K, ONE, Quaternion
 from srgft.series import EvalDomain, SliceSeries, slice_derivative
@@ -461,3 +465,94 @@ class TestSuitesAndReports:
         report = check_bieberbach(cheat)
         assert not report.passed and report.witnesses
         assert report.status == "fail"
+
+
+def _json_bytes(reports) -> bytes:
+    return json.dumps([r.to_json_dict() for r in reports], indent=2).encode()
+
+
+def _wrap_tasks(monkeypatch, wrap):
+    """Replace every suite builder by one that wraps each task it builds."""
+    for name, build in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, lambda cfg, _build=build:
+                            [wrap(task) for task in _build(cfg)])
+
+
+class TestSharedBuilds:
+    """One run builds each member once and sweeps each function's grid once,
+    and no suite sees another's state through the shared members."""
+
+    def test_each_suite_alone_equals_its_slice_of_the_full_run(self):
+        full = run_suites(list(SUITES), SuiteConfig())
+        start = 0
+        for name in SUITES:
+            alone = run_suites([name], SuiteConfig())
+            assert _json_bytes(alone) == _json_bytes(full[start:start + len(alone)]), name
+            start += len(alone)
+        assert start == len(full)
+
+    def test_one_build_per_member_and_one_sweep_per_function(self, monkeypatch):
+        cfg = SuiteConfig()
+        running = [False]
+        generated = []
+        # the certified generators and every built-in function or member
+        makers = [(module, name) for module in (checks_module, classes_module)
+                  for name in ("generate_starlike_small_coeff", "generate_caratheodory",
+                               "generate_close_to_convex")]
+        makers += [(checks_module, name) for name, fn in vars(checks_module).items()
+                   if inspect.isfunction(fn) and fn.__module__ == checks_module.__name__
+                   and inspect.signature(fn).return_annotation == "FunctionUnderTest"]
+        assert len(makers) > 15
+        for module, name in makers:
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _o=original, _n=name:
+                                generated.append((_n, running[0])) or _o(*args))
+        sweeps: dict[tuple[int, str], list] = {}  # (id, kind) -> [function, count]
+        for kind in ("values", "derivative_values"):
+            original = getattr(FunctionUnderTest, kind)
+
+            def counted(fut, points, _o=original, _kind=kind):
+                if len(points) == len(cfg.grid.points):
+                    sweeps.setdefault((id(fut), _kind), [fut, 0])[1] += 1
+                return _o(fut, points)
+
+            monkeypatch.setattr(FunctionUnderTest, kind, counted)
+
+        def flagged(task):
+            def run():
+                running[0] = True
+                try:
+                    return task()
+                finally:
+                    running[0] = False
+            return run
+
+        _wrap_tasks(monkeypatch, flagged)
+        reports = run_suites(list(SUITES), cfg)
+        assert all(r.passed for r in reports)
+        starlike = [n for n, _ in generated if n == "generate_starlike_small_coeff"]
+        assert len(starlike) == 10
+        assert not [n for n, in_task in generated if in_task]
+        assert sweeps and all(count == 1 for _, count in sweeps.values())
+
+    def test_a_member_is_freed_after_its_last_task(self, monkeypatch):
+        order: list[list] = []
+
+        def recorded(task):
+            refs = [weakref.ref(arg) for arg in getattr(task, "args", ())
+                    if isinstance(arg, FunctionUnderTest)]
+            order.append(refs)
+            index = len(order) - 1
+
+            def run():
+                used_later = {id(ref()) for refs in order[index:] for ref in refs}
+                for refs in order[:index]:
+                    for ref in refs:
+                        assert ref() is None or id(ref()) in used_later
+                return task()
+            return run
+
+        _wrap_tasks(monkeypatch, recorded)
+        run_suites(list(SUITES), SuiteConfig())
+        assert sum(map(len, order)) > 50
+        assert all(ref() is None for refs in order for ref in refs)

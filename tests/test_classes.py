@@ -29,7 +29,7 @@ from srgft.classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
                            rogosinski_extremal, rogosinski_extremal_form,
                            small_coeff_margin, _rogosinski_parts)
 from srgft.errors import DomainError, PreconditionError
-from srgft.quat import I, J, K, ONE, Quaternion, quaternion_to_json
+from srgft.quat import I, J, K, ONE, ZERO, Quaternion, quaternion_to_json
 from srgft.series import (SliceSeries, StarQuotient, integrate_radial, odd_part,
                           slice_derivative)
 
@@ -126,6 +126,35 @@ class TestSweeps:
             _sweep_outcome(lambda: [fut.derivative_value(q) for q in points])
 
 
+class TestGridSweeps:
+    def test_a_grid_sweep_is_evaluated_once_and_equals_values(self, monkeypatch):
+        grid = SamplingGrid.default((0.3, 0.9), 2, 4)
+        calls = []
+        for name in ("values", "derivative_values"):
+            original = getattr(FunctionUnderTest, name)
+            monkeypatch.setattr(FunctionUnderTest, name,
+                                lambda fut, points, _o=original, _n=name:
+                                calls.append(_n) or _o(fut, points))
+        for fut in _sweep_functions.__wrapped__()[:4]:  # fresh, with no sweep kept
+            calls.clear()
+            values, derivatives = fut.sweep(grid), fut.derivative_sweep(grid)
+            assert fut.sweep(grid) is values and fut.derivative_sweep(grid) is derivatives
+            assert fut.sweep(SamplingGrid.default((0.3, 0.9), 2, 4)) is values
+            assert calls == ["values", "derivative_values"]
+            assert list(values) == fut.values(grid.points)
+            assert list(derivatives) == fut.derivative_values(grid.points)
+            assert fut.sweep(DEFAULT_GRID) == tuple(fut.values(DEFAULT_GRID.points))
+
+    def test_the_largest_radius_block_equals_points_at(self):
+        # check_koebe_quarter reads its r_max block from the sweep
+        n = len(DEFAULT_GRID.directions)
+        r_max = DEFAULT_GRID.radii[-1]
+        assert DEFAULT_GRID.points[-n:] == DEFAULT_GRID.points_at(r_max)
+        for fut in _sweep_functions()[:4]:
+            assert fut.sweep(DEFAULT_GRID)[-n:] == \
+                tuple(fut.values(DEFAULT_GRID.points_at(r_max)))
+
+
 class TestCaratheodoryPredicate:
     def test_constant_one(self):
         v = is_caratheodory(SliceSeries.one(4))
@@ -150,6 +179,15 @@ class TestCaratheodoryPredicate:
     def test_wrong_constant_refuted(self):
         v = is_caratheodory(series([2, 1]))
         assert not v.member and v.witness["n"] == 0
+
+    @pytest.mark.parametrize("exact_mode", [True, False])
+    def test_zero_at_zero_refuted_at_its_constant_term(self, exact_mode):
+        p = SliceSeries.identity(4)
+        p = p if exact_mode else p.to_float()
+        v = is_caratheodory(p)
+        assert not v.member and v.certificate == "refuted"
+        zero = ZERO if exact_mode else ZERO.to_float()
+        assert v.witness == {"n": 0, "coeff": quaternion_to_json(zero)}
 
     def test_pole_at_zero_refuted_at_its_lowest_coefficient(self):
         # q^-1 / 1000 + 1 has p's constant term 1 but no value at 0

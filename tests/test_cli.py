@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import srgft
+from srgft.checks import SUITES
 from srgft.classes import DEFAULT_ANGLE_COUNT
 from srgft.cli import main
 from srgft.quat import Quaternion, parse_quaternion
@@ -40,6 +41,33 @@ class TestCheckCommand:
         data = json.loads(out.read_text())
         assert data[0]["passed"] is True
         assert data[0]["params"]["classical_bound"] == "68/75"
+
+    def test_wrapped_suite_builders_give_the_same_report(self, tmp_path, monkeypatch):
+        """A benchmark wraps each suite builder, timing the build, and each
+        task it returns; the report must not change under the wrappers."""
+        flags = ["check", "--suite", "all", "--seed", "7"]
+        plain, wrapped = tmp_path / "plain.json", tmp_path / "wrapped.json"
+        assert run(flags + ["--out", str(plain)]) == 0
+        builds, tasks = [], []
+
+        def wrap_task(name, task):
+            def timed():
+                tasks.append(name)
+                return task()
+            return timed
+
+        def wrap_build(name, build):
+            def timed(cfg):
+                builds.append(name)
+                return [wrap_task(name, task) for task in build(cfg)]
+            return timed
+
+        for name, build in list(SUITES.items()):
+            monkeypatch.setitem(SUITES, name, wrap_build(name, build))
+        assert run(flags + ["--out", str(wrapped)]) == 0
+        assert wrapped.read_bytes() == plain.read_bytes()
+        assert builds == list(SUITES)
+        assert len(tasks) == len(json.loads(plain.read_text()))
 
     def test_unknown_suite_usage_error(self, capsys):
         assert run(["check", "--suite", "nonsense"]) == 2

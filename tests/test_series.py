@@ -327,6 +327,20 @@ class TestQuotientTransform:
         with pytest.raises(SingularityError):
             quotient_transform(f, Quaternion(0.5, 0.0, 0.0, 0.0))
 
+    def test_tiny_exact_symmetrization_is_measured_not_refused(self):
+        # f^s = q^4 (1 + q^2 / 4), so |f^s(q)| is about 1e-180 at q = 1e-45 i,
+        # far below the smallest float square root of a norm
+        f = series([ONE, exact(0, F(1, 2))], valuation=2)
+        q = exact(0, F(1, 10 ** 45))
+        image = quotient_transform(f, q, EvalDomain(1e-250))
+        assert image.is_exact and image.norm_sq() == q.norm_sq()
+        with pytest.raises(SingularityError):
+            quotient_transform(f, q, EvalDomain(1e-179))
+
+    def test_exact_zero_of_the_symmetrization_is_refused(self):
+        with pytest.raises(SingularityError):
+            quotient_transform(series([1, -2]), exact(F(1, 2)))
+
     def test_mutual_inverse_on_grid(self):
         rng = Random(11)
         f = rand_series(rng, 4)
