@@ -7,7 +7,7 @@ from .quat import (ImaginaryUnit, Quaternion, format_quaternion,
                    parse_quaternion)
 from .series import (EvalDomain, QuotientSum, SliceSeries, StarQuotient,
                      compose_slice_preserving, integrate_radial, mobius,
-                     mobius_quotient, odd_part, quotient_transform,
+                     mobius_quotient, quotient_transform,
                      regular_conjugate, slice_derivative, star_mul,
                      star_reciprocal, symmetrize)
 from .classes import (ClassVerdict, FunctionUnderTest, SamplingGrid,
@@ -28,7 +28,7 @@ __all__ = [
     "generate_close_to_convex", "generate_starlike_small_coeff",
     "integrate_radial", "is_caratheodory", "is_close_to_convex",
     "is_one_slice", "is_slice_preserving", "is_starlike", "koebe", "mobius",
-    "mobius_quotient", "odd_part", "parse_quaternion", "quotient_transform",
+    "mobius_quotient", "parse_quaternion", "quotient_transform",
     "regular_conjugate", "rogosinski_extremal", "run_suites",
     "slice_derivative", "star_mul", "star_reciprocal", "symmetrize",
 ]

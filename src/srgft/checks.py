@@ -14,6 +14,7 @@ equality) is asserted, never the uniqueness converse.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +39,7 @@ from .quat import (ONE, ZERO, I, J, K, Quaternion, format_quaternion,
 from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, QuotientSum,
                      SliceSeries, StarQuotient, compose_slice_preserving,
                      integrate_radial, mobius_quotient,
-                     slice_derivative, symmetrize)
+                     slice_derivative)
 
 EQUALITY_BAND = 1e-9
 POINT_TOL = 1e-9
@@ -560,8 +561,7 @@ def check_convex_covering_examples(grid: SamplingGrid = DEFAULT_GRID,
     """
     col = _Collector(tol)
     convex_q = convex_reference_quotient()
-    series = convex_reference(degree)
-    if series.coeff(1) != ONE:
+    if convex_q.to_series(1).coeff(1) != ONE:
         raise DomainError("reference normalization broke")
     for q, value in zip(grid.points, convex_q.values(grid.points)):
         re = float(value.w)
@@ -575,8 +575,7 @@ def check_convex_covering_examples(grid: SamplingGrid = DEFAULT_GRID,
             col.check(previous - margin, {"n": f"shrinks@r={r}", "lhs": margin, "rhs": previous})
         witness_sequence.append([r, margin])
         previous = margin
-    bloch = bloch_series(degree)
-    if bloch.coeff(1) != ONE:
+    if bloch_series(1).coeff(1) != ONE:
         raise DomainError("strip-example normalization broke")
     quarter_pi = math.pi / 4.0
     for q in grid.points:
@@ -616,38 +615,41 @@ def check_subordination_growth(f: FunctionLike, w: SliceSeries,
 
 def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
                                 grid: SamplingGrid = DEFAULT_GRID,
-                                domain: EvalDomain = DEFAULT_DOMAIN,
-                                tol: float = POINT_TOL) -> CheckReport:
+                                domain: EvalDomain = DEFAULT_DOMAIN) -> CheckReport:
     """Verdict agreement between pointwise and star-quotient formulations.
 
     Checks that min Re(f^-1 g) > 0 iff min Re(f^(-star) star g) > 0, and
     max |g|/|f| < 1 iff max |f^(-star) star g| < 1, over the sampled
-    grid.  Points inside the singular guard are skipped and counted;
-    above 10 percent skipped the report is inconclusive.
+    grid.  The points that the quotient's own guard refuses at ``domain``
+    (|f^s(q)| below its threshold, decided on integers) are skipped and
+    counted, with the guard's measure of |f^s(q)| as the witness lhs; so
+    is a point where the float |f(q)|^2 falls below the smallest normal
+    float, where the pointwise side cannot divide by f(q).  Above 10
+    percent skipped the report is inconclusive.
     """
     quotient = StarQuotient(g, f)
-    fs = symmetrize(f.pad_to(2 * f.degree - f.valuation)).to_float().trim()
     ff, gf = f.to_float(), g.to_float()
     min_re_point = math.inf
     min_re_star = math.inf
     max_ratio = 0.0
     max_star = 0.0
     skipped: list[dict] = []
-    kept = []
-    for q in grid.points:
-        sym = abs(fs.eval(q))
-        if sym >= domain.singular_threshold:
-            kept.append(q)
-        elif len(skipped) < 16:
-            skipped.append(_point_entry(q, sym, domain.singular_threshold))
-    for q, star in zip(kept, quotient.values(kept)):
-        fv, gv = ff.eval(q), gf.eval(q)
+    kept = 0
+    for q, star in zip(grid.points, quotient.values(grid.points, domain, skip=True)):
+        fv = None if type(star) is float else ff.eval(q)
+        if fv is None or fv.norm_sq() < sys.float_info.min:
+            if len(skipped) < 16:
+                lhs = star if fv is None else fv.norm_sq()
+                skipped.append(_point_entry(q, lhs, domain.singular_threshold))
+            continue
+        kept += 1
+        gv = gf.eval(q)
         min_re_point = min(min_re_point, float((fv.inverse() * gv).w))
         min_re_star = min(min_re_star, float(star.w))
         max_ratio = max(max_ratio, abs(gv) / abs(fv))
         max_star = max(max_star, abs(star))
     total = len(grid.points)
-    skipped_count = total - len(kept)
+    skipped_count = total - kept
     params = {
         "min_re_pointwise": min_re_point,
         "min_re_star": min_re_star,
@@ -657,7 +659,7 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
     }
     if skipped_count > 0.1 * total:
         return CheckReport("quotient-equivalences", "pair", False, 0.0,
-                           len(kept), tuple(skipped) or ({"n": "all-skipped", "lhs": 0.0, "rhs": 0.0},),
+                           kept, tuple(skipped) or ({"n": "all-skipped", "lhs": 0.0, "rhs": 0.0},),
                            min(f.degree, g.degree), status="inconclusive", params=params)
     re_agree = (min_re_point > 0.0) == (min_re_star > 0.0)
     mod_agree = (max_ratio < 1.0) == (max_star < 1.0)
@@ -668,7 +670,7 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
     if not passed:
         witnesses = ({"n": "verdicts", "lhs": min_re_point, "rhs": min_re_star},)
     return CheckReport("quotient-equivalences", "pair", passed,
-                       margin if passed else -margin, len(kept), witnesses,
+                       margin if passed else -margin, kept, witnesses,
                        min(f.degree, g.degree),
                        status="pass" if passed else "fail", params=params)
 
@@ -785,12 +787,8 @@ def close_to_convex_member(seed: int, degree: int = DEFAULT_DEGREE,
         derivative_form=derivative, certificates=("close-to-convex",))
 
 
-def convex_member(seed: int, degree: int = DEFAULT_DEGREE) -> FunctionUnderTest:
-    """f with q f' equal to the certified ``starlike_member(seed, degree)``."""
-    return _convex_primitive(seed, starlike_member(seed, degree))
-
-
-def _convex_primitive(seed: int, h: FunctionUnderTest) -> FunctionUnderTest:
+def convex_member(seed: int, h: FunctionUnderTest) -> FunctionUnderTest:
+    """f with q f' = h, for h the certified ``starlike_member`` of ``seed``."""
     series = integrate_radial(h.series.shift(-1))
     return FunctionUnderTest(f"convex-member(seed={seed})", series,
                              certificates=("derivative-starlike",))
@@ -973,7 +971,7 @@ def _suite_koebe(cfg: SuiteConfig) -> list[Task]:
 
 def _suite_convex(cfg: SuiteConfig) -> list[Task]:
     futs = [cfg.build(convex_function), cfg.build(identity_function)]
-    members = [_convex_primitive(cfg.member_seed(i), h)
+    members = [convex_member(cfg.member_seed(i), h)
                for i, h in enumerate(_members(cfg, starlike_member))]
     return ([partial(check_convex_coefficients, fut, cfg.grid) for fut in futs]
             + [partial(check_convex_covering_examples, cfg.grid, cfg.tol, cfg.degree)]
@@ -997,8 +995,7 @@ def _suite_quotient(cfg: SuiteConfig) -> list[Task]:
               SliceSeries.from_coeffs([ONE, Quaternion.from_real(Fraction(1, 2))])),
              (SliceSeries.from_coeffs([ONE, -I]), SliceSeries.from_coeffs([ONE, I]))]
     pairs += [quotient_pair(cfg.member_seed(i)) for i in range(cfg.random_count)]
-    return [partial(check_quotient_equivalences, f, g, cfg.grid, tol=cfg.tol)
-            for f, g in pairs]
+    return [partial(check_quotient_equivalences, f, g, cfg.grid) for f, g in pairs]
 
 
 SUITES: dict[str, Callable[[SuiteConfig], list[Task]]] = {

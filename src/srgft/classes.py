@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Union
 from .errors import DomainError, PreconditionError
 from .quat import (ONE, ZERO, ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K,
                    exact_sqrt, quaternion_to_json)
-from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, QuotientSum,
+from .series import (DEFAULT_DEGREE, DEFAULT_SINGULAR_THRESHOLD, QuotientSum,
                      SliceSeries, StarQuotient, full_star_mul, integrate_radial,
                      outside_closed_ball, rational_quaternion, rows_over_lcm,
                      slice_derivative, star_mul)
@@ -263,12 +263,15 @@ def _is_one(c: Quaternion) -> bool:
 
 
 def is_starlike(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
-                alpha: float = 0.0,
-                domain: EvalDomain = DEFAULT_DOMAIN) -> ClassVerdict:
+                alpha: float = 0.0) -> ClassVerdict:
     """Starlike-type screen of order alpha.
 
     Requires normalization f(0) = 0, f'(0) = 1, no grid zero away from
-    the origin, and Re(f(q)^-1 q f'(q)) > alpha at every grid point.
+    the origin, and Re(f(q)^-1 q f'(q)) > alpha at every grid point.  A
+    grid zero is a sweep value of modulus below
+    ``DEFAULT_SINGULAR_THRESHOLD``.  The sweep values are floats, whose
+    modulus raises no overflow, and one that underflows lies below the
+    threshold anyway.
     """
     name = f"starlike({alpha})" if alpha else "starlike"
     if not float(alpha) < 1.0:
@@ -283,7 +286,7 @@ def is_starlike(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     values = fut.sweep(grid)
     # the derivatives are read only up to the first zero on the grid
     zero = next((n for n, value in enumerate(values)
-                 if abs(value) < domain.singular_threshold), None)
+                 if abs(value) < DEFAULT_SINGULAR_THRESHOLD), None)
     points = grid.points[:zero]
     derivatives = (fut.derivative_sweep(grid) if zero is None
                    else fut.derivative_values(points))
@@ -300,13 +303,12 @@ def is_starlike(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
 
 
 def is_close_to_convex(f: FunctionLike, h: FunctionLike,
-                       grid: SamplingGrid = DEFAULT_GRID,
-                       domain: EvalDomain = DEFAULT_DOMAIN) -> ClassVerdict:
+                       grid: SamplingGrid = DEFAULT_GRID) -> ClassVerdict:
     """Screen Re(h(q)^-1 q f'(q)) > 0 against a certified starlike h."""
     name = "close-to-convex"
     hf = as_function(h)
     if not hf.certifies("starlike"):
-        h_verdict = is_starlike(hf, grid, 0.0, domain)
+        h_verdict = is_starlike(hf, grid)
         if not h_verdict.member:
             raise PreconditionError("reference function failed the starlike screen")
     fut = as_function(f)

@@ -36,6 +36,9 @@ class EvalDomain:
 
     Points where the symmetrized denominator has modulus below
     ``singular_threshold`` are refused instead of producing huge values.
+    There is one guard: :class:`StarQuotient` decides |den^s(q)| < t on
+    integers, and :func:`quotient_transform` and
+    ``checks.check_quotient_equivalences`` read it through a quotient.
     """
 
     singular_threshold: float = DEFAULT_SINGULAR_THRESHOLD
@@ -383,15 +386,6 @@ class SliceSeries:
         for i, c in enumerate(self.coeffs):
             yield self.valuation + i, c
 
-    def truncate(self, degree: int) -> "SliceSeries":
-        if degree >= self.degree:
-            return self
-        keep = degree - self.valuation + 1
-        if keep < 1:
-            return SliceSeries.zero(max(degree, 0), self.is_exact)
-        den, rows = self._form
-        return SliceSeries._from_rows(self.valuation, den, rows[:keep])
-
     def pad_to(self, degree: int) -> "SliceSeries":
         """Extend the window with zero coefficients.
 
@@ -725,33 +719,25 @@ def _quotient_window(num: SliceSeries, den: SliceSeries, degree: int) -> SliceSe
 
 
 @lru_cache(maxsize=128)
-def _transform_parts(f: SliceSeries) -> tuple[SliceSeries, SliceSeries]:
-    return regular_conjugate(f), symmetrize(f.pad_to(2 * f.degree - f.valuation))
+def _reciprocal(f: SliceSeries) -> "StarQuotient":
+    """f^(-*) as the quotient 1 over f, kept with its integer parts."""
+    return StarQuotient(SliceSeries.one(), f)
 
 
 def quotient_transform(f: SliceSeries, q: Quaternion,
                        domain: EvalDomain = DEFAULT_DOMAIN) -> Quaternion:
     """The point map f^c(q)^(-1) q f^c(q); preserves |q|.
 
-    Defined away from the zero set of the symmetrization, which is where
-    the singular guard sits (the conjugate's zero set is contained in it).
-    The window is treated as a polynomial, so the guard sees the full
-    symmetrization rather than a truncation that could miss a zero.  An
-    exact f^s(q) is compared with the threshold as rationals, so a tiny
-    |f^s(q)| is measured instead of underflowing; a float one by ``abs``.
+    With R = f^(-*) = (f^s)^(-1) star f^c, R(q) = f^s(q)^(-1) f^c(q), and
+    f^s(q) lies in the slice of q, so it commutes with q and the map is
+    R(q)^(-1) q R(q).  The window is treated as a polynomial, and R's
+    integer guard refuses q where |f^s(q)| falls below ``domain``'s
+    threshold, at an exact and a float point alike.  A zero of f^c is a
+    zero of f^s = f^c star f, so the guard refuses it too.  An exact q
+    gives an exact image, whatever the mode of f.
     """
-    fc, fs = _transform_parts(f.trim())
-    s = fs.eval(q)
-    if s.is_exact:
-        singular = s.norm_sq() < Fraction(domain.singular_threshold) ** 2
-    else:
-        singular = abs(s) < domain.singular_threshold
-    if singular:
-        raise SingularityError("point too close to the symmetrization zero set")
-    c = fc.eval(q)
-    if c.is_zero():
-        raise SingularityError("conjugate vanishes at the point")
-    return c.inverse() * q * c
+    r = _reciprocal(f).eval(q, domain)
+    return r.inverse() * q * r
 
 
 def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:
@@ -810,14 +796,6 @@ def integrate_radial(g: SliceSeries) -> SliceSeries:
     top = math.lcm(*range(g.valuation + 1, g.degree + 2))
     return SliceSeries._from_rows(g.valuation + 1, den * top, (
         tuple(x * (top // n) for x in row) for n, row in enumerate(rows, g.valuation + 1)))
-
-
-def odd_part(f: SliceSeries) -> SliceSeries:
-    """(f(q) - f(-q)) / 2: keeps the odd-power coefficients."""
-    den, rows = f._form
-    zero = _zero_row(f.is_exact)
-    return SliceSeries._from_rows(f.valuation, den, (
-        row if n % 2 else zero for n, row in enumerate(rows, f.valuation)))
 
 
 def outside_closed_ball(a: Quaternion) -> bool:
@@ -930,8 +908,10 @@ class StarQuotient:
         (r, theta) share it whatever their axis I.
 
         The value is (E + V F) / divisor componentwise with integer
-        4-tuples E and F.  Raises at 0 for a negative valuation, and where
-        |den^s(q)| falls below ``domain``'s threshold."""
+        4-tuples E and F.  Raises at 0 for a negative valuation.  Where
+        |den^s(q)| falls below ``domain``'s threshold it returns that
+        modulus as a float instead, the ratio of its integers rounded
+        once (and its square root for a den that is not real)."""
         low, real, sym_den, sym, num_den, num = self._integer_parts
         if low < 0 and not r2:
             raise SingularityError("negative-valuation series is singular at 0")
@@ -952,7 +932,8 @@ class StarQuotient:
         if not real:
             n, shift = n * n, 2 * shift
         if (top << shift) < n * bottom:
-            raise SingularityError("quotient evaluated too close to a symmetrization zero")
+            # refused: the measure of |den^s(q)| read from the same integers
+            return top / bottom if real else math.sqrt(top / bottom)
         # numerator: L^k n(q) = A + V B, componentwise
         npower, (a0, a1, a2, a3), (b0, b1, b2, b3) = _horner_xv(num, scale, w, n2)
         # value = L^m D_s / (norm L^k D_n) * comps; both L powers are powers of L
@@ -968,11 +949,13 @@ class StarQuotient:
                 (x * b0 - y * a0, x * b1 - y * a1, x * b2 - y * a2, x * b3 - y * a3),
                 divisor)
 
-    def values(self, points: Iterable[Quaternion],
-               domain: EvalDomain | None = None) -> list[Quaternion]:
+    def values(self, points: Iterable[Quaternion], domain: EvalDomain | None = None,
+               skip: bool = False) -> list:
         """The values at the points, in order, with one shared part per class
         (L, W, |V|^2).  Raises at the first point where |den^s(q)| falls
-        below the guard's threshold (by default :attr:`ZERO_GUARD`)."""
+        below the guard's threshold (by default :attr:`ZERO_GUARD`).  With
+        ``skip``, such a point raises nothing and yields the guard's
+        measure of |den^s(q)| as a float in place of its value."""
         domain = domain or self.ZERO_GUARD
         shared, out = {}, []
         for q in points:
@@ -983,6 +966,11 @@ class StarQuotient:
             part = shared.get((scale, w, n2))
             if part is None:
                 part = shared[scale, w, n2] = self._shared_part(scale, w, n2, r2, domain)
+            if type(part) is float:
+                if not skip:
+                    raise SingularityError("quotient evaluated too close to a symmetrization zero")
+                out.append(part)
+                continue
             e, f, divisor = part
             comps = _plus_v_times(e, f, v1, v2, v3)
             out.append(rational_quaternion(comps, divisor) if q.is_exact

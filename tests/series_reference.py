@@ -22,9 +22,9 @@ float: the old `Quaternion.__pow__` and the float Horner that read
 `reference_koebe` at a float unit, which rounds at every power and so
 misses the correctly rounded window.
 
-The shape and linear operations of a window (``truncate``, ``pad_to``,
-``trim``, ``shift``, negation, sums, ``regular_conjugate``,
-``slice_derivative``, ``odd_part`` and ``to_float``) are written here on
+The shape and linear operations of a window (``pad_to``, ``trim``,
+``shift``, negation, sums, ``regular_conjugate``, ``slice_derivative``
+and ``to_float``) are written here on
 `Quaternion` coefficients with the canonical form of the old constructor,
 for the float and mixed windows that the package runs on float rows.
 """
@@ -285,15 +285,6 @@ def _coeff(f, n):
     return cs[n - v] if n >= v else _zero_of(f)
 
 
-def reference_truncate(f, degree):
-    v, cs = f
-    if degree >= _degree(f):
-        return f
-    if degree < v:
-        return reference_window(0, (_zero_of(f),) * (max(degree, 0) + 1))
-    return reference_window(v, cs[:degree - v + 1])
-
-
 def reference_pad_to(f, degree):
     return reference_window(f[0], f[1] + (ZERO,) * max(degree - _degree(f), 0))
 
@@ -333,11 +324,6 @@ def reference_slice_derivative(f):
     if all(c.is_zero() for c in out):
         return reference_window(0, (_zero_of(f),) * max(_degree(f), 1))
     return reference_window(v - 1, out)
-
-
-def reference_odd_part(f):
-    v, cs = f
-    return reference_window(v, (c if n % 2 == 1 else _zero_of(f) for n, c in enumerate(cs, v)))
 
 
 def reference_to_float(f):

@@ -31,7 +31,7 @@ from srgft import checks as checks_module
 from srgft import classes as classes_module
 from srgft.classes import DEFAULT_GRID, FunctionUnderTest, SamplingGrid
 from srgft.errors import DomainError, PreconditionError
-from srgft.quat import I, J, K, ONE, Quaternion
+from srgft.quat import I, J, K, ONE, Quaternion, quaternion_to_json
 from srgft.series import EvalDomain, SliceSeries, slice_derivative
 
 SMALL_GRID = SamplingGrid.default(radii=(0.2, 0.5, 0.8, 0.95), angle_count=4)
@@ -115,7 +115,7 @@ class TestConvexCoefficients:
         assert report.passed and report.worst_margin == 1.0
 
     def test_members_strict(self):
-        report = check_convex_coefficients(convex_member(4, 16))
+        report = check_convex_coefficients(convex_member(4, starlike_member(4, 16)))
         assert report.passed and report.worst_margin > 0.5
 
 
@@ -427,6 +427,46 @@ class TestQuotientEquivalences:
             f, g = quotient_pair(seed)
             report = check_quotient_equivalences(f, g, SMALL_GRID)
             assert report.passed, (seed, report.params)
+
+    @pytest.mark.parametrize("threshold", [1e-8, 0.3, 0.9])
+    def test_skipped_points_are_the_exact_guards_refusals(self, threshold):
+        """f = 1 - 2q has f^s = (1 - 2q)^2, so the guard refuses q exactly
+        where |1 - 2q|^4 < t^2 as rationals; those are the skipped points,
+        and their witnesses carry |f^s(q)|, rounded once."""
+        f = SliceSeries.from_coeffs([ONE, exact(-2)])
+        g = SliceSeries.from_coeffs([ONE, exact(0, F(1, 4))])
+        measures = [(ONE - q.to_exact() * 2).norm_sq() for q in DEFAULT_GRID.points]
+        refused = [(q, m) for q, m in zip(DEFAULT_GRID.points, measures)
+                   if m * m < F(threshold) ** 2]
+        report = check_quotient_equivalences(f, g, DEFAULT_GRID, EvalDomain(threshold))
+        assert report.params["skipped"] == len(refused) > 0
+        assert report.samples == len(DEFAULT_GRID.points) - len(refused)
+        if report.status == "inconclusive":
+            assert [(w["q"], w["lhs"]) for w in report.witnesses] == \
+                [(quaternion_to_json(q), float(m)) for q, m in refused[:16]]
+        else:
+            assert report.passed
+
+    @pytest.mark.parametrize("threshold", [1e-300, 1e-8])
+    def test_a_float_zero_of_f_beside_the_guard_is_skipped(self, threshold):
+        """f(1/2) = 10^-140 exactly, so the guard at 1e-300 accepts q = 1/2,
+        where the float window of f rounds to 0; the pointwise side cannot
+        divide there, so the point is skipped, as the guard at 1e-8 skips
+        it."""
+        f = SliceSeries.from_coeffs([ONE, exact(-2), exact(F(4, 10 ** 140))])
+        g = SliceSeries.from_coeffs([ONE, exact(0, F(1, 4))])
+        grid = SamplingGrid.default(radii=(0.25, 0.5))
+        report = check_quotient_equivalences(f, g, grid, EvalDomain(threshold))
+        assert report.passed and report.params["skipped"] == 1
+
+    def test_a_subnormal_float_modulus_of_f_is_skipped(self):
+        """|f|^2 = 10^-310 passes a guard at 1e-320 but is subnormal as a
+        float, where 1 / |f(q)|^2 overflows: every point is skipped."""
+        f = SliceSeries.from_coeffs([exact(F(1, 10 ** 155))])
+        g = SliceSeries.from_coeffs([ONE, exact(0, F(1, 4))])
+        report = check_quotient_equivalences(f, g, SMALL_GRID, EvalDomain(1e-320))
+        assert report.status == "inconclusive"
+        assert report.params["skipped"] == len(SMALL_GRID.points)
 
     def test_inconclusive_when_guard_dominates(self):
         f, g = quotient_pair(0)

@@ -14,11 +14,11 @@ from series_reference import (reference_add, reference_at_exact,
                               reference_compose_slice_preserving, reference_conjugate,
                               reference_eval_float, reference_geometric,
                               reference_integrate_radial, reference_mobius, reference_neg,
-                              reference_odd_part, reference_pad_to, reference_shift,
+                              reference_pad_to, reference_shift,
                               reference_slice_derivative, reference_star_mul,
                               reference_star_reciprocal, reference_sub, reference_symmetrize,
                               reference_to_float, reference_to_series, reference_trim,
-                              reference_truncate, reference_window)
+                              reference_window)
 from srgft.checks import close_to_convex_member
 from srgft.classes import (DEFAULT_GRID, SamplingGrid, caratheodory_extremal,
                            caratheodory_extremal_quotient,
@@ -30,12 +30,12 @@ from srgft.errors import DomainError, SingularityError
 from srgft.quat import I, J, K, ONE, UNIT_J, ZERO, Quaternion
 from srgft.series import (EvalDomain, QuotientSum, SliceSeries, StarQuotient,
                           compose_slice_preserving, full_star_mul,
-                          integrate_radial, mobius, mobius_quotient, odd_part,
+                          integrate_radial, mobius, mobius_quotient,
                           quotient_transform, regular_conjugate,
                           slice_derivative, star_mul, star_reciprocal,
                           symmetrize, _central_power, _eval_float,
                           _float_power_times, _horner_xv, _integer_point,
-                          _transform_parts)
+                          _reciprocal)
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -305,7 +305,51 @@ class TestReciprocal:
         assert prod == SliceSeries.one(prod.degree)
 
 
+@st.composite
+def transform_cases(draw):
+    """(f, q): an exact f of valuation 0..2, one time in two with the root
+    factor q - a on its left, so that f^s vanishes on the sphere of a, and
+    an exact q of the ball: random, 0, a itself, or a plus a rational of
+    size 10^-k that puts |f^s(q)| on either side of either threshold."""
+    rng = Random(draw(st.integers(0, 10 ** 6)))
+    h = rand_series(rng, draw(st.integers(0, 3)))
+    a = Quaternion(*(F(rng.randint(-4, 4), 10) for _ in range(4)))
+    kind = draw(st.sampled_from(("random", "zero", "root", "near-root")))
+    f = h if kind in ("random", "zero") else full_star_mul(series([-a, ONE]), h)
+    f = f.shift(draw(st.integers(0, 2)))
+    if kind == "random":
+        return f, draw(exact_ball_points(zero=False))
+    if kind == "zero":
+        return f, ZERO
+    if kind == "root":
+        return f, a
+    delta = Quaternion(*(F(rng.randint(-9, 9), 10 ** draw(st.integers(2, 260)))
+                         for _ in range(4)))
+    return f, a + delta
+
+
 class TestQuotientTransform:
+    @given(transform_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_is_the_conjugate_action_refused_by_the_exact_guard(self, case):
+        """quotient_transform(f, q) is c^(-1) q c with c = f^c(q), refused
+        exactly where |f^s(q)|^2 < t^2 as rationals, by the `Fraction`
+        oracles on the polynomial f."""
+        f, q = case
+        rf = (f.valuation, f.coeffs)
+        fc = SliceSeries(*reference_conjugate(rf))
+        top = 2 * f.degree - f.valuation
+        fs = reference_star_mul(SliceSeries(*reference_pad_to(rf, top)),
+                                SliceSeries(*reference_pad_to((fc.valuation, fc.coeffs), top)))
+        s = reference_series_eval(fs, q)
+        for t in (1e-8, 1e-250):
+            if s.norm_sq() < F(t) ** 2:
+                with pytest.raises(SingularityError):
+                    quotient_transform(f, q, EvalDomain(t))
+            else:
+                c = reference_series_eval(fc, q)
+                assert quotient_transform(f, q, EvalDomain(t)) == c.inverse() * q * c
+
     def test_real_coefficients_fix_points(self):
         f = series([1, -1]).pad_to(4)
         for q in DEFAULT_GRID.points[:40]:
@@ -415,19 +459,6 @@ class TestIntegrate:
     def test_laurent_rejected(self):
         with pytest.raises(DomainError):
             integrate_radial(series([1], valuation=-1))
-
-
-class TestOddPart:
-    def test_examples(self):
-        f = series([1, 1], valuation=1)  # q + q^2
-        assert odd_part(f) == series([1], valuation=1).pad_to(2)
-        from srgft.classes import koebe
-        ok = odd_part(koebe(ONE, 9))
-        for n in range(1, 10):
-            expected = exact(n) if n % 2 == 1 else exact(0)
-            assert ok.coeff(n) == expected
-        even = series([3], valuation=2).pad_to(4)
-        assert odd_part(even).is_zero()
 
 
 class TestMobius:
@@ -543,7 +574,7 @@ class TestStarQuotient:
         assert over_real.to_series(12) == moved.to_series(12)
         # any denominator: the window and the float path agree with eval
         window = quot.to_series(60)
-        assert window == star_mul(left.pad_to(60), term.to_series(60)).truncate(60)
+        assert window == star_mul(left.pad_to(60), term.to_series(60))
         derivative_window = slice_derivative(window).to_float()
         for point in (Quaternion(0.2, 0.1, 0.0, -0.1), Quaternion(0.0, 0.0, 0.3, 0.0)):
             assert abs(quot.eval(point) - window.to_float().eval(point)) < 1e-12
@@ -666,6 +697,27 @@ class TestIntegerEval:
     def test_matches_the_fraction_reference(self, quot, q, domain):
         assert _outcome(lambda p: quot.eval(p, domain), q) == \
             _outcome(lambda p: reference_eval(quot, p, domain), q)
+
+    @given(quotients(), st.lists(points(), min_size=1, max_size=6),
+           st.sampled_from((None, EvalDomain(1e-3), EvalDomain(0.5), EvalDomain(4.0))))
+    @settings(max_examples=150, deadline=None)
+    def test_skip_puts_the_guards_measure_in_place_of_a_refusal(self, quot, qs, domain):
+        """values(points, domain, skip=True) is each point's own value where
+        the guard accepts it, and a float below the threshold where it
+        refuses; the other errors stay errors."""
+        t = (domain or quot.ZERO_GUARD).singular_threshold
+        outcomes = [_outcome(lambda p: quot.eval(p, domain), q) for q in qs]
+        try:
+            got = quot.values(qs, domain, skip=True)
+        except DomainError as exc:
+            # only a Laurent quotient at 0 raises for a point of the ball
+            assert type(exc) in outcomes
+            return
+        for q, value, want in zip(qs, got, outcomes):
+            if want is SingularityError:
+                assert type(value) is float and 0.0 <= value <= t * (1 + 1e-15)
+            else:
+                assert _outcome(lambda p: value, q) == want
 
     @given(st.integers(0, 10 ** 6), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
@@ -1422,9 +1474,9 @@ def _row_windows(rng: Random) -> list[SliceSeries]:
     u = random_exact_unit(rng)
     product = star_mul(f, g)
     return [product, symmetrize(f), star_reciprocal(f), integrate_radial(f),
-            compose_slice_preserving(f, w), compose_slice_preserving(f, w.truncate(1)),
+            compose_slice_preserving(f, w), compose_slice_preserving(f, series([F(1, 2)], 1)),
             StarQuotient(g, f).to_series(6), regular_conjugate(f), product.shift(2),
-            product.pad_to(20), product.truncate(4), product.pad_to(20).trim(), -product,
+            product.pad_to(20), product.pad_to(20).trim(), -product,
             koebe(u, 8), mobius(u * F(1, 2), 8),
             caratheodory_extremal(u, 8), generate_caratheodory(1, 8),
             generate_starlike_small_coeff(1, 8), rogosinski_extremal(u * F(5, 8), u, 8)]
@@ -1463,17 +1515,17 @@ class TestRowWindows:
             assert "coeffs" in s.__dict__ and s.coeffs is coeffs
             assert _component_types(s) == {F}
 
-    def test_transform_parts_cache_hits_for_equal_windows_built_differently(self):
+    def test_reciprocal_cache_hits_for_equal_windows_built_differently(self):
         rng = Random(11)
         f, g = rand_series(rng, 3), rand_series(rng, 2)
         rows = star_mul(f.pad_to(5), g.pad_to(5))
         fractions = reference_star_mul(f.pad_to(5), g.pad_to(5))
         assert "coeffs" not in rows.__dict__
         q = exact(F(1, 5), F(1, 10), 0, F(-1, 10))
-        _transform_parts.cache_clear()
+        _reciprocal.cache_clear()
         first = quotient_transform(rows, q)
         assert quotient_transform(fractions, q) == first
-        info = _transform_parts.cache_info()
+        info = _reciprocal.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
     @given(kernel_windows(max_length=10, valuations=(0, 2)),
@@ -1690,7 +1742,6 @@ class TestFloatRows:
              lambda: reference_window(k, f.coeffs + g.coeffs)),
             (lambda: SliceSeries(k, e.coeffs + f.coeffs),
              lambda: reference_window(k, e.coeffs + f.coeffs)),
-            (lambda: f.truncate(degree), lambda: reference_truncate(rf, degree)),
             (lambda: f.pad_to(degree), lambda: reference_pad_to(rf, degree)),
             (lambda: f.trim(), lambda: reference_trim(rf)),
             (lambda: f.pad_to(degree).trim(), lambda: reference_trim(reference_pad_to(rf, degree))),
@@ -1704,7 +1755,6 @@ class TestFloatRows:
             (lambda: f + e, lambda: reference_add(rf, re)),
             (lambda: e - f, lambda: reference_sub(re, rf)),
             (lambda: slice_derivative(f), lambda: reference_slice_derivative(rf)),
-            (lambda: odd_part(f), lambda: reference_odd_part(rf)),
         ]
         for got, want in cases:
             assert _window_outcome(got) == _window_outcome(want)
