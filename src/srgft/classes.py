@@ -389,12 +389,15 @@ def random_exact_unit(rng: Random) -> Quaternion:
 
 
 def random_float_unit(rng: Random) -> Quaternion:
-    """Uniform-ish direction on the 3-sphere from normalized Gaussians."""
+    """Uniform-ish direction on the 3-sphere from normalized Gaussians.
+    The squares add left to right, as written: the builtin ``sum`` of
+    floats compensates since Python 3.12, which would move the last bits
+    between the supported Python versions."""
     while True:
-        comps = [rng.gauss(0.0, 1.0) for _ in range(4)]
-        n = math.sqrt(sum(c * c for c in comps))
+        c0, c1, c2, c3 = (rng.gauss(0.0, 1.0) for _ in range(4))
+        n = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
         if n > 1e-6:
-            return Quaternion(*[c / n for c in comps])
+            return Quaternion(c0 / n, c1 / n, c2 / n, c3 / n)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -243,11 +244,25 @@ class ImaginaryUnit:
 
     @classmethod
     def from_vector(cls, x, y, z) -> "ImaginaryUnit":
-        """Normalize an arbitrary nonzero imaginary direction (float mode)."""
-        n = math.sqrt(float(x) ** 2 + float(y) ** 2 + float(z) ** 2)
-        if n == 0.0:
+        """Normalize an arbitrary nonzero imaginary direction (float mode).
+
+        Where x^2 + y^2 + z^2 is not a normal finite float, the vector is
+        first scaled by the exact power of two that brings its largest
+        component into [1/2, 1), so a tiny or huge direction gives the unit
+        of its scaled copy; a normal sum is normalized as it stands."""
+        x, y, z = float(x), float(y), float(z)
+        try:
+            nsq = x ** 2 + y ** 2 + z ** 2
+        except OverflowError:
+            nsq = math.inf
+        if not sys.float_info.min <= nsq < math.inf:
+            e = math.frexp(max(abs(x), abs(y), abs(z)))[1]
+            x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
+            nsq = x ** 2 + y ** 2 + z ** 2
+        if nsq == 0.0:
             raise DomainError("cannot normalize the zero direction")
-        return cls(float(x) / n, float(y) / n, float(z) / n)
+        n = math.sqrt(nsq)
+        return cls(x / n, y / n, z / n)
 
     def as_quaternion(self) -> Quaternion:
         return Quaternion(0, self.x, self.y, self.z)

@@ -568,7 +568,10 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     min(N_f + v_g, N_g + v_f).  Exact windows convolve their integer
     forms over D_f D_g: each component of c_n is one integer dot product
     of a_0 .. a_n with b_n .. b_0 under a sign pattern of the quaternion
-    product.  A float operand is taken exactly, and each component of the
+    product.  A real operand commutes with every quaternion, so each
+    component of c_n is then the dot product of its scalars with that
+    component of the other operand: four per term, and one when both are
+    real.  A float operand is taken exactly, and each component of the
     float result is rounded once from the exact product.
     """
     if not (f.is_exact and g.is_exact):
@@ -580,6 +583,15 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     length = degree - v + 1
     f_den, f_rows = f._form
     g_den, g_rows = g._form
+    f_real, g_real = f.is_real(), g.is_real()
+    if f_real or g_real:
+        real_rows, rows = (f_rows, g_rows) if f_real else (g_rows, f_rows)
+        rev = [row[0] for row in real_rows[length - 1::-1]]
+        columns = list(zip(*rows[:length]))[:1 if f_real and g_real else 4]
+        sums = [[sum(map(mul, column, rev[length - 1 - n:])) for n in range(length)]
+                for column in columns]
+        return SliceSeries._from_rows(v, f_den * g_den, (
+            zip(*sums) if len(sums) == 4 else ((c, 0, 0, 0) for c in sums[0])))
     flat = [x for row in f_rows[:length] for x in row]
     rev = g_rows[length - 1::-1]
     signed = ([x for b0, b1, b2, b3 in rev for x in (b0, -b1, -b2, -b3)],

@@ -413,6 +413,22 @@ class TestSliceImageCommand:
         path.write_text(json.dumps(SliceSeries.identity(4).to_json_dict()))
         assert run(["slice-image", str(path), "--unit", "1+i"]) == 1
 
+    def test_huge_and_zero_unit_literals(self, tmp_path, capsys):
+        """A direction whose squared norm overflows is its unit; the zero
+        direction is an error, not a traceback."""
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps(SliceSeries.identity(4).to_json_dict()))
+        clouds = []
+        for unit in ("i", "1e200i", "1e-170i"):
+            clouds.append(tmp_path / f"{unit}.csv")
+            assert run(["slice-image", str(path), "--unit", unit,
+                        "--out", str(clouds[-1])]) == 0
+        assert clouds[0].read_bytes() == clouds[1].read_bytes() == clouds[2].read_bytes()
+        capsys.readouterr()
+        assert run(["slice-image", str(path), "--unit", "0i",
+                    "--out", str(tmp_path / "zero.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     # sha256 of the CSV of each seed-7 gen file on each axis; the float
     # sstar file holds the exact window rounded, so its images are the same
     PINNED_IMAGE = {

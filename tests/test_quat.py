@@ -210,6 +210,34 @@ class TestImaginaryUnit:
         with pytest.raises(DomainError):
             ImaginaryUnit(0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("v", [(1.0, 2.0, 2.0), (-3.0, 0.0, 4.0), (0.0, 0.0, -1.0),
+                                   (1 / 3, 2 ** -20, -5.5), (1e6, -7.25, 2 ** 19)])
+    @pytest.mark.parametrize("k", [600, -600, 1000, -1000])
+    def test_from_vector_is_invariant_under_a_power_of_two(self, v, k):
+        """A vector whose squared norm overflows or underflows normalizes
+        to the unit of the vector itself, bit for bit."""
+        want = ImaginaryUnit.from_vector(*v)
+        got = ImaginaryUnit.from_vector(*(math.ldexp(c, k) for c in v))
+        assert (got.x, got.y, got.z) == (want.x, want.y, want.z)
+
+    def test_from_vector_of_tiny_and_huge_directions(self):
+        """Squares that are subnormal, underflow or overflow; a normal sum
+        keeps its bits."""
+        third = ImaginaryUnit.from_vector(1, 2, 2)
+        for scale in (1e-155, 1e-170, 1e-300, 1e150, 1e200):
+            u = ImaginaryUnit.from_vector(scale, 2 * scale, 2 * scale)
+            assert abs(u.x - third.x) <= 2.5e-16 and abs(u.y - third.y) <= 2.5e-16
+        assert ImaginaryUnit.from_vector(1e-170, 1e-170, 0) == \
+            ImaginaryUnit.from_vector(1e-170 * 2 ** 600, 1e-170 * 2 ** 600, 0)
+        assert ImaginaryUnit.from_vector(0, 1e200, 0) == ImaginaryUnit(0.0, 1.0, 0.0)
+        assert ImaginaryUnit.from_vector(5e-324, 0, 0) == ImaginaryUnit(1.0, 0.0, 0.0)
+        u = ImaginaryUnit.from_vector(1 / 3, 2 / 3, 2 / 3)
+        n = math.sqrt((1 / 3) ** 2 + (2 / 3) ** 2 + (2 / 3) ** 2)
+        assert (u.x, u.y, u.z) == ((1 / 3) / n, (2 / 3) / n, (2 / 3) / n)
+        for zero in ((0, 0, 0), (0.0, -0.0, 0.0)):
+            with pytest.raises(DomainError, match="zero direction"):
+                ImaginaryUnit.from_vector(*zero)
+
     def test_circle_point(self):
         unit = ImaginaryUnit(0, 1, 0)
         q = unit.circle_point(math.pi / 2, 0.5)

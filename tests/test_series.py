@@ -1285,6 +1285,57 @@ class TestIntegerKernels:
     def test_star_mul_matches_the_reference(self, f, g):
         _same_exact_window(star_mul(f, g), reference_star_mul(f, g))
 
+    @given(kernel_windows(real=True), kernel_windows(), kernel_windows(real=True),
+           st.sampled_from(("exact", "real", "other", "all")), zero_signs)
+    @settings(max_examples=150, deadline=None)
+    def test_star_mul_with_a_real_operand_matches_the_reference(self, r, g, s, floats, signs):
+        """A real operand on the left, on the right and on both sides:
+        Laurent, zero and truncated exact windows agree with the reference,
+        and a float or mixed pair gives the exact product rounded once, bit
+        for bit."""
+        def to_float(w):
+            return SliceSeries(w.valuation, tuple(_float_with_signed_zeros(c, signs)
+                                                  for c in w.coeffs))
+
+        if floats in ("real", "all"):
+            r, s = to_float(r), to_float(s)
+        if floats in ("other", "all"):
+            g = to_float(g)
+        assert r.is_real() and s.is_real()
+        for a, b in ((r, g), (g, r), (r, s)):
+            if a.is_exact and b.is_exact:
+                _same_exact_window(star_mul(a, b), reference_star_mul(a, b))
+            else:
+                assert _repr_window(star_mul(a, b)) == \
+                    _repr_window(_rounded(reference_star_mul, a, b))
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 20])
+    def test_a_real_operand_takes_one_product_per_component_and_term(self, length,
+                                                                    monkeypatch):
+        """Real times quaternion windows of length L take 4 L(L+1)/2 integer
+        products, and real times real L(L+1)/2: the general path takes 16
+        per pair of terms."""
+        import srgft.series as series_module
+        rng = Random(length)
+        real = SliceSeries.from_coeffs([exact(F(rng.randint(1, 9), rng.randint(1, 4)))
+                                        for _ in range(length)])
+        quat = SliceSeries.from_coeffs((exact(1, F(1, 2), -1, 2),)
+                                       + rand_series(rng, length - 1).coeffs[1:])
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return a * b
+
+        monkeypatch.setattr(series_module, "mul", counting)
+        pairs = length * (length + 1) // 2
+        for a, b, products in ((real, quat, 4 * pairs), (quat, real, 4 * pairs),
+                               (real, real, pairs)):
+            calls.clear()
+            got = star_mul(a, b)
+            assert len(calls) == products
+            _same_exact_window(got, reference_star_mul(a, b))
+
     @given(kernel_windows())
     @settings(max_examples=150, deadline=None)
     def test_symmetrize_matches_the_reference(self, f):
