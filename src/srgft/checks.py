@@ -88,18 +88,16 @@ class _Collector:
         self.violations: list[dict] = []
         self.equalities: list[dict] = []
 
-    def check(self, slack: float, witness: dict, equality_scale: float = 1.0):
+    def check(self, slack: float, entry: Callable[..., dict], *args,
+              equality_scale: float = 1.0):
+        """Record a sample; its witness entry(*args) is formed only if kept."""
         self.samples += 1
         if slack < self.worst:
             self.worst = slack
         if slack < -self.tol and len(self.violations) < 16:
-            entry = dict(witness)
-            entry["margin"] = slack
-            self.violations.append(entry)
+            self.violations.append(dict(entry(*args), margin=slack))
         if abs(slack) <= EQUALITY_BAND * max(equality_scale, 1.0) and len(self.equalities) < 64:
-            entry = dict(witness)
-            entry["margin"] = slack
-            self.equalities.append(entry)
+            self.equalities.append(dict(entry(*args), margin=slack))
 
     def report(self, check_id: str, fut_id: str, valid_degree: int,
                params: Optional[dict] = None) -> CheckReport:
@@ -124,12 +122,16 @@ def _point_entry(q: Quaternion, lhs: float, rhs: float) -> dict:
     return {"q": quaternion_to_json(q.to_float()), "lhs": lhs, "rhs": rhs}
 
 
-def _coeff_entry(n: int, lhs: float, rhs: float) -> dict:
+def _coeff_entry(n, lhs: float, rhs: float) -> dict:
     return {"n": n, "lhs": lhs, "rhs": rhs}
 
 
+def _lambda_entry(lam: Quaternion, lhs: float, rhs: float) -> dict:
+    return {"lambda": quaternion_to_json(lam), "lhs": lhs, "rhs": rhs}
+
+
 def _by_radius(grid: SamplingGrid, values: list):
-    """(r, points_at(r), their values) per radius of the radius-major grid.points."""
+    """(r, its points, their values) per radius of the radius-major grid.points."""
     n = len(grid.directions)
     return ((r, grid.points[i * n:(i + 1) * n], values[i * n:(i + 1) * n])
             for i, r in enumerate(grid.radii))
@@ -165,7 +167,7 @@ def check_bieberbach(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     for n, a in fut.series.terms():
         if n < 2:
             continue
-        col.check(n - abs(a), _coeff_entry(n, abs(a), float(n)), equality_scale=n)
+        col.check(n - abs(a), _coeff_entry, n, abs(a), float(n), equality_scale=n)
     return col.report("bieberbach", fut.fid, fut.series.degree)
 
 
@@ -178,7 +180,7 @@ def check_convex_coefficients(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID
     for n, a in fut.series.terms():
         if n < 2:
             continue
-        col.check(1.0 - abs(a), _coeff_entry(n, abs(a), 1.0))
+        col.check(1.0 - abs(a), _coeff_entry, n, abs(a), 1.0)
     return col.report("convex-coefficients", fut.fid, fut.series.degree)
 
 
@@ -199,8 +201,7 @@ def check_fekete_szego(f: FunctionLike, lambdas: list[Quaternion],
         lhs = abs(a3 - lam * (a2 * a2))
         four_lam = lam * 4 - Quaternion.from_real(3)
         rhs = max(1.0, abs(four_lam))
-        col.check(rhs - lhs, {"lambda": quaternion_to_json(lam), "lhs": lhs, "rhs": rhs},
-                  equality_scale=rhs)
+        col.check(rhs - lhs, _lambda_entry, lam, lhs, rhs, equality_scale=rhs)
     return col.report("fekete-szego", fut.fid, fut.series.degree,
                       params={"lambda_count": len(lambdas)})
 
@@ -214,7 +215,7 @@ def check_sharper_caratheodory(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRI
     lhs = abs(a2 - (a1 * a1) * Fraction(1, 2))
     rhs = 2.0 - float(a1.norm_sq()) / 2.0
     col = _Collector(tol)
-    col.check(rhs - lhs, _coeff_entry(2, lhs, rhs), equality_scale=2.0)
+    col.check(rhs - lhs, _coeff_entry, 2, lhs, rhs, equality_scale=2.0)
     return col.report("sharper-caratheodory", fut.fid, fut.series.degree)
 
 
@@ -237,14 +238,14 @@ def check_caratheodory_bounds(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRID
         for q, value in zip(points, values):
             re, mod = float(value.w), abs(value)
             max_abs = max(max_abs, mod)
-            col.check(re - lower, _point_entry(q, lower, re), equality_scale=upper)
-            col.check(mod - re, _point_entry(q, re, mod), equality_scale=upper)
-            col.check(upper - mod, _point_entry(q, mod, upper), equality_scale=upper)
+            col.check(re - lower, _point_entry, q, lower, re, equality_scale=upper)
+            col.check(mod - re, _point_entry, q, re, mod, equality_scale=upper)
+            col.check(upper - mod, _point_entry, q, mod, upper, equality_scale=upper)
         max_by_radius.append([r, max_abs])
     for n, a in fut.series.terms():
         if n < 1:
             continue
-        col.check(2.0 - abs(a), _coeff_entry(n, abs(a), 2.0), equality_scale=2.0)
+        col.check(2.0 - abs(a), _coeff_entry, n, abs(a), 2.0, equality_scale=2.0)
     return col.report("caratheodory-bounds", fut.fid, fut.series.degree,
                       params={"max_abs_by_radius": max_by_radius})
 
@@ -263,12 +264,12 @@ def check_growth_distortion(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
         for q, (value, derivative) in zip(points, values):
             fv, dv = abs(value), abs(derivative)
             ratio = r * dv / fv
-            col.check(fv - f_lo, _point_entry(q, f_lo, fv), equality_scale=f_hi)
-            col.check(f_hi - fv, _point_entry(q, fv, f_hi), equality_scale=f_hi)
-            col.check(dv - d_lo, _point_entry(q, d_lo, dv), equality_scale=d_hi)
-            col.check(d_hi - dv, _point_entry(q, dv, d_hi), equality_scale=d_hi)
-            col.check(ratio - q_lo, _point_entry(q, q_lo, ratio), equality_scale=q_hi)
-            col.check(q_hi - ratio, _point_entry(q, ratio, q_hi), equality_scale=q_hi)
+            col.check(fv - f_lo, _point_entry, q, f_lo, fv, equality_scale=f_hi)
+            col.check(f_hi - fv, _point_entry, q, fv, f_hi, equality_scale=f_hi)
+            col.check(dv - d_lo, _point_entry, q, d_lo, dv, equality_scale=d_hi)
+            col.check(d_hi - dv, _point_entry, q, dv, d_hi, equality_scale=d_hi)
+            col.check(ratio - q_lo, _point_entry, q, q_lo, ratio, equality_scale=q_hi)
+            col.check(q_hi - ratio, _point_entry, q, ratio, q_hi, equality_scale=q_hi)
     return col.report("growth-distortion", fut.fid, fut.series.degree)
 
 
@@ -302,8 +303,8 @@ def check_growth_order_m(f: FunctionLike, m: int,
         else:
             lo, hi = 1.0 / denom_lo, 1.0 / denom_hi
         for q, value in zip(points, map(abs, values)):
-            col.check(value - lo, _point_entry(q, lo, value), equality_scale=hi)
-            col.check(hi - value, _point_entry(q, value, hi), equality_scale=hi)
+            col.check(value - lo, _point_entry, q, lo, value, equality_scale=hi)
+            col.check(hi - value, _point_entry, q, value, hi, equality_scale=hi)
     return col.report(f"growth-order-{m}-{variant}", fut.fid, fut.series.degree)
 
 
@@ -331,9 +332,9 @@ def check_schwarz(f: FunctionLike, m: int, grid: SamplingGrid = DEFAULT_GRID,
     for r, points, values in _by_radius(grid, fut.sweep(grid)):
         bound = r ** m
         for q, mod in zip(points, map(abs, values)):
-            col.check(bound - mod, _point_entry(q, mod, bound), equality_scale=1.0)
+            col.check(bound - mod, _point_entry, q, mod, bound, equality_scale=1.0)
     a_m = abs(fut.series.coeff(m)) if fut.series.degree >= m else 0.0
-    col.check(1.0 - a_m, _coeff_entry(m, a_m, 1.0))
+    col.check(1.0 - a_m, _coeff_entry, m, a_m, 1.0)
     params = {"order": m, "extremal_form": col.worst >= -tol and abs(col.worst) <= EQUALITY_BAND}
     return col.report("schwarz", fut.fid, fut.series.degree, params=params)
 
@@ -349,7 +350,7 @@ def check_schwarz_pick_coefficient(f: FunctionLike, grid: SamplingGrid = DEFAULT
     lhs = abs(a1)
     rhs = 1.0 - float(a0.norm_sq())
     col = _Collector(tol)
-    col.check(rhs - lhs, _coeff_entry(1, lhs, rhs))
+    col.check(rhs - lhs, _coeff_entry, 1, lhs, rhs)
     return col.report("schwarz-pick-coefficient", fut.fid, s.degree)
 
 
@@ -420,8 +421,7 @@ def check_rogosinski(f: FunctionLike, q0: Quaternion,
     value = fut.value(q0).to_float()
     distance = abs(value - center)
     col = _Collector(tol)
-    col.check(radius - distance,
-              _point_entry(q0f, distance, radius), equality_scale=1.0)
+    col.check(radius - distance, _point_entry, q0f, distance, radius, equality_scale=1.0)
     boundary = abs(radius - distance) <= 1e-6
     return col.report("rogosinski", fut.fid, fut.series.degree,
                       params={"center": quaternion_to_json(center),
@@ -444,7 +444,7 @@ def check_bohr(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
         if n >= 0:
             total += abs(a) / 3.0 ** n
     col = _Collector(tol)
-    col.check(1.0 - total, {"n": "sum", "lhs": total, "rhs": 1.0})
+    col.check(1.0 - total, _coeff_entry, "sum", total, 1.0)
     screen = "modulus" if max_mod < 1.0 + tol else "real-part"
     return col.report("bohr", fut.fid, fut.series.degree,
                       params={"radius": "1/3", "screen": screen})
@@ -460,7 +460,8 @@ def check_monotone_modulus(f: FunctionLike, alpha: float = 0.0,
                            tol: float = 1e-12) -> CheckReport:
     """M(r) = |f(r u)| / r^alpha strictly increases along every direction."""
     fut = as_function(f)
-    _require_class(fut, "starlike", grid,
+    # an order-0 certificate says nothing about a positive order
+    _require_class(fut, f"starlike({alpha})" if alpha else "starlike", grid,
                    lambda g, gr: is_starlike(g, gr, alpha))
     col = _Collector(tol)
     values, n = fut.sweep(grid), len(grid.directions)
@@ -469,7 +470,7 @@ def check_monotone_modulus(f: FunctionLike, alpha: float = 0.0,
         for r, q, value in zip(grid.radii, grid.points[k::n], values[k::n]):
             m_r = abs(value) / r ** alpha
             if previous is not None:
-                col.check(m_r - previous, _point_entry(q, previous, m_r),
+                col.check(m_r - previous, _point_entry, q, previous, m_r,
                           equality_scale=max(m_r, 1.0))
             previous = m_r
     return col.report("monotone-modulus", fut.fid, fut.series.degree,
@@ -491,10 +492,9 @@ def check_hayman(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
         m_inf = max(map(abs, values))
         phis.append((1.0 - r) ** 2 * m_inf / r)
     for i in range(1, len(phis)):
-        col.check(phis[i - 1] - phis[i],
-                  {"n": i, "lhs": phis[i], "rhs": phis[i - 1]})
-    col.check(phis[-1], {"n": "limit>=0", "lhs": 0.0, "rhs": phis[-1]})
-    col.check(1.0 + tol - phis[-1], {"n": "limit<=1", "lhs": phis[-1], "rhs": 1.0})
+        col.check(phis[i - 1] - phis[i], _coeff_entry, i, phis[i], phis[i - 1])
+    col.check(phis[-1], _coeff_entry, "limit>=0", 0.0, phis[-1])
+    col.check(1.0 + tol - phis[-1], _coeff_entry, "limit<=1", phis[-1], 1.0)
     constant = max(phis) - min(phis) <= tol
     return col.report("hayman", fut.fid, fut.series.degree,
                       params={"phi": phis, "constant": constant,
@@ -527,7 +527,7 @@ def check_koebe_quarter(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     for q, mod in zip(points, map(abs, at_max)):
         if mod < min_mod:
             min_mod, argmin = mod, q
-    col.check(min_mod - bound, _point_entry(argmin, bound, min_mod), equality_scale=1.0)
+    col.check(min_mod - bound, _point_entry, argmin, bound, min_mod, equality_scale=1.0)
     params: dict = {"largest_radius": r_max, "min_modulus": min_mod,
                     "proxy_bound": bound}
     if check_omitted_slit:
@@ -540,39 +540,39 @@ def check_koebe_quarter(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
             for value in at_r:
                 closest = min(closest, abs(value + Quaternion(0.25, 0.0, 0.0, 0.0)))
             col.check(closest - floor + tol,
-                      _point_entry(Quaternion(-r, 0.0, 0.0, 0.0), floor, closest))
+                      _point_entry, Quaternion(-r, 0.0, 0.0, 0.0), floor, closest)
             floors.append([r, floor, closest])
         omitted_min = min(abs(value - target) for value in values)
-        col.check(omitted_min - delta / 2,
-                  {"n": "omitted-point", "lhs": delta / 2, "rhs": omitted_min})
+        col.check(omitted_min - delta / 2, _coeff_entry, "omitted-point", delta / 2, omitted_min)
         params["quarter_point_floors"] = floors
         params["omitted_point_min_residual"] = omitted_min
     return col.report("koebe-quarter", fut.fid, fut.series.degree, params=params)
 
 
-def check_convex_covering_examples(grid: SamplingGrid = DEFAULT_GRID,
-                                   tol: float = POINT_TOL,
-                                   degree: int = DEFAULT_DEGREE) -> CheckReport:
+def check_convex_covering_examples(f: FunctionLike,
+                                   grid: SamplingGrid = DEFAULT_GRID,
+                                   tol: float = POINT_TOL) -> CheckReport:
     """Half-plane and strip images certifying the 1/2 covering bound.
 
-    q (1-q)^(-star) keeps Re f > -1/2 with margin shrinking to 0 along
-    the negative real axis; the odd logarithmic series keeps |Im f|
-    strictly below pi/4.
+    f, the half-plane example q (1-q)^(-star) of ``convex_function``, keeps
+    Re f > -1/2 with margin shrinking to 0 along the negative real axis;
+    the odd logarithmic series keeps |Im f| strictly below pi/4.
     """
+    fut = as_function(f)
     col = _Collector(tol)
-    convex_q = convex_reference_quotient()
-    if convex_q.to_series(1).coeff(1) != ONE:
+    if fut.series.coeff(1) != ONE:
         raise DomainError("reference normalization broke")
-    for q, value in zip(grid.points, convex_q.values(grid.points)):
+    for q, value in zip(grid.points, fut.sweep(grid)):
         re = float(value.w)
-        col.check(re + 0.5, _point_entry(q, -0.5, re), equality_scale=1.0)
+        col.check(re + 0.5, _point_entry, q, -0.5, re, equality_scale=1.0)
     witness_sequence = []
     previous = None
-    for r in grid.radii:
-        margin = float(convex_q.eval(Quaternion(-r, 0.0, 0.0, 0.0)).w) + 0.5
-        col.check(margin, {"n": f"r={r}", "lhs": -0.5, "rhs": margin - 0.5})
+    on_axis = fut.values([Quaternion(-r, 0.0, 0.0, 0.0) for r in grid.radii])
+    for r, value in zip(grid.radii, on_axis):
+        margin = float(value.w) + 0.5
+        col.check(margin, _coeff_entry, f"r={r}", -0.5, margin - 0.5)
         if previous is not None:
-            col.check(previous - margin, {"n": f"shrinks@r={r}", "lhs": margin, "rhs": previous})
+            col.check(previous - margin, _coeff_entry, f"shrinks@r={r}", margin, previous)
         witness_sequence.append([r, margin])
         previous = margin
     if bloch_series(1).coeff(1) != ONE:
@@ -580,37 +580,36 @@ def check_convex_covering_examples(grid: SamplingGrid = DEFAULT_GRID,
     quarter_pi = math.pi / 4.0
     for q in grid.points:
         im = abs(bloch_eval(q).imag())
-        col.check(quarter_pi - im, _point_entry(q, im, quarter_pi), equality_scale=1.0)
-    return col.report("convex-covering", "convex-reference+strip-reference", degree,
+        col.check(quarter_pi - im, _point_entry, q, im, quarter_pi, equality_scale=1.0)
+    return col.report("convex-covering", "convex-reference+strip-reference", fut.series.degree,
                       params={"half_plane_margins": witness_sequence})
 
 
-def check_subordination_growth(f: FunctionLike, w: SliceSeries,
+def check_subordination_growth(f: FunctionLike, w: FunctionLike,
                                grid: SamplingGrid = DEFAULT_GRID,
                                tol: float = POINT_TOL) -> CheckReport:
-    """Composition g = f(w(q)) obeys the upper growth and distortion bands."""
-    fut = as_function(f)
+    """Composition g = f(w(q)) obeys the upper growth and distortion bands;
+    g is the composed window, and it and w are read through grid sweeps."""
+    fut, inner = as_function(f), as_function(w)
     if not (fut.certifies("close-to-convex") or fut.certifies("starlike")):
         raise PreconditionError("outer function must be certified close-to-convex")
-    if not is_slice_preserving(w).member:
+    if not is_slice_preserving(inner).member:
         raise PreconditionError("inner function must be slice preserving")
-    if not w.is_zero() and w.valuation < 1:
+    if not inner.series.is_zero() and inner.series.valuation < 1:
         raise PreconditionError("inner function must vanish at 0")
-    wf = w.to_float()
-    for q in grid.points:
-        if abs(wf.eval(q)) >= 1.0:
-            raise PreconditionError("inner function must map the grid into the ball")
-    g = compose_slice_preserving(fut.series, w).to_float()
-    gp = slice_derivative(g)
+    if any(abs(value) >= 1.0 for value in inner.sweep(grid)):
+        raise PreconditionError("inner function must map the grid into the ball")
+    g = FunctionUnderTest(fut.fid, compose_slice_preserving(fut.series, inner.series))
     col = _Collector(tol)
-    for r in grid.radii:
+    pairs = list(zip(g.sweep(grid), g.derivative_sweep(grid)))
+    for r, points, values in _by_radius(grid, pairs):
         g_hi = r / (1.0 - r) ** 2
         d_hi = (1.0 + r) / (1.0 - r) ** 3
-        for q in grid.points_at(r):
-            gv, dv = abs(g.eval(q)), abs(gp.eval(q))
-            col.check(g_hi - gv, _point_entry(q, gv, g_hi), equality_scale=g_hi)
-            col.check(d_hi - dv, _point_entry(q, dv, d_hi), equality_scale=d_hi)
-    return col.report("subordination-growth", fut.fid, g.degree)
+        for q, (value, derivative) in zip(points, values):
+            gv, dv = abs(value), abs(derivative)
+            col.check(g_hi - gv, _point_entry, q, gv, g_hi, equality_scale=g_hi)
+            col.check(d_hi - dv, _point_entry, q, dv, d_hi, equality_scale=d_hi)
+    return col.report("subordination-growth", fut.fid, g.series.degree)
 
 
 def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
@@ -628,22 +627,21 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
     percent skipped the report is inconclusive.
     """
     quotient = StarQuotient(g, f)
-    ff, gf = f.to_float(), g.to_float()
+    f_values, g_values = as_function(f).sweep(grid), as_function(g).sweep(grid)
     min_re_point = math.inf
     min_re_star = math.inf
     max_ratio = 0.0
     max_star = 0.0
     skipped: list[dict] = []
     kept = 0
-    for q, star in zip(grid.points, quotient.values(grid.points, domain, skip=True)):
-        fv = None if type(star) is float else ff.eval(q)
-        if fv is None or fv.norm_sq() < sys.float_info.min:
+    stars = quotient.values(grid.points, domain, skip=True)
+    for q, star, fv, gv in zip(grid.points, stars, f_values, g_values):
+        measure = star if type(star) is float else fv.norm_sq()
+        if type(star) is float or measure < sys.float_info.min:
             if len(skipped) < 16:
-                lhs = star if fv is None else fv.norm_sq()
-                skipped.append(_point_entry(q, lhs, domain.singular_threshold))
+                skipped.append(_point_entry(q, measure, domain.singular_threshold))
             continue
         kept += 1
-        gv = gf.eval(q)
         min_re_point = min(min_re_point, float((fv.inverse() * gv).w))
         min_re_star = min(min_re_star, float(star.w))
         max_ratio = max(max_ratio, abs(gv) / abs(fv))
@@ -974,7 +972,8 @@ def _suite_convex(cfg: SuiteConfig) -> list[Task]:
     members = [convex_member(cfg.member_seed(i), h)
                for i, h in enumerate(_members(cfg, starlike_member))]
     return ([partial(check_convex_coefficients, fut, cfg.grid) for fut in futs]
-            + [partial(check_convex_covering_examples, cfg.grid, cfg.tol, cfg.degree)]
+            + [partial(check_convex_covering_examples, cfg.build(convex_function),
+                       cfg.grid, cfg.tol)]
             + [partial(check_convex_coefficients, fut, cfg.grid) for fut in members])
 
 
@@ -982,7 +981,7 @@ def _suite_subordination(cfg: SuiteConfig) -> list[Task]:
     w_square = SliceSeries.from_coeffs([ONE], valuation=2).pad_to(cfg.degree)
     w_half = SliceSeries.from_coeffs([Quaternion.from_real(Fraction(1, 2))],
                                      valuation=1).pad_to(cfg.degree)
-    w_id = SliceSeries.identity(cfg.degree)
+    w_id = cfg.build(identity_function)  # shared, so swept once for its three tasks
     kb = cfg.build(koebe_function, ONE)
     cases = [(kb, w_square), (kb, w_half)]
     cases += [(fut, w_id) for fut in

@@ -100,9 +100,6 @@ class SamplingGrid:
     def points(self) -> tuple[Quaternion, ...]:
         return tuple(u * r for r in self.radii for u in self.directions)
 
-    def points_at(self, radius: float) -> tuple[Quaternion, ...]:
-        return tuple(u * radius for u in self.directions)
-
 
 DEFAULT_GRID = SamplingGrid.default()
 

@@ -205,7 +205,8 @@ def _parse_unit(token: str) -> ImaginaryUnit:
     if token in _NAMED_UNITS:
         return _NAMED_UNITS[token]
     q = parse_quaternion(token).to_float()
-    if abs(float(q.w)) > 1e-12:
+    # relative to the imaginary norm, which hypot forms without overflow or underflow
+    if abs(q.w) > 1e-12 * math.hypot(q.x, q.y, q.z):
         raise DomainError("slice axis must be purely imaginary")
     return ImaginaryUnit.from_vector(q.x, q.y, q.z)
 

@@ -3,7 +3,9 @@
 import hashlib
 import inspect
 import json
+import sys
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -334,6 +336,25 @@ class TestMonotoneHayman:
         report = check_monotone_modulus(starlike_member(17, 16), 0.0, SMALL_GRID)
         assert report.passed
 
+    def test_an_order_zero_certificate_skips_only_the_order_zero_screen(self, monkeypatch):
+        screened = []
+        original = checks_module.is_starlike
+        monkeypatch.setattr(checks_module, "is_starlike",
+                            lambda *args: screened.append(args[2:]) or original(*args))
+        assert check_monotone_modulus(koebe_function(ONE, 16), 0.0, SMALL_GRID).passed
+        assert screened == []
+        # the identity is starlike of every order below 1, and |q| / r^(1/2) increases
+        assert check_monotone_modulus(identity_function(8), 0.5, SMALL_GRID).passed
+        assert screened == [(0.5,)]
+
+    def test_koebe_is_not_starlike_of_order_one_half(self):
+        """Koebe's certificate is of order 0; at order 1/2 the screen refutes
+        it, certified or not."""
+        for fut in (koebe_function(ONE, 16),
+                    FunctionUnderTest("koebe-window", koebe_function(ONE, 16).series)):
+            with pytest.raises(PreconditionError, match=r"starlike\(0\.5\) screen"):
+                check_monotone_modulus(fut, 0.5, SMALL_GRID)
+
     def test_koebe_phi_constant_one(self):
         report = check_hayman(koebe_function(ONE, 16), DEFAULT_GRID)
         assert report.passed
@@ -374,7 +395,7 @@ class TestKoebeQuarter:
 
 class TestConvexCovering:
     def test_examples(self):
-        report = check_convex_covering_examples(DEFAULT_GRID)
+        report = check_convex_covering_examples(convex_function(), DEFAULT_GRID)
         assert report.passed
         margins = report.params["half_plane_margins"]
         assert all(m > 0 for _, m in margins)
@@ -477,6 +498,43 @@ class TestQuotientEquivalences:
         assert report.witnesses
 
 
+class TestWitnessEntries:
+    """A check forms a witness entry only for a sample its report keeps."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: check_growth_distortion(starlike_member(3, 16), SMALL_GRID),
+        lambda: check_caratheodory_bounds(caratheodory_member(5, 16), SMALL_GRID),
+        lambda: check_hayman(starlike_member(23, 16), SMALL_GRID),
+        lambda: check_growth_distortion(koebe_function(I, 30), DEFAULT_GRID),
+        lambda: check_koebe_quarter(koebe_function(ONE, 16), DEFAULT_GRID,
+                                    check_omitted_slit=True),
+        lambda: check_bieberbach(koebe_function(ONE, 24)),
+        lambda: check_fekete_szego(_uncertified_violator(), sample_lambdas(3, 12), SMALL_GRID),
+        lambda: check_growth_distortion(_uncertified_violator(), SMALL_GRID),
+        lambda: check_subordination_growth(_uncertified_violator(),
+                                           SliceSeries.identity(12), SMALL_GRID),
+    ], ids=["growth-member", "caratheodory-member", "hayman-member", "growth-koebe-i",
+            "koebe-quarter", "bieberbach-koebe", "fekete-szego-violator",
+            "growth-violator", "subordination-violator"])
+    def test_k_kept_entries_form_k_entries(self, make, monkeypatch):
+        formed = []
+        for name in ("_point_entry", "_coeff_entry", "_lambda_entry"):
+            original = getattr(checks_module, name, None)
+            monkeypatch.setattr(checks_module, name,
+                                lambda *args, _o=original: formed.append(args) or _o(*args),
+                                raising=False)
+        report = make()
+        kept = len(report.witnesses) + len(report.params.get("equalities", ()))
+        assert len(formed) == kept
+
+
+def _uncertified_violator() -> FunctionUnderTest:
+    """a_2 = 3, a_3 = 2i, falsely certified so that the checks run on it."""
+    series = SliceSeries.from_coeffs([ONE, exact(3), exact(0, 2)], valuation=1).pad_to(12)
+    return FunctionUnderTest("violator", series,
+                             certificates=("starlike", "close-to-convex"))
+
+
 class TestSuitesAndReports:
     def test_all_suites_pass_small(self):
         cfg = SuiteConfig(degree=16, seed=3, random_count=1, grid=SMALL_GRID)
@@ -505,6 +563,44 @@ class TestSuitesAndReports:
         report = check_bieberbach(cheat)
         assert not report.passed and report.witnesses
         assert report.status == "fail"
+
+
+class TestOneEvaluator:
+    def test_the_subordination_and_quotient_windows_are_read_through_sweeps(self, monkeypatch):
+        """Every window value of these suites comes from a FunctionUnderTest
+        sweep, the inner identity is swept once for its three tasks, and a
+        seed-7 pass stays within its evaluation and Horner-step budgets."""
+        cfg = SuiteConfig()
+        evaluators = {FunctionUnderTest.values.__code__,
+                      FunctionUnderTest.derivative_values.__code__}
+        strays, evaluations, steps = [], Counter(), Counter()
+        suite = [None]
+        original_eval = SliceSeries.eval
+
+        def spied(series, q, *args):
+            # the caller, or the list comprehension's caller before Python 3.12
+            frame = sys._getframe(1)
+            if not {frame.f_code, frame.f_back.f_code} & evaluators:
+                strays.append(frame.f_code.co_name)
+            evaluations[suite[0]] += 1
+            steps[suite[0]] += len(series.coeffs) - 1
+            return original_eval(series, q, *args)
+
+        swept = Counter()
+        original_values = FunctionUnderTest.values
+        monkeypatch.setattr(SliceSeries, "eval", spied)
+        monkeypatch.setattr(FunctionUnderTest, "values", lambda fut, points:
+                            swept.update([id(fut)]) or original_values(fut, points))
+        for name in ("subordination", "quotient"):
+            tasks = SUITES[name](cfg)
+            suite[0] = name
+            assert all(task().passed for task in tasks)
+        identity = cfg.build(identity_function)
+        assert sum(task.args[1] is identity for task in SUITES["subordination"](cfg)) == 3
+        assert swept[id(identity)] == 1
+        assert strays == []
+        assert evaluations["subordination"] <= 2860 and steps["subordination"] <= 102960
+        assert steps["quotient"] <= 9460
 
 
 def _json_bytes(reports) -> bytes:

@@ -145,14 +145,14 @@ class TestGridSweeps:
             assert list(derivatives) == fut.derivative_values(grid.points)
             assert fut.sweep(DEFAULT_GRID) == tuple(fut.values(DEFAULT_GRID.points))
 
-    def test_the_largest_radius_block_equals_points_at(self):
+    def test_the_largest_radius_block_is_the_directions_at_r_max(self):
         # check_koebe_quarter reads its r_max block from the sweep
         n = len(DEFAULT_GRID.directions)
         r_max = DEFAULT_GRID.radii[-1]
-        assert DEFAULT_GRID.points[-n:] == DEFAULT_GRID.points_at(r_max)
+        block = tuple(u * r_max for u in DEFAULT_GRID.directions)
+        assert DEFAULT_GRID.points[-n:] == block
         for fut in _sweep_functions()[:4]:
-            assert fut.sweep(DEFAULT_GRID)[-n:] == \
-                tuple(fut.values(DEFAULT_GRID.points_at(r_max)))
+            assert fut.sweep(DEFAULT_GRID)[-n:] == tuple(fut.values(block))
 
 
 class TestCaratheodoryPredicate:

@@ -429,6 +429,25 @@ class TestSliceImageCommand:
                     "--out", str(tmp_path / "zero.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("unit", ["1e-13+1e-20i", "1e-300+1e-290j"])
+    def test_a_real_part_beside_a_smaller_imaginary_part_is_refused(self, unit, tmp_path,
+                                                                   capsys):
+        """The real part is measured against the imaginary norm, not 1e-12."""
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps(SliceSeries.identity(4).to_json_dict()))
+        out = tmp_path / "cloud.csv"
+        assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_a_real_part_far_below_the_imaginary_norm_is_accepted(self, tmp_path):
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps(SliceSeries.identity(4).to_json_dict()))
+        clouds = [tmp_path / "i.csv", tmp_path / "near-i.csv"]
+        for unit, out in zip(("i", "1e-11+1e6i"), clouds):
+            assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 0
+        assert clouds[0].read_bytes() == clouds[1].read_bytes()
+
     # sha256 of the CSV of each seed-7 gen file on each axis; the float
     # sstar file holds the exact window rounded, so its images are the same
     PINNED_IMAGE = {
