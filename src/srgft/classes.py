@@ -339,7 +339,16 @@ def is_one_slice(f: FunctionLike) -> ClassVerdict:
     series = as_function(f).series
     axis = first = None
     for n, c in series.terms():
-        ix, iy, iz = float(c.x), float(c.y), float(c.z)
+        if series.is_exact:
+            # skip only an exact zero; scale by the power of two that brings the
+            # largest component near 1, so the direction's floats cannot underflow
+            if not (c.x or c.y or c.z):
+                continue
+            big = max(abs(c.x), abs(c.y), abs(c.z))
+            scale = Fraction(2) ** (big.denominator.bit_length() - big.numerator.bit_length())
+            ix, iy, iz = float(c.x * scale), float(c.y * scale), float(c.z * scale)
+        else:
+            ix, iy, iz = c.x, c.y, c.z
         norm = math.sqrt(ix * ix + iy * iy + iz * iz)
         if norm == 0.0:
             continue

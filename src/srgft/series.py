@@ -87,6 +87,22 @@ def _horner_xv(coeffs: tuple[tuple[int, ...], ...], scale: int, w: int, n2: int)
     return power, (a0, a1, a2, a3), (b0, b1, b2, b3)
 
 
+def _horner_fixed(coeffs: tuple[tuple[int, ...], ...], p: int, w: int, n2: int):
+    """(A, B) with A + U B ~ sum_n q^n c_n at q = w' + U, in fixed point at
+    p fractional bits: w = w' 2^p and n2 = |U|^2 2^p are integers, and the
+    4-tuples c, listed from c_k down, hold c_n 2^p.  Each product is
+    truncated to p bits (floor), so the step is the complex Horner in
+    w' + i|U| with one rounding error below one unit in each of A and B."""
+    a0, a1, a2, a3 = coeffs[0]
+    b0 = b1 = b2 = b3 = 0
+    for c0, c1, c2, c3 in coeffs[1:]:
+        a0, b0 = ((w * a0 - n2 * b0) >> p) + c0, a0 + (w * b0 >> p)
+        a1, b1 = ((w * a1 - n2 * b1) >> p) + c1, a1 + (w * b1 >> p)
+        a2, b2 = ((w * a2 - n2 * b2) >> p) + c2, a2 + (w * b2 >> p)
+        a3, b3 = ((w * a3 - n2 * b3) >> p) + c3, a3 + (w * b3 >> p)
+    return (a0, a1, a2, a3), (b0, b1, b2, b3)
+
+
 def _plus_v_times(e: tuple[int, ...], f: tuple[int, ...], v1: int, v2: int, v3: int):
     """The components of E + V F for V = v1 i + v2 j + v3 k."""
     e0, e1, e2, e3 = e
@@ -95,6 +111,94 @@ def _plus_v_times(e: tuple[int, ...], f: tuple[int, ...], v1: int, v2: int, v3: 
             e1 + v1 * f0 + v2 * f3 - v3 * f2,
             e2 + v2 * f0 - v1 * f3 + v3 * f1,
             e3 + v3 * f0 + v1 * f2 - v2 * f1)
+
+
+def _error_plus_v_times(e: tuple[int, ...], f: tuple[int, ...], v1: int, v2: int, v3: int):
+    """Bounds on the errors of the components of E + V F, for error
+    bounds e and f of E and F and |v1|, |v2|, |v3|."""
+    e0, e1, e2, e3 = e
+    f0, f1, f2, f3 = f
+    return (e0 + v1 * f1 + v2 * f2 + v3 * f3,
+            e1 + v1 * f0 + v2 * f3 + v3 * f2,
+            e2 + v2 * f0 + v1 * f3 + v3 * f1,
+            e3 + v3 * f0 + v1 * f2 + v2 * f1)
+
+
+def _horner_errors(columns) -> dict:
+    """Per pair (w exact, |V|^2 exact) of conversions, bounds (da, db) in
+    units of 2^-p on the errors of A and B from :func:`_horner_fixed` for
+    any of the integer columns c_N .. c_0, which are of equal length; see
+    :meth:`StarQuotient._fixed_part`.  K = N - 1 steps round, for the first
+    multiplies c_N 2^p and is exact, and the conversion terms take the
+    largest sum n^m |c_n| of the columns."""
+    top = len(columns[0]) - 1
+    m1, m2, m3 = (max(sum(n ** m * abs(c) for n, c in zip(range(top, -1, -1), column))
+                      for column in columns) for m in (1, 2, 3))
+    k = max(top - 1, 0)
+    da, db = (math.isqrt(2 * k * k) + 1 if k else 0), k * k
+    return {(True, True): (da, db), (False, True): (da + m1, db + m2),
+            (True, False): (da + m2, db + m3), (False, False): (da + m1 + m2, db + m2 + m3)}
+
+
+def _certified(part, v1: int, v2: int, v3: int) -> Quaternion | None:
+    """The value at the float point with V = (v1 i + v2 j + v3 k) / L from
+    the fixed-point class part of :meth:`StarQuotient._fixed_part`, or None.
+    Each component lies in [c - r, c + r] / [low, high]; both ends are
+    rounded by correctly rounded int / int division, and the component is
+    returned only when the two floats have the same bits, sign of zero
+    included.  Rounding is monotone, so every value in the interval, the
+    exact one included, then rounds to that float."""
+    e, f, de, df, low, high = part
+    out = []
+    for c, r in zip(_plus_v_times(e, f, v1, v2, v3),
+                    _error_plus_v_times(de, df, abs(v1), abs(v2), abs(v3))):
+        lo, hi = c - r, c + r
+        try:
+            a, b = lo / (high if lo >= 0 else low), hi / (low if hi >= 0 else high)
+        except OverflowError:
+            return None
+        if a != b or not a and math.copysign(1.0, a) != math.copysign(1.0, b):
+            return None
+        out.append(a)
+    return Quaternion(*out)
+
+
+#: fixed-point bits kept beyond those that :func:`_fixed_precision` reads
+#: from the form
+_FIXED_MARGIN = 24
+#: bits lost per degree of den^s where |den^s(q)| is smallest on the grid:
+#: (1 - r)^deg at r = 0.99
+_BITS_PER_DEN_DEGREE = 7
+#: a float point takes the fixed path where the exact Horner's integers
+#: would grow by more than this many times p bits, k steps times the bits
+#: of L; below it the exact path is faster
+_FIXED_GROWTH = 3
+
+
+def _guard_ratio(domain: EvalDomain, real: bool) -> tuple[int, int]:
+    """(n, shift): the guard refuses a measure top / bottom of |den^s(q)|^2,
+    or of |den(q)|^2 for a real den, where (top << shift) < n bottom.  The
+    float threshold is t = n / 2^s exactly, and the measure is compared
+    with t^2, or with t for a real den."""
+    n, d = float(domain.singular_threshold).as_integer_ratio()
+    shift = d.bit_length() - 1
+    return (n, shift) if real else (n * n, 2 * shift)
+
+
+def _fixed_precision(sym_den: int, sym: tuple, num_den: int, num: tuple) -> int:
+    """The fractional bits p of the fixed-point path for den^s = s / D_s and
+    den^c * num = g / D_g, from the sizes of the form: twice a float's 53
+    bits, for a component of the value can cancel to the size of the
+    point's smallest part (a float r cos(pi/2) is 2^-54 r), and
+    :data:`_FIXED_MARGIN`; :data:`_BITS_PER_DEN_DEGREE` per degree of s,
+    which |den^s(q)| can lose near the boundary; twice the bits of the
+    number of Horner steps; and the bits by which the largest row of s or
+    of g exceeds its denominator, which a value can cancel."""
+    steps = max(len(sym), len(num)) - 1
+    excess = (max(map(abs, sym)).bit_length() - sym_den.bit_length(),
+              max(abs(c) for row in num for c in row).bit_length() - num_den.bit_length())
+    return (2 * 53 + _FIXED_MARGIN + _BITS_PER_DEN_DEGREE * (len(sym) - 1)
+            + 2 * steps.bit_length() + sum(max(x, 0) for x in excess))
 
 
 def _product(a: tuple, b: tuple) -> tuple:
@@ -124,18 +228,35 @@ def _eval_float(rows: tuple[tuple[float, float, float, float], ...],
     return Quaternion(aw, ax, ay, az)
 
 
+def _plane_horner(coeffs: tuple[complex, ...], point: complex) -> complex:
+    """Horner acc = point acc + c over complex coefficients listed from the
+    top down: one plane of an axis point (:data:`_AXIS_PLANES`)."""
+    it = iter(coeffs)
+    acc = next(it)
+    for c in it:
+        acc = point * acc + c
+    return acc
+
+
+def _power(base, n: int, one, times):
+    """base^n for n > 0 by the products of `Quaternion.__pow__`, in its
+    order: ``times(a, b)`` is the product a b, from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = times(result, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    return result
+
+
 def _float_power_times(q: Quaternion, n: int, acc: Quaternion) -> Quaternion:
     """q^n acc at a float q and n > 0, on 4-tuples with the products of
     ``q ** n * acc`` in the same order (`Quaternion.__pow__` from
     ``_FLOAT_ONE``), so with the same bits and one `Quaternion` built."""
-    result, base = (1.0, 0.0, 0.0, 0.0), (q.w, q.x, q.y, q.z)
-    while n:
-        if n & 1:
-            result = _product(result, base)
-        n >>= 1
-        if n:
-            base = _product(base, base)
-    return Quaternion(*_product(result, (acc.w, acc.x, acc.y, acc.z)))
+    power = _power((q.w, q.x, q.y, q.z), n, (1.0, 0.0, 0.0, 0.0), _product)
+    return Quaternion(*_product(power, (acc.w, acc.x, acc.y, acc.z)))
 
 
 def _complex_products_round_each_term() -> bool:
@@ -319,17 +440,17 @@ class SliceSeries:
         return tuple(_float_row(row, den) for row in reversed(rows))
 
     def _axis_rows(self, axis: int):
-        """(pairs, signed): the float rows as pairs of complex numbers, one
-        per plane of ``_AXIS_PLANES[axis]``, and the components whose entry
-        in the lowest row a_v is -0.0.  Built on first use per axis and
-        kept in the instance ``__dict__``."""
+        """(plane0, plane1, signed): the float rows as complex numbers, one
+        tuple per plane of ``_AXIS_PLANES[axis]``, and the components whose
+        entry in the lowest row a_v is -0.0.  Built on first use per axis
+        and kept in the instance ``__dict__``."""
         key = ("_axis_rows_i", "_axis_rows_j", "_axis_rows_k")[axis]
         cached = self.__dict__.get(key)
         if cached is None:
             rows = self._float_rows
             (p0, p1), (r0, r1) = _AXIS_PLANES[axis]
-            cached = (tuple((complex(row[p0], row[p1]), complex(row[r0], row[r1]))
-                            for row in rows),
+            cached = (tuple(complex(row[p0], row[p1]) for row in rows),
+                      tuple(complex(row[r0], row[r1]) for row in rows),
                       tuple(m for m, c in enumerate(rows[-1])
                             if c == 0 and math.copysign(1.0, c) < 0))
             self.__dict__[key] = cached
@@ -337,8 +458,8 @@ class SliceSeries:
 
     def _eval_at_float(self, q: Quaternion) -> Quaternion:
         """The float Horner at the float point q.  On the i, j or k axis, a
-        real point included, it runs as two complex Horners
-        acc = (Re q + q_e i) acc + c, one per plane of ``_AXIS_PLANES``; anywhere
+        real point included, it runs :func:`_plane_horner` in Re q + q_e i
+        once per plane of ``_AXIS_PLANES``; anywhere
         else, and where complex products may be fused, it is
         :func:`_eval_float`.  Both give the same bits: the quaternion Horner
         forms the same products and sums in the same order, plus ±0 terms
@@ -358,12 +479,8 @@ class SliceSeries:
             axis, point = 2, complex(w, z)
         else:
             return _eval_float(self._float_rows, q)
-        pairs, signed = self._axis_rows(axis)
-        it = iter(pairs)
-        a, b = next(it)
-        for c, d in it:
-            a = point * a + c
-            b = point * b + d
+        plane0, plane1, signed = self._axis_rows(axis)
+        a, b = _plane_horner(plane0, point), _plane_horner(plane1, point)
         (p0, p1), (r0, r1) = _AXIS_PLANES[axis]
         out = [0.0] * 4
         out[p0], out[p1], out[r0], out[r1] = a.real, a.imag, b.real, b.imag
@@ -373,6 +490,34 @@ class SliceSeries:
             return Quaternion(*out)
         except DomainError:
             return _eval_float(self._float_rows, q)
+
+    def _slice_value(self, axis: int, x: float, y: float) -> complex | None:
+        """f(x + y e) of a float window on the axis e = i, j or k (``axis``
+        0, 1 or 2) as the complex number of its real and e components, or
+        None where :meth:`eval` must decide.  Those two components lie in
+        the first plane of ``_AXIS_PLANES[axis]`` alone: its
+        :func:`_plane_horner` in z = x + y i, times z^v formed by the
+        products of :func:`_float_power_times` in the same order, so a
+        nonzero finite component has the bits that :meth:`eval` gives.
+        None for a zero or non-finite component, a negative valuation, a
+        point outside the ball, fused complex products, or a window whose
+        sum of |components| may overflow the other plane."""
+        v = self.valuation
+        if not (_COMPLEX_PRODUCTS_ROUND_EACH_TERM and v >= 0 and x * x + y * y < 1
+                and self._plane_bounded):
+            return None
+        z = complex(x, y)
+        acc = _plane_horner(self._axis_rows(axis)[0], z)
+        if v:
+            acc = _power(z, v, 1 + 0j, mul) * acc
+        re, im = acc.real, acc.imag
+        return acc if re and im and math.isfinite(re) and math.isfinite(im) else None
+
+    @cached_property
+    def _plane_bounded(self) -> bool:
+        """Whether the sum of the |components| of the float rows is below
+        1e300, so no Horner at a point of the ball overflows."""
+        return sum(abs(c) for row in self._float_rows for c in row) < 1e300
 
     def coeff(self, n: int) -> Quaternion:
         """Coefficient of q^n.  Raises above the truncation degree."""
@@ -864,6 +1009,21 @@ class StarQuotient:
     the i, j and k points of one (r, theta) run one Horner; nothing
     outlives the call.  An exact point gives an exact value; at a float
     point each component is the correctly rounded value of the exact one.
+
+    A float point tries a fixed-point path first: the same Horners at p
+    fractional bits, p read from the sizes of the form
+    (:func:`_fixed_precision`), truncating each product
+    (:meth:`_fixed_part`, which states the proven error bound), and the
+    tail E + V F with V's exact components, so a tiny component keeps its
+    relative accuracy.  A component is returned only when both ends of its
+    error interval round to the same float, sign of zero included
+    (:func:`_certified`); rounding is monotone, so that float is the exact
+    path's.  Any other point takes the exact path, which is the oracle: a
+    guard refused or ambiguous on the interval of N, a float overflow, a
+    negative valuation, a failed certificate.  So does every point of a
+    form whose exact Horner would grow its integers by at most
+    :data:`_FIXED_GROWTH` p bits (steps times the bits of L), where the
+    exact path is the faster one.
     Exactness matters because the symmetrized denominator can be as small
     as (1-|q|)^8 near the boundary, where float Horner would cancel
     catastrophically.  The guard compares |den^s(q)| with its threshold
@@ -914,16 +1074,17 @@ class StarQuotient:
                 tuple(c[0] for c in sym_rows[::-1]) + (0,) * (sym.valuation - low),
                 num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (num.valuation - low))
 
-    def _shared_part(self, scale: int, w: int, n2: int, r2: int, domain: EvalDomain):
+    def _shared_part(self, scale: int, w: int, n2: int, r2: int, guard: tuple[int, int]):
         """(E, F, divisor): everything of the value at (W + V) / L that
         reads only L, W and |V|^2 = n2, so the points x + y I of one
         (r, theta) share it whatever their axis I.
 
         The value is (E + V F) / divisor componentwise with integer
         4-tuples E and F.  Raises at 0 for a negative valuation.  Where
-        |den^s(q)| falls below ``domain``'s threshold it returns that
-        modulus as a float instead, the ratio of its integers rounded
-        once (and its square root for a den that is not real)."""
+        |den^s(q)| falls below the threshold that ``guard`` reads
+        (:func:`_guard_ratio`) it returns that modulus as a float instead,
+        the ratio of its integers rounded once (and its square root for a
+        den that is not real)."""
         low, real, sym_den, sym, num_den, num = self._integer_parts
         if low < 0 and not r2:
             raise SingularityError("negative-valuation series is singular at 0")
@@ -939,10 +1100,7 @@ class StarQuotient:
         top, bottom = norm, (power * sym_den) ** 2
         if low < 0:
             top, bottom = top * scale ** (-2 * low), bottom * r2 ** -low
-        n, d = float(domain.singular_threshold).as_integer_ratio()
-        shift = d.bit_length() - 1
-        if not real:
-            n, shift = n * n, 2 * shift
+        n, shift = guard
         if (top << shift) < n * bottom:
             # refused: the measure of |den^s(q)| read from the same integers
             return top / bottom if real else math.sqrt(top / bottom)
@@ -961,23 +1119,128 @@ class StarQuotient:
                 (x * b0 - y * a0, x * b1 - y * a1, x * b2 - y * a2, x * b3 - y * a3),
                 divisor)
 
+    @cached_property
+    def _fixed_bits(self) -> tuple[int, int] | None:
+        """(p, bits) for the fixed-point path, or None for a negative
+        valuation: p fractional bits, and the fewest bits of L with which a
+        float point takes the fixed path."""
+        low, _, sym_den, sym, num_den, num = self._integer_parts
+        if low < 0:
+            return None
+        p = _fixed_precision(sym_den, sym, num_den, num)
+        return p, _FIXED_GROWTH * p // (max(len(sym), len(num), 2) - 1) + 2
+
+    @cached_property
+    def _fixed_form(self):
+        """(s, g, mask, errors): the rows of :attr:`_integer_parts` times
+        2^p, which columns of g are not all zero (None when none is), and
+        per pair (w exact, |V|^2 exact) of conversions the error bounds
+        (dx, dy, da, db) of :meth:`_fixed_part`, in units of 2^-p."""
+        p = self._fixed_bits[0]
+        sym, num = self._integer_parts[3], self._integer_parts[5]
+        nonzero = [column for column in zip(*num) if any(column)]
+        mask = None if len(nonzero) == 4 else tuple(map(any, zip(*num)))
+        sym_errors = _horner_errors((sym,))
+        num_errors = _horner_errors(nonzero) if nonzero else dict.fromkeys(sym_errors, (0, 0))
+        return (tuple(c << p for c in sym), tuple(tuple(c << p for c in row) for row in num),
+                mask, {key: sym_errors[key] + num_errors[key] for key in sym_errors})
+
+    def _fixed_part(self, scale: int, w: int, n2: int, guard: tuple[int, int]):
+        """(E, F, dE, dF, low, high): the class part of the float point
+        (W + V) / L, L = 2^e, in fixed point at p fractional bits, or None
+        where the guard (:func:`_guard_ratio`) does not accept the low end
+        of N.  Each component of the value is (E + V F) / N for some N in
+        [low, high], and dE and dF bound the errors of E and F
+        componentwise.
+
+        The den^s Horner gives the pair x + V y and the num Horner the pairs
+        A + V B (:func:`_horner_fixed`).  Their proven error bound, in units
+        of 2^-p: w = W / L is truncated toward zero and |V|^2 / L^2 down to
+        p bits, so z' = w' + i|V'| lies in the unit disk with z = w + i|V|.
+        A pair (a, b) stands for the complex number a + i|V'| b, and each
+        step multiplies it by z' exactly and truncates a and b, an error
+        below one unit in each; the first step multiplies c_N 2^p and is
+        exact.  |z'| < 1, so a truncation error does not grow: after K
+        rounding steps the error of a + i|V'| b, and so of a, is below
+        sqrt(2) K, and that of b, whose step adds the error of a, below
+        K^2.  Reading z' for z moves A and B of a polynomial sum c_n z^n by
+        at most sum n|c_n| and sum n^2|c_n| per unit of w, and by
+        sum n^2|c_n| and sum n^3|c_n| per unit of |V|^2, bounds of the
+        partial derivatives on the disk; a conversion adds its term only
+        when it was inexact (:func:`_horner_errors`).  A column of zeros
+        stays an exact 0 with error 0.  E, F and N are exact products of the
+        pairs with the exact |V|^2, so their bounds follow from
+        |xy - x'y'| <= |x'| dy + |y'| dx + dx dy, with the largest |A| and
+        |B| over the columns of num."""
+        p = self._fixed_bits[0]
+        sym, num, mask, errors = self._fixed_form
+        sym_den, num_den = self._integer_parts[2], self._integer_parts[4]
+        e = scale.bit_length() - 1
+        if p >= e:
+            wf, w_exact = w << (p - e), True
+        else:
+            wf = abs(w) >> (e - p)
+            w_exact = wf << (e - p) == abs(w)
+            wf = wf if w >= 0 else -wf
+        if p >= 2 * e:
+            nf, n_exact = n2 << (p - 2 * e), True
+        else:
+            nf = n2 >> (2 * e - p)
+            n_exact = nf << (2 * e - p) == n2
+        x, y = sym[0], 0
+        for c in sym[1:]:
+            x, y = ((wf * x - nf * y) >> p) + c, x + (wf * y >> p)
+        dx, dy, da, db = errors[w_exact, n_exact]
+        ax, ay = abs(x), abs(y)
+        norm = (x * x << 2 * e) + n2 * y * y
+        dnorm = ((2 * ax + dx) * dx << 2 * e) + n2 * (2 * ay + dy) * dy
+        # |den^s(q)|^2, or |den(q)|^2 for a real den, is N / (L 2^p D_s)^2
+        n, shift = guard
+        if ((norm - dnorm) << shift) < n * sym_den * sym_den << 2 * (e + p):
+            return None
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b = _horner_fixed(num, p, wf, nf)
+        aa, ab = max(map(abs, a)), max(map(abs, b))
+        de = sym_den * (((ax * da + aa * dx + dx * da) << 2 * e)
+                        + n2 * (ay * db + ab * dy + dy * db))
+        df = sym_den * (ax * db + ab * dx + dx * db + ay * da + aa * dy + dy * da) << e
+        # E = D_s (x A + |V|^2 y B) and F = D_s (x B - y A) L, over L^2 2^(2p)
+        xe, ye = sym_den * x << 2 * e, sym_den * n2 * y
+        xf, yf = sym_den * x << e, sym_den * y << e
+        return ((xe * a0 + ye * b0, xe * a1 + ye * b1, xe * a2 + ye * b2, xe * a3 + ye * b3),
+                (xf * b0 - yf * a0, xf * b1 - yf * a1, xf * b2 - yf * a2, xf * b3 - yf * a3),
+                (de, de, de, de) if mask is None else tuple(de if m else 0 for m in mask),
+                (df, df, df, df) if mask is None else tuple(df if m else 0 for m in mask),
+                num_den * (norm - dnorm), num_den * (norm + dnorm))
+
     def values(self, points: Iterable[Quaternion], domain: EvalDomain | None = None,
                skip: bool = False) -> list:
         """The values at the points, in order, with one shared part per class
         (L, W, |V|^2).  Raises at the first point where |den^s(q)| falls
         below the guard's threshold (by default :attr:`ZERO_GUARD`).  With
         ``skip``, such a point raises nothing and yields the guard's
-        measure of |den^s(q)| as a float in place of its value."""
-        domain = domain or self.ZERO_GUARD
-        shared, out = {}, []
+        measure of |den^s(q)| as a float in place of its value.  A float
+        point takes the fixed-point class part and its certificate first,
+        and the exact shared part only where they do not settle every
+        component; both give the same bits (see the class docstring)."""
+        guard = _guard_ratio(domain or self.ZERO_GUARD, self._integer_parts[1])
+        shared, fixed, out = {}, {}, []
         for q in points:
             scale, w, v1, v2, v3, n2 = _integer_point(q)
             r2 = w * w + n2  # L^2 |q|^2
             if r2 >= scale * scale:
                 raise DomainError("evaluation point must lie in the open unit ball")
-            part = shared.get((scale, w, n2))
+            key = (scale, w, n2)
+            if not q.is_exact and self._fixed_bits and scale.bit_length() >= self._fixed_bits[1]:
+                if key not in fixed:
+                    fixed[key] = self._fixed_part(scale, w, n2, guard)
+                if fixed[key] is not None:
+                    value = _certified(fixed[key], v1, v2, v3)
+                    if value is not None:
+                        out.append(value)
+                        continue
+            part = shared.get(key)
             if part is None:
-                part = shared[scale, w, n2] = self._shared_part(scale, w, n2, r2, domain)
+                part = shared[key] = self._shared_part(scale, w, n2, r2, guard)
             if type(part) is float:
                 if not skip:
                     raise SingularityError("quotient evaluated too close to a symmetrization zero")

@@ -260,6 +260,17 @@ class TestSlicePredicates:
         # one part in 29^3 off the axis is refuted
         assert not is_one_slice(series([u, ONE + u + exact(0, 0, 0, F(1, 29 ** 3))])).member
 
+    def test_exact_parts_that_underflow_a_float_keep_their_direction(self):
+        """An exact window skips only exact-zero imaginary parts, and reads
+        its axis from the part scaled by a power of two, so a part whose
+        floats underflow is neither skipped nor divided by zero."""
+        tiny = F(1, 10 ** 400)
+        assert not is_one_slice(series([I, exact(0, 0, tiny)])).member
+        v = is_one_slice(series([exact(0, 0, tiny), exact(0, 0, 3 * tiny)]))
+        assert v.member and v.witness["axis"] == [0.0, 1.0, 0.0]
+        v = is_one_slice(series([exact(1, 0, 0, -tiny), exact(0, 0, 0, tiny / 7)]))
+        assert v.member and v.witness["axis"] == [0.0, 0.0, -1.0]
+
     @given(st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
            st.lists(st.tuples(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=40)),
                     min_size=2, max_size=5))

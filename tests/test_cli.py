@@ -448,6 +448,42 @@ class TestSliceImageCommand:
             assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 0
         assert clouds[0].read_bytes() == clouds[1].read_bytes()
 
+    @pytest.mark.parametrize("unit", ["i", "j", "k"])
+    def test_one_plane_rows_are_the_full_evaluations(self, unit, tmp_path, capsys):
+        """On i, j or k a window's image reads one plane of the axis Horner;
+        every row has the bits of evaluating the whole quaternion, a zero or
+        signed-zero component included, and a window whose other plane
+        overflows fails as that evaluation does."""
+        import math
+        e = {"i": (1.0, 0.0, 0.0), "j": (0.0, 1.0, 0.0), "k": (0.0, 0.0, 1.0)}[unit]
+        path, out = tmp_path / "w.json", tmp_path / "cloud.csv"
+        # quaternion windows of valuation 2, a real one whose imaginary
+        # parts are zeros of either sign, and a constant whose one-plane
+        # zeros have other signs than the full evaluation's
+        for window in (SliceSeries(2, [Quaternion(0.5, -0.0, 0.25, 0.0),
+                                       Quaternion(-0.0, 0.75, 0.0, -0.5),
+                                       Quaternion(1.0, 0.0, 0.0, 0.0)]),
+                       SliceSeries(2, [Quaternion(-0.5, 1.0, 0.0, -0.0)]),
+                       SliceSeries(0, [Quaternion(-0.0, -0.0, -0.0, -0.0),
+                                       Quaternion(0.5, 0.0, -0.0, 0.0)]),
+                       SliceSeries(0, [Quaternion(-0.0, -0.0, -0.0, 1.0)])):
+            path.write_text(json.dumps(window.to_json_dict()))
+            assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 0
+            want = [["re_in", "i_in", "re_out", "i_out"]]
+            for r in [0.98 * (i + 1) / 24 for i in range(24)]:
+                for theta in [2.0 * math.pi * j / 48 for j in range(48)]:
+                    x, y = r * math.cos(theta), r * math.sin(theta)
+                    v = window.eval(Quaternion(x, y * e[0], y * e[1], y * e[2]))
+                    want.append([repr(x), repr(y), repr(v.w),
+                                 repr(v.x * e[0] + v.y * e[1] + v.z * e[2])])
+            with open(out, newline="") as handle:
+                assert list(csv.reader(handle)) == want
+        huge = SliceSeries(0, [Quaternion(1.0, 0.5, 1.7e308, -1.7e308)] * 3)
+        path.write_text(json.dumps(huge.to_json_dict()))
+        capsys.readouterr()
+        assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: non-finite float component")
+
     # sha256 of the CSV of each seed-7 gen file on each axis; the float
     # sstar file holds the exact window rounded, so its images are the same
     PINNED_IMAGE = {

@@ -1,5 +1,6 @@
 """Series calculus: operation examples, formal identities, sampled laws."""
 
+import copy
 import functools
 import math
 from fractions import Fraction as F
@@ -34,8 +35,8 @@ from srgft.series import (EvalDomain, QuotientSum, SliceSeries, StarQuotient,
                           quotient_transform, regular_conjugate,
                           slice_derivative, star_mul, star_reciprocal,
                           symmetrize, _central_power, _eval_float,
-                          _float_power_times, _horner_xv, _integer_point,
-                          _reciprocal)
+                          _float_power_times, _float_row, _horner_fixed, _horner_xv,
+                          _integer_point, _reciprocal)
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -58,6 +59,17 @@ def rand_series(rng: Random, degree: int, valuation: int = 0,
     if coeffs[0].is_zero():
         coeffs[0] = ONE
     return SliceSeries.from_coeffs(coeffs, valuation)
+
+
+def _count_horners(monkeypatch) -> list:
+    """The coefficient rows of every numerator Horner that evaluation runs
+    from now on: the exact `_horner_xv` and the fixed-point `_horner_fixed`."""
+    calls = []
+    for name, kernel in (("_horner_xv", _horner_xv), ("_horner_fixed", _horner_fixed)):
+        monkeypatch.setattr(f"srgft.series.{name}",
+                            lambda coeffs, *args, kernel=kernel: calls.append(coeffs)
+                            or kernel(coeffs, *args))
+    return calls
 
 
 def with_left(quot: StarQuotient, left: SliceSeries) -> QuotientSum:
@@ -821,20 +833,16 @@ class TestSharedLeftFactor:
         assert values == [_outcome(lambda p: _reference_sum_value(form, p), q) for q in points]
 
     def test_one_left_horner_per_point(self, monkeypatch):
-        """h is folded into num, so a point runs one Horner, on num's rows."""
+        """h is folded into num, so a point runs one Horner, on num's rows:
+        the exact one at an exact point, the fixed-point one, on num's rows
+        times 2^p, at a float point."""
         form = close_to_convex_member(4, 24).derivative_form
-        num_rows = form._integer_parts[5]
-        calls = []
-
-        def counting(coeffs, *args):
-            calls.append(coeffs)
-            return _horner_xv(coeffs, *args)
-
-        monkeypatch.setattr("srgft.series._horner_xv", counting)
-        for q in (exact(F(1, 3), F(1, 4)), Quaternion(0.2, 0.0, 0.3, 0.0)):
+        calls = _count_horners(monkeypatch)
+        for q, rows in ((exact(F(1, 3), F(1, 4)), form._integer_parts[5]),
+                        (Quaternion(0.2, 0.0, 0.3, 0.0), form._fixed_form[1])):
             calls.clear()
             form.eval(q)
-            assert len(calls) == 1 and calls[0] is num_rows
+            assert len(calls) == 1 and calls[0] is rows
 
 
 @functools.cache
@@ -944,25 +952,175 @@ class TestSharedParts:
     @pytest.mark.parametrize("form", [koebe_quotient(ONE), _quotient_sums()[1]],
                              ids=["koebe", "left-sum"])
     def test_grid_sweep_runs_one_horner_per_class(self, form, monkeypatch):
-        num_rows = form._integer_parts[5]
-        calls = []
-
-        def counting(coeffs, *args):
-            calls.append(coeffs is num_rows)
-            return _horner_xv(coeffs, *args)
-
-        monkeypatch.setattr("srgft.series._horner_xv", counting)
+        """One Horner on num per class: the exact one where the growth rule
+        keeps the form on the exact path (koebe), else the fixed-point one,
+        which certifies every point of these grids."""
+        rows = (form._integer_parts[5], form._fixed_form[1])
+        calls = _count_horners(monkeypatch)
         # past 16 angles, and on axes beyond i, j and k
         for grid in (DEFAULT_GRID, SamplingGrid.default(angle_count=32),
                      SamplingGrid.default((0.5, 0.99), 5, 32)):
             calls.clear()
             form.values(grid.points)
             classes = {(scale, w, n2) for scale, w, *_, n2 in map(_integer_point, grid.points)}
-            assert sum(calls) == len(classes)
+            assert sum(coeffs in rows for coeffs in calls) == len(classes)
             if len(grid.units) <= 3:
                 assert len(classes) <= len(grid.radii) * len(grid.angles)
             # a left factor is folded into num, so it adds no Horner
             assert len(calls) == len(classes)
+
+
+def _exact_twin(form: StarQuotient) -> StarQuotient:
+    """The same form with the fixed-point path off: every point takes the
+    exact integer path, the oracle of the fixed one."""
+    twin = copy.copy(form)
+    twin.__dict__["_fixed_bits"] = None
+    return twin
+
+
+def _batch(form: StarQuotient, points, domain, skip) -> list | type:
+    """Each outcome of one values call, a skipped point's float measure by
+    its repr, or the error type the call raised."""
+    try:
+        values = form.values(points, domain, skip)
+    except DomainError as exc:
+        return type(exc)
+    return [repr(v) if type(v) is float else _outcome(lambda p: v, q)
+            for q, v in zip(points, values)]
+
+
+tiny_floats = st.sampled_from((5e-324, -5e-324, 2.4e-287, -1e-300, 3e-310, 1e-200,
+                               2.2250738585072014e-308))
+
+
+@st.composite
+def float_points(draw):
+    """Float points of the ball: dyadic, near one, with signed zeros, on an
+    axis, and with one tiny or subnormal component."""
+    kind = draw(st.sampled_from(("dyadic", "near-one", "signed-zero", "axis", "tiny")))
+    if kind == "dyadic":
+        return Quaternion(*draw(st.tuples(*[ball_floats] * 4)))
+    if kind == "near-one":
+        u = random_exact_unit(Random(draw(st.integers(0, 10 ** 6))))
+        return (u * (1 - F(1, draw(st.integers(2, 10 ** 6))))).to_float()
+    comps = [draw(st.one_of(signed_zeros, ball_floats)) for _ in range(4)]
+    if kind == "axis":
+        comps[1:] = [0.0, 0.0, 0.0]
+        comps[draw(st.integers(1, 3))] = draw(st.floats(-0.68, 0.68))
+        comps[0] = draw(st.floats(-0.68, 0.68))
+    elif kind == "tiny":
+        comps[draw(st.integers(0, 3))] = draw(tiny_floats)
+    return _float_with_signed_zeros(Quaternion(*comps).to_exact(), draw(zero_signs))
+
+
+def _exact_path_points(monkeypatch) -> list:
+    """The float points that take the exact integer path from now on: each
+    rounds its exact value by `_float_row` once."""
+    from srgft import series as series_module
+    calls = []
+    monkeypatch.setattr(series_module, "_float_row",
+                        lambda row, den: calls.append(row) or _float_row(row, den))
+    return calls
+
+
+def _adversarial_polynomial(rng: Random, terms: int) -> StarQuotient:
+    """num / 1 for a real integer num whose fixed Horner at 8 bits and the
+    point 255/256 drops 255/256 of a unit at every rounding step: the low
+    byte of each coefficient makes the next accumulator 1 mod 256, and
+    (255 a) >> 8 then drops (255 a mod 256) / 256.  The low byte of c_1 is
+    random instead, which sets the last accumulator's fraction, so the
+    value of about 2^51 falls anywhere between two floats."""
+    coeffs, t = [], 0
+    for n in range(terms - 1, -1, -1):
+        low = rng.getrandbits(8) if n == 1 else ((255 * t) >> 8) - 1
+        c = rng.getrandbits(39) << 8 | low % 256
+        coeffs.append(c)
+        t = (255 * (t + (c << 8))) >> 8
+    return StarQuotient(series(coeffs[::-1]), SliceSeries.one())
+
+
+class TestFixedPath:
+    """At a float point the class part runs in fixed point at p bits, and a
+    component is returned only where its proven error interval rounds to
+    one float; every other point takes the exact integer path.  The values
+    are the exact path's, bit for bit."""
+
+    @given(quotients(), st.lists(float_points(), min_size=1, max_size=6),
+           st.sampled_from((None, EvalDomain(1e-3), EvalDomain(0.5))), st.booleans(),
+           st.booleans())
+    @settings(deadline=None)
+    def test_matches_the_exact_path(self, quot, qs, domain, skip, every_form):
+        """`every_form` lets the small forms that the growth rule keeps on
+        the exact path take the fixed path too."""
+        from srgft import series as series_module
+        with pytest.MonkeyPatch.context() as patch:
+            if every_form:
+                patch.setattr(series_module, "_FIXED_GROWTH", 0)
+            got = _batch(quot, qs, domain, skip)
+        assert got == _batch(_exact_twin(quot), qs, domain, skip)
+
+    def test_tiny_components_certify(self, monkeypatch):
+        """The class Horner reads w and |V|^2 truncated to p bits and the
+        tail multiplies by V exactly, so a tiny component keeps its relative
+        accuracy and no point takes the exact path."""
+        form = caratheodory_mixture_form(5)
+        points = [Quaternion(2.4e-287, 0.5, 0.0, 0.0), Quaternion(0.25, 5e-324, 0.5, 0.0)]
+        want = _batch(_exact_twin(form), points, None, False)
+        calls = _exact_path_points(monkeypatch)
+        assert _batch(form, points, None, False) == want
+        assert not calls
+
+    @pytest.mark.parametrize("u", [ONE, K], ids=["1", "k"])
+    def test_structural_zeros_certify(self, u, monkeypatch):
+        """A component whose inputs are all exact zeros is an exact 0 with
+        error 0, so koebe(1) and koebe(k) certify the whole default grid.
+        The growth rule keeps these small forms on the exact path; here
+        they take the fixed one."""
+        from srgft import series as series_module
+        monkeypatch.setattr(series_module, "_FIXED_GROWTH", 0)
+        form = koebe_quotient(u)
+        want = _batch(_exact_twin(form), DEFAULT_GRID.points, None, False)
+        calls = _exact_path_points(monkeypatch)
+        assert _batch(form, DEFAULT_GRID.points, None, False) == want
+        assert not calls
+
+    def test_class_c_derivative_certifies_the_default_grid(self, monkeypatch):
+        form = close_to_convex_member(7).derivative_form
+        want = _batch(_exact_twin(form), DEFAULT_GRID.points, None, False)
+        calls = _exact_path_points(monkeypatch)
+        assert _batch(form, DEFAULT_GRID.points, None, False) == want
+        assert len(calls) <= 1
+
+    def test_exact_points_never_take_the_fixed_path(self, monkeypatch):
+        form = close_to_convex_member(7).derivative_form
+        calls = _count_horners(monkeypatch)
+        form.values([q.to_exact() for q in DEFAULT_GRID.points[:12]])
+        assert calls and all(coeffs is form._integer_parts[5] for coeffs in calls)
+
+    def test_low_precision_certifies_only_exact_values(self, monkeypatch):
+        """At 8 fractional bits the certificate refuses what the error bound
+        cannot settle, and every value is still the exact path's.  The
+        polynomials drop almost a unit at each rounding step, so a bound
+        half as large as the proven one certifies wrong floats here."""
+        from srgft import series as series_module
+        monkeypatch.setattr(series_module, "_fixed_precision", lambda *parts: 8)
+        point = [Quaternion(255 / 256, 0.0, 0.0, 0.0)]
+        rng = Random(25)
+        certified = 0
+        for _ in range(200):
+            form = _adversarial_polynomial(rng, 32)
+            want = _batch(_exact_twin(form), point, None, False)
+            calls = _exact_path_points(monkeypatch)
+            assert _batch(form, point, None, False) == want
+            certified += not calls
+        assert certified
+        # random quotients and points too
+        for seed in range(40):
+            quot = _quotient(QUOTIENT_KINDS[seed % len(QUOTIENT_KINDS)], seed)
+            points = [Quaternion(0.5, 0.25, 0.0, 0.0), Quaternion(-0.375, 0.0, 0.0, 0.5),
+                      Quaternion(0.3, -0.2, 0.1, 0.4), Quaternion(0.25, 5e-324, 0.5, 0.0)]
+            assert _batch(quot, points, None, False) == \
+                _batch(_exact_twin(quot), points, None, False)
 
 
 class TestQuotientSum:
