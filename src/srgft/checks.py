@@ -483,11 +483,13 @@ def check_hayman(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
 
     M(r) maximizes |f| over the shared grid directions, so the chain of
     maxima is monotone exactly; the tolerance only absorbs float noise.
+    For a valuation of at least 1 the chain starts at the exact
+    phi(0+) = |a_1|, so a rise before the first radius is caught.
     """
     fut = as_function(f)
     _require_class(fut, "starlike", grid, is_starlike)
     col = _Collector(tol)
-    phis = []
+    phis = [abs(fut.coeff(1))] if fut.series.valuation >= 1 else []
     for r, _, values in _by_radius(grid, fut.sweep(grid)):
         m_inf = max(map(abs, values))
         phis.append((1.0 - r) ** 2 * m_inf / r)

@@ -178,14 +178,14 @@ class FunctionUnderTest:
     def values(self, points: Iterable[Quaternion]) -> list[Quaternion]:
         if self.form is not None:
             return self.form.values(points)
-        return [self._float_series.eval(q) for q in points]
+        return self._float_series.values(points)
 
     def derivative_values(self, points: Iterable[Quaternion]) -> list[Quaternion]:
         if self.derivative_form is not None:
             return self.derivative_form.values(points)
         if self.form is not None:
             return self._form_derivative.values(points)
-        return [self._float_derivative.eval(q) for q in points]
+        return self._float_derivative.values(points)
 
     @cached_property
     def _sweeps(self) -> dict:

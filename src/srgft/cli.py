@@ -220,27 +220,18 @@ def cmd_slice_image(args) -> int:
         return FAILURE_EXIT
     radii = [0.98 * (i + 1) / 24 for i in range(24)]
     angles = [2.0 * math.pi * j / 48 for j in range(48)]
-    window = series.to_float() if form is None else None
-    evaluate = form.eval if window is None else window.eval
-    # a window on i, j or k reads one plane of the axis Horner; a point it
-    # leaves to `eval` (a zero or non-finite component) takes the full path
-    axis = "ijk".index(args.unit) if window is not None and args.unit in _NAMED_UNITS else None
+    # the point r cos(theta) + r sin(theta) I of `ImaginaryUnit.circle_point`
+    points = [(r * math.cos(theta), r * math.sin(theta)) for r in radii for theta in angles]
     # a named unit holds Fractions; convert its components once
     ux, uy, uz = float(unit.x), float(unit.y), float(unit.z)
-    rows = []
-    for r in radii:
-        for theta in angles:
-            # the point r cos(theta) + r sin(theta) I of `ImaginaryUnit.circle_point`
-            re_in = r * math.cos(theta)
-            im_in = r * math.sin(theta)
-            if axis is not None:
-                plane = window._slice_value(axis, re_in, im_in)
-                if plane is not None:
-                    rows.append((re_in, im_in, plane.real, plane.imag))
-                    continue
-            value = evaluate(Quaternion(re_in, im_in * ux, im_in * uy, im_in * uz))
-            im_out = value.x * ux + value.y * uy + value.z * uz
-            rows.append((re_in, im_in, float(value.w), im_out))
+    if form is None:
+        images = series.slice_values((ux, uy, uz), points)
+    else:
+        images = []
+        for x, y in points:
+            value = form.eval(Quaternion(x, y * ux, y * uy, y * uz))
+            images.append((float(value.w), value.x * ux + value.y * uy + value.z * uz))
+    rows = [(x, y, a, b) for (x, y), (a, b) in zip(points, images)]
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["re_in", "i_in", "re_out", "i_out"])

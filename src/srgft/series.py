@@ -55,11 +55,6 @@ def _zero_like(mode_exact: bool) -> Quaternion:
     return ZERO if mode_exact else Quaternion(0.0, 0.0, 0.0, 0.0)
 
 
-def _central_power(q: Quaternion, n: int) -> Quaternion:
-    """q^n for any integer n; powers of q commute with q and each other."""
-    return q ** n if n >= 0 else q.inverse() ** -n
-
-
 def _integer_point(q: Quaternion) -> tuple[int, int, int, int, int, int]:
     """(L, W, V1, V2, V3, |V|^2), all integers, with q = (W + V1 i + V2 j + V3 k) / L.
 
@@ -202,9 +197,7 @@ def _fixed_precision(sym_den: int, sym: tuple, num_den: int, num: tuple) -> int:
 
 
 def _product(a: tuple, b: tuple) -> tuple:
-    """The quaternion product a b of two 4-tuples, term for term as
-    `Quaternion.__mul__` forms it: integers give integers, and floats the
-    bits of the `Quaternion` product."""
+    """The quaternion product a b of two integer 4-tuples."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
@@ -213,71 +206,23 @@ def _product(a: tuple, b: tuple) -> tuple:
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
 
 
-def _eval_float(rows: tuple[tuple[float, float, float, float], ...],
-                q: Quaternion) -> Quaternion:
-    """Float Horner of sum_n q^n c_n at a float q, over float 4-tuples
-    listed from the top coefficient c_N down to c_0."""
-    qw, qx, qy, qz = q.w, q.x, q.y, q.z
-    it = iter(rows)
-    aw, ax, ay, az = next(it)
-    for cw, cx, cy, cz in it:
-        aw, ax, ay, az = (qw * aw - qx * ax - qy * ay - qz * az + cw,
-                          qw * ax + qx * aw + qy * az - qz * ay + cx,
-                          qw * ay - qx * az + qy * aw + qz * ax + cy,
-                          qw * az + qx * ay - qy * ax + qz * aw + cz)
-    return Quaternion(aw, ax, ay, az)
-
-
-def _plane_horner(coeffs: tuple[complex, ...], point: complex) -> complex:
-    """Horner acc = point acc + c over complex coefficients listed from the
-    top down: one plane of an axis point (:data:`_AXIS_PLANES`)."""
-    it = iter(coeffs)
-    acc = next(it)
-    for c in it:
-        acc = point * acc + c
-    return acc
-
-
-def _power(base, n: int, one, times):
-    """base^n for n > 0 by the products of `Quaternion.__pow__`, in its
-    order: ``times(a, b)`` is the product a b, from ``one``."""
-    result = one
-    while n:
-        if n & 1:
-            result = times(result, base)
-        n >>= 1
-        if n:
-            base = times(base, base)
-    return result
-
-
-def _float_power_times(q: Quaternion, n: int, acc: Quaternion) -> Quaternion:
-    """q^n acc at a float q and n > 0, on 4-tuples with the products of
-    ``q ** n * acc`` in the same order (`Quaternion.__pow__` from
-    ``_FLOAT_ONE``), so with the same bits and one `Quaternion` built."""
-    power = _power((q.w, q.x, q.y, q.z), n, (1.0, 0.0, 0.0, 0.0), _product)
-    return Quaternion(*_product(power, (acc.w, acc.x, acc.y, acc.z)))
-
-
-def _complex_products_round_each_term() -> bool:
-    """Whether CPython's complex product rounds each of its real products
-    before it adds them, as :func:`_eval_float` does.  A compiler may
-    contract a*c - b*d into a fused multiply-add (aarch64 compilers may);
-    with h l = 1 - 2^-60, each product below cancels to exactly 0 only when
-    no term of its real or imaginary part is fused."""
-    h, l = 1 + 2.0 ** -30, 1 - 2.0 ** -30
-    return not ((complex(h, 1) * complex(l, 1)).real or (complex(1, h) * complex(1, l)).real
-                or (complex(h, 1) * complex(1, -l)).imag
-                or (complex(1, h) * complex(-l, 1)).imag)
-
-
-_COMPLEX_PRODUCTS_ROUND_EACH_TERM = _complex_products_round_each_term()
-
-# At q = x + y e with e = i, j or k, left multiplication by q is the
-# complex number x + y i acting on two planes (a, b) of H, the components
-# a + b i of each plane listed by index: for e = i the planes (w, x) and
-# (y, z), for e = j (w, y) and (z, x), for e = k (w, z) and (x, y).
-_AXIS_PLANES = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))
+def _plane_horner(pairs, x: float, y: float, v: int) -> tuple[float, float]:
+    """(a, b) with a + ib = z^v sum_n z^n (p_n + i s_n) at z = x + iy, over
+    float (p, s) pairs listed from the top down: the one float kernel of a
+    window.  Each step is written as float operations, z acc + (p + i s),
+    so no compiler can fuse a product into a multiply-add and the bits are
+    the same on every platform.  The factor z^v is v more products by z,
+    or -v by 1/z = (x - iy) / (x^2 + y^2) for v < 0."""
+    it = iter(pairs)
+    a, b = next(it)
+    for p, s in it:
+        a, b = x * a - y * b + p, x * b + y * a + s
+    if v < 0:
+        d = x * x + y * y
+        x, y, v = x / d, -y / d, -v
+    for _ in range(v):
+        a, b = x * a - y * b, x * b + y * a
+    return a, b
 
 
 def _float_row(row: tuple, den: int) -> tuple[float, ...]:
@@ -432,92 +377,21 @@ class SliceSeries:
 
     @cached_property
     def _float_rows(self) -> tuple[tuple[float, float, float, float], ...]:
-        """The rows over D as float 4-tuples from a_N down to a_v, for the
-        float Horner.  Each component is converted on its own, so an a_v
-        that underflows to zero keeps its place.  Built on first use and
-        kept in the instance ``__dict__``."""
+        """The rows over D as float 4-tuples from a_N down to a_v.  Each
+        component is converted on its own, so an a_v that underflows to
+        zero keeps its place.  Built on first use and kept in the instance
+        ``__dict__``."""
         den, rows = self._form
         return tuple(_float_row(row, den) for row in reversed(rows))
 
-    def _axis_rows(self, axis: int):
-        """(plane0, plane1, signed): the float rows as complex numbers, one
-        tuple per plane of ``_AXIS_PLANES[axis]``, and the components whose
-        entry in the lowest row a_v is -0.0.  Built on first use per axis
-        and kept in the instance ``__dict__``."""
-        key = ("_axis_rows_i", "_axis_rows_j", "_axis_rows_k")[axis]
-        cached = self.__dict__.get(key)
-        if cached is None:
-            rows = self._float_rows
-            (p0, p1), (r0, r1) = _AXIS_PLANES[axis]
-            cached = (tuple(complex(row[p0], row[p1]) for row in rows),
-                      tuple(complex(row[r0], row[r1]) for row in rows),
-                      tuple(m for m, c in enumerate(rows[-1])
-                            if c == 0 and math.copysign(1.0, c) < 0))
-            self.__dict__[key] = cached
-        return cached
-
-    def _eval_at_float(self, q: Quaternion) -> Quaternion:
-        """The float Horner at the float point q.  On the i, j or k axis, a
-        real point included, it runs :func:`_plane_horner` in Re q + q_e i
-        once per plane of ``_AXIS_PLANES``; anywhere
-        else, and where complex products may be fused, it is
-        :func:`_eval_float`.  Both give the same bits: the quaternion Horner
-        forms the same products and sums in the same order, plus ±0 terms
-        that leave every nonzero value as it is.  Two cases take
-        :func:`_eval_float` instead: a zero component whose entry in the
-        last row added is -0.0, where the sign of the zero can differ, and
-        an overflow, which the quaternion Horner spreads as NaN and the
-        `Quaternion` constructor refuses."""
-        w, x, y, z = q.w, q.x, q.y, q.z
-        if not _COMPLEX_PRODUCTS_ROUND_EACH_TERM:
-            return _eval_float(self._float_rows, q)
-        if not (y or z):
-            axis, point = 0, complex(w, x)
-        elif not (x or z):
-            axis, point = 1, complex(w, y)
-        elif not (x or y):
-            axis, point = 2, complex(w, z)
-        else:
-            return _eval_float(self._float_rows, q)
-        plane0, plane1, signed = self._axis_rows(axis)
-        a, b = _plane_horner(plane0, point), _plane_horner(plane1, point)
-        (p0, p1), (r0, r1) = _AXIS_PLANES[axis]
-        out = [0.0] * 4
-        out[p0], out[p1], out[r0], out[r1] = a.real, a.imag, b.real, b.imag
-        if signed and any(out[m] == 0 for m in signed):
-            return _eval_float(self._float_rows, q)
-        try:
-            return Quaternion(*out)
-        except DomainError:
-            return _eval_float(self._float_rows, q)
-
-    def _slice_value(self, axis: int, x: float, y: float) -> complex | None:
-        """f(x + y e) of a float window on the axis e = i, j or k (``axis``
-        0, 1 or 2) as the complex number of its real and e components, or
-        None where :meth:`eval` must decide.  Those two components lie in
-        the first plane of ``_AXIS_PLANES[axis]`` alone: its
-        :func:`_plane_horner` in z = x + y i, times z^v formed by the
-        products of :func:`_float_power_times` in the same order, so a
-        nonzero finite component has the bits that :meth:`eval` gives.
-        None for a zero or non-finite component, a negative valuation, a
-        point outside the ball, fused complex products, or a window whose
-        sum of |components| may overflow the other plane."""
-        v = self.valuation
-        if not (_COMPLEX_PRODUCTS_ROUND_EACH_TERM and v >= 0 and x * x + y * y < 1
-                and self._plane_bounded):
-            return None
-        z = complex(x, y)
-        acc = _plane_horner(self._axis_rows(axis)[0], z)
-        if v:
-            acc = _power(z, v, 1 + 0j, mul) * acc
-        re, im = acc.real, acc.imag
-        return acc if re and im and math.isfinite(re) and math.isfinite(im) else None
-
     @cached_property
-    def _plane_bounded(self) -> bool:
-        """Whether the sum of the |components| of the float rows is below
-        1e300, so no Horner at a point of the ball overflows."""
-        return sum(abs(c) for row in self._float_rows for c in row) < 1e300
+    def _float_columns(self) -> tuple[int, tuple[tuple[tuple[float, float], ...], ...]]:
+        """(v, columns) of the float window (:meth:`to_float`): its valuation,
+        and per component c the pairs (a_(n,c), 0.0) from a_N down, whose
+        :func:`_plane_horner` is A_c + i B_c = z^v sum_n z^n a_(n,c)."""
+        window = self.to_float() if self.is_exact else self
+        return window.valuation, tuple(tuple((c, 0.0) for c in column)
+                                       for column in zip(*window._float_rows))
 
     def coeff(self, n: int) -> Quaternion:
         """Coefficient of q^n.  Raises above the truncation degree."""
@@ -616,28 +490,72 @@ class SliceSeries:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, q: Quaternion) -> Quaternion:
-        """Value at q inside the unit ball.
+    def values(self, points: Iterable[Quaternion]) -> list[Quaternion]:
+        """The values at the points of the open unit ball, in order.
 
         An exact window at an exact point is the quotient window / 1, and
         :meth:`StarQuotient.eval` gives its exact value.  Any float operand
-        runs the float Horner on the cached float rows
-        (:meth:`_eval_at_float`), bit for bit what promoting each mixed
-        operation gives; a valuation v > 0 joins as q^v, by
-        :func:`_float_power_times` at a float point.  A rational
-        coefficient too large for a float raises `DomainError`.
+        runs the float kernel on the float window at the float point, by
+        the representation formula: with q = x + s I, s = |Im q|, and
+        z = x + is, f(q) = A + I B, where each component c has
+        A_c + i B_c = z^v sum_n z^n a_(n,c), one :func:`_plane_horner` per
+        column.  A and B do not depend on I, so the points of one class
+        (x, s), such as the i, j and k points of one (r, theta), share the
+        four Horners; a real point (s = 0) is A.  A rational coefficient
+        too large for a float raises `DomainError`, and so does a value
+        that is not finite.
         """
-        if self.is_exact and q.is_exact:
-            return StarQuotient(self, SliceSeries.one()).eval(q)
-        if q.norm_sq() >= 1:
-            raise DomainError("evaluation point must lie in the open unit ball")
-        if self.valuation < 0 and q.is_zero():
-            raise SingularityError("negative-valuation series is singular at 0")
-        low = self.valuation
-        acc = self._eval_at_float(q.to_float())
-        if low > 0 and not q.is_exact:
-            return _float_power_times(q, low, acc)
-        return _central_power(q, low) * acc if low else acc
+        out, parts, quotient = [], {}, None
+        for q in points:
+            if self.is_exact and q.is_exact:
+                quotient = quotient or StarQuotient(self, SliceSeries.one())
+                out.append(quotient.eval(q))
+                continue
+            if q.norm_sq() >= 1:
+                raise DomainError("evaluation point must lie in the open unit ball")
+            if self.valuation < 0 and q.is_zero():
+                raise SingularityError("negative-valuation series is singular at 0")
+            q = q.to_float()
+            x, s = q.w, math.hypot(q.x, q.y, q.z)
+            part = parts.get((x, s))
+            if part is None:
+                v, columns = self._float_columns
+                if v < 0 and not (x * x + s * s):
+                    raise DomainError("evaluation point too close to the pole at 0")
+                part = parts[x, s] = [_plane_horner(column, x, s, v) for column in columns]
+            (a0, b0), (a1, b1), (a2, b2), (a3, b3) = part
+            if not s:
+                out.append(Quaternion(a0, a1, a2, a3))
+                continue
+            i1, i2, i3 = q.x / s, q.y / s, q.z / s
+            out.append(Quaternion(a0 - i1 * b1 - i2 * b2 - i3 * b3,
+                                  a1 + i1 * b0 + i2 * b3 - i3 * b2,
+                                  a2 + i2 * b0 + i3 * b1 - i1 * b3,
+                                  a3 + i3 * b0 + i1 * b2 - i2 * b1))
+        return out
+
+    def eval(self, q: Quaternion) -> Quaternion:
+        """Value at q inside the unit ball; see :meth:`values`."""
+        return self.values((q,))[0]
+
+    def slice_values(self, unit: tuple[float, float, float],
+                     points: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
+        """(Re f(q), <Im f(q), I>) at q = x + y I for each (x, y) of
+        ``points``, for the float components of a unit I.  That pair is
+        F_I(z) = z^v sum_n z^n (a_(n,0) + i <Im a_n, I>) at z = x + iy, one
+        :func:`_plane_horner` per point over the projected rows of the
+        float window.  A value that is not finite raises `DomainError`."""
+        window = self.to_float() if self.is_exact else self
+        ux, uy, uz = unit
+        pairs = tuple((r0, r1 * ux + r2 * uy + r3 * uz) for r0, r1, r2, r3 in window._float_rows)
+        out = []
+        for x, y in points:
+            a, b = _plane_horner(pairs, x, y, window.valuation)
+            for c in (a, b):
+                if not math.isfinite(c):
+                    raise DomainError(f"non-finite float component: {c!r}")
+            out.append((a, b))
+        return out
 
     # -- serialization -----------------------------------------------------
 

@@ -17,8 +17,9 @@ float parameter), and so does `random_exact_unit` in `Fraction`
 quaternions.
 `reference_geometric`, the series Sigma q^n u^n, serves the tests as a
 fixture; the package has no generator of its own for it.  Three loops still run in
-float: the old `Quaternion.__pow__` and the float Horner that read
-`Quaternion` attributes, which the package matches bit for bit, and
+float: the old `Quaternion.__pow__`, which the package matches bit for
+bit, the float Horner that read `Quaternion` attributes, which reads the
+cached float rows of a window as their coefficients, and
 `reference_koebe` at a float unit, which rounds at every power and so
 misses the correctly rounded window.
 

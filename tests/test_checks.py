@@ -366,13 +366,28 @@ class TestMonotoneHayman:
         report = check_hayman(identity_function(8), DEFAULT_GRID)
         assert report.passed
         phis = report.params["phi"]
+        # the chain starts at phi(0+) = |a_1| = 1
         assert all(abs(phi - (1 - r) ** 2) < 1e-12
-                   for r, phi in zip(DEFAULT_GRID.radii, phis))
+                   for r, phi in zip((0.0,) + DEFAULT_GRID.radii, phis))
         assert not report.params["constant"]
 
     def test_members(self):
         report = check_hayman(starlike_member(23, 16), DEFAULT_GRID)
         assert report.passed
+
+    def test_a_rise_before_the_first_radius_fails(self):
+        """q + 3q^2 has phi(r) = (1 - r)^2 (1 + 3r), which rises from
+        phi(0+) = 1 to 1.0535 at r = 1/9 and has fallen to 1.053 by the
+        first radius; only the link from the exact phi(0+) sees it."""
+        bad = FunctionUnderTest("bad", SliceSeries.from_coeffs([ONE, exact(3)], valuation=1),
+                                certificates=("starlike",))
+        report = check_hayman(bad, DEFAULT_GRID)
+        assert report.status == "fail" and report.witnesses
+        first = report.witnesses[0]
+        assert first["n"] == 1 and first["rhs"] == 1.0
+        assert report.worst_margin == first["margin"]
+        r = DEFAULT_GRID.radii[0]
+        assert abs(first["margin"] + ((1 - r) ** 2 * (1 + 3 * r) - 1)) < 1e-12
 
 
 class TestKoebeQuarter:
@@ -575,20 +590,21 @@ class TestOneEvaluator:
                       FunctionUnderTest.derivative_values.__code__}
         strays, evaluations, steps = [], Counter(), Counter()
         suite = [None]
-        original_eval = SliceSeries.eval
+        original_series_values = SliceSeries.values
 
-        def spied(series, q, *args):
-            # the caller, or the list comprehension's caller before Python 3.12
+        def spied(series, points):
+            # the caller, or the caller of `SliceSeries.eval`
             frame = sys._getframe(1)
             if not {frame.f_code, frame.f_back.f_code} & evaluators:
                 strays.append(frame.f_code.co_name)
-            evaluations[suite[0]] += 1
-            steps[suite[0]] += len(series.coeffs) - 1
-            return original_eval(series, q, *args)
+            points = tuple(points)
+            evaluations[suite[0]] += len(points)
+            steps[suite[0]] += len(points) * (len(series.coeffs) - 1)
+            return original_series_values(series, points)
 
         swept = Counter()
         original_values = FunctionUnderTest.values
-        monkeypatch.setattr(SliceSeries, "eval", spied)
+        monkeypatch.setattr(SliceSeries, "values", spied)
         monkeypatch.setattr(FunctionUnderTest, "values", lambda fut, points:
                             swept.update([id(fut)]) or original_values(fut, points))
         for name in ("subordination", "quotient"):

@@ -448,18 +448,21 @@ class TestSliceImageCommand:
             assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 0
         assert clouds[0].read_bytes() == clouds[1].read_bytes()
 
-    @pytest.mark.parametrize("unit", ["i", "j", "k"])
+    @pytest.mark.parametrize("unit", ["i", "j", "k", "1/3i+2/3j+2/3k"])
     def test_one_plane_rows_are_the_full_evaluations(self, unit, tmp_path, capsys):
-        """On i, j or k a window's image reads one plane of the axis Horner;
-        every row has the bits of evaluating the whole quaternion, a zero or
-        signed-zero component included, and a window whose other plane
-        overflows fails as that evaluation does."""
+        """On any unit I a window's image row is one plane Horner in
+        z = x + iy over the pairs (a_(n,0), <Im a_n, I>), times z^v: every
+        row has the bits of that Horner written out here, and lies within
+        rounding of the full evaluation at x + y I.  A window whose own
+        plane overflows fails; one whose other components overflow does
+        not reach the image."""
         import math
-        e = {"i": (1.0, 0.0, 0.0), "j": (0.0, 1.0, 0.0), "k": (0.0, 0.0, 1.0)}[unit]
+        from srgft.cli import _parse_unit
+        unit_q = _parse_unit(unit)
+        e = (float(unit_q.x), float(unit_q.y), float(unit_q.z))
         path, out = tmp_path / "w.json", tmp_path / "cloud.csv"
         # quaternion windows of valuation 2, a real one whose imaginary
-        # parts are zeros of either sign, and a constant whose one-plane
-        # zeros have other signs than the full evaluation's
+        # parts are zeros of either sign, and constants with signed zeros
         for window in (SliceSeries(2, [Quaternion(0.5, -0.0, 0.25, 0.0),
                                        Quaternion(-0.0, 0.75, 0.0, -0.5),
                                        Quaternion(1.0, 0.0, 0.0, 0.0)]),
@@ -469,16 +472,29 @@ class TestSliceImageCommand:
                        SliceSeries(0, [Quaternion(-0.0, -0.0, -0.0, 1.0)])):
             path.write_text(json.dumps(window.to_json_dict()))
             assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 0
+            pairs = [(c.w, c.x * e[0] + c.y * e[1] + c.z * e[2]) for c in window.coeffs[::-1]]
             want = [["re_in", "i_in", "re_out", "i_out"]]
             for r in [0.98 * (i + 1) / 24 for i in range(24)]:
                 for theta in [2.0 * math.pi * j / 48 for j in range(48)]:
                     x, y = r * math.cos(theta), r * math.sin(theta)
+                    a, b = pairs[0]
+                    for p, s in pairs[1:]:
+                        a, b = x * a - y * b + p, x * b + y * a + s
+                    for _ in range(window.valuation):
+                        a, b = x * a - y * b, x * b + y * a
                     v = window.eval(Quaternion(x, y * e[0], y * e[1], y * e[2]))
-                    want.append([repr(x), repr(y), repr(v.w),
-                                 repr(v.x * e[0] + v.y * e[1] + v.z * e[2])])
+                    assert abs(a - v.w) < 1e-15
+                    assert abs(b - (v.x * e[0] + v.y * e[1] + v.z * e[2])) < 1e-15
+                    want.append([repr(x), repr(y), repr(a), repr(b)])
             with open(out, newline="") as handle:
                 assert list(csv.reader(handle)) == want
+        # <Im a_n, I> is 0.5 on i and 0.5 / 3 on the off-axis unit, where
+        # the j and k parts cancel; on j and k the plane overflows
         huge = SliceSeries(0, [Quaternion(1.0, 0.5, 1.7e308, -1.7e308)] * 3)
+        path.write_text(json.dumps(huge.to_json_dict()))
+        assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == \
+            (1 if unit in ("j", "k") else 0)
+        huge = SliceSeries(0, [Quaternion(1.0, 1.7e308, 1.7e308, 1.7e308)] * 3)
         path.write_text(json.dumps(huge.to_json_dict()))
         capsys.readouterr()
         assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 1
@@ -491,12 +507,12 @@ class TestSliceImageCommand:
         ("sstar", "j"): "692ac9fd597410ec6ff50c43c756af5086d050399d26bb09dfe517265f1bb137",
         ("sstar", "k"): "7c5516dc4b17f9e53fcb428ef6e564884883076ca7feb24e1d9ecd499aa1ccf4",
         ("sstar", "1/3i+2/3j+2/3k"):
-            "2cf1299ed0b4924c7e3f6366c3ac783b76b7bad7052ee0fcdd84ad4a67600447",
+            "3baea33dd2962af90eea9e7697c35d1e5ae63a881f0f741143b6aed71b82f54b",
         ("class-c", "i"): "2fd78c0db4ff7399a3206cf4c858e6912dd22990af4ab5515aa861b8a7ee3f9e",
         ("class-c", "j"): "ed26a037e9139378fda85cdf1b824c3bef5f9885e29a42521780c64d4e380d61",
         ("class-c", "k"): "8d0a085eb0f104b1bb9191e52b3799a1d62d53de0e25359e02331fafa699345e",
         ("class-c", "1/3i+2/3j+2/3k"):
-            "a988d2d21ac07c0d2c24e8e70807c9eda3092ffca55ef079595b67cdff24c441",
+            "3d143f43b01c83a1cdfcc515075d49e65995944e162c2f459cc71cb4d42e7cbf",
         ("sstar --mode float", "i"):
             "5f0f3608b621e9f1ce5ae308f6a3a12740f528a633522e4e0747ba997fda7a04",
         ("sstar --mode float", "j"):
@@ -504,7 +520,7 @@ class TestSliceImageCommand:
         ("sstar --mode float", "k"):
             "7c5516dc4b17f9e53fcb428ef6e564884883076ca7feb24e1d9ecd499aa1ccf4",
         ("sstar --mode float", "1/3i+2/3j+2/3k"):
-            "2cf1299ed0b4924c7e3f6366c3ac783b76b7bad7052ee0fcdd84ad4a67600447",
+            "3baea33dd2962af90eea9e7697c35d1e5ae63a881f0f741143b6aed71b82f54b",
     }
 
     @pytest.fixture(scope="class")

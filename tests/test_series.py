@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from quotient_reference import reference_eval, reference_series_eval
@@ -34,8 +34,7 @@ from srgft.series import (EvalDomain, QuotientSum, SliceSeries, StarQuotient,
                           integrate_radial, mobius, mobius_quotient,
                           quotient_transform, regular_conjugate,
                           slice_derivative, star_mul, star_reciprocal,
-                          symmetrize, _central_power, _eval_float,
-                          _float_power_times, _float_row, _horner_fixed, _horner_xv,
+                          symmetrize, _float_row, _horner_fixed, _horner_xv,
                           _integer_point, _reciprocal)
 
 
@@ -1213,10 +1212,8 @@ class TestSeriesEval:
         if pairing != "float-window":
             q = _float_with_signed_zeros(q, point_signs)
         assume(f.valuation >= 0 or not q.is_zero())
-        # to_float: a one-coefficient window at v = 0 is its coefficient,
-        # which the reference leaves in the window's mode
-        assert _outcome(f.eval, q) == \
-            _outcome(lambda p: reference_series_eval(f, p).to_float(), q)
+        # every pairing runs the float kernel on the float window at the float point
+        assert _outcome(f.eval, q) == _outcome(lambda p: f.to_float().eval(p.to_float()), q)
 
     @given(exact_windows(), zero_signs)
     @settings(max_examples=30, deadline=None)
@@ -1603,11 +1600,12 @@ def ball_parameters(draw):
 
 
 class TestScalarPaths:
-    """The float Horner on cached rows agrees with the `Quaternion` code it
-    replaces bit for bit, and every exact point form is its exact value
-    rounded once.  The family windows, expanded from their quotients,
-    agree with the `Quaternion` power loops on an exact parameter, and
-    give the exact window rounded once on a float one."""
+    """The cached float rows are the float coefficients, so the reference
+    float Horner reads the same window from either, and every exact point
+    form is its exact value rounded once.  The family windows, expanded
+    from their quotients, agree with the `Quaternion` power loops on an
+    exact parameter, and give the exact window rounded once on a float
+    one."""
 
     @given(exact_windows(), st.booleans(), zero_signs, exact_ball_points(zero=False),
            zero_signs)
@@ -1619,7 +1617,8 @@ class TestScalarPaths:
                                                for c in f.coeffs))
         q = _float_with_signed_zeros(q, point_signs)
         want = reference_eval_float(tuple(c.to_float() for c in f.coeffs), q)
-        assert _outcome(lambda p: _eval_float(f._float_rows, p), q) == \
+        rows = tuple(Quaternion(*row) for row in reversed(f._float_rows))
+        assert _outcome(lambda p: reference_eval_float(rows, p), q) == \
             _outcome(lambda p: want, q)
 
     def test_float_rows_of_a_huge_rational_raise_domain_error(self):
@@ -1824,92 +1823,104 @@ def float_windows(draw):
 
 
 @st.composite
-def axis_points(draw):
-    """Points x + y e on e = i, j, k, or real, every other component a
-    signed zero; x and y may be signed zeros too, so q = 0 is drawn."""
-    x = draw(st.one_of(signed_zeros, st.floats(-0.7, 0.7)))
-    y = draw(st.one_of(signed_zeros, st.floats(-0.7, 0.7)))
-    comps = [x, *draw(st.tuples(*[signed_zeros] * 3))]
-    axis = draw(st.integers(0, 3))
-    if axis:
-        comps[axis] = y
-    return Quaternion(*comps)
+def plane_windows(draw):
+    """Windows of valuation -1 to 3: exact ones with rational coefficients,
+    and float ones, real or quaternionic, with signed zeros and entries of
+    sizes 2^-30 to 10^6."""
+    v = draw(st.integers(-1, 3))
+    if draw(st.booleans()):
+        f = draw(exact_windows())
+        return f.shift(v - f.valuation)
+    entries = st.one_of(signed_zeros, st.floats(-2, 2, allow_subnormal=False),
+                        st.sampled_from((1.0, -1.0, 2.0 ** -30, 1e6)))
+    real = draw(st.booleans())
+    rows = [Quaternion(draw(entries), *draw(st.tuples(*[signed_zeros if real else entries] * 3)))
+            for _ in range(draw(st.sampled_from((1, 2, 3, 5, 49))))]
+    return SliceSeries(v, rows)
 
 
-def _float_outcome(evaluate):
-    """Each component's repr, or the error with its message."""
-    try:
-        value = evaluate()
-    except DomainError as exc:
-        return type(exc), str(exc)
-    return tuple(repr(c) for c in (value.w, value.x, value.y, value.z))
+def _plane_error_bound(f: SliceSeries, q: Quaternion) -> float:
+    """A bound on the error of each component of ``f.values([q])``, from
+    the float window (valuation v, degree N, K = N - v Horner steps).
+
+    With u = 2^-53 and gamma_k = k u / (1 - k u) (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., Lemma 3.1 and 3.3):
+    - each coefficient is rounded once to a float: gamma_1;
+    - s = |Im q| by `math.hypot` is within one ulp, |s' - s| <= gamma_2 s,
+      so |z'^n - z^n| <= gamma_(2|n|) r^n for z' = x + is' and r = |q|;
+    - a complex product by z' written as four float products and two sums
+      is z' w (1 + e) with |e| <= sqrt(2) gamma_2 <= gamma_3 (Lemma 3.5),
+      and adding a real coefficient to it is (1 + d), |d| <= u.  As in
+      Higham's Horner analysis (section 5.1), each term a_n z^n of the
+      column Horner takes at most K products and K sums, and z^v at most
+      |v| more products; 1 / z' = (x - is') / (x^2 + s'^2) costs gamma_3
+      more per factor for v < 0.  So each A_c + i B_c is within
+      gamma_kP sum_n |a_(n,c)| r^n of its exact value, with
+      kP = 4K + 3|v| + 3|v|[v < 0] + 1 + 2 max(N, |v|);
+    - I = Im q / s' is within gamma_3 per component, and
+      A_c +- I_1 B_m1 +- I_2 B_m2 +- I_3 B_m3 adds three rounded products
+      in three sums: gamma_7 on every term.  The four components
+      c, m1, m2, m3 differ, so sum_k |I_k| |a_(n,m_k)| + |a_(n,c)| <=
+      sqrt(2) |a_n| (Cauchy-Schwarz, |I| = 1).
+    Together: sqrt(2) gamma_(kP + 7) sum_n |a_n| r^n.  Underflow adds at
+    most one unit 2^-1074 per product, which later products by |z| < 1 do
+    not grow and 1 / z grows by at most r^v: k 2^-1074 max(1, r^v).  A
+    subnormal s' is within one unit 2^-1074 of s, which moves z' and,
+    through I, the term I B by at most 2^-1074 sum_(n>=1) n |a_n| r^(n-1)
+    each (for n = -1 the test keeps r >= 2^-200, where the relative term
+    covers it many times over).  The sums are evaluated in floats and widened by 2^-40
+    relative, far above their own rounding."""
+    window = f.to_float()
+    v, n = window.valuation, window.degree
+    k = 4 * (n - v) + 3 * abs(v) + (3 * abs(v) if v < 0 else 0) + 1 + 2 * max(n, abs(v)) + 7
+    u = 2.0 ** -53
+    gamma = math.sqrt(2) * k * u / (1 - k * u)
+    r = math.hypot(q.w, q.x, q.y, q.z)
+    norms = [(m, math.hypot(*map(float, (c.w, c.x, c.y, c.z))))
+             for m, c in enumerate(f.coeffs, f.valuation) if not c.is_zero()]
+    total = sum(a * r ** m for m, a in norms)
+    slope = sum(m * a * r ** (m - 1) for m, a in norms if m >= 1)
+    underflow = k * max(1.0, r ** v) + 2 * slope
+    return (gamma * total + underflow * 2.0 ** -1074) * (1 + 2.0 ** -40)
 
 
-class TestAxisHorner:
-    """On the i, j and k axes the float Horner runs as two complex Horners;
-    the quaternion Horner `_eval_float` is its oracle, bit for bit."""
+class TestPlaneHorner:
+    """The float kernel: at float points on and off the axes, every
+    component of `SliceSeries.values` lies within a stated Horner error
+    bound (:func:`_plane_error_bound`) of the exact value, which the exact
+    quotient path gives at the point taken exactly."""
 
-    @given(float_windows(), axis_points())
-    @settings(max_examples=250, deadline=None)
-    # the (y, z) plane overflows: the quaternion Horner turns 0 * inf into
-    # NaN in w, so the error names nan where the complex plane holds inf
-    @example(SliceSeries(0, [Quaternion(1.0, 0.0, 1.7e308, 0.0)] * 3),
-             Quaternion(0.9, 0.1, 0.0, -0.0))
-    # a real window: the zeros of y and z take their signs from a_0
-    @example(SliceSeries(0, [Quaternion(1.0, -0.0, -0.0, 0.0)] * 3),
-             Quaternion(0.5, -0.0, 0.0, 0.0))
-    def test_matches_the_quaternion_horner(self, f, q):
-        assert _float_outcome(lambda: f._eval_at_float(q)) == \
-            _float_outcome(lambda: _eval_float(f._float_rows, q))
+    @given(plane_windows(), st.lists(float_points(), min_size=1, max_size=4))
+    @settings(deadline=None)
+    def test_values_lie_within_the_horner_bound(self, f, qs):
+        if f.valuation < 0:
+            assume(all(abs(q) >= 2.0 ** -200 for q in qs))
+        exact = StarQuotient(f.to_exact(), SliceSeries.one())
+        ratios = []
+        for q, got in zip(qs, f.values(qs)):
+            want = exact.eval(q.to_exact())
+            bound = F(_plane_error_bound(f, q))
+            worst = max(abs(F(g) - w) for g, w in zip((got.w, got.x, got.y, got.z),
+                                                     (want.w, want.x, want.y, want.z)))
+            assert worst <= bound
+            ratios.append(float(worst / bound))
+        target(max(ratios), label="error / bound")
 
-    def test_axis_points_skip_the_quaternion_horner(self, monkeypatch):
+    def test_the_points_of_one_class_share_the_column_horners(self, monkeypatch):
+        """The i, j and k points of one (r, theta), of either sign, run the
+        four column Horners once."""
         import srgft.series as series_module
         calls = []
-        monkeypatch.setattr(series_module, "_eval_float",
-                            lambda rows, q: calls.append(q) or _eval_float(rows, q))
+        kernel = series_module._plane_horner
+        monkeypatch.setattr(series_module, "_plane_horner",
+                            lambda *args: calls.append(args[1:3]) or kernel(*args))
         f = generate_starlike_small_coeff(3, 12).to_float()
-        on_axes = [Quaternion(0.25, 0.5, 0.0, 0.0), Quaternion(-0.5, 0.0, -0.25, 0.0),
-                   Quaternion(0.0, -0.0, 0.0, 0.75), Quaternion(0.5, 0.0, 0.0, 0.0)]
-        off_axes = Quaternion(0.25, 0.25, 0.25, 0.0)
-        for q in on_axes + [off_axes]:
-            f.eval(q)
-        assert calls == [off_axes]
-        # where complex products may be fused, every point takes _eval_float
-        calls.clear()
-        monkeypatch.setattr(series_module, "_COMPLEX_PRODUCTS_ROUND_EACH_TERM", False)
-        for q in on_axes:
-            f.eval(q)
-        assert calls == on_axes
-
-    def test_suite_points_never_fall_back(self, monkeypatch, tmp_path):
-        """The default grid lies on the three axes; no float window
-        evaluation of these suites needs the quaternion Horner."""
-        import srgft.series as series_module
-        from srgft.cli import main
-        calls = []
-        monkeypatch.setattr(series_module, "_eval_float",
-                            lambda rows, q: calls.append(len(rows)) or _eval_float(rows, q))
-        for suite in ("growth", "bieberbach", "koebe"):
-            main(["check", "--suite", suite, "--degree", "24", "--out", str(tmp_path / "r.json")])
-        assert calls == []
-
-
-def _float_quaternions(entries):
-    return st.tuples(*[st.one_of(signed_zeros, entries)] * 4).map(lambda c: Quaternion(*c))
-
-
-class TestFloatPowerTimes:
-    """q^v acc at a float point runs on 4-tuples with the bits of
-    ``q ** v * acc``, on and off the axes, with signed zeros and overflow."""
-
-    @given(st.one_of(axis_points(), _float_quaternions(st.floats(-0.5, 0.5))),
-           _float_quaternions(st.one_of(st.floats(-1e3, 1e3),
-                                        st.sampled_from((1.5e308, -1.5e308)))),
-           st.integers(1, 4))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_the_quaternion_products(self, q, acc, v):
-        assert _float_outcome(lambda: _float_power_times(q, v, acc)) == \
-            _float_outcome(lambda: _central_power(q, v) * acc)
+        points = [Quaternion(0.25, 0.5, 0.0, 0.0), Quaternion(0.25, 0.0, -0.5, 0.0),
+                  Quaternion(0.25, -0.0, 0.0, 0.5), Quaternion(0.25, 0.3, 0.4, 0.0),
+                  Quaternion(0.5, 0.0, 0.0, 0.0)]
+        values = f.values(points)
+        assert calls == [(0.25, 0.5)] * 4 + [(0.5, 0.0)] * 4
+        assert values == [f.eval(q) for q in points]
 
 
 def _window_outcome(build):
