@@ -85,17 +85,24 @@ class _Collector:
         self.tol = tol
         self.worst = math.inf
         self.samples = 0
-        self.violations: list[dict] = []
+        self.violations: list[tuple] = []
         self.equalities: list[dict] = []
 
     def check(self, slack: float, entry: Callable[..., dict], *args,
               equality_scale: float = 1.0):
-        """Record a sample; its witness entry(*args) is formed only if kept."""
+        """Record a sample; its witness entry(*args) is formed only if kept.
+        The witnesses are the first 16 violations, the last replaced by any
+        later one worse than every sample before it, so the worst violation
+        is always a witness."""
         self.samples += 1
-        if slack < self.worst:
+        worse = slack < self.worst
+        if worse:
             self.worst = slack
-        if slack < -self.tol and len(self.violations) < 16:
-            self.violations.append(dict(entry(*args), margin=slack))
+        if slack < -self.tol:
+            if len(self.violations) < 16:
+                self.violations.append((entry, args, slack))
+            elif worse:
+                self.violations[-1] = (entry, args, slack)
         if abs(slack) <= EQUALITY_BAND * max(equality_scale, 1.0) and len(self.equalities) < 64:
             self.equalities.append(dict(entry(*args), margin=slack))
 
@@ -111,7 +118,8 @@ class _Collector:
             passed=passed,
             worst_margin=self.worst if self.samples else 0.0,
             samples=self.samples,
-            witnesses=tuple(self.violations),
+            witnesses=tuple(dict(entry(*args), margin=slack)
+                            for entry, args, slack in self.violations),
             valid_degree=valid_degree,
             status="pass" if passed else "fail",
             params=all_params,

@@ -378,7 +378,10 @@ def quaternion_from_json(data) -> Quaternion:
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in quaternion array: {c!r}") from None
         elif isinstance(c, (int, float)):
-            comps.append(float(c))
+            try:
+                comps.append(float(c))
+            except OverflowError:
+                raise ValueError("JSON number in quaternion array too large for a float") from None
         else:
             raise ValueError(f"bad scalar in quaternion array: {c!r}")
     return Quaternion(*comps)

@@ -82,19 +82,20 @@ def _horner_xv(coeffs: tuple[tuple[int, ...], ...], scale: int, w: int, n2: int)
     return power, (a0, a1, a2, a3), (b0, b1, b2, b3)
 
 
-def _horner_fixed(coeffs: tuple[tuple[int, ...], ...], p: int, w: int, n2: int):
-    """(A, B) with A + U B ~ sum_n q^n c_n at q = w' + U, in fixed point at
-    p fractional bits: w = w' 2^p and n2 = |U|^2 2^p are integers, and the
-    4-tuples c, listed from c_k down, hold c_n 2^p.  Each product is
-    truncated to p bits (floor), so the step is the complex Horner in
-    w' + i|U| with one rounding error below one unit in each of A and B."""
+def _horner_fixed(coeffs: tuple[tuple[int, ...], ...], e: int, w: int, n2: int):
+    """(A, B) with A + U B ~ sum_n q^n c_n at q = (W + V) / 2^e, U = V / 2^e,
+    in fixed point: w = W and n2 = |V|^2 are the integers of
+    :func:`_integer_point`, and the 4-tuples c, listed from c_k down, hold
+    c_n 2^p.  Each step multiplies by the exact z = (W + i|V|) / 2^e and
+    floors once, so it is the complex Horner in z with one rounding error
+    below one unit in each of A and B."""
     a0, a1, a2, a3 = coeffs[0]
     b0 = b1 = b2 = b3 = 0
     for c0, c1, c2, c3 in coeffs[1:]:
-        a0, b0 = ((w * a0 - n2 * b0) >> p) + c0, a0 + (w * b0 >> p)
-        a1, b1 = ((w * a1 - n2 * b1) >> p) + c1, a1 + (w * b1 >> p)
-        a2, b2 = ((w * a2 - n2 * b2) >> p) + c2, a2 + (w * b2 >> p)
-        a3, b3 = ((w * a3 - n2 * b3) >> p) + c3, a3 + (w * b3 >> p)
+        a0, b0 = ((w * a0 << e) - n2 * b0 >> 2 * e) + c0, a0 + (w * b0 >> e)
+        a1, b1 = ((w * a1 << e) - n2 * b1 >> 2 * e) + c1, a1 + (w * b1 >> e)
+        a2, b2 = ((w * a2 << e) - n2 * b2 >> 2 * e) + c2, a2 + (w * b2 >> e)
+        a3, b3 = ((w * a3 << e) - n2 * b3 >> 2 * e) + c3, a3 + (w * b3 >> e)
     return (a0, a1, a2, a3), (b0, b1, b2, b3)
 
 
@@ -119,20 +120,12 @@ def _error_plus_v_times(e: tuple[int, ...], f: tuple[int, ...], v1: int, v2: int
             e3 + v3 * f0 + v1 * f2 + v2 * f1)
 
 
-def _horner_errors(columns) -> dict:
-    """Per pair (w exact, |V|^2 exact) of conversions, bounds (da, db) in
-    units of 2^-p on the errors of A and B from :func:`_horner_fixed` for
-    any of the integer columns c_N .. c_0, which are of equal length; see
-    :meth:`StarQuotient._fixed_part`.  K = N - 1 steps round, for the first
-    multiplies c_N 2^p and is exact, and the conversion terms take the
-    largest sum n^m |c_n| of the columns."""
-    top = len(columns[0]) - 1
-    m1, m2, m3 = (max(sum(n ** m * abs(c) for n, c in zip(range(top, -1, -1), column))
-                      for column in columns) for m in (1, 2, 3))
-    k = max(top - 1, 0)
-    da, db = (math.isqrt(2 * k * k) + 1 if k else 0), k * k
-    return {(True, True): (da, db), (False, True): (da + m1, db + m2),
-            (True, False): (da + m2, db + m3), (False, False): (da + m1 + m2, db + m2 + m3)}
+def _horner_errors(length: int) -> tuple[int, int]:
+    """Bounds (da, db), in units of 2^-p, on the errors of A and B from
+    :func:`_horner_fixed` on ``length`` rows: each of its K = length - 1
+    steps rounds; see :meth:`StarQuotient._fixed_part`."""
+    k = length - 1
+    return (math.isqrt(2 * k * k) + 1 if k else 0), k * k
 
 
 def _certified(part, v1: int, v2: int, v3: int) -> Quaternion | None:
@@ -928,12 +921,12 @@ class StarQuotient:
     outlives the call.  An exact point gives an exact value; at a float
     point each component is the correctly rounded value of the exact one.
 
-    A float point tries a fixed-point path first: the same Horners at p
-    fractional bits, p read from the sizes of the form
-    (:func:`_fixed_precision`), truncating each product
-    (:meth:`_fixed_part`, which states the proven error bound), and the
-    tail E + V F with V's exact components, so a tiny component keeps its
-    relative accuracy.  A component is returned only when both ends of its
+    A float point tries a fixed-point path first: the same Horners on the
+    same integers L, W and |V|^2 with the rows held at p fractional bits,
+    p read from the sizes of the form (:func:`_fixed_precision`), each step
+    flooring once, its one source of error (:meth:`_fixed_part`, which
+    states the proven bound), and the tail E + V F with V's exact
+    components, so a tiny component keeps its relative accuracy.  A component is returned only when both ends of its
     error interval round to the same float, sign of zero included
     (:func:`_certified`); rounding is monotone, so that float is the exact
     path's.  Any other point takes the exact path, which is the oracle: a
@@ -1038,30 +1031,22 @@ class StarQuotient:
                 divisor)
 
     @cached_property
-    def _fixed_bits(self) -> tuple[int, int] | None:
-        """(p, bits) for the fixed-point path, or None for a negative
-        valuation: p fractional bits, and the fewest bits of L with which a
-        float point takes the fixed path."""
+    def _fixed(self):
+        """The fixed-point plan, or None for a negative valuation:
+        (p, bits, s, g, mask, errors) with p fractional bits, the fewest
+        bits of L with which a float point takes the fixed path, the rows of
+        :attr:`_integer_parts` times 2^p, which columns of g are not all
+        zero (None when none is), and the error bounds (dx, dy, da, db) of
+        :meth:`_fixed_part`, in units of 2^-p."""
         low, _, sym_den, sym, num_den, num = self._integer_parts
         if low < 0:
             return None
         p = _fixed_precision(sym_den, sym, num_den, num)
-        return p, _FIXED_GROWTH * p // (max(len(sym), len(num), 2) - 1) + 2
-
-    @cached_property
-    def _fixed_form(self):
-        """(s, g, mask, errors): the rows of :attr:`_integer_parts` times
-        2^p, which columns of g are not all zero (None when none is), and
-        per pair (w exact, |V|^2 exact) of conversions the error bounds
-        (dx, dy, da, db) of :meth:`_fixed_part`, in units of 2^-p."""
-        p = self._fixed_bits[0]
-        sym, num = self._integer_parts[3], self._integer_parts[5]
-        nonzero = [column for column in zip(*num) if any(column)]
-        mask = None if len(nonzero) == 4 else tuple(map(any, zip(*num)))
-        sym_errors = _horner_errors((sym,))
-        num_errors = _horner_errors(nonzero) if nonzero else dict.fromkeys(sym_errors, (0, 0))
-        return (tuple(c << p for c in sym), tuple(tuple(c << p for c in row) for row in num),
-                mask, {key: sym_errors[key] + num_errors[key] for key in sym_errors})
+        mask = tuple(map(any, zip(*num)))
+        return (p, _FIXED_GROWTH * p // (max(len(sym), len(num), 2) - 1) + 2,
+                tuple(c << p for c in sym), tuple(tuple(c << p for c in row) for row in num),
+                None if all(mask) else mask,
+                _horner_errors(len(sym)) + (_horner_errors(len(num)) if any(mask) else (0, 0)))
 
     def _fixed_part(self, scale: int, w: int, n2: int, guard: tuple[int, int]):
         """(E, F, dE, dF, low, high): the class part of the float point
@@ -1072,43 +1057,25 @@ class StarQuotient:
         componentwise.
 
         The den^s Horner gives the pair x + V y and the num Horner the pairs
-        A + V B (:func:`_horner_fixed`).  Their proven error bound, in units
-        of 2^-p: w = W / L is truncated toward zero and |V|^2 / L^2 down to
-        p bits, so z' = w' + i|V'| lies in the unit disk with z = w + i|V|.
-        A pair (a, b) stands for the complex number a + i|V'| b, and each
-        step multiplies it by z' exactly and truncates a and b, an error
-        below one unit in each; the first step multiplies c_N 2^p and is
-        exact.  |z'| < 1, so a truncation error does not grow: after K
-        rounding steps the error of a + i|V'| b, and so of a, is below
-        sqrt(2) K, and that of b, whose step adds the error of a, below
-        K^2.  Reading z' for z moves A and B of a polynomial sum c_n z^n by
-        at most sum n|c_n| and sum n^2|c_n| per unit of w, and by
-        sum n^2|c_n| and sum n^3|c_n| per unit of |V|^2, bounds of the
-        partial derivatives on the disk; a conversion adds its term only
-        when it was inexact (:func:`_horner_errors`).  A column of zeros
-        stays an exact 0 with error 0.  E, F and N are exact products of the
-        pairs with the exact |V|^2, so their bounds follow from
-        |xy - x'y'| <= |x'| dy + |y'| dx + dx dy, with the largest |A| and
-        |B| over the columns of num."""
-        p = self._fixed_bits[0]
-        sym, num, mask, errors = self._fixed_form
+        A + V B (:func:`_horner_fixed`), both at the exact point.  Their
+        proven error bound, in units of 2^-p: a pair (a, b) stands for the
+        complex number a + i|U| b, U = V / L, and each step multiplies it by
+        z = (W + i|V|) / L exactly and floors a and b, an error below one
+        unit in each, so below sqrt(2) in a + i|U| b.  |z| < 1, so an
+        earlier error does not grow: after K = length - 1 steps, each of
+        which rounds (the first as well where p < e), the error of
+        a + i|U| b, and so of a, is below sqrt(2) K, and that of b, whose
+        step adds the error of a, below K^2 (:func:`_horner_errors`).  A
+        column of zeros stays an exact 0 with error 0.  E, F and N are exact
+        products of the pairs with the exact |V|^2, so their bounds follow
+        from |xy - x'y'| <= |x'| dy + |y'| dx + dx dy, with the largest |A|
+        and |B| over the columns of num."""
+        p, _, sym, num, mask, (dx, dy, da, db) = self._fixed
         sym_den, num_den = self._integer_parts[2], self._integer_parts[4]
         e = scale.bit_length() - 1
-        if p >= e:
-            wf, w_exact = w << (p - e), True
-        else:
-            wf = abs(w) >> (e - p)
-            w_exact = wf << (e - p) == abs(w)
-            wf = wf if w >= 0 else -wf
-        if p >= 2 * e:
-            nf, n_exact = n2 << (p - 2 * e), True
-        else:
-            nf = n2 >> (2 * e - p)
-            n_exact = nf << (2 * e - p) == n2
         x, y = sym[0], 0
         for c in sym[1:]:
-            x, y = ((wf * x - nf * y) >> p) + c, x + (wf * y >> p)
-        dx, dy, da, db = errors[w_exact, n_exact]
+            x, y = ((w * x << e) - n2 * y >> 2 * e) + c, x + (w * y >> e)
         ax, ay = abs(x), abs(y)
         norm = (x * x << 2 * e) + n2 * y * y
         dnorm = ((2 * ax + dx) * dx << 2 * e) + n2 * (2 * ay + dy) * dy
@@ -1116,7 +1083,7 @@ class StarQuotient:
         n, shift = guard
         if ((norm - dnorm) << shift) < n * sym_den * sym_den << 2 * (e + p):
             return None
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b = _horner_fixed(num, p, wf, nf)
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b = _horner_fixed(num, e, w, n2)
         aa, ab = max(map(abs, a)), max(map(abs, b))
         de = sym_den * (((ax * da + aa * dx + dx * da) << 2 * e)
                         + n2 * (ay * db + ab * dy + dy * db))
@@ -1148,7 +1115,7 @@ class StarQuotient:
             if r2 >= scale * scale:
                 raise DomainError("evaluation point must lie in the open unit ball")
             key = (scale, w, n2)
-            if not q.is_exact and self._fixed_bits and scale.bit_length() >= self._fixed_bits[1]:
+            if not q.is_exact and self._fixed and scale.bit_length() >= self._fixed[1]:
                 if key not in fixed:
                     fixed[key] = self._fixed_part(scale, w, n2, guard)
                 if fixed[key] is not None:

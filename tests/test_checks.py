@@ -222,6 +222,16 @@ class TestGrowthOrderM:
         with pytest.raises(PreconditionError):
             check_growth_order_m(fut, 2, SMALL_GRID, "growth")
 
+    def test_distortion_violator_fails_at_its_worst_point(self):
+        """q + 3q^2, falsely certified: |f'(r)| = 1 + 6r breaks the upper
+        band 1/(1 - r)^2 most on the grid at r = 0.3, a violation past
+        the first 16, and the report keeps it as a witness."""
+        report = check_growth_order_m(_order_one_violator(), 1, DEFAULT_GRID, "distortion")
+        assert report.status == "fail" and len(report.witnesses) == 16
+        assert abs(report.worst_margin - (1 / 0.7 ** 2 - 2.8)) < 1e-12
+        worst = [w for w in report.witnesses if w["margin"] == report.worst_margin]
+        assert [w["q"] for w in worst] == [[0.3, 0.0, 0.0, 0.0]]
+
 
 class TestSchwarz:
     def test_monomial_equality(self):
@@ -305,6 +315,18 @@ class TestRogosinski:
         assert report.passed
         assert not report.params["boundary_attained"]
         assert report.worst_margin > 0
+
+    def test_a_map_past_the_largest_radius_fails(self):
+        """1.02 q^2 maps only the ball of radius 1/sqrt(1.02) = 0.9901 into
+        the unit ball, and the self-map screen reads radii up to 0.99, so
+        it admits the map; at q0 = 0.9 its value 1.02 |q0|^2 leaves the
+        ball of radius |q0|^2 about 0 that b = 0 fixes."""
+        fut = monomial_function(exact(F(51, 50)), 2, 8)
+        report = check_rogosinski(fut, Quaternion(0.9, 0.0, 0.0, 0.0), DEFAULT_GRID)
+        assert report.status == "fail" and report.witnesses
+        assert [w["q"] for w in report.witnesses] == [[0.9, 0.0, 0.0, 0.0]]
+        assert report.witnesses[0]["margin"] == report.worst_margin
+        assert abs(report.worst_margin + 0.02 * 0.81) < 1e-12
 
 
 class TestBohr:
@@ -406,6 +428,18 @@ class TestKoebeQuarter:
     def test_members(self):
         report = check_koebe_quarter(starlike_member(29, 16), DEFAULT_GRID)
         assert report.passed
+
+    def test_a_falsely_certified_map_fails(self):
+        """A starlike map keeps |f(q)| >= r/(1 + r)^2, so a violator is not
+        starlike: q - q^2 (|f(0.99)| = 0.0099, f'(1/2) = 0) fails the
+        starlike screen and runs here under a false certificate."""
+        series = SliceSeries.from_coeffs([ONE, exact(-1)], valuation=1).pad_to(8)
+        report = check_koebe_quarter(
+            FunctionUnderTest("bad", series, certificates=("starlike",)), DEFAULT_GRID)
+        assert report.status == "fail" and report.witnesses
+        assert [w["q"] for w in report.witnesses] == [[0.99, 0.0, 0.0, 0.0]]
+        assert report.witnesses[0]["margin"] == report.worst_margin
+        assert abs(report.worst_margin - (0.99 * 0.01 - 0.99 / 1.99 ** 2)) < 1e-12
 
 
 class TestConvexCovering:
@@ -526,11 +560,12 @@ class TestWitnessEntries:
         lambda: check_bieberbach(koebe_function(ONE, 24)),
         lambda: check_fekete_szego(_uncertified_violator(), sample_lambdas(3, 12), SMALL_GRID),
         lambda: check_growth_distortion(_uncertified_violator(), SMALL_GRID),
+        lambda: check_growth_order_m(_order_one_violator(), 1, DEFAULT_GRID, "distortion"),
         lambda: check_subordination_growth(_uncertified_violator(),
                                            SliceSeries.identity(12), SMALL_GRID),
     ], ids=["growth-member", "caratheodory-member", "hayman-member", "growth-koebe-i",
             "koebe-quarter", "bieberbach-koebe", "fekete-szego-violator",
-            "growth-violator", "subordination-violator"])
+            "growth-violator", "order-one-violator", "subordination-violator"])
     def test_k_kept_entries_form_k_entries(self, make, monkeypatch):
         formed = []
         for name in ("_point_entry", "_coeff_entry", "_lambda_entry"):
@@ -541,6 +576,12 @@ class TestWitnessEntries:
         report = make()
         kept = len(report.witnesses) + len(report.params.get("equalities", ()))
         assert len(formed) == kept
+
+
+def _order_one_violator() -> FunctionUnderTest:
+    """q + 3q^2, falsely certified so that q f' counts as starlike."""
+    series = SliceSeries.from_coeffs([ONE, exact(3)], valuation=1)
+    return FunctionUnderTest("violator", series, certificates=("derivative-starlike",))
 
 
 def _uncertified_violator() -> FunctionUnderTest:

@@ -342,6 +342,21 @@ def test_coefficient_too_large_for_a_float_is_an_error(command, tmp_path, capsys
     assert not cloud.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "slice-image"])
+def test_json_integer_too_large_for_a_float_is_an_error(command, tmp_path, capsys):
+    """A JSON integer component is read as a float, and one of 400 digits
+    has none."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"valuation": 0, "coeffs": [[1, 0, 0, 0], [1%s, 0, 0, 0]]}' % ("0" * 400))
+    cloud = tmp_path / "cloud.csv"
+    flags = ["--at", "1/2"] if command == "eval" else ["--out", str(cloud)]
+    assert run([command, str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: JSON number in quaternion array too large for a float\n"
+    assert not cloud.exists()
+
+
 UNWRITABLE_OUT_COMMANDS = {
     "check": ["check", "--suite", "schwarz-pick-counterexample", *FAST],
     "gen": ["gen", "koebe", *FAST],

@@ -34,8 +34,8 @@ from srgft.series import (EvalDomain, QuotientSum, SliceSeries, StarQuotient,
                           integrate_radial, mobius, mobius_quotient,
                           quotient_transform, regular_conjugate,
                           slice_derivative, star_mul, star_reciprocal,
-                          symmetrize, _float_row, _horner_fixed, _horner_xv,
-                          _integer_point, _reciprocal)
+                          symmetrize, _float_row, _horner_errors, _horner_fixed,
+                          _horner_xv, _integer_point, _reciprocal)
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -838,7 +838,7 @@ class TestSharedLeftFactor:
         form = close_to_convex_member(4, 24).derivative_form
         calls = _count_horners(monkeypatch)
         for q, rows in ((exact(F(1, 3), F(1, 4)), form._integer_parts[5]),
-                        (Quaternion(0.2, 0.0, 0.3, 0.0), form._fixed_form[1])):
+                        (Quaternion(0.2, 0.0, 0.3, 0.0), form._fixed[3])):
             calls.clear()
             form.eval(q)
             assert len(calls) == 1 and calls[0] is rows
@@ -954,7 +954,7 @@ class TestSharedParts:
         """One Horner on num per class: the exact one where the growth rule
         keeps the form on the exact path (koebe), else the fixed-point one,
         which certifies every point of these grids."""
-        rows = (form._integer_parts[5], form._fixed_form[1])
+        rows = (form._integer_parts[5], form._fixed[3])
         calls = _count_horners(monkeypatch)
         # past 16 angles, and on axes beyond i, j and k
         for grid in (DEFAULT_GRID, SamplingGrid.default(angle_count=32),
@@ -973,7 +973,7 @@ def _exact_twin(form: StarQuotient) -> StarQuotient:
     """The same form with the fixed-point path off: every point takes the
     exact integer path, the oracle of the fixed one."""
     twin = copy.copy(form)
-    twin.__dict__["_fixed_bits"] = None
+    twin.__dict__["_fixed"] = None
     return twin
 
 
@@ -1059,9 +1059,9 @@ class TestFixedPath:
         assert got == _batch(_exact_twin(quot), qs, domain, skip)
 
     def test_tiny_components_certify(self, monkeypatch):
-        """The class Horner reads w and |V|^2 truncated to p bits and the
-        tail multiplies by V exactly, so a tiny component keeps its relative
-        accuracy and no point takes the exact path."""
+        """The class Horner reads the exact point and the tail multiplies by
+        V exactly, so a tiny component keeps its relative accuracy and no
+        point takes the exact path."""
         form = caratheodory_mixture_form(5)
         points = [Quaternion(2.4e-287, 0.5, 0.0, 0.0), Quaternion(0.25, 5e-324, 0.5, 0.0)]
         want = _batch(_exact_twin(form), points, None, False)
@@ -1120,6 +1120,50 @@ class TestFixedPath:
                       Quaternion(0.3, -0.2, 0.1, 0.4), Quaternion(0.25, 5e-324, 0.5, 0.0)]
             assert _batch(quot, points, None, False) == \
                 _batch(_exact_twin(quot), points, None, False)
+
+
+@st.composite
+def kernel_points(draw):
+    """(e, W, |V|^2) of a point (W + V) / 2^e of the ball: a float point,
+    with tiny and subnormal components among them, or a dyadic point with
+    e up to 1126 whose components take any size down to 2^-e."""
+    if draw(st.booleans()):
+        scale, w, *_, n2 = _integer_point(draw(float_points()))
+        return scale.bit_length() - 1, w, n2
+    e = draw(st.integers(0, 1126))
+    # each component below 2^(e-1), so W^2 + |V|^2 < 4^e
+    w, v1, v2 = (draw(st.integers(-(1 << bits) + 1, (1 << bits) - 1))
+                 for bits in [draw(st.integers(0, max(e - 1, 0))) for _ in range(3)])
+    return e, w, v1 * v1 + v2 * v2
+
+
+class TestFixedHorner:
+    """The lemma of the fixed-point path: `_horner_fixed` at the exact point
+    is the complex Horner in z = (W + i|V|) / 2^e with one floor per step,
+    so A and B lie within `_horner_errors` of the exact sums."""
+
+    @given(st.lists(st.tuples(*[st.integers(-2 ** 64, 2 ** 64)] * 4), min_size=1, max_size=12),
+           st.tuples(*[st.booleans()] * 4), st.integers(1, 200), kernel_points())
+    @settings(deadline=None)
+    def test_within_the_proven_bound(self, rows, columns, p, point):
+        e, w, n2 = point
+        rows = tuple(tuple(c << p if keep else 0 for c, keep in zip(row, columns))
+                     for row in rows)
+        (a_fixed, b_fixed), (da, db) = _horner_fixed(rows, e, w, n2), _horner_errors(len(rows))
+        # the pair (a, b) stands for a + i|U| b, U = V / 2^e
+        x, u2 = F(w, 1 << e), F(n2, 1 << 2 * e)
+        ratios = [0.0]
+        for column, a_got, b_got in zip(zip(*rows), a_fixed, b_fixed):
+            a, b = F(column[0]), F(0)
+            for c in column[1:]:
+                a, b = x * a - u2 * b + c, a + x * b
+            if not any(column):
+                assert a_got == b_got == 0
+                continue
+            assert abs(a_got - a) <= da and abs(b_got - b) <= db
+            ratios += [float(abs(a_got - a) / da) if da else 0.0,
+                       float(abs(b_got - b) / db) if db else 0.0]
+        target(max(ratios), label="error / bound")
 
 
 class TestQuotientSum:
