@@ -367,7 +367,9 @@ def check_schwarz_pick_counterexample() -> CheckReport:
 
     The regular Moebius transform with parameter i/2, evaluated at j/2,
     has |f'|^2 = 50832/50625, strictly above the square of the classical
-    bound (1 - |f(q0)|^2) / (1 - |q0|^2) = 68/75.
+    bound (1 - |f(q0)|^2) / (1 - |q0|^2) = 68/75.  The check takes no
+    input, so no function can make it fail: it fails only where the
+    program computes one of these exact identities wrongly.
     """
     a = Quaternion(0, Fraction(1, 2), 0, 0)
     q0 = Quaternion(0, 0, Fraction(1, 2), 0)
@@ -674,9 +676,10 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
     margin = min(abs(min_re_point), abs(min_re_star),
                  abs(1.0 - max_ratio), abs(1.0 - max_star))
     passed = re_agree and mod_agree
-    witnesses = ()
-    if not passed:
-        witnesses = ({"n": "verdicts", "lhs": min_re_point, "rhs": min_re_star},)
+    # one witness per verdict pair that disagrees
+    witnesses = tuple({"n": name, "lhs": lhs, "rhs": rhs} for name, agree, lhs, rhs in (
+        ("real-part-verdicts", re_agree, min_re_point, min_re_star),
+        ("modulus-verdicts", mod_agree, max_ratio, max_star)) if not agree)
     return CheckReport("quotient-equivalences", "pair", passed,
                        margin if passed else -margin, kept, witnesses,
                        min(f.degree, g.degree),

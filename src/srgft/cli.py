@@ -227,10 +227,8 @@ def cmd_slice_image(args) -> int:
     if form is None:
         images = series.slice_values((ux, uy, uz), points)
     else:
-        images = []
-        for x, y in points:
-            value = form.eval(Quaternion(x, y * ux, y * uy, y * uz))
-            images.append((float(value.w), value.x * ux + value.y * uy + value.z * uz))
+        values = form.values([Quaternion(x, y * ux, y * uy, y * uz) for x, y in points])
+        images = [(float(v.w), v.x * ux + v.y * uy + v.z * uz) for v in values]
     rows = [(x, y, a, b) for (x, y), (a, b) in zip(points, images)]
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)

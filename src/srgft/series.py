@@ -189,16 +189,6 @@ def _fixed_precision(sym_den: int, sym: tuple, num_den: int, num: tuple) -> int:
             + 2 * steps.bit_length() + sum(max(x, 0) for x in excess))
 
 
-def _product(a: tuple, b: tuple) -> tuple:
-    """The quaternion product a b of two integer 4-tuples."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
-
-
 def _plane_horner(pairs, x: float, y: float, v: int) -> tuple[float, float]:
     """(a, b) with a + ib = z^v sum_n z^n (p_n + i s_n) at z = x + iy, over
     float (p, s) pairs listed from the top down: the one float kernel of a
@@ -745,38 +735,28 @@ def star_reciprocal(f: SliceSeries) -> SliceSeries:
 
 
 def _quotient_window(num: SliceSeries, den: SliceSeries, degree: int) -> SliceSeries:
-    """The window q^v .. q^degree of den^(-*) star num, v = v_num - v_den,
-    for exact trimmed num and den, by den star g = num on integer rows.
-    With c = conj(d_0) (its sign for a real d_0), s = c d_0 > 0 and h = D_m g,
-    s h_n = c D_d m_n - sum_(k>=1) c d_k h_(n-k).  Row h_n is over E_n, a
-    multiple of E_(n-1), reduced by one gcd with s; a real c d_k is a scalar."""
+    """The window q^v .. q^degree of den^(-1) num, v = v_num - v_den, for
+    exact trimmed num and a real, so central, den, by den g = num on
+    integer rows: with c the sign of d_0, s = c d_0 and h = D_m g,
+    s h_n = c (D_d m_n - sum_(k>=1) d_k h_(n-k)).  Row h_n is over E_n, a
+    multiple of E_(n-1), reduced by one gcd with s."""
     v = num.valuation - den.valuation
     length = degree - v + 1
     if length < 1:
         return SliceSeries.zero(max(degree, 0))
     (num_den, num_rows), (den_den, den_rows) = num._form, den._form
-    d0 = den_rows[0]
-    c = (d0[0], -d0[1], -d0[2], -d0[3]) if any(d0[1:]) else (1 if d0[0] > 0 else -1, 0, 0, 0)
-    s = _product(c, d0)[0]
-    terms = []
-    for k, row in enumerate(den_rows[1:length], 1):
-        row = _product(c, row)
-        if any(row):
-            terms.append((k, row if any(row[1:]) else row[0]))
+    c = 1 if den_rows[0][0] > 0 else -1
+    s = c * den_rows[0][0]
+    terms = [(k, c * row[0]) for k, row in enumerate(den_rows[1:length], 1) if row[0]]
     rows, scales, scale = [], [], 1
     for n in range(length):
-        a0, a1, a2, a3 = ((scale * den_den * x for x in _product(c, num_rows[n]))
+        a0, a1, a2, a3 = ((c * scale * den_den * x for x in num_rows[n])
                           if n < len(num_rows) else (0, 0, 0, 0))
         for k, d in terms:
             if k > n:
                 break
-            f = scale // scales[n - k]
-            if type(d) is int:
-                d *= f
-                h0, h1, h2, h3 = rows[n - k]
-            else:
-                h0, h1, h2, h3 = _product(d, rows[n - k])
-                d = f
+            d *= scale // scales[n - k]
+            h0, h1, h2, h3 = rows[n - k]
             a0, a1, a2, a3 = a0 - d * h0, a1 - d * h1, a2 - d * h2, a3 - d * h3
         g = math.gcd(s, a0, a1, a2, a3)
         scale *= s // g
@@ -902,12 +882,13 @@ class StarQuotient:
     den^s and G = den^c star num are polynomials, so there is no
     truncation error; this is how the built-in extremal functions are
     evaluated near the boundary of the ball.  A real den (as in every
-    :class:`QuotientSum`) is its own den^c, with den^s = den star den, so
-    the value is den(q)^(-1) num(q), and the guard reads
-    |den^s(q)| = |den(q)|^2.  The polynomials are formed on first use,
-    from den and num with their trailing zeros trimmed, and read through
-    their integer forms: integer coefficients over one common denominator
-    each.
+    :class:`QuotientSum`) is its own den^c, so the value is
+    den(q)^(-1) num(q), and the guard reads |den^s(q)| = |den(q)|^2.
+    Evaluation, :meth:`to_series` and :meth:`derivative` read this one
+    real form s^(-1) G (:attr:`_real_form`).  The polynomials are formed
+    on first use, from den and num with their trailing zeros trimmed, and
+    read through their integer forms: integer coefficients over one
+    common denominator each.
 
     Evaluation runs on integers only.  The point is scaled by the lcm L
     of its component denominators (a binary float is a dyadic rational)
@@ -965,19 +946,21 @@ class StarQuotient:
                              self.num.to_exact().trim())
 
     @cached_property
-    def _integer_parts(self):
-        """(v, real, D_s, s, D_g, g): den^s = q^v s(q) / D_s with integer
-        coefficients and den^c star num = q^v g(q) / D_g with integer
-        4-tuples; for a real den (``real``) s and g stand for den and num.
-        Both are listed from the highest power down.  v is the lowest of
-        the two valuations and 0, and each part takes the rest of its
-        valuation as zero rows."""
+    def _real_form(self) -> tuple[bool, SliceSeries, SliceSeries]:
+        """(real, s, G), exact polynomials with the quotient s^(-1) G: s = den^s
+        and G = den^c star num, or s = den and G = num for a real den."""
         den = self.den.to_exact().trim()
-        real = den.is_real()
-        if real:
-            sym, num = den, self.num.to_exact().trim()
-        else:
-            sym, num = self._den_sym, self._conj_num()
+        if den.is_real():
+            return True, den, self.num.to_exact().trim()
+        return False, self._den_sym, self._conj_num()
+
+    @cached_property
+    def _integer_parts(self):
+        """(v, real, D_s, s, D_g, g): :attr:`_real_form` as s = q^v s(q) / D_s
+        and G = q^v g(q) / D_g, integer coefficients and 4-tuples listed from
+        the highest power down.  v is the lowest of the two valuations and
+        0, and each part takes the rest of its valuation as zero rows."""
+        real, sym, num = self._real_form
         low = min(sym.valuation, num.valuation, 0)
         sym_den, sym_rows = sym._form
         num_den, num_rows = num._form
@@ -1142,34 +1125,23 @@ class StarQuotient:
         return self.values((q,), domain)[0]
 
     def to_series(self, degree: int = DEFAULT_DEGREE) -> SliceSeries:
-        """The window through ``degree``: den^(-*) star num by the recurrence
-        :func:`_quotient_window`.  Float parts are taken exactly; the float
-        window is rounded once."""
-        out = _quotient_window(self.num.to_exact().trim(), self.den.to_exact().trim(), degree)
+        """The window through ``degree``: s^(-1) G of the real form
+        (:attr:`_real_form`) by the recurrence :func:`_quotient_window`.
+        Float parts are taken exactly; the float window is rounded once."""
+        _, sym, num = self._real_form
+        out = _quotient_window(num, sym, degree)
         return out if self.num.is_exact and self.den.is_exact else out.to_float()
 
     def derivative(self) -> "StarQuotient":
-        """Quotient rule, valid when the denominator coefficients commute.
-
-        With pairwise commuting coefficients (e.g. polynomials in one q u)
-        den' star den^(-*) = den^(-*) star den', giving
-
-            (den^(-*) star num)' = (den star den)^(-*) star (den star num' - den' star num).
-
-        Exact coefficients must commute exactly; float ones up to rounding.
-        """
-        cs = [c for c in self.den.coeffs if not c.is_zero()]
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                d = cs[i] * cs[j] - cs[j] * cs[i]
-                tol = 0.0 if d.is_exact else \
-                    1e-18 * (1.0 + float(cs[i].norm_sq()) * float(cs[j].norm_sq()))
-                if d.norm_sq() > tol:
-                    raise DomainError("derivative needs pairwise-commuting denominator coefficients")
-        new_num = full_star_mul(self.den, slice_derivative(self.num)) - \
-            full_star_mul(slice_derivative(self.den), self.num)
-        new_den = full_star_mul(self.den, self.den)
-        return StarQuotient(new_num, new_den)
+        """f' = (s star s)^(-1) (s star G' - s' star G) for f = s^(-1) G
+        (:attr:`_real_form`) and any den: s is real, so central.  The parts
+        are exact, so a float form gives the exact f' of its dyadic form,
+        and the guard of the real den s star s reads |s(q)|^4, that is
+        |den^s(q)|^4, or |den(q)|^4 for a real den."""
+        _, sym, num = self._real_form
+        return StarQuotient(full_star_mul(sym, slice_derivative(num))
+                            - full_star_mul(slice_derivative(sym), num),
+                            full_star_mul(sym, sym))
 
 
 class QuotientSum(StarQuotient):

@@ -454,6 +454,16 @@ class TestConvexCovering:
         expected = (1 - 0.99) / (2 * (1 + 0.99))
         assert abs(values[-1] - expected) < 1e-12
 
+    def test_a_map_leaving_the_half_plane_fails(self):
+        """q - q^2 is not convex: f(-0.99) = -1.9701 lies 1.4701 past the
+        half plane Re f > -1/2, the largest violation on the grid."""
+        series = SliceSeries.from_coeffs([ONE, exact(-1)], valuation=1).pad_to(48)
+        report = check_convex_covering_examples(FunctionUnderTest("bad", series), DEFAULT_GRID)
+        assert report.status == "fail" and report.witnesses
+        assert abs(report.worst_margin + 1.4701) < 1e-12
+        worst = next(w for w in report.witnesses if w["margin"] == report.worst_margin)
+        assert abs(worst["q"][0] + 0.99) < 1e-15 and max(map(abs, worst["q"][1:])) < 1e-15
+
 
 class TestSubordination:
     def test_square_inner(self):
@@ -537,6 +547,23 @@ class TestQuotientEquivalences:
         report = check_quotient_equivalences(f, g, SMALL_GRID, EvalDomain(1e-320))
         assert report.status == "inconclusive"
         assert report.params["skipped"] == len(SMALL_GRID.points)
+
+    def test_disagreeing_modulus_verdicts_fail(self):
+        """max |g| / |f| = 0.998 < 1 pointwise but max |f^(-*) star g| =
+        1.048 > 1 for this pair, so the modulus verdicts disagree; the real
+        part verdicts agree (both minima negative), and the one witness
+        carries the two maxima."""
+        f = SliceSeries.from_coeffs([ONE, exact(F(1, 16), F(-1, 8), F(-1, 8))])
+        g = SliceSeries.from_coeffs([exact(F(-1, 2)),
+                                     exact(F(-7, 80), F(-7, 40), F(-7, 20), F(-7, 40))])
+        report = check_quotient_equivalences(f, g, DEFAULT_GRID)
+        params = report.params
+        assert report.status == "fail" and params["skipped"] == 0
+        ratio, star = params["max_ratio_pointwise"], params["max_star_modulus"]
+        assert 0.998 < ratio < 1.0 < 1.047 < star < 1.048
+        assert params["min_re_pointwise"] < 0 and params["min_re_star"] < 0
+        assert report.witnesses == ({"n": "modulus-verdicts", "lhs": ratio, "rhs": star},)
+        assert report.worst_margin == -(1.0 - ratio)
 
     def test_inconclusive_when_guard_dominates(self):
         f, g = quotient_pair(0)

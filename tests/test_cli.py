@@ -191,7 +191,7 @@ class TestGenCommand:
         "koebe --u=2/3i+1/3j+2/3k":
             "5010c3446beabc36d15550d2a3bfd7d836063e89ddb1902bb9fa27adc0d96a0d",
         "koebe --u=2/3i+1/3j+2/3k --mode float":
-            "18800b3b019aeaca98d74007e79aa51640d0a651beb823b7e557325073764b6e",
+            "6705689a0464ad4f61847f7546a901349258808a816bd92d4d3646b810675672",
         "rogosinski": "196568d85d6b90c3433fcbc2817a1552d84ab91319d121a444ab1404a1e5b635",
         "rogosinski --b=3/10i+2/5j --p=3/5+4/5k":
             "0fef4d1938390ba4b03108a27bd2709c7ad2fb0d31ed7abeae48da421f898b2d",

@@ -537,19 +537,6 @@ class TestStarQuotient:
         assert exact_window == reference_to_series(series([ONE, u.to_exact()]),
                                                    series([ONE, -u.to_exact()]), 30)
 
-    def test_derivative_requires_commuting_den(self):
-        quot = StarQuotient(SliceSeries.one(), series([ONE, I, J]))
-        with pytest.raises(DomainError):
-            quot.derivative()
-
-    def test_exact_commuting_check_has_no_tolerance(self):
-        # the commutator 2k/10^10 hides under the float tolerance
-        t = F(1, 10 ** 5)
-        den = series([ONE, exact(0, t), exact(0, 0, t)])
-        with pytest.raises(DomainError):
-            StarQuotient(SliceSeries.one(), den).derivative()
-        StarQuotient(SliceSeries.one(), den.to_float()).derivative()
-
     @given(st.integers(0, 9999), st.integers(1, 5), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
     def test_trailing_zeros_leave_values_unchanged(self, seed, pad_num, pad_den):
@@ -663,12 +650,46 @@ QUOTIENT_KINDS = ("koebe", "mobius", "caratheodory", "rogosinski", "random",
 @st.composite
 def quotients(draw):
     quot = _quotient(draw(st.sampled_from(QUOTIENT_KINDS)), draw(st.integers(0, 10 ** 6)))
-    if draw(st.booleans()):
-        try:
-            quot = quot.derivative()
-        except DomainError:  # a denominator whose coefficients do not commute
-            pass
-    return quot
+    return quot.derivative() if draw(st.booleans()) else quot
+
+
+def _assert_derivative_window(quot: StarQuotient, degree: int) -> None:
+    """f' through ``degree`` is the term-rule derivative of the exact
+    window of f through degree + 1: a float form's derivative is that of
+    its dyadic form, with exact parts."""
+    exact_parts = StarQuotient(quot.num.to_exact(), quot.den.to_exact())
+    want = slice_derivative(exact_parts.to_series(degree + 1))
+    assert quot.derivative().to_series(degree) == want
+
+
+class TestQuotientDerivative:
+    """f' = (s star s)^(-1) (s star G' - s' star G) for the real form
+    f = s^(-1) G, whatever den's coefficients."""
+
+    @given(quotients(), st.booleans(), st.integers(0, 16))
+    @settings(deadline=None)
+    def test_matches_the_window_derivative(self, quot, float_parts, degree):
+        if float_parts:
+            quot = StarQuotient(quot.num.to_float(), quot.den.to_float())
+        _assert_derivative_window(quot, degree)
+
+    def test_non_commuting_den(self):
+        quot = StarQuotient(SliceSeries.one(), series([ONE, I, J]))
+        _assert_derivative_window(quot, 12)
+        assert quot.derivative().den.is_real()
+
+    def test_tiny_commutator_den(self):
+        """The commutator 2k / 10^10 of this den's coefficients is tiny,
+        yet the commuting quotient rule gives another f'; the real form
+        gives the true f' of the exact den and of its float copy."""
+        t = F(1, 10 ** 5)
+        den = series([ONE, exact(0, t), exact(0, 0, t)])
+        for quot in (StarQuotient(SliceSeries.one(), den),
+                     StarQuotient(SliceSeries.one(), den.to_float())):
+            _assert_derivative_window(quot, 12)
+        commuting_rule = StarQuotient(-slice_derivative(den), full_star_mul(den, den))
+        assert commuting_rule.to_series(12) != \
+            StarQuotient(SliceSeries.one(), den).derivative().to_series(12)
 
 
 ball_rationals = st.fractions(F(-9, 20), F(9, 20), max_denominator=60)
