@@ -149,7 +149,9 @@ class FunctionUnderTest:
     :class:`StarQuotient`, evaluated exactly and rounded once; f' of
     ``form`` is its derivative quotient, built on first use.  Without a
     form, points are evaluated on a float copy of the window.  ``values``
-    and ``derivative_values`` evaluate a sweep, picking the path once.
+    and ``derivative_values`` evaluate a sweep on one evaluator each, picked
+    once: ``form`` or the window for f, and for f' ``derivative_form``, else
+    the derivative of ``form``, else that of the window.
     ``sweep`` and ``derivative_sweep`` are those sweeps over a whole grid,
     evaluated on first use and kept per grid, so every check and screen
     that reads the same grid shares one sweep.  ``certificates`` lists
@@ -164,28 +166,20 @@ class FunctionUnderTest:
     certificates: tuple[str, ...] = ()
 
     @cached_property
-    def _float_series(self) -> SliceSeries:
-        return self.series.to_float().trim()
+    def _evaluator(self) -> StarQuotient | SliceSeries:
+        return self.form if self.form is not None else self.series.to_float().trim()
 
     @cached_property
-    def _float_derivative(self) -> SliceSeries:
-        return slice_derivative(self._float_series)
-
-    @cached_property
-    def _form_derivative(self) -> StarQuotient:
-        return self.form.derivative()
+    def _derivative_evaluator(self) -> StarQuotient | SliceSeries:
+        if self.derivative_form is not None:
+            return self.derivative_form
+        return slice_derivative(self._evaluator) if self.form is None else self.form.derivative()
 
     def values(self, points: Iterable[Quaternion]) -> list[Quaternion]:
-        if self.form is not None:
-            return self.form.values(points)
-        return self._float_series.values(points)
+        return self._evaluator.values(points)
 
     def derivative_values(self, points: Iterable[Quaternion]) -> list[Quaternion]:
-        if self.derivative_form is not None:
-            return self.derivative_form.values(points)
-        if self.form is not None:
-            return self._form_derivative.values(points)
-        return self._float_derivative.values(points)
+        return self._derivative_evaluator.values(points)
 
     @cached_property
     def _sweeps(self) -> dict:

@@ -937,22 +937,15 @@ class StarQuotient:
         self.den = den
 
     @cached_property
-    def _den_sym(self) -> SliceSeries:
-        d = self.den.to_exact().trim()
-        return symmetrize(d.pad_to(2 * d.degree - d.valuation))
-
-    def _conj_num(self) -> SliceSeries:
-        return full_star_mul(regular_conjugate(self.den.to_exact().trim()),
-                             self.num.to_exact().trim())
-
-    @cached_property
     def _real_form(self) -> tuple[bool, SliceSeries, SliceSeries]:
-        """(real, s, G), exact polynomials with the quotient s^(-1) G: s = den^s
-        and G = den^c star num, or s = den and G = num for a real den."""
-        den = self.den.to_exact().trim()
+        """(real, s, G), exact polynomials with the quotient s^(-1) G: s = den
+        and G = num for a real den, else s = den^s and G = den^c star num;
+        every reader of the quotient's polynomials reads them here."""
+        den, num = self.den.to_exact().trim(), self.num.to_exact().trim()
         if den.is_real():
-            return True, den, self.num.to_exact().trim()
-        return False, self._den_sym, self._conj_num()
+            return True, den, num
+        return (False, symmetrize(den.pad_to(2 * den.degree - den.valuation)),
+                full_star_mul(regular_conjugate(den), num))
 
     @cached_property
     def _integer_parts(self):
@@ -1145,15 +1138,15 @@ class StarQuotient:
 
 
 class QuotientSum(StarQuotient):
-    """left star sum_k w_k R_k for quotients R_k = den_k^(-*) star num_k,
-    as one quotient over the real denominator den = prod_k den_k^s.
+    """left star sum_k w_k R_k for quotients in their real forms
+    R_k = s_k^(-1) G_k (:attr:`StarQuotient._real_form`), as one quotient
+    over the real denominator den = prod_k s_k, where a real den_k enters once.
 
     Real series are central, so sum_k w_k R_k = den^(-1) num_0 with
-    num_0 = sum_k w_k (prod_(j != k) den_j^s) star den_k^c star num_k, and
-    den^(-1) commutes with the left factor h (by default 1): the sum is
-    den^(-1) num with num = h star num_0, so h folds into num once.  Both
-    are built on first use, every part taken exactly.  A sum needs at
-    least one term and one weight per term.
+    num_0 = sum_k w_k (prod_(j != k) s_j) star G_k, and den^(-1) commutes
+    with the left factor h (by default 1): the sum is den^(-1) num with
+    num = h star num_0, so h folds into num once.  Both are built on first
+    use, exactly.  A sum needs at least one term and one weight per term.
     """
 
     def __init__(self, terms: Sequence[StarQuotient], weights: Sequence,
@@ -1164,12 +1157,12 @@ class QuotientSum(StarQuotient):
 
     @cached_property
     def den(self) -> SliceSeries:
-        return reduce(full_star_mul, (t._den_sym for t in self.terms))
+        return reduce(full_star_mul, (t._real_form[1] for t in self.terms))
 
     @cached_property
     def num(self) -> SliceSeries:
-        syms = [t._den_sym for t in self.terms]
-        parts = [reduce(full_star_mul, syms[:k] + syms[k + 1:], t._conj_num()).scale(w)
+        syms = [t._real_form[1] for t in self.terms]
+        parts = [reduce(full_star_mul, syms[:k] + syms[k + 1:], t._real_form[2]).scale(w)
                  for k, (w, t) in enumerate(zip(self.weights, self.terms))]
         # __add__ keeps the smaller window; each part is a polynomial
         degree = max(part.degree for part in parts)

@@ -31,10 +31,11 @@ from srgft.checks import (SuiteConfig, SUITES, caratheodory_extremal_function,
                           starlike_member, caratheodory_member)
 from srgft import checks as checks_module
 from srgft import classes as classes_module
-from srgft.classes import DEFAULT_GRID, FunctionUnderTest, SamplingGrid
+from srgft.classes import (DEFAULT_GRID, FunctionUnderTest, SamplingGrid,
+                           caratheodory_extremal_quotient)
 from srgft.errors import DomainError, PreconditionError
 from srgft.quat import I, J, K, ONE, Quaternion, quaternion_to_json
-from srgft.series import EvalDomain, SliceSeries, slice_derivative
+from srgft.series import EvalDomain, QuotientSum, SliceSeries, StarQuotient, slice_derivative
 
 SMALL_GRID = SamplingGrid.default(radii=(0.2, 0.5, 0.8, 0.95), angle_count=4)
 
@@ -74,7 +75,8 @@ class TestBieberbach:
         # evaluation reads h folded into the numerator, and the real
         # denominator is evaluated as it is, never symmetrized
         assert "_integer_parts" in form.__dict__ and "num" in form.__dict__
-        assert "_den_sym" not in form.__dict__
+        real, s, _ = form._real_form
+        assert real and s == form.den
 
     # sha256 of the component reprs of the class-c f' values, one line per
     # point, on the default grid (3 axes) and on 5 slice axes: gen sees
@@ -96,14 +98,19 @@ class TestBieberbach:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             self.PINNED_DERIVATIVE_VALUES[seed, units]
 
-    def test_building_a_member_forms_no_polynomial(self):
-        """A mixture's and a class-c f''s num, den and integer parts are
-        built on first evaluation, not with the member."""
-        forms = (caratheodory_member(5, 48).form, close_to_convex_member(2, 48).derivative_form)
-        for form in forms:
-            assert not any(name in form.__dict__ for name in ("num", "den", "_integer_parts"))
-            assert not any(name in t.__dict__ for t in form.terms
-                           for name in ("_integer_parts", "_den_sym"))
+    def test_building_a_member_forms_only_its_window(self):
+        """A mixture's num and den are formed once, for its window, and kept
+        for evaluation; its integer parts, and a class-c f''s num, den and
+        integer parts, are built on first evaluation, not with the member.
+        The f' sum shares p's terms, so it reuses their cached real forms."""
+        mixture = caratheodory_member(5, 48).form
+        derivative = close_to_convex_member(2, 48).derivative_form
+        assert "num" in mixture.__dict__ and "den" in mixture.__dict__
+        assert "_integer_parts" not in mixture.__dict__
+        assert not any(name in derivative.__dict__ for name in ("num", "den", "_integer_parts"))
+        for form in (mixture, derivative):
+            assert all("_real_form" in t.__dict__ and "_integer_parts" not in t.__dict__
+                       for t in form.terms)
 
 
 class TestConvexCoefficients:
@@ -343,6 +350,36 @@ class TestBohr:
         report = check_bohr(mobius_function(exact(0, F(1, 2)), 32), SMALL_GRID)
         assert report.passed
         assert abs(report.worst_margin - 0.2) < 1e-6
+
+    @pytest.mark.parametrize("a0", [exact(-5), exact(0, 2), exact(F(1, 2), 2)],
+                             ids=["negative", "imaginary", "non-real"])
+    def test_real_part_screen_needs_a_real_nonnegative_constant(self, a0):
+        """Re f <= 1 alone does not bound the sum: the constant -5 would
+        pass it and fail with margin -4."""
+        with pytest.raises(PreconditionError):
+            check_bohr(constant_function(a0), SMALL_GRID)
+
+    def test_one_minus_the_caratheodory_extremal_is_sharp(self):
+        """f = 1 - p for p = (1 - q i)^(-*) star (1 + q i), as a quotient
+        sum: |f| is unbounded, so only the real-part screen admits it
+        (Re f = 1 - Re p < 1, a_0 = 0), and sum_(n=1..16) 2 / 3^n =
+        1 - 3^(-16) makes the radius 1/3 sharp."""
+        form = QuotientSum((StarQuotient(SliceSeries.one(), SliceSeries.one()),
+                            caratheodory_extremal_quotient(I)), (F(1), F(-1)))
+        report = check_bohr(FunctionUnderTest("1-p", form.to_series(16), form), DEFAULT_GRID)
+        assert report.passed and report.params["screen"] == "real-part"
+        assert abs(report.worst_margin - 3.0 ** -16) < 1e-15
+
+    def test_a_violator_between_the_angles_fails(self):
+        """1/2 - 10^5 q^8 breaks Re f <= 1 off the grid (Re f > 1 at
+        theta = pi/8), but q^8 = r^8 at each of the default grid's eight
+        angles, so the screen admits it; its sum 1/2 + 10^5 / 3^8 fails."""
+        series = SliceSeries.from_coeffs([exact(F(1, 2))] + [exact(0)] * 7 + [exact(-10 ** 5)])
+        report = check_bohr(FunctionUnderTest("violator", series), DEFAULT_GRID)
+        assert report.status == "fail" and report.params["screen"] == "real-part"
+        assert report.witnesses == ({"n": "sum", "lhs": 0.5 + 10 ** 5 / 3 ** 8, "rhs": 1.0,
+                                     "margin": report.worst_margin},)
+        assert abs(report.worst_margin + (10 ** 5 / 3 ** 8 - 0.5)) < 1e-12
 
 
 class TestMonotoneHayman:
@@ -718,7 +755,7 @@ class TestSharedBuilds:
         # the certified generators and every built-in function or member
         makers = [(module, name) for module in (checks_module, classes_module)
                   for name in ("generate_starlike_small_coeff", "generate_caratheodory",
-                               "generate_close_to_convex")]
+                               "generate_close_to_convex") if hasattr(module, name)]
         makers += [(checks_module, name) for name, fn in vars(checks_module).items()
                    if inspect.isfunction(fn) and fn.__module__ == checks_module.__name__
                    and inspect.signature(fn).return_annotation == "FunctionUnderTest"]

@@ -585,8 +585,9 @@ class TestStarQuotient:
         has a derivative over degree 12, not 24, with the same values."""
         form = close_to_convex_member(2).derivative_form
         derivative = form.derivative()
+        den_sym = symmetrize(form.den.pad_to(2 * form.den.degree - form.den.valuation))
         over_sym = StarQuotient(full_star_mul(regular_conjugate(form.den), form.num),
-                                form._den_sym).derivative()
+                                den_sym).derivative()
         assert (form.den.degree, derivative.den.degree, over_sym.den.degree) == (6, 12, 24)
         for q in (exact(F(1, 5), F(-1, 10), F(3, 10), F(1, 10)),
                   Quaternion(0.3, 0.1, -0.2, 0.4)):
@@ -849,7 +850,8 @@ class TestSharedLeftFactor:
         points = _EXACT_POINTS + _SIGNED_ZERO_POINTS + _AXIS_POINTS
         values = [_outcome(form.eval, q) for q in points]
         # the real denominator is evaluated as it is, never symmetrized
-        assert "_den_sym" not in form.__dict__
+        real, s, _ = form._real_form
+        assert real and s == form.den
         assert values == [_outcome(lambda p: _reference_sum_value(form, p), q) for q in points]
 
     def test_one_left_horner_per_point(self, monkeypatch):
@@ -1210,6 +1212,67 @@ class TestQuotientSum:
         assert form.to_series(24) == functools.reduce(
             lambda a, b: a + b, (t.to_series(24).scale(w)
                                  for w, t in zip(form.weights, form.terms)))
+
+    def test_a_real_term_den_enters_once(self):
+        """(1 - q)/(1 + q) enters with its real den 1 + q, not (1 + q)^2,
+        so with the i-extremal, over (1 - q i)^s of degree 2, the den has
+        degree 3."""
+        form = QuotientSum((caratheodory_extremal_quotient(-ONE),
+                            caratheodory_extremal_quotient(I)), (F(1, 2), F(1, 2)))
+        assert form.den.degree == 3
+        q = exact(F(1, 3), F(1, 4), F(-1, 5))
+        assert form.eval(q) == _reference_sum_value(form, q)
+
+
+def _sum_term(kind: str, rng: Random) -> StarQuotient:
+    """A term of a quotient sum: over a real den, over a den that is not
+    real, with float parts, or a nested sum with a left factor."""
+    # |den - 1| < 1 in the ball, so den^s vanishes nowhere there
+    real_den = series([1, F(rng.randint(-4, 4), 10), F(rng.randint(-4, 4), 10)])
+    den = SliceSeries.from_coeffs([ONE, *rand_series(rng, 1, scale=1).coeffs])
+    num = rand_series(rng, 2, valuation=rng.randint(0, 1))
+    if kind == "real":
+        return StarQuotient(num, real_den)
+    if kind == "non-real":
+        return StarQuotient(num, den)
+    if kind == "float":
+        return StarQuotient(num.to_float(), (den if rng.random() < 0.5 else real_den).to_float())
+    return QuotientSum((StarQuotient(num, real_den), StarQuotient(rand_series(rng, 1), den)),
+                       (F(rng.randint(-9, 9), 7), F(1)), left=rand_series(rng, 2))
+
+
+@st.composite
+def mixed_sums(draw):
+    rng = Random(draw(st.integers(0, 10 ** 6)))
+    kinds = draw(st.lists(st.sampled_from(("real", "non-real", "float", "nested")),
+                          min_size=1, max_size=4))
+    terms = [_sum_term(kind, rng) for kind in kinds]
+    return QuotientSum(terms, [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in terms])
+
+
+def _exact_window(quot: StarQuotient, degree: int) -> SliceSeries:
+    """The window of quot's exact parts: a float part is taken exactly."""
+    return StarQuotient(quot.num.to_exact(), quot.den.to_exact()).to_series(degree)
+
+
+class TestSumOfRealForms:
+    """A quotient sum over its terms' real forms s_k^(-1) G_k is the
+    weighted sum of its terms, as a window and at every point."""
+
+    @given(mixed_sums(), st.integers(0, 24))
+    @settings(deadline=None)
+    def test_window_is_the_weighted_sum_of_the_term_windows(self, form, degree):
+        assert form.to_series(degree) == functools.reduce(
+            SliceSeries.__add__, (_exact_window(t, degree).scale(w)
+                                  for w, t in zip(form.weights, form.terms)))
+
+    @given(mixed_sums(), st.lists(points(), min_size=1, max_size=4))
+    @settings(deadline=None)
+    def test_values_match_the_per_term_references(self, form, qs):
+        # each component's repr: its type, value and sign of zero
+        got, want = form.values(qs), [_reference_sum_value(form, q) for q in qs]
+        assert [[repr(c) for c in (v.w, v.x, v.y, v.z)] for v in got] == \
+            [[repr(c) for c in (v.w, v.x, v.y, v.z)] for v in want]
 
 
 # a nonzero coefficient that rounds to 0.0 as a float
