@@ -5,7 +5,7 @@ from .errors import (DomainError, PreconditionError, QuaternionParseError,
                      SingularityError)
 from .quat import (ImaginaryUnit, Quaternion, format_quaternion,
                    parse_quaternion)
-from .series import (EvalDomain, QuotientSum, SliceSeries, StarQuotient,
+from .series import (EvalDomain, PointBatch, QuotientSum, SliceSeries, StarQuotient,
                      compose_slice_preserving, integrate_radial, mobius,
                      mobius_quotient, quotient_transform,
                      regular_conjugate, slice_derivative, star_mul,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport", "ClassVerdict", "DomainError", "EvalDomain",
-    "FunctionUnderTest", "ImaginaryUnit", "PreconditionError", "Quaternion",
+    "FunctionUnderTest", "ImaginaryUnit", "PointBatch", "PreconditionError", "Quaternion",
     "QuaternionParseError", "QuotientSum", "SUITES", "SamplingGrid",
     "SingularityError", "SliceSeries", "StarQuotient", "SuiteConfig",
     "compose_slice_preserving", "format_quaternion", "generate_caratheodory",

@@ -30,8 +30,8 @@ from typing import Iterable, Optional, Union
 from .errors import DomainError, PreconditionError
 from .quat import (ONE, ZERO, ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K,
                    exact_sqrt, quaternion_to_json)
-from .series import (DEFAULT_DEGREE, DEFAULT_SINGULAR_THRESHOLD, QuotientSum,
-                     SliceSeries, StarQuotient, full_star_mul, integrate_radial,
+from .series import (DEFAULT_DEGREE, DEFAULT_SINGULAR_THRESHOLD, PointBatch,
+                     QuotientSum, SliceSeries, StarQuotient, full_star_mul, integrate_radial,
                      outside_closed_ball, rational_quaternion, rows_over_lcm,
                      slice_derivative, star_mul)
 
@@ -97,8 +97,11 @@ class SamplingGrid:
         return tuple(out)
 
     @cached_property
-    def points(self) -> tuple[Quaternion, ...]:
-        return tuple(u * r for r in self.radii for u in self.directions)
+    def points(self) -> PointBatch:
+        """The points r * exp(I theta), radius-major, as one
+        :class:`PointBatch`: the grid keeps it, so every sweep of the grid
+        reads one split of its points into slice classes."""
+        return PointBatch(u * r for r in self.radii for u in self.directions)
 
 
 DEFAULT_GRID = SamplingGrid.default()

@@ -208,6 +208,64 @@ def _plane_horner(pairs, x: float, y: float, v: int) -> tuple[float, float]:
     return a, b
 
 
+class PointBatch(tuple):
+    """A tuple of points that splits each point into its slice class once.
+
+    By the representation formula f(x + yI) = alpha + I beta, the value at
+    a point is a part shared by its class and a tail that reads its axis.
+    A batch forms that split on first use, in one plan per evaluation
+    path, and keeps it for its own lifetime, so every evaluation of the
+    batch (each sweep of a grid's points) reads it:
+
+    * the exact plan (:attr:`_exact_plan`): the distinct classes
+      (L, W, |V|^2, L^2 |q|^2) of the integer points of
+      :func:`_integer_point`, and per point (class, inside, exact, V1, V2,
+      V3), inside meaning |q| < 1;
+    * the float plan (:attr:`_float_plan`): the distinct classes (x, s) of
+      the float point x + s I, s = |Im q|, and per point (class, unit,
+      inside, zero), unit the components of I = Im q / s (None on the real
+      axis), inside |q|^2 < 1 in the point's own arithmetic and zero
+      whether q is 0.  A point outside the ball has no class.  The sign of
+      a zero x is part of the class, as it is of the value.
+
+    Forming a plan raises nothing (a point's components are finite), and
+    each point's errors are raised from its plan entry in batch order, so
+    a batch raises where a point-by-point loop does.  An evaluator forms
+    the float plan only on meeting a point that takes the float path.
+    """
+
+    @classmethod
+    def of(cls, points: Iterable[Quaternion]) -> "PointBatch":
+        return points if isinstance(points, cls) else cls(points)
+
+    @cached_property
+    def _exact_plan(self) -> tuple[list, list]:
+        classes, index, plan = [], {}, []
+        for q in self:
+            scale, w, v1, v2, v3, n2 = _integer_point(q)
+            r2 = w * w + n2  # L^2 |q|^2
+            k = index.setdefault((scale, w, n2), len(classes))
+            if k == len(classes):
+                classes.append((scale, w, n2, r2))
+            plan.append((k, r2 < scale * scale, q.is_exact, v1, v2, v3))
+        return classes, plan
+
+    @cached_property
+    def _float_plan(self) -> tuple[list, list]:
+        classes, index, plan = [], {}, []
+        for q in self:
+            if q.norm_sq() >= 1:
+                plan.append((None, None, False, False))
+                continue
+            zero, q = q.is_zero(), q.to_float()
+            x, s = q.w, math.hypot(q.x, q.y, q.z)
+            k = index.setdefault((x, s, math.copysign(1.0, x)), len(classes))
+            if k == len(classes):
+                classes.append((x, s))
+            plan.append((k, (q.x / s, q.y / s, q.z / s) if s else None, True, zero))
+        return classes, plan
+
+
 def _float_row(row: tuple, den: int) -> tuple[float, ...]:
     """The components of the 4-tuple row over den as floats.  Int by int
     true division is correctly rounded, so each equals the float of the
@@ -477,40 +535,48 @@ class SliceSeries:
         """The values at the points of the open unit ball, in order.
 
         An exact window at an exact point is the quotient window / 1, and
-        :meth:`StarQuotient.eval` gives its exact value.  Any float operand
+        the quotient's evaluation of the batch (:meth:`StarQuotient.values`)
+        gives its exact value.  Any float operand
         runs the float kernel on the float window at the float point, by
         the representation formula: with q = x + s I, s = |Im q|, and
         z = x + is, f(q) = A + I B, where each component c has
         A_c + i B_c = z^v sum_n z^n a_(n,c), one :func:`_plane_horner` per
         column.  A and B do not depend on I, so the points of one class
         (x, s), such as the i, j and k points of one (r, theta), share the
-        four Horners; a real point (s = 0) is A.  A rational coefficient
-        too large for a float raises `DomainError`, and so does a value
-        that is not finite.
+        four Horners; a real point (s = 0) is A.  The points are read as a
+        :class:`PointBatch` (any other iterable is wrapped in one), whose
+        plans hold each point's class and tail; the Horners of a class are
+        kept in a list by class for the call.  A rational coefficient too
+        large for a float raises `DomainError`, and so does a value that
+        is not finite.
         """
-        out, parts, quotient = [], {}, None
-        for q in points:
+        batch = PointBatch.of(points)
+        # a batch has at most one float class per point
+        out, parts, exact_value = [], [None] * len(batch), None
+        for i, q in enumerate(batch):
             if self.is_exact and q.is_exact:
-                quotient = quotient or StarQuotient(self, SliceSeries.one())
-                out.append(quotient.eval(q))
+                if exact_value is None:
+                    exact_value = StarQuotient(self, SliceSeries.one())._point_values(batch)
+                out.append(exact_value(i))
                 continue
-            if q.norm_sq() >= 1:
+            classes, plan = batch._float_plan
+            k, unit, inside, zero = plan[i]
+            if not inside:
                 raise DomainError("evaluation point must lie in the open unit ball")
-            if self.valuation < 0 and q.is_zero():
+            if self.valuation < 0 and zero:
                 raise SingularityError("negative-valuation series is singular at 0")
-            q = q.to_float()
-            x, s = q.w, math.hypot(q.x, q.y, q.z)
-            part = parts.get((x, s))
+            part = parts[k]
             if part is None:
+                x, s = classes[k]
                 v, columns = self._float_columns
                 if v < 0 and not (x * x + s * s):
                     raise DomainError("evaluation point too close to the pole at 0")
-                part = parts[x, s] = [_plane_horner(column, x, s, v) for column in columns]
+                part = parts[k] = [_plane_horner(column, x, s, v) for column in columns]
             (a0, b0), (a1, b1), (a2, b2), (a3, b3) = part
-            if not s:
+            if unit is None:
                 out.append(Quaternion(a0, a1, a2, a3))
                 continue
-            i1, i2, i3 = q.x / s, q.y / s, q.z / s
+            i1, i2, i3 = unit
             out.append(Quaternion(a0 - i1 * b1 - i2 * b2 - i3 * b3,
                                   a1 + i1 * b0 + i2 * b3 - i3 * b2,
                                   a2 + i2 * b0 + i3 * b1 - i1 * b3,
@@ -896,11 +962,12 @@ class StarQuotient:
     real denominator through the same recurrence on scalars, and each
     component is divided once at the end.  All of it but the last step
     E + V F reads only the class (L, W, |V|^2), as the representation
-    formula f(x + yI) = alpha + I beta says.  :meth:`values` forms that
-    shared part (:meth:`_shared_part`) once per class of its batch, so
-    the i, j and k points of one (r, theta) run one Horner; nothing
-    outlives the call.  An exact point gives an exact value; at a float
-    point each component is the correctly rounded value of the exact one.
+    formula f(x + yI) = alpha + I beta says.  :meth:`values` reads each
+    point's class from its :class:`PointBatch` and forms that shared part
+    (:meth:`_shared_part`) once per class, so the i, j and k points of one
+    (r, theta) run one Horner; the parts do not outlive the call.  An
+    exact point gives an exact value; at a float point each component is
+    the correctly rounded value of the exact one.
 
     A float point tries a fixed-point path first: the same Horners on the
     same integers L, W and |V|^2 with the rows held at p fractional bits,
@@ -1082,36 +1149,49 @@ class StarQuotient:
         measure of |den^s(q)| as a float in place of its value.  A float
         point takes the fixed-point class part and its certificate first,
         and the exact shared part only where they do not settle every
-        component; both give the same bits (see the class docstring)."""
+        component; both give the same bits (see the class docstring).  The
+        points are read as a :class:`PointBatch` (any other iterable is
+        wrapped in one), whose exact plan holds each point's class and V."""
+        batch = PointBatch.of(points)
+        return list(map(self._point_values(batch, domain, skip), range(len(batch))))
+
+    def _point_values(self, batch: PointBatch, domain: EvalDomain | None = None,
+                      skip: bool = False):
+        """The function i -> the value at ``batch[i]`` of :meth:`values`.  It
+        keeps the class parts of the batch's exact plan in lists by class,
+        formed where a point first needs them; they live as long as the
+        function."""
         guard = _guard_ratio(domain or self.ZERO_GUARD, self._integer_parts[1])
-        shared, fixed, out = {}, {}, []
-        for q in points:
-            scale, w, v1, v2, v3, n2 = _integer_point(q)
-            r2 = w * w + n2  # L^2 |q|^2
-            if r2 >= scale * scale:
+        classes, plan = batch._exact_plan
+        shared, fixed = [None] * len(classes), [None] * len(classes)
+
+        def value(i: int):
+            k, inside, exact, v1, v2, v3 = plan[i]
+            if not inside:
                 raise DomainError("evaluation point must lie in the open unit ball")
-            key = (scale, w, n2)
-            if not q.is_exact and self._fixed and scale.bit_length() >= self._fixed[1]:
-                if key not in fixed:
-                    fixed[key] = self._fixed_part(scale, w, n2, guard)
-                if fixed[key] is not None:
-                    value = _certified(fixed[key], v1, v2, v3)
-                    if value is not None:
-                        out.append(value)
-                        continue
-            part = shared.get(key)
+            scale, w, n2, r2 = classes[k]
+            if not exact and self._fixed and scale.bit_length() >= self._fixed[1]:
+                part = fixed[k]
+                if part is None:
+                    # False marks a class that the fixed path's guard did not accept
+                    part = fixed[k] = self._fixed_part(scale, w, n2, guard) or False
+                if part:
+                    out = _certified(part, v1, v2, v3)
+                    if out is not None:
+                        return out
+            part = shared[k]
             if part is None:
-                part = shared[key] = self._shared_part(scale, w, n2, r2, guard)
+                part = shared[k] = self._shared_part(scale, w, n2, r2, guard)
             if type(part) is float:
                 if not skip:
                     raise SingularityError("quotient evaluated too close to a symmetrization zero")
-                out.append(part)
-                continue
+                return part
             e, f, divisor = part
             comps = _plus_v_times(e, f, v1, v2, v3)
-            out.append(rational_quaternion(comps, divisor) if q.is_exact
-                       else Quaternion(*_float_row(comps, divisor)))
-        return out
+            return (rational_quaternion(comps, divisor) if exact
+                    else Quaternion(*_float_row(comps, divisor)))
+
+        return value
 
     def eval(self, q: Quaternion, domain: EvalDomain | None = None) -> Quaternion:
         """The value at q; see :meth:`values`."""

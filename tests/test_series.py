@@ -3,6 +3,7 @@
 import copy
 import functools
 import math
+from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
@@ -29,13 +30,13 @@ from srgft.classes import (DEFAULT_GRID, SamplingGrid, caratheodory_extremal,
                            rogosinski_extremal, rogosinski_extremal_form)
 from srgft.errors import DomainError, SingularityError
 from srgft.quat import I, J, K, ONE, UNIT_J, ZERO, Quaternion
-from srgft.series import (EvalDomain, QuotientSum, SliceSeries, StarQuotient,
+from srgft.series import (EvalDomain, PointBatch, QuotientSum, SliceSeries, StarQuotient,
                           compose_slice_preserving, full_star_mul,
                           integrate_radial, mobius, mobius_quotient,
                           quotient_transform, regular_conjugate,
                           slice_derivative, star_mul, star_reciprocal,
                           symmetrize, _float_row, _horner_errors, _horner_fixed,
-                          _horner_xv, _integer_point, _reciprocal)
+                          _horner_xv, _integer_point, _plane_horner, _reciprocal)
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -990,6 +991,143 @@ class TestSharedParts:
                 assert len(classes) <= len(grid.radii) * len(grid.angles)
             # a left factor is folded into num, so it adds no Horner
             assert len(calls) == len(classes)
+
+
+def _reprs(value) -> tuple | str:
+    """Each component's repr (type, value, sign of zero), or the repr of a
+    skipped point's float measure."""
+    if type(value) is float:
+        return repr(value)
+    return tuple(repr(c) for c in (value.w, value.x, value.y, value.z))
+
+
+def _batch_outcome(values, points) -> list | tuple:
+    """The reprs of one values call, or the type and message it raised."""
+    try:
+        return [_reprs(v) for v in values(points)]
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def _point_by_point(evaluate, points) -> list | tuple:
+    """The reprs of each point evaluated alone, up to the first that raises,
+    whose error type and message stand for the whole batch."""
+    out = []
+    for q in points:
+        try:
+            out.append(_reprs(evaluate(q)))
+        except DomainError as exc:
+            return type(exc), str(exc)
+    return out
+
+
+# outside the ball, on the sphere, at 0, and so near 0 that |q|^2 underflows
+_BAD_POINTS = (Quaternion(0.6, 0.6, 0.6, 0.0), exact(F(3, 5), F(4, 5)), ZERO, ZERO.to_float(),
+               Quaternion(-0.0, 0.0, -0.0, 0.0), Quaternion(1e-200, 0.0, 0.0, 0.0),
+               Quaternion(-0.0, 0.0, 5e-324, 0.0))
+
+
+@st.composite
+def point_batches(draw):
+    """Exact and float points, signed zeros, axis and off-axis points, the
+    members of up to two slice classes, points of one L and |V|^2 with
+    another W, duplicates, and one time in two a bad point, in any order."""
+    out = [q for members in draw(st.lists(slice_classes(), max_size=2)) for q in members]
+    for q in draw(st.lists(st.one_of(points(), float_points()), max_size=6)):
+        out += [q, Quaternion(-q.w, q.z, q.x, q.y)] if draw(st.booleans()) else [q]
+    if out:
+        out += draw(st.lists(st.sampled_from(out), max_size=3))
+    if draw(st.booleans()):
+        out.append(draw(st.sampled_from(_BAD_POINTS)))
+    return draw(st.permutations(out))
+
+
+# float windows whose values carry the sign of a zero x: q, and a window
+# with zero components, of valuations -1 to 2
+_SIGNED_ZERO_WINDOWS = (series([0, 1]).to_float(),) + tuple(
+    SliceSeries.from_coeffs([Quaternion(-0.0, 0.5, -0.0, 0.0), Quaternion(1.0, -0.0, 0.0, -0.0)],
+                            v) for v in (-1, 0, 1, 2))
+
+
+@st.composite
+def batch_evaluators(draw):
+    """(values, eval) of an exact or float window, or of a quotient or a
+    quotient sum under the zero guard or a strict one, with or without
+    ``skip``."""
+    kind = draw(st.sampled_from(("exact-window", "float-window", "signed-zero-window",
+                                 "quotient", "sum")))
+    if kind.endswith("window"):
+        f = (draw(st.sampled_from(_SIGNED_ZERO_WINDOWS)) if kind == "signed-zero-window"
+             else draw(exact_windows()))
+        f = f.to_float() if kind == "float-window" else f
+        return f.values, f.eval
+    form = draw(quotients() if kind == "quotient" else mixed_sums())
+    domain, skip = draw(st.sampled_from((None, EvalDomain(1e-3)))), draw(st.booleans())
+    return (lambda qs: form.values(qs, domain, skip),
+            lambda q: form.values((q,), domain, skip)[0])
+
+
+class TestPointBatch:
+    """A batch splits each point into its slice class once, and evaluating
+    it gives what evaluating its points one by one gives."""
+
+    @given(batch_evaluators(), point_batches())
+    @settings(deadline=None)
+    def test_batch_values_are_the_point_values(self, evaluators, points):
+        values, evaluate = evaluators
+        want = _point_by_point(evaluate, points)
+        batch = PointBatch(points)
+        # a list is wrapped in a batch; a batch is read again from its plans
+        for given_points in (points, batch, batch):
+            assert _batch_outcome(values, given_points) == want
+
+    def test_points_differing_in_the_sign_of_a_zero_real_part_do_not_share_a_class(self):
+        """f(q) = q at -0.0 + 0.5i has real part -0.0; a batch that meets
+        0.0 + 0.5i first must not hand it that point's Horners."""
+        f = series([0, 1]).to_float()
+        points = [Quaternion(0.0, 0.5, 0.0, 0.0), Quaternion(-0.0, 0.5, 0.0, 0.0)]
+        assert [_reprs(v) for v in f.values(points)] == [_reprs(f.eval(q)) for q in points]
+        assert repr(f.values(points)[1].w) == "-0.0"
+
+    def test_each_path_forms_only_its_own_plan(self):
+        exact_points = PointBatch([exact(F(1, 3)), exact(0, F(1, 4), F(1, 5))])
+        float_points_ = PointBatch([q.to_float() for q in exact_points])
+        window = koebe(ONE, 12)
+        window.values(exact_points)
+        koebe_quotient(ONE).values(float_points_)
+        assert "_float_plan" not in exact_points.__dict__
+        assert "_float_plan" not in float_points_.__dict__
+        window.to_float().values(float_points_)
+        plans = dict(float_points_.__dict__)
+        assert set(plans) == {"_exact_plan", "_float_plan"}
+        window.values(float_points_)
+        koebe_quotient(ONE).values(float_points_)
+        assert all(float_points_.__dict__[name] is plan for name, plan in plans.items())
+
+    def test_a_suite_all_pass_splits_each_grid_point_once(self, tmp_path, monkeypatch):
+        """Every sweep of the pass's grid reads one split of its points, and
+        the work per class is what it was: the counts of one seed-7 pass."""
+        from srgft import series as series_module
+        from srgft.cli import main
+        splits, parts = Counter(), Counter()
+        monkeypatch.setattr(series_module, "_integer_point",
+                            lambda q: splits.update([(q.is_exact, q)]) or _integer_point(q))
+        monkeypatch.setattr(series_module, "_plane_horner",
+                            lambda *args: parts.update(["plane"]) or _plane_horner(*args))
+        for name in ("_shared_part", "_fixed_part"):
+            method = getattr(StarQuotient, name)
+            monkeypatch.setattr(StarQuotient, name, lambda self, *args, name=name, method=method:
+                                parts.update([name]) or method(self, *args))
+        assert main(["check", "--suite", "all", "--seed", "7",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert all(splits[False, q] == 1 for q in DEFAULT_GRID.points)
+        # beyond the 220 grid points: the 11 points -r of the convex covering
+        # check, and one-point calls at j/2 (Schwarz-Pick's f and f', and
+        # three Rogosinski functions) and at 1/2 (the same three functions)
+        assert {q: n for (_, q), n in splits.items() if n > 1} == {exact(0, 0, F(1, 2)): 5,
+                                                                   exact(F(1, 2)): 3}
+        assert (sum(splits.values()), len(splits)) == (239, 233)
+        assert parts == {"_shared_part": 1782, "_fixed_part": 261, "plane": 16916}
 
 
 def _exact_twin(form: StarQuotient) -> StarQuotient:
