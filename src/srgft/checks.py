@@ -23,7 +23,7 @@ from random import Random
 from typing import Callable, Optional
 
 from .classes import (DEFAULT_GRID, FunctionLike, FunctionUnderTest,
-                      SamplingGrid, as_function, bloch_eval, bloch_series,
+                      SamplingGrid, _require_class, as_function, bloch_eval, bloch_series,
                       caratheodory_extremal, caratheodory_extremal_quotient,
                       caratheodory_mixture_form, convex_reference,
                       convex_reference_quotient, generate_close_to_convex,
@@ -143,16 +143,6 @@ def _by_radius(grid: SamplingGrid, values: list):
     n = len(grid.directions)
     return ((r, grid.points[i * n:(i + 1) * n], values[i * n:(i + 1) * n])
             for i, r in enumerate(grid.radii))
-
-
-def _require_class(fut: FunctionUnderTest, class_name: str,
-                   grid: SamplingGrid, predicate) -> None:
-    if fut.certifies(class_name):
-        return
-    verdict = predicate(fut, grid)
-    if not verdict.member:
-        raise PreconditionError(
-            f"{fut.fid} failed the {class_name} screen: {verdict.witness}")
 
 
 def _is_derivative_starlike(fut: FunctionUnderTest, grid: SamplingGrid):

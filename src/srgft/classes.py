@@ -230,6 +230,30 @@ def as_function(f: FunctionLike, fid: str = "series") -> FunctionUnderTest:
 # ---------------------------------------------------------------------------
 
 
+def _sampled(name: str, points: Iterable[Quaternion],
+             margins: Iterable[float]) -> ClassVerdict:
+    """The verdict of a grid screen: refuted at the first point of least
+    margin when that margin is <= 0, else sampled with that margin."""
+    worst = math.inf
+    argmin = None
+    for q, margin in zip(points, margins):
+        if margin < worst:
+            worst, argmin = margin, q
+    if worst <= 0.0:
+        return ClassVerdict(name, False, "refuted", worst, _point_witness(argmin, worst))
+    return ClassVerdict(name, True, "sampled", worst)
+
+
+def _require_class(fut: FunctionUnderTest, class_name: str,
+                   grid: SamplingGrid, predicate) -> None:
+    if fut.certifies(class_name):
+        return
+    verdict = predicate(fut, grid)
+    if not verdict.member:
+        raise PreconditionError(
+            f"{fut.fid} failed the {class_name} screen: {verdict.witness}")
+
+
 def is_caratheodory(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRID) -> ClassVerdict:
     """p(0) = 1 and Re p > 0 screened over the grid."""
     name = "caratheodory"
@@ -239,15 +263,7 @@ def is_caratheodory(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRID) -> Class
     n0 = min(s.valuation, 0)
     if s.valuation or not _is_one(s.coeff(n0)):
         return ClassVerdict(name, False, "refuted", None, _coeff_witness(n0, s.coeff(n0)))
-    worst = math.inf
-    argmin = None
-    for q, value in zip(grid.points, fut.sweep(grid)):
-        re = float(value.w)
-        if re < worst:
-            worst, argmin = re, q
-    if worst <= 0.0:
-        return ClassVerdict(name, False, "refuted", worst, _point_witness(argmin, worst))
-    return ClassVerdict(name, True, "sampled", worst)
+    return _sampled(name, grid.points, (float(value.w) for value in fut.sweep(grid)))
 
 
 def _is_one(c: Quaternion) -> bool:
@@ -275,46 +291,27 @@ def is_starlike(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     if s.valuation != 1 or not _is_one(s.coeff(1)):
         witness = _coeff_witness(1, s.coeff(1) if s.valuation <= 1 <= s.degree else s.coeffs[0])
         return ClassVerdict(name, False, "refuted", None, witness)
-    worst = math.inf
-    argmin = None
     values = fut.sweep(grid)
-    # the derivatives are read only up to the first zero on the grid
     zero = next((n for n, value in enumerate(values)
                  if abs(value) < DEFAULT_SINGULAR_THRESHOLD), None)
-    points = grid.points[:zero]
-    derivatives = (fut.derivative_sweep(grid) if zero is None
-                   else fut.derivative_values(points))
-    for q, value, derivative in zip(points, values, derivatives):
-        margin = float((value.inverse() * (q * derivative)).w) - float(alpha)
-        if margin < worst:
-            worst, argmin = margin, q
     if zero is not None:
         return ClassVerdict(name, False, "refuted", None,
                             _point_witness(grid.points[zero], abs(values[zero])))
-    if worst <= 0.0:
-        return ClassVerdict(name, False, "refuted", worst, _point_witness(argmin, worst))
-    return ClassVerdict(name, True, "sampled", worst)
+    return _sampled(name, grid.points, (
+        float((value.inverse() * (q * derivative)).w) - float(alpha)
+        for q, value, derivative in zip(grid.points, values, fut.derivative_sweep(grid))))
 
 
 def is_close_to_convex(f: FunctionLike, h: FunctionLike,
                        grid: SamplingGrid = DEFAULT_GRID) -> ClassVerdict:
     """Screen Re(h(q)^-1 q f'(q)) > 0 against a certified starlike h."""
     name = "close-to-convex"
-    hf = as_function(h)
-    if not hf.certifies("starlike"):
-        h_verdict = is_starlike(hf, grid)
-        if not h_verdict.member:
-            raise PreconditionError("reference function failed the starlike screen")
+    hf = as_function(h, "h")
+    _require_class(hf, "starlike", grid, is_starlike)
     fut = as_function(f)
-    worst = math.inf
-    argmin = None
-    for q, hv, derivative in zip(grid.points, hf.sweep(grid), fut.derivative_sweep(grid)):
-        quotient = hv.inverse() * (q * derivative)
-        if float(quotient.w) < worst:
-            worst, argmin = float(quotient.w), q
-    if worst <= 0.0:
-        return ClassVerdict(name, False, "refuted", worst, _point_witness(argmin, worst))
-    return ClassVerdict(name, True, "sampled", worst)
+    return _sampled(name, grid.points, (
+        float((hv.inverse() * (q * derivative)).w)
+        for q, hv, derivative in zip(grid.points, hf.sweep(grid), fut.derivative_sweep(grid))))
 
 
 def is_slice_preserving(f: FunctionLike) -> ClassVerdict:
@@ -495,11 +492,9 @@ def generate_close_to_convex(h: FunctionLike, p: FunctionLike,
     The coefficients then satisfy the convolution identity
     n a_n = p_(n-1) + h_2 p_(n-2) + ... + h_(n-1) p_1 + h_n.
     """
-    hf, pf = as_function(h), as_function(p)
-    if not hf.certifies("starlike") and not is_starlike(hf, grid).member:
-        raise PreconditionError("h failed the starlike screen")
-    if not pf.certifies("caratheodory") and not is_caratheodory(pf, grid).member:
-        raise PreconditionError("p failed the Caratheodory screen")
+    hf, pf = as_function(h, "h"), as_function(p, "p")
+    _require_class(hf, "starlike", grid, is_starlike)
+    _require_class(pf, "caratheodory", grid, is_caratheodory)
     derivative = star_mul(hf.series, pf.series).shift(-1)
     return integrate_radial(derivative)
 

@@ -655,6 +655,59 @@ def _uncertified_violator() -> FunctionUnderTest:
                              certificates=("starlike", "close-to-convex"))
 
 
+def _violator(coeffs, valuation: int, *certificates: str) -> FunctionUnderTest:
+    """A window that breaks a check's bound, with the certificates forced
+    so that the class gate admits it."""
+    series = SliceSeries.from_coeffs([exact(c) for c in coeffs], valuation=valuation)
+    return FunctionUnderTest("violator", series.pad_to(8), certificates=certificates)
+
+
+class TestEveryCheckCanFail:
+    """Each check fails its violator, and the worst violation is a witness.
+    The expected margins are the bounds' values at the worst sample."""
+
+    @pytest.mark.parametrize("make, worst_margin", [
+        # |a_2| = 3 against 1
+        (lambda: check_convex_coefficients(_order_one_violator()), 1 - 3),
+        # lambda = 4: |0 - 4 * 9| against |16 - 3|
+        (lambda: check_fekete_szego(_violator([1, 3], 1, "starlike"), sample_lambdas(7, 25)),
+         13 - 36),
+        # the ratio r |f'| / |f| = 0.24 / 0.03 at q = -0.3 against 1.3 / 0.7
+        (lambda: check_growth_distortion(_violator([1, 3], 1, "starlike")),
+         1.3 / 0.7 - 8),
+        # |g'(0.1)| = 1.6 against 1.1 / 0.9^3
+        (lambda: check_subordination_growth(_violator([1, 3], 1, "starlike"),
+                                            SliceSeries.identity(8)),
+         1.1 / 0.9 ** 3 - 1.6),
+        # Re p(-0.99) = -1.97 against 0.01 / 1.99
+        (lambda: check_caratheodory_bounds(_violator([1, 3], 0, "caratheodory")),
+         -1.97 - 0.01 / 1.99),
+        # |0 - 9 / 2| against 2 - 9 / 2
+        (lambda: check_sharper_caratheodory(_violator([1, 3], 0, "caratheodory")),
+         -7),
+        # |f(0.6i)| = 0.6 - 3 * 0.216 against 0.6 / 1.36
+        (lambda: check_growth_order_m(_violator([1, 0, 3], 1, "starlike"), 2),
+         0.048 - 0.6 / 1.36),
+        # |f(0.9)| = 0.171 after |f(0.8)| = 0.224
+        (lambda: check_monotone_modulus(_violator([1, F(-9, 10)], 1, "starlike")),
+         0.171 - 0.224),
+        # |a_1| = 1.001 against 1
+        (lambda: check_schwarz(_violator([F(1001, 1000)], 1), 1),
+         1 - 1.001),
+        (lambda: check_schwarz_pick_coefficient(_violator([F(1001, 1000)], 1)),
+         1 - 1.001),
+    ], ids=["convex-coefficients", "fekete-szego", "growth-distortion",
+            "subordination-growth", "caratheodory-bounds", "sharper-caratheodory",
+            "growth-order-2-growth", "monotone-modulus", "schwarz",
+            "schwarz-pick-coefficient"])
+    def test_the_violator_fails_at_its_worst_sample(self, make, worst_margin, request):
+        report = make()
+        assert report.check_id == request.node.callspec.id
+        assert report.status == "fail" and report.witnesses
+        assert min(w["margin"] for w in report.witnesses) == report.worst_margin
+        assert abs(report.worst_margin - worst_margin) < 1e-12
+
+
 class TestSuitesAndReports:
     def test_all_suites_pass_small(self):
         cfg = SuiteConfig(degree=16, seed=3, random_count=1, grid=SMALL_GRID)

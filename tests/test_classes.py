@@ -211,6 +211,16 @@ class TestStarlikePredicate:
         v = is_starlike(f)
         assert not v.member and v.certificate == "refuted"
 
+    def test_a_grid_zero_is_refuted_before_f_prime_is_read(self, monkeypatch):
+        read = []
+        original = FunctionUnderTest.derivative_values
+        monkeypatch.setattr(FunctionUnderTest, "derivative_values",
+                            lambda fut, points: read.append(points) or original(fut, points))
+        v = is_starlike(series([1, -2], valuation=1))  # q - 2 q^2 vanishes at 1/2
+        assert not v.member and v.certificate == "refuted" and v.margin is None
+        assert v.witness == {"q": [0.5, 0.0, 0.0, 0.0], "margin": 0.0}
+        assert read == []
+
     def test_orders(self):
         with pytest.raises(DomainError):
             is_starlike(SliceSeries.identity(4), alpha=1.0)
@@ -219,6 +229,11 @@ class TestStarlikePredicate:
     def test_bad_normalization(self):
         assert not is_starlike(series([2], valuation=1)).member
         assert not is_starlike(series([1, 1])).member
+
+
+# Re(h^-1 q h') = -8 at q = -0.3 for h = q + 3q^2, and Re p(-0.99) = -1.97
+NOT_STARLIKE = series([1, 3], valuation=1).pad_to(8)
+NOT_CARATHEODORY = series([1, 3]).pad_to(8)
 
 
 class TestCloseToConvexPredicate:
@@ -235,6 +250,22 @@ class TestCloseToConvexPredicate:
     def test_uncertified_reference_rejected(self):
         with pytest.raises(PreconditionError):
             is_close_to_convex(SliceSeries.identity(4), series([1, 1]))
+
+    @pytest.mark.parametrize("refused, prefix, screen", [
+        (lambda: is_close_to_convex(SliceSeries.identity(8), NOT_STARLIKE),
+         "h failed the starlike screen", lambda: is_starlike(NOT_STARLIKE)),
+        (lambda: generate_close_to_convex(NOT_STARLIKE, SliceSeries.one(8)),
+         "h failed the starlike screen", lambda: is_starlike(NOT_STARLIKE)),
+        (lambda: generate_close_to_convex(SliceSeries.identity(8), NOT_CARATHEODORY),
+         "p failed the caratheodory screen", lambda: is_caratheodory(NOT_CARATHEODORY)),
+    ], ids=["close-to-convex-h", "generate-h", "generate-p"])
+    def test_an_uncertified_argument_is_refused_with_its_screen_witness(self, refused, prefix,
+                                                                        screen):
+        witness = screen().witness
+        assert witness["margin"] < 0
+        with pytest.raises(PreconditionError) as refusal:
+            refused()
+        assert str(refusal.value) == f"{prefix}: {witness}"
 
 
 class TestSlicePredicates:
