@@ -487,7 +487,7 @@ def check_hayman(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     """phi(r) = (1-r)^2 M(r) / r is non-increasing and ends in [0, 1].
 
     M(r) maximizes |f| over the shared grid directions, so the chain of
-    maxima is monotone exactly; the tolerance only absorbs float noise.
+    maxima is monotone exactly, and each slack passes down to -tol.
     For a valuation of at least 1 the chain starts at the exact
     phi(0+) = |a_1|, so a rise before the first radius is caught.
     """
@@ -501,7 +501,7 @@ def check_hayman(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     for i in range(1, len(phis)):
         col.check(phis[i - 1] - phis[i], _coeff_entry, i, phis[i], phis[i - 1])
     col.check(phis[-1], _coeff_entry, "limit>=0", 0.0, phis[-1])
-    col.check(1.0 + tol - phis[-1], _coeff_entry, "limit<=1", phis[-1], 1.0)
+    col.check(1.0 - phis[-1], _coeff_entry, "limit<=1", phis[-1], 1.0)
     constant = max(phis) - min(phis) <= tol
     return col.report("hayman", fut.fid, fut.series.degree,
                       params={"phi": phis, "constant": constant,
@@ -546,8 +546,8 @@ def check_koebe_quarter(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
             closest = math.inf
             for value in at_r:
                 closest = min(closest, abs(value + Quaternion(0.25, 0.0, 0.0, 0.0)))
-            col.check(closest - floor + tol,
-                      _point_entry, Quaternion(-r, 0.0, 0.0, 0.0), floor, closest)
+            col.check(closest - floor, _point_entry, Quaternion(-r, 0.0, 0.0, 0.0),
+                      floor, closest)
             floors.append([r, floor, closest])
         omitted_min = min(abs(value - target) for value in values)
         col.check(omitted_min - delta / 2, _coeff_entry, "omitted-point", delta / 2, omitted_min)

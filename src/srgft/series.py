@@ -66,37 +66,40 @@ def _integer_point(q: Quaternion) -> tuple[int, int, int, int, int, int]:
     return scale, w, x, y, z, x * x + y * y + z * z
 
 
-def _horner_xv(coeffs: tuple[tuple[int, ...], ...], scale: int, w: int, n2: int):
+def _horner_xv(rows: tuple[tuple[int, ...], ...], scale: int, w: int, n2: int):
     """(L^k, A, B) with sum_n (W + V)^n L^(k-n) c_n = A + V B, for integer
-    4-tuples c listed from c_k down and n2 = |V|^2.  Every (W + V)^n is
+    5-tuples c listed from c_k down and n2 = |V|^2.  Every (W + V)^n is
     P_n + V Q_n with integers P_n, Q_n that depend on W and |V|^2 alone."""
-    a0, a1, a2, a3 = coeffs[0]
-    b0 = b1 = b2 = b3 = 0
+    a0, a1, a2, a3, a4 = rows[0]
+    b0 = b1 = b2 = b3 = b4 = 0
     power = 1
-    for c0, c1, c2, c3 in coeffs[1:]:
+    for c0, c1, c2, c3, c4 in rows[1:]:
         power *= scale
         a0, b0 = w * a0 - n2 * b0 + power * c0, a0 + w * b0
         a1, b1 = w * a1 - n2 * b1 + power * c1, a1 + w * b1
         a2, b2 = w * a2 - n2 * b2 + power * c2, a2 + w * b2
         a3, b3 = w * a3 - n2 * b3 + power * c3, a3 + w * b3
-    return power, (a0, a1, a2, a3), (b0, b1, b2, b3)
+        a4, b4 = w * a4 - n2 * b4 + power * c4, a4 + w * b4
+    return power, (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4)
 
 
-def _horner_fixed(coeffs: tuple[tuple[int, ...], ...], e: int, w: int, n2: int):
+def _horner_fixed(rows: tuple[tuple[int, ...], ...], e: int, w: int, n2: int):
     """(A, B) with A + U B ~ sum_n q^n c_n at q = (W + V) / 2^e, U = V / 2^e,
     in fixed point: w = W and n2 = |V|^2 are the integers of
-    :func:`_integer_point`, and the 4-tuples c, listed from c_k down, hold
+    :func:`_integer_point`, and the 5-tuples c, listed from c_k down, hold
     c_n 2^p.  Each step multiplies by the exact z = (W + i|V|) / 2^e and
     floors once, so it is the complex Horner in z with one rounding error
-    below one unit in each of A and B."""
-    a0, a1, a2, a3 = coeffs[0]
-    b0 = b1 = b2 = b3 = 0
-    for c0, c1, c2, c3 in coeffs[1:]:
+    below one unit in each of A and B; a column's leading zero rows step
+    exactly, as 0 floors to 0."""
+    a0, a1, a2, a3, a4 = rows[0]
+    b0 = b1 = b2 = b3 = b4 = 0
+    for c0, c1, c2, c3, c4 in rows[1:]:
         a0, b0 = ((w * a0 << e) - n2 * b0 >> 2 * e) + c0, a0 + (w * b0 >> e)
         a1, b1 = ((w * a1 << e) - n2 * b1 >> 2 * e) + c1, a1 + (w * b1 >> e)
         a2, b2 = ((w * a2 << e) - n2 * b2 >> 2 * e) + c2, a2 + (w * b2 >> e)
         a3, b3 = ((w * a3 << e) - n2 * b3 >> 2 * e) + c3, a3 + (w * b3 >> e)
-    return (a0, a1, a2, a3), (b0, b1, b2, b3)
+        a4, b4 = ((w * a4 << e) - n2 * b4 >> 2 * e) + c4, a4 + (w * b4 >> e)
+    return (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4)
 
 
 def _plus_v_times(e: tuple[int, ...], f: tuple[int, ...], v1: int, v2: int, v3: int):
@@ -121,9 +124,10 @@ def _error_plus_v_times(e: tuple[int, ...], f: tuple[int, ...], v1: int, v2: int
 
 
 def _horner_errors(length: int) -> tuple[int, int]:
-    """Bounds (da, db), in units of 2^-p, on the errors of A and B from
-    :func:`_horner_fixed` on ``length`` rows: each of its K = length - 1
-    steps rounds; see :meth:`StarQuotient._fixed_part`."""
+    """Bounds (da, db), in units of 2^-p, on the errors of A and B in a
+    column of :func:`_horner_fixed` that has ``length`` rows from its first
+    nonzero row down: each of its K = length - 1 steps rounds; see
+    :meth:`StarQuotient._fixed_part`."""
     k = length - 1
     return (math.isqrt(2 * k * k) + 1 if k else 0), k * k
 
@@ -173,20 +177,20 @@ def _guard_ratio(domain: EvalDomain, real: bool) -> tuple[int, int]:
     return (n, shift) if real else (n * n, 2 * shift)
 
 
-def _fixed_precision(sym_den: int, sym: tuple, num_den: int, num: tuple) -> int:
+def _fixed_precision(sym_den: int, num_den: int, rows: tuple, sym_degree: int) -> int:
     """The fractional bits p of the fixed-point path for den^s = s / D_s and
-    den^c * num = g / D_g, from the sizes of the form: twice a float's 53
-    bits, for a component of the value can cancel to the size of the
-    point's smallest part (a float r cos(pi/2) is 2^-54 r), and
-    :data:`_FIXED_MARGIN`; :data:`_BITS_PER_DEN_DEGREE` per degree of s,
-    which |den^s(q)| can lose near the boundary; twice the bits of the
-    number of Horner steps; and the bits by which the largest row of s or
-    of g exceeds its denominator, which a value can cancel."""
-    steps = max(len(sym), len(num)) - 1
-    excess = (max(map(abs, sym)).bit_length() - sym_den.bit_length(),
-              max(abs(c) for row in num for c in row).bit_length() - num_den.bit_length())
-    return (2 * 53 + _FIXED_MARGIN + _BITS_PER_DEN_DEGREE * (len(sym) - 1)
-            + 2 * steps.bit_length() + sum(max(x, 0) for x in excess))
+    den^c * num = g / D_g, columns 0 and 1-4 of ``rows``, from the sizes
+    of the form: twice a float's 53 bits, for a component of the value can
+    cancel to the size of the point's smallest part (a float r cos(pi/2)
+    is 2^-54 r), and :data:`_FIXED_MARGIN`; :data:`_BITS_PER_DEN_DEGREE`
+    per degree of s, which |den^s(q)| can lose near the boundary; twice
+    the bits of the number of Horner steps; and the bits by which the
+    largest row of s or of g exceeds its denominator, which a value can
+    cancel."""
+    excess = (max(abs(row[0]) for row in rows).bit_length() - sym_den.bit_length(),
+              max(abs(c) for row in rows for c in row[1:]).bit_length() - num_den.bit_length())
+    return (2 * 53 + _FIXED_MARGIN + _BITS_PER_DEN_DEGREE * sym_degree
+            + 2 * (len(rows) - 1).bit_length() + sum(max(x, 0) for x in excess))
 
 
 def _plane_horner(pairs, x: float, y: float, v: int) -> tuple[float, float]:
@@ -958,31 +962,32 @@ class StarQuotient:
 
     Evaluation runs on integers only.  The point is scaled by the lcm L
     of its component denominators (a binary float is a dyadic rational)
-    to (W + V) / L; the numerator runs through :func:`_horner_xv` and the
-    real denominator through the same recurrence on scalars, and each
-    component is divided once at the end.  All of it but the last step
-    E + V F reads only the class (L, W, |V|^2), as the representation
-    formula f(x + yI) = alpha + I beta says.  :meth:`values` reads each
+    to (W + V) / L; s and G run through one Horner, :func:`_horner_xv` on
+    5-tuple rows (s_n, g_n), and each component is divided once at the
+    end.  All of it but the last step E + V F reads only the class
+    (L, W, |V|^2), as the representation formula f(x + yI) = alpha + I beta
+    says.  :meth:`values` reads each
     point's class from its :class:`PointBatch` and forms that shared part
     (:meth:`_shared_part`) once per class, so the i, j and k points of one
     (r, theta) run one Horner; the parts do not outlive the call.  An
     exact point gives an exact value; at a float point each component is
     the correctly rounded value of the exact one.
 
-    A float point tries a fixed-point path first: the same Horners on the
+    A float point tries a fixed-point path first: the same Horner on the
     same integers L, W and |V|^2 with the rows held at p fractional bits,
     p read from the sizes of the form (:func:`_fixed_precision`), each step
     flooring once, its one source of error (:meth:`_fixed_part`, which
     states the proven bound), and the tail E + V F with V's exact
-    components, so a tiny component keeps its relative accuracy.  A component is returned only when both ends of its
-    error interval round to the same float, sign of zero included
-    (:func:`_certified`); rounding is monotone, so that float is the exact
-    path's.  Any other point takes the exact path, which is the oracle: a
-    guard refused or ambiguous on the interval of N, a float overflow, a
-    negative valuation, a failed certificate.  So does every point of a
-    form whose exact Horner would grow its integers by at most
-    :data:`_FIXED_GROWTH` p bits (steps times the bits of L), where the
-    exact path is the faster one.
+    components, so a tiny component keeps its relative accuracy.  A
+    component is returned only when both ends of its error interval round
+    to the same float, sign of zero included (:func:`_certified`);
+    rounding is monotone, so that float is the exact path's.  Any other
+    point takes the exact path, which is the oracle: a guard refused or
+    ambiguous on the interval of N, a float overflow, a negative
+    valuation, a failed certificate.  So does every point of a form whose
+    exact Horner would grow its integers by at most :data:`_FIXED_GROWTH`
+    p bits (steps times the bits of L), where the exact path is the faster
+    one.
     Exactness matters because the symmetrized denominator can be as small
     as (1-|q|)^8 near the boundary, where float Horner would cancel
     catastrophically.  The guard compares |den^s(q)| with its threshold
@@ -1016,17 +1021,18 @@ class StarQuotient:
 
     @cached_property
     def _integer_parts(self):
-        """(v, real, D_s, s, D_g, g): :attr:`_real_form` as s = q^v s(q) / D_s
-        and G = q^v g(q) / D_g, integer coefficients and 4-tuples listed from
-        the highest power down.  v is the lowest of the two valuations and
-        0, and each part takes the rest of its valuation as zero rows."""
+        """(v, real, D_s, D_g, rows): :attr:`_real_form` as s = q^v s(q) / D_s
+        and G = q^v g(q) / D_g, and rows the integer 5-tuples (s_n, g_n)
+        from the highest power of either part down, so one Horner runs
+        both.  v is the lowest of the two valuations and 0; each part takes
+        the rest of its valuation as zero rows at the bottom and the powers
+        above its degree at the top."""
         real, sym, num = self._real_form
-        low = min(sym.valuation, num.valuation, 0)
-        sym_den, sym_rows = sym._form
-        num_den, num_rows = num._form
-        return (low, real, sym_den,
-                tuple(c[0] for c in sym_rows[::-1]) + (0,) * (sym.valuation - low),
-                num_den, num_rows[::-1] + ((0, 0, 0, 0),) * (num.valuation - low))
+        low, top = min(sym.valuation, num.valuation, 0), max(sym.degree, num.degree)
+        sym_rows, num_rows = (_rows_from(part.pad_to(top)._form[1], part.valuation, low, top)[::-1]
+                              for part in (sym, num))
+        return (low, real, sym._form[0], num._form[0],
+                tuple((s[0], *g) for s, g in zip(sym_rows, num_rows)))
 
     def _shared_part(self, scale: int, w: int, n2: int, r2: int, guard: tuple[int, int]):
         """(E, F, divisor): everything of the value at (W + V) / L that
@@ -1039,14 +1045,11 @@ class StarQuotient:
         (:func:`_guard_ratio`) it returns that modulus as a float instead,
         the ratio of its integers rounded once (and its square root for a
         den that is not real)."""
-        low, real, sym_den, sym, num_den, num = self._integer_parts
+        low, real, sym_den, num_den, rows = self._integer_parts
         if low < 0 and not r2:
             raise SingularityError("negative-valuation series is singular at 0")
-        # the real denominator: L^m s(q) = x + V y
-        x, y, power = sym[0], 0, 1
-        for c in sym[1:]:
-            power *= scale
-            x, y = w * x - n2 * y + power * c, x + w * y
+        # one Horner: L^k s(q) = x + V y, and L^k g(q) = A + V B componentwise
+        power, (x, a0, a1, a2, a3), (y, b0, b1, b2, b3) = _horner_xv(rows, scale, w, n2)
         norm = x * x + n2 * y * y
         # top / bottom is |den^s(q)|^2, or |den^s(q)| = |den(q)|^2 for a
         # real den, and is refused below t^2, or t: the float threshold is
@@ -1058,38 +1061,34 @@ class StarQuotient:
         if (top << shift) < n * bottom:
             # refused: the measure of |den^s(q)| read from the same integers
             return top / bottom if real else math.sqrt(top / bottom)
-        # numerator: L^k n(q) = A + V B, componentwise
-        npower, (a0, a1, a2, a3), (b0, b1, b2, b3) = _horner_xv(num, scale, w, n2)
-        # value = L^m D_s / (norm L^k D_n) * comps; both L powers are powers of L
-        if power >= npower:
-            factor, divisor = power // npower * sym_den, norm * num_den
-        else:
-            factor, divisor = sym_den, norm * (npower // power) * num_den
-        # (x - V y)(A + V B) factor = E + V F with E = x' A + |V|^2 y' B and
-        # F = x' B - y' A for x' = x factor, y' = y factor
-        x, y = x * factor, y * factor
+        # both parts carry L^k, so the value is D_s (x - V y)(A + V B) / (norm D_g),
+        # and D_s (x - V y)(A + V B) = E + V F with E = x' A + |V|^2 y' B and
+        # F = x' B - y' A for x' = x D_s, y' = y D_s
+        x, y = x * sym_den, y * sym_den
         return ((x * a0 + n2 * y * b0, x * a1 + n2 * y * b1,
                  x * a2 + n2 * y * b2, x * a3 + n2 * y * b3),
                 (x * b0 - y * a0, x * b1 - y * a1, x * b2 - y * a2, x * b3 - y * a3),
-                divisor)
+                norm * num_den)
 
     @cached_property
     def _fixed(self):
         """The fixed-point plan, or None for a negative valuation:
-        (p, bits, s, g, mask, errors) with p fractional bits, the fewest
+        (p, bits, rows, mask, errors) with p fractional bits, the fewest
         bits of L with which a float point takes the fixed path, the rows of
         :attr:`_integer_parts` times 2^p, which columns of g are not all
         zero (None when none is), and the error bounds (dx, dy, da, db) of
-        :meth:`_fixed_part`, in units of 2^-p."""
-        low, _, sym_den, sym, num_den, num = self._integer_parts
+        :meth:`_fixed_part`, in units of 2^-p: each part's own, over its
+        rows from q^deg down to q^0."""
+        low, _, sym_den, num_den, rows = self._integer_parts
         if low < 0:
             return None
-        p = _fixed_precision(sym_den, sym, num_den, num)
-        mask = tuple(map(any, zip(*num)))
-        return (p, _FIXED_GROWTH * p // (max(len(sym), len(num), 2) - 1) + 2,
-                tuple(c << p for c in sym), tuple(tuple(c << p for c in row) for row in num),
+        _, sym, num = self._real_form
+        p = _fixed_precision(sym_den, num_den, rows, sym.degree)
+        mask = tuple(map(any, zip(*rows)))[1:]
+        return (p, _FIXED_GROWTH * p // (max(len(rows), 2) - 1) + 2,
+                tuple(tuple(c << p for c in row) for row in rows),
                 None if all(mask) else mask,
-                _horner_errors(len(sym)) + (_horner_errors(len(num)) if any(mask) else (0, 0)))
+                _horner_errors(sym.degree + 1) + _horner_errors(num.degree + 1))
 
     def _fixed_part(self, scale: int, w: int, n2: int, guard: tuple[int, int]):
         """(E, F, dE, dF, low, high): the class part of the float point
@@ -1099,26 +1098,26 @@ class StarQuotient:
         [low, high], and dE and dF bound the errors of E and F
         componentwise.
 
-        The den^s Horner gives the pair x + V y and the num Horner the pairs
-        A + V B (:func:`_horner_fixed`), both at the exact point.  Their
-        proven error bound, in units of 2^-p: a pair (a, b) stands for the
-        complex number a + i|U| b, U = V / L, and each step multiplies it by
-        z = (W + i|V|) / L exactly and floors a and b, an error below one
-        unit in each, so below sqrt(2) in a + i|U| b.  |z| < 1, so an
-        earlier error does not grow: after K = length - 1 steps, each of
+        One Horner (:func:`_horner_fixed`) at the exact point gives the
+        pair x + V y of s from column 0 and the pairs A + V B of g from
+        columns 1-4.  Their proven error bound, in units of 2^-p: a pair
+        (a, b) stands for the complex number a + i|U| b, U = V / L, and each
+        step multiplies it by z = (W + i|V|) / L exactly and floors a and
+        b, an error below one unit in each, so below sqrt(2) in a + i|U| b.
+        |z| < 1, so an earlier error does not grow: after K steps, each of
         which rounds (the first as well where p < e), the error of
         a + i|U| b, and so of a, is below sqrt(2) K, and that of b, whose
-        step adds the error of a, below K^2 (:func:`_horner_errors`).  A
-        column of zeros stays an exact 0 with error 0.  E, F and N are exact
+        step adds the error of a, below K^2 (:func:`_horner_errors`).  The
+        zero rows above a part's degree step exactly, as 0 floors to 0, so
+        K is each part's own degree: deg s for x and y, deg G for A and B.
+        A column of zeros stays an exact 0 with error 0.  E, F and N are exact
         products of the pairs with the exact |V|^2, so their bounds follow
         from |xy - x'y'| <= |x'| dy + |y'| dx + dx dy, with the largest |A|
         and |B| over the columns of num."""
-        p, _, sym, num, mask, (dx, dy, da, db) = self._fixed
-        sym_den, num_den = self._integer_parts[2], self._integer_parts[4]
+        p, _, rows, mask, (dx, dy, da, db) = self._fixed
+        _, _, sym_den, num_den, _ = self._integer_parts
         e = scale.bit_length() - 1
-        x, y = sym[0], 0
-        for c in sym[1:]:
-            x, y = ((w * x << e) - n2 * y >> 2 * e) + c, x + (w * y >> e)
+        (x, a0, a1, a2, a3), (y, b0, b1, b2, b3) = _horner_fixed(rows, e, w, n2)
         ax, ay = abs(x), abs(y)
         norm = (x * x << 2 * e) + n2 * y * y
         dnorm = ((2 * ax + dx) * dx << 2 * e) + n2 * (2 * ay + dy) * dy
@@ -1126,8 +1125,7 @@ class StarQuotient:
         n, shift = guard
         if ((norm - dnorm) << shift) < n * sym_den * sym_den << 2 * (e + p):
             return None
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b = _horner_fixed(num, e, w, n2)
-        aa, ab = max(map(abs, a)), max(map(abs, b))
+        aa, ab = max(map(abs, (a0, a1, a2, a3))), max(map(abs, (b0, b1, b2, b3)))
         de = sym_den * (((ax * da + aa * dx + dx * da) << 2 * e)
                         + n2 * (ay * db + ab * dy + dy * db))
         df = sym_den * (ax * db + ab * dx + dx * db + ay * da + aa * dy + dy * da) << e

@@ -662,6 +662,15 @@ def _violator(coeffs, valuation: int, *certificates: str) -> FunctionUnderTest:
     return FunctionUnderTest("violator", series.pad_to(8), certificates=certificates)
 
 
+def _scaled_koebe(scale: F) -> FunctionUnderTest:
+    """Koebe(1) times a scale just above 1, with its exact form: starlike,
+    but it leaves the bounds of the normalized class by the factor."""
+    koebe = koebe_function(ONE, 16)
+    return FunctionUnderTest("violator", koebe.series.scale(scale),
+                             StarQuotient(koebe.form.num.scale(scale), koebe.form.den),
+                             certificates=("starlike",))
+
+
 class TestEveryCheckCanFail:
     """Each check fails its violator, and the worst violation is a witness.
     The expected margins are the bounds' values at the worst sample."""
@@ -696,10 +705,17 @@ class TestEveryCheckCanFail:
          1 - 1.001),
         (lambda: check_schwarz_pick_coefficient(_violator([F(1001, 1000)], 1)),
          1 - 1.001),
+        # phi = 1 + 1.5e-6 throughout against the limit 1: a violation of
+        # 1.5 tol, which the check admitted while it added tol to the slack
+        (lambda: check_hayman(_scaled_koebe(F(2000003, 2000000))), -1.5e-6),
+        # |f(-0.99) + 1/4| lies 6e-6 r / (1 + r)^2 below the slit floor at
+        # r = 0.99, again 1.5 tol
+        (lambda: check_koebe_quarter(_scaled_koebe(F(500003, 500000)), check_omitted_slit=True),
+         -6e-6 * 0.99 / 1.99 ** 2),
     ], ids=["convex-coefficients", "fekete-szego", "growth-distortion",
             "subordination-growth", "caratheodory-bounds", "sharper-caratheodory",
             "growth-order-2-growth", "monotone-modulus", "schwarz",
-            "schwarz-pick-coefficient"])
+            "schwarz-pick-coefficient", "hayman", "koebe-quarter"])
     def test_the_violator_fails_at_its_worst_sample(self, make, worst_margin, request):
         report = make()
         assert report.check_id == request.node.callspec.id

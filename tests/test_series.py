@@ -62,8 +62,9 @@ def rand_series(rng: Random, degree: int, valuation: int = 0,
 
 
 def _count_horners(monkeypatch) -> list:
-    """The coefficient rows of every numerator Horner that evaluation runs
-    from now on: the exact `_horner_xv` and the fixed-point `_horner_fixed`."""
+    """The rows of every class Horner that evaluation runs from now on, each
+    on the 5-tuples of s and G: the exact `_horner_xv` and the fixed-point
+    `_horner_fixed`."""
     calls = []
     for name, kernel in (("_horner_xv", _horner_xv), ("_horner_fixed", _horner_fixed)):
         monkeypatch.setattr(f"srgft.series.{name}",
@@ -631,6 +632,15 @@ def _quotient(kind: str, seed: int) -> StarQuotient:
         weights = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in terms]
         left = rand_series(rng, 2, valuation=rng.randint(0, 1)) if rng.random() < 0.5 else None
         return QuotientSum(terms, weights, left=left)
+    if kind in ("long-num", "long-den"):
+        # a Horner row of s and G pads the shorter part with zero rows at
+        # the top: G 11 degrees above s, or q a over (1 - q u / 2)^11, whose
+        # s lies 10 degrees above G
+        lin = series([ONE, -u * F(1, 2)])
+        if kind == "long-num":
+            return StarQuotient(rand_series(rng, 12, valuation=rng.randint(0, 2)), lin)
+        return StarQuotient(rand_series(rng, 1, valuation=1),
+                            functools.reduce(full_star_mul, [lin] * 11))
     # |den / q^v - 1| < 1 in the ball, so den^s vanishes there only at 0
     den = SliceSeries.from_coeffs([ONE, *rand_series(rng, 1, scale=1).coeffs],
                                   rng.randint(0, 2) if kind == "den-valuation" else
@@ -646,7 +656,7 @@ def _quotient(kind: str, seed: int) -> StarQuotient:
 
 QUOTIENT_KINDS = ("koebe", "mobius", "caratheodory", "rogosinski", "random",
                   "den-valuation", "left", "left-float", "left-den-valuation", "real",
-                  "mixture")
+                  "mixture", "long-num", "long-den")
 
 
 @st.composite
@@ -726,15 +736,17 @@ def _outcome(evaluate, q):
 
 
 class TestIntegerEval:
+    # the example counts follow the profile: 300 and 150 by default, ten
+    # times as many under --hypothesis-profile=ci (tests/conftest.py)
     @given(quotients(), points(), st.sampled_from((None, EvalDomain(1e-3))))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=3 * settings.default.max_examples, deadline=None)
     def test_matches_the_fraction_reference(self, quot, q, domain):
         assert _outcome(lambda p: quot.eval(p, domain), q) == \
             _outcome(lambda p: reference_eval(quot, p, domain), q)
 
     @given(quotients(), st.lists(points(), min_size=1, max_size=6),
            st.sampled_from((None, EvalDomain(1e-3), EvalDomain(0.5), EvalDomain(4.0))))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=3 * settings.default.max_examples // 2, deadline=None)
     def test_skip_puts_the_guards_measure_in_place_of_a_refusal(self, quot, qs, domain):
         """values(points, domain, skip=True) is each point's own value where
         the guard accepts it, and a float below the threshold where it
@@ -856,13 +868,13 @@ class TestSharedLeftFactor:
         assert values == [_outcome(lambda p: _reference_sum_value(form, p), q) for q in points]
 
     def test_one_left_horner_per_point(self, monkeypatch):
-        """h is folded into num, so a point runs one Horner, on num's rows:
-        the exact one at an exact point, the fixed-point one, on num's rows
-        times 2^p, at a float point."""
+        """h is folded into num, so a point runs one Horner, on the rows of
+        s and num: the exact one at an exact point, the fixed-point one, on
+        those rows times 2^p, at a float point."""
         form = close_to_convex_member(4, 24).derivative_form
         calls = _count_horners(monkeypatch)
-        for q, rows in ((exact(F(1, 3), F(1, 4)), form._integer_parts[5]),
-                        (Quaternion(0.2, 0.0, 0.3, 0.0), form._fixed[3])):
+        for q, rows in ((exact(F(1, 3), F(1, 4)), form._integer_parts[4]),
+                        (Quaternion(0.2, 0.0, 0.3, 0.0), form._fixed[2])):
             calls.clear()
             form.eval(q)
             assert len(calls) == 1 and calls[0] is rows
@@ -900,8 +912,8 @@ def slice_classes(draw):
 
 
 class TestSharedParts:
-    """The points of one (r, theta) share the den recurrence, the guard and
-    the numerator Horner, whatever their slice axis, sign of zero or mode."""
+    """The points of one (r, theta) share the Horner of s and G and the
+    guard, whatever their slice axis, sign of zero or mode."""
 
     @given(memo_forms(), st.lists(slice_classes(), min_size=1, max_size=3), st.data())
     @settings(max_examples=60, deadline=None)
@@ -975,10 +987,10 @@ class TestSharedParts:
     @pytest.mark.parametrize("form", [koebe_quotient(ONE), _quotient_sums()[1]],
                              ids=["koebe", "left-sum"])
     def test_grid_sweep_runs_one_horner_per_class(self, form, monkeypatch):
-        """One Horner on num per class: the exact one where the growth rule
-        keeps the form on the exact path (koebe), else the fixed-point one,
-        which certifies every point of these grids."""
-        rows = (form._integer_parts[5], form._fixed[3])
+        """One Horner on s and num per class: the exact one where the growth
+        rule keeps the form on the exact path (koebe), else the fixed-point
+        one, which certifies every point of these grids."""
+        rows = (form._integer_parts[4], form._fixed[2])
         calls = _count_horners(monkeypatch)
         # past 16 angles, and on axes beyond i, j and k
         for grid in (DEFAULT_GRID, SamplingGrid.default(angle_count=32),
@@ -1199,6 +1211,17 @@ def _adversarial_polynomial(rng: Random, terms: int) -> StarQuotient:
     return StarQuotient(series(coeffs[::-1]), SliceSeries.one())
 
 
+def _one_step_quotient(rng: Random, in_den: bool) -> StarQuotient:
+    """c_0 + c_1 q over 1, or 1 over it, for random integers c_0 in
+    [2^48, 2^49) and |c_1| < 2^47: one part takes a single Horner step.
+    At a point w / 2^40 with 8 fractional bits that step floors, and its
+    error, below one unit of 2^-8, is up to a sixteenth of an ulp of the
+    value, so a bound one step short, 0, certifies wrong floats."""
+    part = series([rng.randrange(2 ** 48, 2 ** 49), rng.randrange(-2 ** 47, 2 ** 47)])
+    one = SliceSeries.one()
+    return StarQuotient(one, part) if in_den else StarQuotient(part, one)
+
+
 class TestFixedPath:
     """At a float point the class part runs in fixed point at p bits, and a
     component is returned only where its proven error interval rounds to
@@ -1255,25 +1278,32 @@ class TestFixedPath:
         form = close_to_convex_member(7).derivative_form
         calls = _count_horners(monkeypatch)
         form.values([q.to_exact() for q in DEFAULT_GRID.points[:12]])
-        assert calls and all(coeffs is form._integer_parts[5] for coeffs in calls)
+        assert calls and all(coeffs is form._integer_parts[4] for coeffs in calls)
 
     def test_low_precision_certifies_only_exact_values(self, monkeypatch):
         """At 8 fractional bits the certificate refuses what the error bound
         cannot settle, and every value is still the exact path's.  The
         polynomials drop almost a unit at each rounding step, so a bound
-        half as large as the proven one certifies wrong floats here."""
+        half as large as the proven one certifies wrong floats here; on
+        the one-step parts of num and of den, so does each part's bound
+        one step short."""
         from srgft import series as series_module
         monkeypatch.setattr(series_module, "_fixed_precision", lambda *parts: 8)
-        point = [Quaternion(255 / 256, 0.0, 0.0, 0.0)]
-        rng = Random(25)
-        certified = 0
-        for _ in range(200):
-            form = _adversarial_polynomial(rng, 32)
+
+        def certified(form, point) -> bool:
             want = _batch(_exact_twin(form), point, None, False)
             calls = _exact_path_points(monkeypatch)
             assert _batch(form, point, None, False) == want
-            certified += not calls
-        assert certified
+            return not calls
+
+        rng = Random(25)
+        point = [Quaternion(255 / 256, 0.0, 0.0, 0.0)]
+        assert sum(certified(_adversarial_polynomial(rng, 32), point) for _ in range(200))
+        for in_den in (False, True):
+            forms = [_one_step_quotient(rng, in_den) for _ in range(200)]
+            points = [[Quaternion(rng.randrange(2 ** 39, 2 ** 40) / 2 ** 40, 0.0, 0.0, 0.0)]
+                      for _ in forms]
+            assert sum(map(certified, forms, points))
         # random quotients and points too
         for seed in range(40):
             quot = _quotient(QUOTIENT_KINDS[seed % len(QUOTIENT_KINDS)], seed)
@@ -1301,16 +1331,20 @@ def kernel_points(draw):
 class TestFixedHorner:
     """The lemma of the fixed-point path: `_horner_fixed` at the exact point
     is the complex Horner in z = (W + i|V|) / 2^e with one floor per step,
-    so A and B lie within `_horner_errors` of the exact sums."""
+    and a column's leading zero rows step exactly, so each column's A and B
+    lie within `_horner_errors(n)` of the exact sums, n the column's rows
+    from its first nonzero row down.  The per-part bounds of
+    `StarQuotient._fixed` rest on this."""
 
-    @given(st.lists(st.tuples(*[st.integers(-2 ** 64, 2 ** 64)] * 4), min_size=1, max_size=12),
-           st.tuples(*[st.booleans()] * 4), st.integers(1, 200), kernel_points())
+    @given(st.lists(st.tuples(*[st.integers(-2 ** 64, 2 ** 64)] * 5), min_size=1, max_size=12),
+           st.tuples(*[st.integers(0, 12)] * 5), st.integers(1, 200), kernel_points())
     @settings(deadline=None)
-    def test_within_the_proven_bound(self, rows, columns, p, point):
+    def test_within_the_proven_bound(self, rows, leading, p, point):
         e, w, n2 = point
-        rows = tuple(tuple(c << p if keep else 0 for c, keep in zip(row, columns))
-                     for row in rows)
-        (a_fixed, b_fixed), (da, db) = _horner_fixed(rows, e, w, n2), _horner_errors(len(rows))
+        # column c starts with leading[c] zero rows, all of it where that is every row
+        rows = tuple(tuple(0 if n < zeros else c << p for c, zeros in zip(row, leading))
+                     for n, row in enumerate(rows))
+        a_fixed, b_fixed = _horner_fixed(rows, e, w, n2)
         # the pair (a, b) stands for a + i|U| b, U = V / 2^e
         x, u2 = F(w, 1 << e), F(n2, 1 << 2 * e)
         ratios = [0.0]
@@ -1321,6 +1355,8 @@ class TestFixedHorner:
             if not any(column):
                 assert a_got == b_got == 0
                 continue
+            first = next(n for n, c in enumerate(column) if c)
+            da, db = _horner_errors(len(column) - first)
             assert abs(a_got - a) <= da and abs(b_got - b) <= db
             ratios += [float(abs(a_got - a) / da) if da else 0.0,
                        float(abs(b_got - b) / db) if db else 0.0]
