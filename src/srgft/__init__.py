@@ -13,8 +13,8 @@ from .series import (EvalDomain, PointBatch, QuotientSum, SliceSeries, StarQuoti
 from .classes import (ClassVerdict, FunctionUnderTest, SamplingGrid,
                       generate_caratheodory, generate_close_to_convex,
                       generate_starlike_small_coeff, is_caratheodory,
-                      is_close_to_convex, is_one_slice, is_slice_preserving,
-                      is_starlike, koebe, rogosinski_extremal)
+                      is_close_to_convex, is_one_slice, is_self_map,
+                      is_slice_preserving, is_starlike, koebe, rogosinski_extremal)
 from .checks import CheckReport, SUITES, SuiteConfig, run_suites
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __all__ = [
     "compose_slice_preserving", "format_quaternion", "generate_caratheodory",
     "generate_close_to_convex", "generate_starlike_small_coeff",
     "integrate_radial", "is_caratheodory", "is_close_to_convex",
-    "is_one_slice", "is_slice_preserving", "is_starlike", "koebe", "mobius",
+    "is_one_slice", "is_self_map", "is_slice_preserving", "is_starlike", "koebe", "mobius",
     "mobius_quotient", "parse_quaternion", "quotient_transform",
     "regular_conjugate", "rogosinski_extremal", "run_suites",
     "slice_derivative", "star_mul", "star_reciprocal", "symmetrize",

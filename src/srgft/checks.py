@@ -6,9 +6,13 @@ stating whether the corresponding inequality or identity held, with the
 worst margin and witnesses for any violation.  Checks are pure: same
 inputs, same report.
 
-Equality cases are detected inside a relative band of 1e-9 and reported
-in the parameter block; only the forward direction (the extremal attains
-equality) is asserted, never the uniqueness converse.
+Every sample of a check is one inequality lhs <= rhs at a point or a
+coefficient: its margin is rhs - lhs, and it fails below -tol.  A band
+a_0 <= a_1 <= ... <= a_k is one sample per adjacent pair.  A sample is an
+equality when |rhs - lhs| <= 1e-9 max(|lhs|, |rhs|, 1), a relative band
+of 1e-9, and equalities are reported in the parameter block; only the
+forward direction (the extremal attains equality) is asserted, never the
+uniqueness converse.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .classes import (DEFAULT_GRID, FunctionLike, FunctionUnderTest,
                       caratheodory_mixture_form, convex_reference,
                       convex_reference_quotient, generate_close_to_convex,
                       generate_starlike_small_coeff,
-                      is_caratheodory, is_slice_preserving, is_starlike,
+                      is_caratheodory, is_self_map, is_slice_preserving, is_starlike,
                       koebe, koebe_quotient, odd_reference,
                       odd_reference_quotient, random_exact_unit,
                       random_float_unit, rogosinski_extremal,
@@ -38,8 +42,7 @@ from .quat import (ONE, ZERO, I, J, K, Quaternion, format_quaternion,
                    quaternion_to_json)
 from .series import (DEFAULT_DEGREE, DEFAULT_DOMAIN, EvalDomain, QuotientSum,
                      SliceSeries, StarQuotient, compose_slice_preserving,
-                     integrate_radial, mobius_quotient,
-                     slice_derivative)
+                     integrate_radial, mobius_quotient, slice_derivative)
 
 EQUALITY_BAND = 1e-9
 POINT_TOL = 1e-9
@@ -48,21 +51,25 @@ COEFF_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one theorem check."""
+    """Outcome of one theorem check: ``status`` is "pass", "fail" or
+    "inconclusive", and ``passed`` reads it."""
 
     check_id: str
     function_id: str
-    passed: bool
     worst_margin: float
     samples: int
     witnesses: tuple[dict, ...]
     valid_degree: int
-    status: str = "pass"
+    status: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.passed and not self.witnesses:
-            raise ValueError("failed reports must carry at least one witness")
+            raise ValueError("reports that do not pass must carry at least one witness")
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
     def to_json_dict(self) -> dict:
         return {
@@ -79,63 +86,69 @@ class CheckReport:
 
 
 class _Collector:
-    """Accumulates slack assertions; slack >= -tol passes."""
+    """Accumulates samples lhs <= rhs.  A sample's slack is rhs - lhs, and
+    it passes when its slack is at least -tol.
 
-    def __init__(self, tol: float):
+    A sample's key is a quaternion (a float point, or an exact scalar such
+    as a Fekete-Szego lambda), written under ``quaternion_key``, or a
+    coefficient label, written under "n".
+    """
+
+    def __init__(self, tol: float, quaternion_key: str = "q"):
         self.tol = tol
+        self.quaternion_key = quaternion_key
         self.worst = math.inf
         self.samples = 0
         self.violations: list[tuple] = []
         self.equalities: list[dict] = []
 
-    def check(self, slack: float, entry: Callable[..., dict], *args,
-              equality_scale: float = 1.0):
-        """Record a sample; its witness entry(*args) is formed only if kept.
-        The witnesses are the first 16 violations, the last replaced by any
-        later one worse than every sample before it, so the worst violation
-        is always a witness."""
+    def check(self, key, lhs: float, rhs: float):
+        """Record the sample lhs <= rhs at ``key``.  The witnesses are the
+        first 16 violations, the last replaced by any later one worse than
+        every sample before it, so the worst violation is always a witness.
+        A sample is an equality when |rhs - lhs| <= 1e-9 max(|lhs|, |rhs|, 1);
+        the first 64 are kept.  An entry is formed only for a kept sample."""
+        slack = rhs - lhs
         self.samples += 1
         worse = slack < self.worst
         if worse:
             self.worst = slack
         if slack < -self.tol:
+            sample = (key, lhs, rhs, slack)
             if len(self.violations) < 16:
-                self.violations.append((entry, args, slack))
+                self.violations.append(sample)
             elif worse:
-                self.violations[-1] = (entry, args, slack)
-        if abs(slack) <= EQUALITY_BAND * max(equality_scale, 1.0) and len(self.equalities) < 64:
-            self.equalities.append(dict(entry(*args), margin=slack))
+                self.violations[-1] = sample
+        if abs(slack) <= EQUALITY_BAND * max(abs(lhs), abs(rhs), 1.0) and len(self.equalities) < 64:
+            self.equalities.append(self._entry(key, lhs, rhs, slack))
+
+    def chain(self, key, *band: float):
+        """The band band[0] <= band[1] <= ... as one sample per adjacent pair."""
+        for lhs, rhs in zip(band, band[1:]):
+            self.check(key, lhs, rhs)
+
+    def _entry(self, key, lhs: float, rhs: float, margin: float) -> dict:
+        """The witness or equality entry of a kept sample."""
+        if isinstance(key, Quaternion):
+            return {self.quaternion_key: quaternion_to_json(key), "lhs": lhs, "rhs": rhs,
+                    "margin": margin}
+        return {"n": key, "lhs": lhs, "rhs": rhs, "margin": margin}
 
     def report(self, check_id: str, fut_id: str, valid_degree: int,
                params: Optional[dict] = None) -> CheckReport:
-        passed = not self.violations and self.worst >= -self.tol
         all_params = dict(params or {})
         if self.equalities:
             all_params["equalities"] = self.equalities
         return CheckReport(
             check_id=check_id,
             function_id=fut_id,
-            passed=passed,
             worst_margin=self.worst if self.samples else 0.0,
             samples=self.samples,
-            witnesses=tuple(dict(entry(*args), margin=slack)
-                            for entry, args, slack in self.violations),
+            witnesses=tuple(self._entry(*sample) for sample in self.violations),
             valid_degree=valid_degree,
-            status="pass" if passed else "fail",
+            status="fail" if self.violations else "pass",
             params=all_params,
         )
-
-
-def _point_entry(q: Quaternion, lhs: float, rhs: float) -> dict:
-    return {"q": quaternion_to_json(q.to_float()), "lhs": lhs, "rhs": rhs}
-
-
-def _coeff_entry(n, lhs: float, rhs: float) -> dict:
-    return {"n": n, "lhs": lhs, "rhs": rhs}
-
-
-def _lambda_entry(lam: Quaternion, lhs: float, rhs: float) -> dict:
-    return {"lambda": quaternion_to_json(lam), "lhs": lhs, "rhs": rhs}
 
 
 def _by_radius(grid: SamplingGrid, values: list):
@@ -165,7 +178,7 @@ def check_bieberbach(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     for n, a in fut.series.terms():
         if n < 2:
             continue
-        col.check(n - abs(a), _coeff_entry, n, abs(a), float(n), equality_scale=n)
+        col.check(n, abs(a), float(n))
     return col.report("bieberbach", fut.fid, fut.series.degree)
 
 
@@ -178,7 +191,7 @@ def check_convex_coefficients(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID
     for n, a in fut.series.terms():
         if n < 2:
             continue
-        col.check(1.0 - abs(a), _coeff_entry, n, abs(a), 1.0)
+        col.check(n, abs(a), 1.0)
     return col.report("convex-coefficients", fut.fid, fut.series.degree)
 
 
@@ -194,12 +207,10 @@ def check_fekete_szego(f: FunctionLike, lambdas: list[Quaternion],
     fut = as_function(f)
     _require_class(fut, "starlike", grid, is_starlike)
     a2, a3 = fut.series.coeff(2), fut.series.coeff(3)
-    col = _Collector(tol)
+    col = _Collector(tol, quaternion_key="lambda")
     for lam in lambdas:
-        lhs = abs(a3 - lam * (a2 * a2))
         four_lam = lam * 4 - Quaternion.from_real(3)
-        rhs = max(1.0, abs(four_lam))
-        col.check(rhs - lhs, _lambda_entry, lam, lhs, rhs, equality_scale=rhs)
+        col.check(lam, abs(a3 - lam * (a2 * a2)), max(1.0, abs(four_lam)))
     return col.report("fekete-szego", fut.fid, fut.series.degree,
                       params={"lambda_count": len(lambdas)})
 
@@ -210,10 +221,8 @@ def check_sharper_caratheodory(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRI
     fut = as_function(p)
     _require_class(fut, "caratheodory", grid, is_caratheodory)
     a1, a2 = fut.series.coeff(1), fut.series.coeff(2)
-    lhs = abs(a2 - (a1 * a1) * Fraction(1, 2))
-    rhs = 2.0 - float(a1.norm_sq()) / 2.0
     col = _Collector(tol)
-    col.check(rhs - lhs, _coeff_entry, 2, lhs, rhs, equality_scale=2.0)
+    col.check(2, abs(a2 - (a1 * a1) * Fraction(1, 2)), 2.0 - float(a1.norm_sq()) / 2.0)
     return col.report("sharper-caratheodory", fut.fid, fut.series.degree)
 
 
@@ -236,14 +245,12 @@ def check_caratheodory_bounds(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRID
         for q, value in zip(points, values):
             re, mod = float(value.w), abs(value)
             max_abs = max(max_abs, mod)
-            col.check(re - lower, _point_entry, q, lower, re, equality_scale=upper)
-            col.check(mod - re, _point_entry, q, re, mod, equality_scale=upper)
-            col.check(upper - mod, _point_entry, q, mod, upper, equality_scale=upper)
+            col.chain(q, lower, re, mod, upper)
         max_by_radius.append([r, max_abs])
     for n, a in fut.series.terms():
         if n < 1:
             continue
-        col.check(2.0 - abs(a), _coeff_entry, n, abs(a), 2.0, equality_scale=2.0)
+        col.check(n, abs(a), 2.0)
     return col.report("caratheodory-bounds", fut.fid, fut.series.degree,
                       params={"max_abs_by_radius": max_by_radius})
 
@@ -261,13 +268,9 @@ def check_growth_distortion(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
         q_lo, q_hi = (1 - r) / (1 + r), (1 + r) / (1 - r)
         for q, (value, derivative) in zip(points, values):
             fv, dv = abs(value), abs(derivative)
-            ratio = r * dv / fv
-            col.check(fv - f_lo, _point_entry, q, f_lo, fv, equality_scale=f_hi)
-            col.check(f_hi - fv, _point_entry, q, fv, f_hi, equality_scale=f_hi)
-            col.check(dv - d_lo, _point_entry, q, d_lo, dv, equality_scale=d_hi)
-            col.check(d_hi - dv, _point_entry, q, dv, d_hi, equality_scale=d_hi)
-            col.check(ratio - q_lo, _point_entry, q, q_lo, ratio, equality_scale=q_hi)
-            col.check(q_hi - ratio, _point_entry, q, ratio, q_hi, equality_scale=q_hi)
+            col.chain(q, f_lo, fv, f_hi)
+            col.chain(q, d_lo, dv, d_hi)
+            col.chain(q, q_lo, r * dv / fv, q_hi)
     return col.report("growth-distortion", fut.fid, fut.series.degree)
 
 
@@ -301,21 +304,13 @@ def check_growth_order_m(f: FunctionLike, m: int,
         else:
             lo, hi = 1.0 / denom_lo, 1.0 / denom_hi
         for q, value in zip(points, map(abs, values)):
-            col.check(value - lo, _point_entry, q, lo, value, equality_scale=hi)
-            col.check(hi - value, _point_entry, q, value, hi, equality_scale=hi)
+            col.chain(q, lo, value, hi)
     return col.report(f"growth-order-{m}-{variant}", fut.fid, fut.series.degree)
 
 
 # ---------------------------------------------------------------------------
 # Schwarz family
 # ---------------------------------------------------------------------------
-
-
-def _screen_self_map(fut: FunctionUnderTest, grid: SamplingGrid,
-                     slack: float = 0.0) -> None:
-    worst = max(map(abs, fut.sweep(grid)))
-    if worst >= 1.0 + slack:
-        raise PreconditionError(f"{fut.fid} is not a self-map on the grid: max |f| = {worst}")
 
 
 def check_schwarz(f: FunctionLike, m: int, grid: SamplingGrid = DEFAULT_GRID,
@@ -325,14 +320,14 @@ def check_schwarz(f: FunctionLike, m: int, grid: SamplingGrid = DEFAULT_GRID,
     for n in range(0, m):
         if fut.series.valuation <= n <= fut.series.degree and not fut.series.coeff(n).is_zero():
             raise PreconditionError(f"coefficient a_{n} must vanish")
-    _screen_self_map(fut, grid)
+    _require_class(fut, "ball-self-map", grid, is_self_map)
     col = _Collector(tol)
     for r, points, values in _by_radius(grid, fut.sweep(grid)):
         bound = r ** m
         for q, mod in zip(points, map(abs, values)):
-            col.check(bound - mod, _point_entry, q, mod, bound, equality_scale=1.0)
+            col.check(q, mod, bound)
     a_m = abs(fut.series.coeff(m)) if fut.series.degree >= m else 0.0
-    col.check(1.0 - a_m, _coeff_entry, m, a_m, 1.0)
+    col.check(m, a_m, 1.0)
     params = {"order": m, "extremal_form": col.worst >= -tol and abs(col.worst) <= EQUALITY_BAND}
     return col.report("schwarz", fut.fid, fut.series.degree, params=params)
 
@@ -341,14 +336,12 @@ def check_schwarz_pick_coefficient(f: FunctionLike, grid: SamplingGrid = DEFAULT
                                    tol: float = POINT_TOL) -> CheckReport:
     """|f'(0)| <= 1 - |f(0)|^2 for self-maps of the ball."""
     fut = as_function(f)
-    _screen_self_map(fut, grid, slack=tol)
+    _require_class(fut, "ball-self-map", grid, is_self_map)
     s = fut.series
     a0 = s.coeff(0) if s.valuation <= 0 else ZERO
     a1 = s.coeff(1) if s.valuation <= 1 <= s.degree else ZERO
-    lhs = abs(a1)
-    rhs = 1.0 - float(a0.norm_sq())
     col = _Collector(tol)
-    col.check(rhs - lhs, _coeff_entry, 1, lhs, rhs)
+    col.check(1, abs(a1), 1.0 - float(a0.norm_sq()))
     return col.report("schwarz-pick-coefficient", fut.fid, s.degree)
 
 
@@ -379,16 +372,14 @@ def check_schwarz_pick_counterexample() -> CheckReport:
     ]
     failures = tuple({"identity": name, "lhs": 0.0, "rhs": 0.0}
                      for name, ok in identities if not ok)
-    passed = not failures
     return CheckReport(
         check_id="schwarz-pick-counterexample",
         function_id="mobius(1/2i)",
-        passed=passed,
         worst_margin=float(derivative_sq - bound * bound),
         samples=len(identities),
         witnesses=failures,
         valid_degree=0,
-        status="pass" if passed else "fail",
+        status="fail" if failures else "pass",
         params={
             "value": quaternion_to_json(value),
             "derivative": quaternion_to_json(derivative),
@@ -410,7 +401,7 @@ def check_rogosinski(f: FunctionLike, q0: Quaternion,
         raise PreconditionError("function must vanish at 0")
     if q0.norm_sq() >= 1:
         raise PreconditionError("evaluation point must lie inside the ball")
-    _screen_self_map(fut, grid, slack=POINT_TOL)
+    _require_class(fut, "ball-self-map", grid, is_self_map)
     b = fut.series.coeff(1).to_float()
     q0f = q0.to_float()
     q0b_sq = float((q0f * b).norm_sq())
@@ -421,7 +412,7 @@ def check_rogosinski(f: FunctionLike, q0: Quaternion,
     value = fut.value(q0).to_float()
     distance = abs(value - center)
     col = _Collector(tol)
-    col.check(radius - distance, _point_entry, q0f, distance, radius, equality_scale=1.0)
+    col.check(q0f, distance, radius)
     boundary = abs(radius - distance) <= 1e-6
     return col.report("rogosinski", fut.fid, fut.series.degree,
                       params={"center": quaternion_to_json(center),
@@ -449,7 +440,7 @@ def check_bohr(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
         if n >= 0:
             total += abs(a) / 3.0 ** n
     col = _Collector(tol)
-    col.check(1.0 - total, _coeff_entry, "sum", total, 1.0)
+    col.check("sum", total, 1.0)
     screen = "modulus" if max_mod < 1.0 + tol else "real-part"
     return col.report("bohr", fut.fid, fut.series.degree,
                       params={"radius": "1/3", "screen": screen})
@@ -475,8 +466,7 @@ def check_monotone_modulus(f: FunctionLike, alpha: float = 0.0,
         for r, q, value in zip(grid.radii, grid.points[k::n], values[k::n]):
             m_r = abs(value) / r ** alpha
             if previous is not None:
-                col.check(m_r - previous, _point_entry, q, previous, m_r,
-                          equality_scale=max(m_r, 1.0))
+                col.check(q, previous, m_r)
             previous = m_r
     return col.report("monotone-modulus", fut.fid, fut.series.degree,
                       params={"alpha": alpha})
@@ -499,9 +489,9 @@ def check_hayman(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
         m_inf = max(map(abs, values))
         phis.append((1.0 - r) ** 2 * m_inf / r)
     for i in range(1, len(phis)):
-        col.check(phis[i - 1] - phis[i], _coeff_entry, i, phis[i], phis[i - 1])
-    col.check(phis[-1], _coeff_entry, "limit>=0", 0.0, phis[-1])
-    col.check(1.0 - phis[-1], _coeff_entry, "limit<=1", phis[-1], 1.0)
+        col.check(i, phis[i], phis[i - 1])
+    col.check("limit>=0", 0.0, phis[-1])
+    col.check("limit<=1", phis[-1], 1.0)
     constant = max(phis) - min(phis) <= tol
     return col.report("hayman", fut.fid, fut.series.degree,
                       params={"phi": phis, "constant": constant,
@@ -534,7 +524,7 @@ def check_koebe_quarter(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
     for q, mod in zip(points, map(abs, at_max)):
         if mod < min_mod:
             min_mod, argmin = mod, q
-    col.check(min_mod - bound, _point_entry, argmin, bound, min_mod, equality_scale=1.0)
+    col.check(argmin, bound, min_mod)
     params: dict = {"largest_radius": r_max, "min_modulus": min_mod,
                     "proxy_bound": bound}
     if check_omitted_slit:
@@ -546,11 +536,10 @@ def check_koebe_quarter(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
             closest = math.inf
             for value in at_r:
                 closest = min(closest, abs(value + Quaternion(0.25, 0.0, 0.0, 0.0)))
-            col.check(closest - floor, _point_entry, Quaternion(-r, 0.0, 0.0, 0.0),
-                      floor, closest)
+            col.check(Quaternion(-r, 0.0, 0.0, 0.0), floor, closest)
             floors.append([r, floor, closest])
         omitted_min = min(abs(value - target) for value in values)
-        col.check(omitted_min - delta / 2, _coeff_entry, "omitted-point", delta / 2, omitted_min)
+        col.check("omitted-point", delta / 2, omitted_min)
         params["quarter_point_floors"] = floors
         params["omitted_point_min_residual"] = omitted_min
     return col.report("koebe-quarter", fut.fid, fut.series.degree, params=params)
@@ -570,16 +559,16 @@ def check_convex_covering_examples(f: FunctionLike,
     if fut.series.coeff(1) != ONE:
         raise DomainError("reference normalization broke")
     for q, value in zip(grid.points, fut.sweep(grid)):
-        re = float(value.w)
-        col.check(re + 0.5, _point_entry, q, -0.5, re, equality_scale=1.0)
+        col.check(q, -0.5, float(value.w))
     witness_sequence = []
     previous = None
     on_axis = fut.values([Quaternion(-r, 0.0, 0.0, 0.0) for r in grid.radii])
     for r, value in zip(grid.radii, on_axis):
-        margin = float(value.w) + 0.5
-        col.check(margin, _coeff_entry, f"r={r}", -0.5, margin - 0.5)
+        re = float(value.w)
+        margin = re + 0.5
+        col.check(f"r={r}", -0.5, re)
         if previous is not None:
-            col.check(previous - margin, _coeff_entry, f"shrinks@r={r}", margin, previous)
+            col.check(f"shrinks@r={r}", margin, previous)
         witness_sequence.append([r, margin])
         previous = margin
     if bloch_series(1).coeff(1) != ONE:
@@ -587,7 +576,7 @@ def check_convex_covering_examples(f: FunctionLike,
     quarter_pi = math.pi / 4.0
     for q in grid.points:
         im = abs(bloch_eval(q).imag())
-        col.check(quarter_pi - im, _point_entry, q, im, quarter_pi, equality_scale=1.0)
+        col.check(q, im, quarter_pi)
     return col.report("convex-covering", "convex-reference+strip-reference", fut.series.degree,
                       params={"half_plane_margins": witness_sequence})
 
@@ -604,8 +593,7 @@ def check_subordination_growth(f: FunctionLike, w: FunctionLike,
         raise PreconditionError("inner function must be slice preserving")
     if not inner.series.is_zero() and inner.series.valuation < 1:
         raise PreconditionError("inner function must vanish at 0")
-    if any(abs(value) >= 1.0 for value in inner.sweep(grid)):
-        raise PreconditionError("inner function must map the grid into the ball")
+    _require_class(inner, "ball-self-map", grid, is_self_map)
     g = FunctionUnderTest(fut.fid, compose_slice_preserving(fut.series, inner.series))
     col = _Collector(tol)
     pairs = list(zip(g.sweep(grid), g.derivative_sweep(grid)))
@@ -613,9 +601,8 @@ def check_subordination_growth(f: FunctionLike, w: FunctionLike,
         g_hi = r / (1.0 - r) ** 2
         d_hi = (1.0 + r) / (1.0 - r) ** 3
         for q, (value, derivative) in zip(points, values):
-            gv, dv = abs(value), abs(derivative)
-            col.check(g_hi - gv, _point_entry, q, gv, g_hi, equality_scale=g_hi)
-            col.check(d_hi - dv, _point_entry, q, dv, d_hi, equality_scale=d_hi)
+            col.check(q, abs(value), g_hi)
+            col.check(q, abs(derivative), d_hi)
     return col.report("subordination-growth", fut.fid, g.series.degree)
 
 
@@ -646,7 +633,8 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
         measure = star if type(star) is float else fv.norm_sq()
         if type(star) is float or measure < sys.float_info.min:
             if len(skipped) < 16:
-                skipped.append(_point_entry(q, measure, domain.singular_threshold))
+                skipped.append({"q": quaternion_to_json(q), "lhs": measure,
+                                "rhs": domain.singular_threshold})
             continue
         kept += 1
         min_re_point = min(min_re_point, float((fv.inverse() * gv).w))
@@ -663,22 +651,20 @@ def check_quotient_equivalences(f: SliceSeries, g: SliceSeries,
         "skipped": skipped_count,
     }
     if skipped_count > 0.1 * total:
-        return CheckReport("quotient-equivalences", "pair", False, 0.0,
+        return CheckReport("quotient-equivalences", "pair", 0.0,
                            kept, tuple(skipped) or ({"n": "all-skipped", "lhs": 0.0, "rhs": 0.0},),
-                           min(f.degree, g.degree), status="inconclusive", params=params)
+                           min(f.degree, g.degree), "inconclusive", params)
     re_agree = (min_re_point > 0.0) == (min_re_star > 0.0)
     mod_agree = (max_ratio < 1.0) == (max_star < 1.0)
     margin = min(abs(min_re_point), abs(min_re_star),
                  abs(1.0 - max_ratio), abs(1.0 - max_star))
-    passed = re_agree and mod_agree
     # one witness per verdict pair that disagrees
     witnesses = tuple({"n": name, "lhs": lhs, "rhs": rhs} for name, agree, lhs, rhs in (
         ("real-part-verdicts", re_agree, min_re_point, min_re_star),
         ("modulus-verdicts", mod_agree, max_ratio, max_star)) if not agree)
-    return CheckReport("quotient-equivalences", "pair", passed,
-                       margin if passed else -margin, kept, witnesses,
-                       min(f.degree, g.degree),
-                       status="pass" if passed else "fail", params=params)
+    return CheckReport("quotient-equivalences", "pair", -margin if witnesses else margin,
+                       kept, witnesses, min(f.degree, g.degree),
+                       "fail" if witnesses else "pass", params)
 
 
 # ---------------------------------------------------------------------------

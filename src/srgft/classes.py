@@ -266,6 +266,12 @@ def is_caratheodory(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRID) -> Class
     return _sampled(name, grid.points, (float(value.w) for value in fut.sweep(grid)))
 
 
+def is_self_map(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID) -> ClassVerdict:
+    """|f| < 1 screened over the grid, with the margin 1 - |f|."""
+    return _sampled("ball-self-map", grid.points,
+                    (1.0 - abs(value) for value in as_function(f).sweep(grid)))
+
+
 def _is_one(c: Quaternion) -> bool:
     if c.is_exact:
         return c == ONE

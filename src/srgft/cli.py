@@ -32,7 +32,7 @@ from .checks import (SUITES, SuiteConfig, caratheodory_member,
                      starlike_member)
 from .classes import (DEFAULT_ANGLE_COUNT, DEFAULT_RADII, ClassVerdict,
                       FunctionUnderTest, SamplingGrid, certify_small_coeff,
-                      is_caratheodory, is_close_to_convex, is_starlike)
+                      is_caratheodory, is_close_to_convex, is_self_map, is_starlike)
 from .errors import DomainError, PreconditionError, QuaternionParseError
 from .quat import (UNIT_I, UNIT_J, UNIT_K, ImaginaryUnit, Quaternion,
                    format_quaternion, parse_quaternion)
@@ -116,8 +116,7 @@ def _gen_member(args, cfg: SuiteConfig) -> tuple[FunctionUnderTest, ClassVerdict
         if args.mode == "float":
             b, p = b.to_float(), p.to_float()
         fut = rogosinski_function(b, p, cfg.degree)
-        worst = max(map(abs, fut.sweep(cfg.grid)))
-        return fut, ClassVerdict("ball-self-map", worst < 1.0, "sampled", 1.0 - worst)
+        return fut, is_self_map(fut, cfg.grid)
     if args.family == "class-c":
         fut = close_to_convex_member(cfg.seed, cfg.degree)
         h = close_to_convex_reference(cfg.seed, cfg.degree)

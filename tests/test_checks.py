@@ -3,12 +3,15 @@
 import hashlib
 import inspect
 import json
+import struct
 import sys
 import weakref
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srgft.checks import (SuiteConfig, SUITES, caratheodory_extremal_function,
                           check_bieberbach, check_bohr,
@@ -632,14 +635,125 @@ class TestWitnessEntries:
             "growth-violator", "order-one-violator", "subordination-violator"])
     def test_k_kept_entries_form_k_entries(self, make, monkeypatch):
         formed = []
-        for name in ("_point_entry", "_coeff_entry", "_lambda_entry"):
-            original = getattr(checks_module, name, None)
-            monkeypatch.setattr(checks_module, name,
-                                lambda *args, _o=original: formed.append(args) or _o(*args),
-                                raising=False)
+        original = checks_module._Collector._entry
+        monkeypatch.setattr(checks_module._Collector, "_entry",
+                            lambda self, *args: formed.append(args) or original(self, *args))
         report = make()
         kept = len(report.witnesses) + len(report.params.get("equalities", ()))
         assert len(formed) == kept
+
+
+# every class a check can ask for, so that no screen stops a drawn window
+_ALL_CLASSES = ("starlike", "close-to-convex", "derivative-starlike", "caratheodory",
+                "ball-self-map")
+
+# every check that samples lhs <= rhs through the collector
+_SAMPLE_CHECKS = {
+    "bieberbach": lambda f, g: check_bieberbach(f, SMALL_GRID),
+    "convex-coefficients": lambda f, g: check_convex_coefficients(f, SMALL_GRID),
+    "fekete-szego": lambda f, g: check_fekete_szego(f, sample_lambdas(5, 12), SMALL_GRID),
+    "sharper-caratheodory": lambda f, g: check_sharper_caratheodory(f, SMALL_GRID),
+    "caratheodory-bounds": lambda f, g: check_caratheodory_bounds(f, SMALL_GRID),
+    "growth-distortion": lambda f, g: check_growth_distortion(f, SMALL_GRID),
+    "growth-order-1-growth": lambda f, g: check_growth_order_m(f, 1, SMALL_GRID, "growth"),
+    "growth-order-1-distortion":
+        lambda f, g: check_growth_order_m(f, 1, SMALL_GRID, "distortion"),
+    "schwarz": lambda f, g: check_schwarz(f, f.series.valuation, SMALL_GRID),
+    "schwarz-pick-coefficient": lambda f, g: check_schwarz_pick_coefficient(f, SMALL_GRID),
+    "rogosinski": lambda f, g: check_rogosinski(f, Quaternion(0.5, 0.1, 0.0, 0.3), SMALL_GRID),
+    "bohr": lambda f, g: check_bohr(f, SMALL_GRID),
+    "monotone-modulus": lambda f, g: check_monotone_modulus(f, 0.0, SMALL_GRID),
+    "hayman": lambda f, g: check_hayman(f, SMALL_GRID),
+    "koebe-quarter": lambda f, g: check_koebe_quarter(f, SMALL_GRID, check_omitted_slit=True),
+    "convex-covering": lambda f, g: check_convex_covering_examples(g, SMALL_GRID),
+    "subordination-growth":
+        lambda f, g: check_subordination_growth(f, SliceSeries.identity(6), SMALL_GRID),
+}
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def _drawn_windows(draw):
+    """An exact window with small rational coefficients and every class
+    certificate forced, and the same tail after q, normalized so that the
+    convex covering check takes it."""
+    component = st.integers(-12, 12).map(lambda n: F(n, 4))
+    coeffs = draw(st.lists(st.builds(Quaternion, component, component, component, component),
+                           min_size=1, max_size=4))
+    valuation = draw(st.integers(0, 1))
+    f = SliceSeries.from_coeffs(coeffs, valuation=valuation).pad_to(6)
+    g = SliceSeries.from_coeffs([ONE] + coeffs, valuation=1).pad_to(6)
+    return (FunctionUnderTest("drawn", f, certificates=_ALL_CLASSES),
+            FunctionUnderTest("drawn-normalized", g, certificates=_ALL_CLASSES))
+
+
+class TestSampleForm:
+    """Every collector sample is one lhs <= rhs: its margin is rhs - lhs,
+    a failing report's worst margin is its least witness margin, and a
+    sample is an equality entry exactly when |rhs - lhs| <=
+    1e-9 max(|lhs|, |rhs|, 1) (while fewer than 64 are kept)."""
+
+    @given(_drawn_windows())
+    @settings(max_examples=settings.default.max_examples // 2, deadline=None)
+    def test_every_sample_is_lhs_at_most_rhs(self, windows):
+        original = checks_module._Collector.check
+
+        def spy(col, key, lhs, rhs):
+            kept = len(col.equalities)
+            original(col, key, lhs, rhs)
+            band = abs(rhs - lhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
+            assert (len(col.equalities) > kept) == (band and kept < 64), (key, lhs, rhs)
+
+        reports = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks_module._Collector, "check", spy)
+            for run in _SAMPLE_CHECKS.values():
+                try:
+                    reports.append(run(*windows))
+                # the window breaks a precondition outside the class gates,
+                # or f vanishes at a grid point of a ratio band
+                except (PreconditionError, DomainError, ZeroDivisionError):
+                    pass
+        for report in reports:
+            for entry in report.witnesses + tuple(report.params.get("equalities", ())):
+                assert _bits(entry["margin"]) == _bits(entry["rhs"] - entry["lhs"]), entry
+            if report.status == "fail":
+                assert report.worst_margin == min(w["margin"] for w in report.witnesses)
+
+    def test_the_property_runs_every_collector_check(self):
+        sampled = {name for name, f in inspect.getmembers(checks_module, inspect.isfunction)
+                   if "_Collector(" in inspect.getsource(f)}
+        run = {name for f in _SAMPLE_CHECKS.values() for name in f.__code__.co_names}
+        assert len(sampled) == 16 and sampled <= run
+
+
+class TestSelfMapGate:
+    """c q with c 0.99 = 1 + 5e-10 leaves the ball at the grid's largest
+    radius by less than the point tolerance, so only a gate without slack
+    refuses it."""
+
+    C = F(2000000001, 2000000000) / F(99, 100)
+
+    @pytest.mark.parametrize("run", [
+        lambda f: check_schwarz(f, 1),
+        lambda f: check_schwarz_pick_coefficient(f),
+        lambda f: check_rogosinski(f, Quaternion(0.5, 0.0, 0.0, 0.0)),
+        lambda f: check_subordination_growth(koebe_function(ONE, 8), f.series),
+    ], ids=["schwarz", "schwarz-pick-coefficient", "rogosinski", "subordination-inner"])
+    def test_every_self_map_check_refuses_it(self, run):
+        fut = monomial_function(exact(self.C), 1, 8)
+        assert 1.0 < max(map(abs, fut.sweep(DEFAULT_GRID))) < 1.0 + 1e-9
+        with pytest.raises(PreconditionError, match=r"failed the ball-self-map screen: "
+                                                    r"\{'q': \[0\.99, 0\.0, 0\.0, 0\.0\]"):
+            run(fut)
+
+    def test_the_screen_is_a_sampled_verdict(self):
+        verdict = classes_module.is_self_map(monomial_function(exact(F(1, 2)), 1, 8))
+        assert verdict.member and verdict.certificate == "sampled"
+        assert verdict.margin == 1.0 - 0.99 / 2
 
 
 def _order_one_violator() -> FunctionUnderTest:
