@@ -270,7 +270,8 @@ def check_growth_distortion(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,
             fv, dv = abs(value), abs(derivative)
             col.chain(q, f_lo, fv, f_hi)
             col.chain(q, d_lo, dv, d_hi)
-            col.chain(q, q_lo, r * dv / fv, q_hi)
+            if fv:  # the ratio is undefined at a zero of f, which the |f| band fails
+                col.chain(q, q_lo, r * dv / fv, q_hi)
     return col.report("growth-distortion", fut.fid, fut.series.degree)
 
 

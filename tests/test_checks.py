@@ -210,6 +210,21 @@ class TestGrowthDistortion:
         report = check_growth_distortion(starlike_member(11, 24), SMALL_GRID)
         assert report.passed
 
+    def test_a_grid_zero_fails_the_modulus_band_without_a_ratio_sample(self):
+        """q - 2q^2 vanishes at the grid point 1/2; forced past the starlike
+        gate, it fails |f| >= r / (1 + r)^2 there, and the ratio |q f'| / |f|,
+        undefined at that point, is not sampled."""
+        grid = SamplingGrid.default(radii=(0.5,))
+        report = check_growth_distortion(_violator([1, -2], 1, "starlike"), grid)
+        assert report.status == "fail"
+        worst = min(report.witnesses, key=lambda w: w["margin"])
+        assert worst["q"] == quaternion_to_json(Quaternion(0.5, 0.0, 0.0, 0.0))
+        assert (worst["lhs"], worst["rhs"]) == (0.5 / 1.5 ** 2, 0.0)
+        assert worst["margin"] == report.worst_margin == -0.5 / 1.5 ** 2
+        # two |f| and two |f'| samples at each point, and two ratio samples
+        # at every point but the zero
+        assert report.samples == 6 * len(grid.points) - 2
+
 
 class TestGrowthOrderM:
     def test_convex_reference_distortion(self):
@@ -713,9 +728,8 @@ class TestSampleForm:
             for run in _SAMPLE_CHECKS.values():
                 try:
                     reports.append(run(*windows))
-                # the window breaks a precondition outside the class gates,
-                # or f vanishes at a grid point of a ratio band
-                except (PreconditionError, DomainError, ZeroDivisionError):
+                # the window breaks a precondition outside the class gates
+                except (PreconditionError, DomainError):
                     pass
         for report in reports:
             for entry in report.witnesses + tuple(report.params.get("equalities", ())):

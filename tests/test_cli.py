@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -515,8 +516,42 @@ class TestSliceImageCommand:
         assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: non-finite float component")
 
+    def test_the_file_is_what_csv_writer_writes(self, tmp_path):
+        """The cloud is written as one string; its bytes are those that the
+        excel dialect of csv.writer writes for the same rows, CRLF line ends
+        included (csv.reader, which the other tests read with, accepts any
+        line end), on signed zeros, the least subnormal, values near the
+        float maximum and reprs with an exponent, for windows and for an
+        exact quotient file, on a named and on a literal unit."""
+        windows = [SliceSeries(0, [Quaternion(-0.0, -0.0, -0.0, -0.0)]),
+                   SliceSeries(0, [Quaternion(5e-324, 1e-300, 1e-300, -0.0)]),
+                   SliceSeries(0, [Quaternion(1.7e308, 2.5e-310, -0.0, 1e-300)]),
+                   SliceSeries(3, [Quaternion(1e-300, -2.5e-310, 1e-300, 3e-320),
+                                   Quaternion(1.7e308, 0.0, -0.0, 0.0)])]
+        paths = []
+        for n, window in enumerate(windows):
+            paths.append(tmp_path / f"w{n}.json")
+            paths[-1].write_text(json.dumps(window.to_json_dict()))
+        paths.append(tmp_path / "koebe.json")
+        assert run(["gen", "koebe", "--u", "1", "--degree", "12", "--out", str(paths[-1])]) == 0
+        out, fields = tmp_path / "cloud.csv", set()
+        for path in paths:
+            for unit in ("j", "1/3i+2/3j+2/3k"):
+                assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 0
+                with open(out, newline="") as handle:
+                    header, *rows = csv.reader(handle)
+                want = io.StringIO(newline="")
+                writer = csv.writer(want)
+                writer.writerow(header)
+                writer.writerows([float(v) for v in row] for row in rows)
+                assert out.read_bytes() == want.getvalue().encode()
+                assert len(rows) == 24 * 48
+                fields.update(v for row in rows for v in row)
+        assert {"-0.0", "5e-324", "1e-300", "1.7e+308"} <= fields
+
     # sha256 of the CSV of each seed-7 gen file on each axis; the float
     # sstar file holds the exact window rounded, so its images are the same
+    ROGOSINSKI = "rogosinski --b=7/40-1/5i-2/5j-2/5k --p=-21/100-6/25i-12/25j-12/25k"
     PINNED_IMAGE = {
         ("sstar", "i"): "5f0f3608b621e9f1ce5ae308f6a3a12740f528a633522e4e0747ba997fda7a04",
         ("sstar", "j"): "692ac9fd597410ec6ff50c43c756af5086d050399d26bb09dfe517265f1bb137",
@@ -536,6 +571,14 @@ class TestSliceImageCommand:
             "7c5516dc4b17f9e53fcb428ef6e564884883076ca7feb24e1d9ecd499aa1ccf4",
         ("sstar --mode float", "1/3i+2/3j+2/3k"):
             "3baea33dd2962af90eea9e7697c35d1e5ae63a881f0f741143b6aed71b82f54b",
+        # exact quotient files: their images take StarQuotient.values
+        ("koebe --u=7/25-24/25j", "j"):
+            "c1745bb6217164b905feeb02acd1c943161fdd56588c4990e29414307798f87a",
+        ("koebe --u=7/25-24/25j", "1/3i+2/3j+2/3k"):
+            "6212c245823cc78ee0e7a6a69c31ca157af624007b805dbd5d1918f7358d3c32",
+        (ROGOSINSKI, "j"): "47019e01ac7dba931495d3803ab4218c23e68272790d772e3dddd0a13785b178",
+        (ROGOSINSKI, "1/3i+2/3j+2/3k"):
+            "0e721ab9281d110c4650a2b8aee44ef59f1c9c232626968b8c88a14f7b0c8307",
     }
 
     @pytest.fixture(scope="class")
