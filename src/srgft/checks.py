@@ -206,6 +206,8 @@ def check_fekete_szego(f: FunctionLike, lambdas: list[Quaternion],
     """
     fut = as_function(f)
     _require_class(fut, "starlike", grid, is_starlike)
+    if fut.series.degree < 3:
+        raise PreconditionError(f"needs a_3, beyond the window's degree {fut.series.degree}")
     a2, a3 = fut.series.coeff(2), fut.series.coeff(3)
     col = _Collector(tol, quaternion_key="lambda")
     for lam in lambdas:
@@ -220,6 +222,8 @@ def check_sharper_caratheodory(p: FunctionLike, grid: SamplingGrid = DEFAULT_GRI
     """|a_2 - a_1^2 / 2| <= 2 - |a_1|^2 / 2 for Caratheodory-class p."""
     fut = as_function(p)
     _require_class(fut, "caratheodory", grid, is_caratheodory)
+    if fut.series.degree < 2:
+        raise PreconditionError(f"needs a_2, beyond the window's degree {fut.series.degree}")
     a1, a2 = fut.series.coeff(1), fut.series.coeff(2)
     col = _Collector(tol)
     col.check(2, abs(a2 - (a1 * a1) * Fraction(1, 2)), 2.0 - float(a1.norm_sq()) / 2.0)
@@ -329,7 +333,7 @@ def check_schwarz(f: FunctionLike, m: int, grid: SamplingGrid = DEFAULT_GRID,
             col.check(q, mod, bound)
     a_m = abs(fut.series.coeff(m)) if fut.series.degree >= m else 0.0
     col.check(m, a_m, 1.0)
-    params = {"order": m, "extremal_form": col.worst >= -tol and abs(col.worst) <= EQUALITY_BAND}
+    params = {"order": m, "extremal_form": not col.violations and bool(col.equalities)}
     return col.report("schwarz", fut.fid, fut.series.degree, params=params)
 
 
@@ -414,11 +418,10 @@ def check_rogosinski(f: FunctionLike, q0: Quaternion,
     distance = abs(value - center)
     col = _Collector(tol)
     col.check(q0f, distance, radius)
-    boundary = abs(radius - distance) <= 1e-6
     return col.report("rogosinski", fut.fid, fut.series.degree,
                       params={"center": quaternion_to_json(center),
                               "radius": radius,
-                              "boundary_attained": boundary})
+                              "boundary_attained": bool(col.equalities)})
 
 
 def check_bohr(f: FunctionLike, grid: SamplingGrid = DEFAULT_GRID,

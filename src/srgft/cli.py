@@ -33,8 +33,7 @@ from .classes import (DEFAULT_ANGLE_COUNT, DEFAULT_RADII, ClassVerdict,
                       FunctionUnderTest, SamplingGrid, certify_small_coeff,
                       is_caratheodory, is_close_to_convex, is_self_map, is_starlike)
 from .errors import DomainError, PreconditionError, QuaternionParseError
-from .quat import (UNIT_I, UNIT_J, UNIT_K, ImaginaryUnit, Quaternion,
-                   format_quaternion, parse_quaternion)
+from .quat import ImaginaryUnit, Quaternion, format_quaternion, parse_quaternion
 from .series import DEFAULT_DEGREE, SliceSeries, StarQuotient, slice_derivative
 
 SEED_ENV = "SRGFT_SEED"
@@ -196,12 +195,7 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_NAMED_UNITS = {"i": UNIT_I, "j": UNIT_J, "k": UNIT_K}
-
-
 def _parse_unit(token: str) -> ImaginaryUnit:
-    if token in _NAMED_UNITS:
-        return _NAMED_UNITS[token]
     q = parse_quaternion(token).to_float()
     # relative to the imaginary norm, which hypot forms without overflow or underflow
     if abs(q.w) > 1e-12 * math.hypot(q.x, q.y, q.z):
@@ -220,8 +214,7 @@ def cmd_slice_image(args) -> int:
     angles = [2.0 * math.pi * j / 48 for j in range(48)]
     # the point r cos(theta) + r sin(theta) I of `ImaginaryUnit.circle_point`
     points = [(r * math.cos(theta), r * math.sin(theta)) for r in radii for theta in angles]
-    # a named unit holds Fractions; convert its components once
-    ux, uy, uz = float(unit.x), float(unit.y), float(unit.z)
+    ux, uy, uz = unit.x, unit.y, unit.z
     if form is None:
         images = series.slice_values((ux, uy, uz), points)
     else:

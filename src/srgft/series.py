@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -836,26 +836,24 @@ def _quotient_window(num: SliceSeries, den: SliceSeries, degree: int) -> SliceSe
     return SliceSeries._from_rows(v, out_den * num_den, out_rows)
 
 
-@lru_cache(maxsize=128)
-def _reciprocal(f: SliceSeries) -> "StarQuotient":
-    """f^(-*) as the quotient 1 over f, kept with its integer parts."""
-    return StarQuotient(SliceSeries.one(), f)
-
-
-def quotient_transform(f: SliceSeries, q: Quaternion,
-                       domain: EvalDomain = DEFAULT_DOMAIN) -> Quaternion:
-    """The point map f^c(q)^(-1) q f^c(q); preserves |q|.
+def quotient_transform(f: SliceSeries, points: Iterable[Quaternion],
+                       domain: EvalDomain = DEFAULT_DOMAIN) -> list[Quaternion]:
+    """The point map q -> f^c(q)^(-1) q f^c(q) at each point, in order;
+    it preserves |q|.
 
     With R = f^(-*) = (f^s)^(-1) star f^c, R(q) = f^s(q)^(-1) f^c(q), and
     f^s(q) lies in the slice of q, so it commutes with q and the map is
-    R(q)^(-1) q R(q).  The window is treated as a polynomial, and R's
-    integer guard refuses q where |f^s(q)| falls below ``domain``'s
-    threshold, at an exact and a float point alike.  A zero of f^c is a
-    zero of f^s = f^c star f, so the guard refuses it too.  An exact q
-    gives an exact image, whatever the mode of f.
+    R(q)^(-1) q R(q).  The window is treated as a polynomial, and R is the
+    one quotient 1 over f, evaluated at the whole batch by
+    :meth:`StarQuotient.values`: its integer guard refuses the first point
+    where |f^s(q)| falls below ``domain``'s threshold, at an exact and a
+    float point alike.  A zero of f^c is a zero of f^s = f^c star f, so the
+    guard refuses it too.  An exact q gives an exact image, whatever the
+    mode of f.
     """
-    r = _reciprocal(f).eval(q, domain)
-    return r.inverse() * q * r
+    batch = PointBatch.of(points)
+    reciprocal = StarQuotient(SliceSeries.one(), f).values(batch, domain)
+    return [r.inverse() * q * r for q, r in zip(batch, reciprocal)]
 
 
 def compose_slice_preserving(f: SliceSeries, w: SliceSeries) -> SliceSeries:

@@ -155,6 +155,13 @@ class TestFeketeSzego:
         report = check_fekete_szego(koebe_function(I, 8), sample_lambdas(3, 40))
         assert report.passed
 
+    def test_a_window_without_a_3_is_refused(self):
+        """A window says nothing above its degree, so q + q^2/8 has no a_3."""
+        short = SliceSeries.from_coeffs([exact(1), exact(F(1, 8))], valuation=1)
+        fut = FunctionUnderTest("short", short, certificates=("starlike",))
+        with pytest.raises(PreconditionError, match="needs a_3"):
+            check_fekete_szego(fut, [exact(0)], SMALL_GRID)
+
 
 class TestSharperCaratheodory:
     def test_constant_one(self):
@@ -170,6 +177,12 @@ class TestSharperCaratheodory:
     def test_members(self):
         report = check_sharper_caratheodory(caratheodory_member(5, 16))
         assert report.passed
+
+    def test_a_window_without_a_2_is_refused(self):
+        short = SliceSeries.from_coeffs([exact(1), exact(F(1, 2))])
+        fut = FunctionUnderTest("short", short, certificates=("caratheodory",))
+        with pytest.raises(PreconditionError, match="needs a_2"):
+            check_sharper_caratheodory(fut, SMALL_GRID)
 
 
 class TestCaratheodoryBounds:
@@ -705,6 +718,7 @@ def _drawn_windows(draw):
             FunctionUnderTest("drawn-normalized", g, certificates=_ALL_CLASSES))
 
 
+@pytest.mark.fuzz
 class TestSampleForm:
     """Every collector sample is one lhs <= rhs: its margin is rhs - lhs,
     a failing report's worst margin is its least witness margin, and a

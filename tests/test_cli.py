@@ -464,6 +464,22 @@ class TestSliceImageCommand:
             assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 0
         assert clouds[0].read_bytes() == clouds[1].read_bytes()
 
+    def test_an_axis_name_is_the_literal_of_its_unit(self, tmp_path):
+        """i, j and k are read as quaternion literals: each writes the bytes
+        of 1i, 1j and 1k, for a window file and for a quotient file."""
+        window, quotient = tmp_path / "w.json", tmp_path / "koebe.json"
+        window.write_text(json.dumps(SliceSeries(1, [Quaternion(0.5, -0.0, 0.25, 0.0),
+                                                     Quaternion(-0.0, 0.75, 0.0, -0.5)])
+                                     .to_json_dict()))
+        assert run(["gen", "koebe", "--u=7/25-24/25j", "--degree", "12",
+                    "--out", str(quotient)]) == 0
+        for path in (window, quotient):
+            for axis in "ijk":
+                clouds = [tmp_path / "named.csv", tmp_path / "literal.csv"]
+                for unit, out in zip((axis, "1" + axis), clouds):
+                    assert run(["slice-image", str(path), "--unit", unit, "--out", str(out)]) == 0
+                assert clouds[0].read_bytes() == clouds[1].read_bytes()
+
     @pytest.mark.parametrize("unit", ["i", "j", "k", "1/3i+2/3j+2/3k"])
     def test_one_plane_rows_are_the_full_evaluations(self, unit, tmp_path, capsys):
         """On any unit I a window's image row is one plane Horner in
@@ -522,7 +538,7 @@ class TestSliceImageCommand:
         included (csv.reader, which the other tests read with, accepts any
         line end), on signed zeros, the least subnormal, values near the
         float maximum and reprs with an exponent, for windows and for an
-        exact quotient file, on a named and on a literal unit."""
+        exact quotient file, on an axis and on an off-axis unit."""
         windows = [SliceSeries(0, [Quaternion(-0.0, -0.0, -0.0, -0.0)]),
                    SliceSeries(0, [Quaternion(5e-324, 1e-300, 1e-300, -0.0)]),
                    SliceSeries(0, [Quaternion(1.7e308, 2.5e-310, -0.0, 1e-300)]),

@@ -36,7 +36,7 @@ from srgft.series import (EvalDomain, PointBatch, QuotientSum, SliceSeries, Star
                           quotient_transform, regular_conjugate,
                           slice_derivative, star_mul, star_reciprocal,
                           symmetrize, _float_row, _horner_errors, _horner_fixed,
-                          _horner_xv, _integer_point, _plane_horner, _reciprocal)
+                          _horner_xv, _integer_point, _plane_horner)
 
 
 def exact(w=0, x=0, y=0, z=0):
@@ -341,13 +341,14 @@ def transform_cases(draw):
     return f, a + delta
 
 
+@pytest.mark.fuzz
 class TestQuotientTransform:
     @given(transform_cases())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=6 * settings.default.max_examples // 5, deadline=None)
     def test_is_the_conjugate_action_refused_by_the_exact_guard(self, case):
-        """quotient_transform(f, q) is c^(-1) q c with c = f^c(q), refused
-        exactly where |f^s(q)|^2 < t^2 as rationals, by the `Fraction`
-        oracles on the polynomial f."""
+        """quotient_transform(f, [q]) is [c^(-1) q c] with c = f^c(q),
+        refused exactly where |f^s(q)|^2 < t^2 as rationals, by the
+        `Fraction` oracles on the polynomial f."""
         f, q = case
         rf = (f.valuation, f.coeffs)
         fc = SliceSeries(*reference_conjugate(rf))
@@ -358,45 +359,64 @@ class TestQuotientTransform:
         for t in (1e-8, 1e-250):
             if s.norm_sq() < F(t) ** 2:
                 with pytest.raises(SingularityError):
-                    quotient_transform(f, q, EvalDomain(t))
+                    quotient_transform(f, [q], EvalDomain(t))
             else:
                 c = reference_series_eval(fc, q)
-                assert quotient_transform(f, q, EvalDomain(t)) == c.inverse() * q * c
+                assert quotient_transform(f, [q], EvalDomain(t)) == [c.inverse() * q * c]
+
+    @given(transform_cases(), st.booleans(), st.data())
+    @settings(deadline=None)
+    def test_a_batch_maps_each_point_as_a_one_point_call(self, case, to_float, data):
+        """Bit for bit and in batch order, or the error of the first refused
+        point; an exact point's image is exact whatever the mode of f."""
+        f, q = case
+        f = f.to_float() if to_float else f
+        points = [q] + list(data.draw(point_batches()))
+        want = _point_by_point(lambda p: quotient_transform(f, [p])[0], points)
+        assert _batch_outcome(lambda ps: quotient_transform(f, ps), points) == want
+        if isinstance(want, list):
+            images = quotient_transform(f, points)
+            assert [image.is_exact for image in images] == [p.is_exact for p in points]
 
     def test_real_coefficients_fix_points(self):
         f = series([1, -1]).pad_to(4)
-        for q in DEFAULT_GRID.points[:40]:
-            assert abs(quotient_transform(f, q) - q) < 1e-12
+        points = DEFAULT_GRID.points[:40]
+        for q, image in zip(points, quotient_transform(f, points)):
+            assert abs(image - q) < 1e-12
 
     def test_real_points_fixed(self):
         f = series([ONE, I, J], valuation=0)
         q = Quaternion(0.3, 0.0, 0.0, 0.0)
-        assert abs(quotient_transform(f, q) - q) < 1e-15
+        assert abs(quotient_transform(f, [q])[0] - q) < 1e-15
 
     def test_norm_preserved(self):
         f = series([ONE, exact(0, F(-1, 2))])
         q = Quaternion(0.0, 0.0, 0.5, 0.0)
-        image = quotient_transform(f, q)
+        [image] = quotient_transform(f, [q])
         assert abs(abs(image) - 0.5) < 1e-14
 
     def test_singular_guard(self):
         f = series([1, -2])  # symmetrization vanishes at 1/2
+        points = [exact(F(1, 4)), Quaternion(0.5, 0.0, 0.0, 0.0), exact(F(1, 3))]
+        # one refused point refuses the batch, as the quotient 1 over f does
         with pytest.raises(SingularityError):
-            quotient_transform(f, Quaternion(0.5, 0.0, 0.0, 0.0))
+            quotient_transform(f, points)
+        with pytest.raises(SingularityError):
+            StarQuotient(SliceSeries.one(), f).values(points, EvalDomain())
 
     def test_tiny_exact_symmetrization_is_measured_not_refused(self):
         # f^s = q^4 (1 + q^2 / 4), so |f^s(q)| is about 1e-180 at q = 1e-45 i,
         # far below the smallest float square root of a norm
         f = series([ONE, exact(0, F(1, 2))], valuation=2)
         q = exact(0, F(1, 10 ** 45))
-        image = quotient_transform(f, q, EvalDomain(1e-250))
+        [image] = quotient_transform(f, [q], EvalDomain(1e-250))
         assert image.is_exact and image.norm_sq() == q.norm_sq()
         with pytest.raises(SingularityError):
-            quotient_transform(f, q, EvalDomain(1e-179))
+            quotient_transform(f, [q], EvalDomain(1e-179))
 
     def test_exact_zero_of_the_symmetrization_is_refused(self):
         with pytest.raises(SingularityError):
-            quotient_transform(series([1, -2]), exact(F(1, 2)))
+            quotient_transform(series([1, -2]), [exact(F(1, 2))])
 
     def test_mutual_inverse_on_grid(self):
         rng = Random(11)
@@ -404,8 +424,8 @@ class TestQuotientTransform:
         fc = regular_conjugate(f)
         for q in DEFAULT_GRID.points[::7]:
             try:
-                image = quotient_transform(f, q)
-                back = quotient_transform(fc, image)
+                [image] = quotient_transform(f, [q])
+                [back] = quotient_transform(fc, [image])
             except SingularityError:
                 continue
             assert abs(abs(image) - abs(q)) < 1e-12
@@ -674,6 +694,7 @@ def _assert_derivative_window(quot: StarQuotient, degree: int) -> None:
     assert quot.derivative().to_series(degree) == want
 
 
+@pytest.mark.fuzz
 class TestQuotientDerivative:
     """f' = (s star s)^(-1) (s star G' - s' star G) for the real form
     f = s^(-1) G, whatever den's coefficients."""
@@ -735,6 +756,7 @@ def _outcome(evaluate, q):
     return tuple(repr(c) for c in (value.w, value.x, value.y, value.z))
 
 
+@pytest.mark.fuzz
 class TestIntegerEval:
     # the example counts follow the profile: 300 and 150 by default, ten
     # times as many under --hypothesis-profile=ci (tests/conftest.py)
@@ -1079,6 +1101,7 @@ def batch_evaluators(draw):
             lambda q: form.values((q,), domain, skip)[0])
 
 
+@pytest.mark.fuzz
 class TestPointBatch:
     """A batch splits each point into its slice class once, and evaluating
     it gives what evaluating its points one by one gives."""
@@ -1222,6 +1245,7 @@ def _one_step_quotient(rng: Random, in_den: bool) -> StarQuotient:
     return StarQuotient(one, part) if in_den else StarQuotient(part, one)
 
 
+@pytest.mark.fuzz
 class TestFixedPath:
     """At a float point the class part runs in fixed point at p bits, and a
     component is returned only where its proven error interval rounds to
@@ -1328,6 +1352,7 @@ def kernel_points(draw):
     return e, w, v1 * v1 + v2 * v2
 
 
+@pytest.mark.fuzz
 class TestFixedHorner:
     """The lemma of the fixed-point path: `_horner_fixed` at the exact point
     is the complex Horner in z = (W + i|V|) / 2^e with one floor per step,
@@ -1429,6 +1454,7 @@ def _exact_window(quot: StarQuotient, degree: int) -> SliceSeries:
     return StarQuotient(quot.num.to_exact(), quot.den.to_exact()).to_series(degree)
 
 
+@pytest.mark.fuzz
 class TestSumOfRealForms:
     """A quotient sum over its terms' real forms s_k^(-1) G_k is the
     weighted sum of its terms, as a window and at every point."""
@@ -1594,8 +1620,8 @@ class TestSampledLaws:
             g = rand_series(rng, 4, scale=2).pad_to(32)
             lhs_series = star_mul(star_reciprocal(f), g).to_float()
             ff, gf = f.to_float(), g.to_float()
-            for q in DEFAULT_GRID.points[::5]:
-                t = quotient_transform(f, q)
+            points = DEFAULT_GRID.points[::5]
+            for q, t in zip(points, quotient_transform(f, points)):
                 rhs = ff.eval(t).inverse() * gf.eval(t)
                 assert abs(lhs_series.eval(q) - rhs) < 1e-9
 
@@ -2025,19 +2051,6 @@ class TestRowWindows:
             assert "coeffs" in s.__dict__ and s.coeffs is coeffs
             assert _component_types(s) == {F}
 
-    def test_reciprocal_cache_hits_for_equal_windows_built_differently(self):
-        rng = Random(11)
-        f, g = rand_series(rng, 3), rand_series(rng, 2)
-        rows = star_mul(f.pad_to(5), g.pad_to(5))
-        fractions = reference_star_mul(f.pad_to(5), g.pad_to(5))
-        assert "coeffs" not in rows.__dict__
-        q = exact(F(1, 5), F(1, 10), 0, F(-1, 10))
-        _reciprocal.cache_clear()
-        first = quotient_transform(rows, q)
-        assert quotient_transform(fractions, q) == first
-        info = _reciprocal.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
-
     @given(kernel_windows(max_length=10, valuations=(0, 2)),
            kernel_windows(max_length=10, valuations=(0, 2)), inner_windows)
     @settings(max_examples=60, deadline=None)
@@ -2186,6 +2199,7 @@ def _plane_error_bound(f: SliceSeries, q: Quaternion) -> float:
     return (gamma * total + underflow * 2.0 ** -1074) * (1 + 2.0 ** -40)
 
 
+@pytest.mark.fuzz
 class TestPlaneHorner:
     """The float kernel: at float points on and off the axes, every
     component of `SliceSeries.values` lies within a stated Horner error
