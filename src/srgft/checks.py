@@ -13,6 +13,11 @@ equality when |rhs - lhs| <= 1e-9 max(|lhs|, |rhs|, 1), a relative band
 of 1e-9, and equalities are reported in the parameter block; only the
 forward direction (the extremal attains equality) is asserted, never the
 uniqueness converse.
+
+Every value a check reads on the grid comes from a sweep of its
+:class:`FunctionUnderTest`, except the star side of
+:func:`check_quotient_equivalences`, which is what it tests, and the
+closed form :func:`bloch_eval`.
 """
 
 from __future__ import annotations

@@ -246,6 +246,10 @@ def _sampled(name: str, points: Iterable[Quaternion],
 
 def _require_class(fut: FunctionUnderTest, class_name: str,
                    grid: SamplingGrid, predicate) -> None:
+    """The one gate of a class hypothesis: a function certified for the
+    class by construction passes, and any other must pass the grid screen
+    ``predicate``, else `PreconditionError` reads
+    ``<fid> failed the <class> screen: <witness>``."""
     if fut.certifies(class_name):
         return
     verdict = predicate(fut, grid)

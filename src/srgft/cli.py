@@ -25,7 +25,7 @@ import math
 import os
 import sys
 
-from .checks import (SUITES, SuiteConfig, caratheodory_member,
+from .checks import (POINT_TOL, SUITES, SuiteConfig, caratheodory_member,
                      close_to_convex_member, close_to_convex_reference,
                      koebe_function, rogosinski_function, run_suites,
                      starlike_member)
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"suite name or 'all'; known: {', '.join(SUITES)}")
     p_check.add_argument("--random", type=int, default=5,
                          help="number of generated members per suite (default %(default)s)")
-    p_check.add_argument("--tol", type=float, default=1e-9,
+    p_check.add_argument("--tol", type=float, default=POINT_TOL,
                          help="pointwise tolerance (default %(default)s)")
     _add_run_flags(p_check)
     p_check.set_defaults(func=cmd_check)

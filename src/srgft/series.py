@@ -171,7 +171,8 @@ def _guard_ratio(domain: EvalDomain, real: bool) -> tuple[int, int]:
     """(n, shift): the guard refuses a measure top / bottom of |den^s(q)|^2,
     or of |den(q)|^2 for a real den, where (top << shift) < n bottom.  The
     float threshold is t = n / 2^s exactly, and the measure is compared
-    with t^2, or with t for a real den."""
+    with t^2, or with t for a real den.  No ratio is rounded to a float, so
+    a measure whose square underflows a float is still compared."""
     n, d = float(domain.singular_threshold).as_integer_ratio()
     shift = d.bit_length() - 1
     return (n, shift) if real else (n * n, 2 * shift)
@@ -387,6 +388,7 @@ class SliceSeries:
 
     @classmethod
     def zero(cls, degree: int = 0, exact: bool = True) -> "SliceSeries":
+        """The zero window, the one constructor that states its mode."""
         return cls._from_rows(0, 1, (_zero_row(exact),) * (max(degree, 0) + 1))
 
     @classmethod
@@ -542,7 +544,8 @@ class SliceSeries:
         the quotient's evaluation of the batch (:meth:`StarQuotient.values`)
         gives its exact value.  Any float operand
         runs the float kernel on the float window at the float point, by
-        the representation formula: with q = x + s I, s = |Im q|, and
+        the representation formula (Colombo, Gentili, Sabadini and Struppa,
+        Adv. Math. 2009): with q = x + s I, s = |Im q|, and
         z = x + is, f(q) = A + I B, where each component c has
         A_c + i B_c = z^v sum_n z^n a_(n,c), one :func:`_plane_horner` per
         column.  A and B do not depend on I, so the points of one class
@@ -552,7 +555,9 @@ class SliceSeries:
         plans hold each point's class and tail; the Horners of a class are
         kept in a list by class for the call.  A rational coefficient too
         large for a float raises `DomainError`, and so does a value that
-        is not finite.
+        is not finite.  The float values are not correctly rounded: each
+        component lies within sqrt(2) gamma_k sum_n |a_n| r^n of the exact
+        value (``tests/test_series.py::TestPlaneHorner`` derives k).
         """
         batch = PointBatch.of(points)
         # a batch has at most one float class per point
@@ -942,7 +947,9 @@ def mobius_quotient(a: Quaternion) -> "StarQuotient":
 class StarQuotient:
     """Pointwise-exact evaluator for den^(-*) star num with polynomial parts.
 
-    Writing the reciprocal as (den^s)^(-1) den^c, the value at q is
+    Writing the reciprocal as f^(-*) = (f^s)^(-1) f^c (Gentili, Stoppato
+    and Struppa, "Regular Functions of a Quaternionic Variable", Springer
+    2013), the value at q is
 
         value(q) = den^s(q)^(-1) (den^c star num)(q)
 
@@ -979,7 +986,8 @@ class StarQuotient:
     components, so a tiny component keeps its relative accuracy.  A
     component is returned only when both ends of its error interval round
     to the same float, sign of zero included (:func:`_certified`);
-    rounding is monotone, so that float is the exact path's.  Any other
+    rounding is monotone, so that float is the exact path's (Ziv's
+    strategy: A. Ziv, ACM TOMS 17(3), 1991).  Any other
     point takes the exact path, which is the oracle: a guard refused or
     ambiguous on the interval of N, a float overflow, a negative
     valuation, a failed certificate.  So does every point of a form whose
@@ -1221,8 +1229,11 @@ class QuotientSum(StarQuotient):
     Real series are central, so sum_k w_k R_k = den^(-1) num_0 with
     num_0 = sum_k w_k (prod_(j != k) s_j) star G_k, and den^(-1) commutes
     with the left factor h (by default 1): the sum is den^(-1) num with
-    num = h star num_0, so h folds into num once.  Both are built on first
-    use, exactly.  A sum needs at least one term and one weight per term.
+    num = h star num_0, so h folds into num once.  Its value at q is
+    sum_m q^m h(q) g_m for num_0 = sum_m q^m g_m, which is not h(q) num_0(q)
+    in general, since h(q) need not commute with q.  Both are built on
+    first use, exactly.  A sum needs at least one term and one weight per
+    term.
     """
 
     def __init__(self, terms: Sequence[StarQuotient], weights: Sequence,

@@ -16,10 +16,11 @@ from pathlib import Path
 import srgft
 
 PACKAGE = Path(srgft.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 #: the exported functions that no package code calls, each on purpose
 UNCALLED_EXPORTS = {
-    # library entry points that the README's "Library" section documents
+    # library entry points, listed among the README's exported entry points
     "generate_caratheodory", "mobius", "quotient_transform", "star_reciprocal",
     # ROADMAP item 7 deletes it, with its tests and its ``__all__`` entry
     "is_one_slice",
@@ -66,3 +67,11 @@ def test_every_exported_function_has_a_caller():
     """The list of uncalled exports is exact: a name leaves it once the
     package calls it or it is deleted."""
     assert {name for *_, name in _uncalled(exported=True)} == UNCALLED_EXPORTS
+
+
+def test_uncalled_exports_are_documented():
+    """Each deliberate public entry point appears in the README; ROADMAP
+    item 7 deletes ``is_one_slice``, so it is not held to this."""
+    text = README.read_text()
+    assert [name for name in sorted(UNCALLED_EXPORTS - {"is_one_slice"})
+            if f"`{name}`" not in text] == []
